@@ -141,7 +141,7 @@ def _apply_scan(
     else:
         rdd = base.rdd
         if predicate is not None:
-            rdd = rdd.filter(predicate.matches)
+            rdd = rdd.mapPartitions(predicate.filter_rows)
         if columns is not None:
             wanted = set(columns)
             rdd = rdd.map(

@@ -31,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.cache import CachedResult, DerivationCache
 from repro.core.dataset import ScrubJayDataset
@@ -186,23 +186,39 @@ class ResultCache:
             return None
         return max(0.0, self._wall() - stamp)
 
-    def put(
+    def pin(
         self,
-        key: str,
         dataset: ScrubJayDataset,
         datasets: Optional[List[str]] = None,
-    ) -> None:
-        """Materialize ``dataset`` under ``key`` (and write through to
-        the disk tier when configured). ``datasets`` names the catalog
-        inputs the producing plan read, so
+    ) -> ResultEntry:
+        """Materialize ``dataset`` driver-side — its one execution —
+        into an entry not yet published under any key. ``datasets``
+        names the catalog inputs the producing plan read, so
         :meth:`invalidate_dataset` can evict exactly the dependents of
         an appended-to dataset."""
-        entry = ResultEntry(
+        return ResultEntry(
             rows=dataset.collect(),
             schema_json=dataset.schema.to_json_dict(),
             name=dataset.name,
             created_at=self._clock(),
             datasets=tuple(datasets or ()),
+        )
+
+    def put(
+        self,
+        key: str,
+        dataset: Union[ScrubJayDataset, ResultEntry],
+        datasets: Optional[List[str]] = None,
+    ) -> ResultEntry:
+        """Publish a result under ``key`` (and write through to the
+        disk tier when configured) and return its pinned entry.
+        ``dataset`` is a :class:`ResultEntry` from :meth:`pin`, stored
+        as is, or a dataset, pinned here first; either way the rows
+        are collected once and ``entry.to_dataset(ctx)`` serves them
+        without re-running the plan."""
+        entry = (
+            dataset if isinstance(dataset, ResultEntry)
+            else self.pin(dataset, datasets)
         )
         with self._lock:
             self._insert(key, entry)
@@ -216,6 +232,7 @@ class ResultCache:
                     created_at_wall=self._wall(),
                 ),
             )
+        return entry
 
     def _insert(self, key: str, entry: ResultEntry) -> None:
         # caller holds self._lock

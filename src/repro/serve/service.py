@@ -1296,9 +1296,13 @@ class QueryService:
             hit = self.result_cache.get(rkey, session.ctx)
         if hit is not None:
             return hit
-        result = self._execute_plan(plan, ticket, state, version)
-        # Pin the rows driver-side before publishing: a cached entry
-        # must not hold a lazy RDD whose lineage outlives its inputs.
+        # Pin the rows driver-side — the plan's one execution. The
+        # caller gets a dataset over those pinned rows (what a hit
+        # returns), so nothing downstream re-runs the lineage, and a
+        # cached entry never holds a lazy RDD that outlives its inputs.
+        entry = self.result_cache.pin(
+            self._execute_plan(plan, ticket, state, version), names
+        )
         # Publish only if the catalog did not move between keying and
         # execution — otherwise the rows were computed against a newer
         # catalog than the key claims, and an in-flight reader still
@@ -1311,8 +1315,8 @@ class QueryService:
                 for n in names
             )
         ):
-            self.result_cache.put(rkey, result, datasets=names)
-        return result
+            self.result_cache.put(rkey, entry)
+        return entry.to_dataset(session.ctx)
 
     # ------------------------------------------------------------------
     # execution hooks — a ShardRouter overrides these to scatter-gather

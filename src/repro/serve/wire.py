@@ -38,7 +38,9 @@ Responses are ``{"ok": true, ...}`` or
 error type name round-trips the server-side exception class so
 clients can tell a shed (``ServiceOverloadError``) from a timeout
 from a planning failure and react accordingly (back off, give up,
-fix the query).
+fix the query). A malformed line answers ``ProtocolError`` and the
+connection lives on; a line longer than :data:`MAX_LINE_BYTES` answers
+``ProtocolError`` and the server closes the connection.
 
 Row values are text-encoded with the semantic codec
 (:mod:`repro.wrappers.codec`) — the schema rides along, so a client
@@ -51,7 +53,7 @@ import json
 import socket
 import socketserver
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import FilterTerm, Query
 from repro.core.semantics import Schema
@@ -63,7 +65,7 @@ from repro.errors import (
     WrapperError,
 )
 from repro.serve.service import AggregateSpec, QueryService
-from repro.wrappers.codec import decode_value, encode_value
+from repro.wrappers.codec import decoder, encoder
 
 #: NDJSON protocol version. Bump on any incompatible change to the
 #: request/response shapes; the ``hello`` handshake compares versions
@@ -75,6 +77,14 @@ from repro.wrappers.codec import decode_value, encode_value
 #: :class:`~repro.errors.UnsupportedOpError` — graceful degradation
 #: instead of a handshake break.
 PROTOCOL_VERSION = 2
+
+#: Longest request line a server reads, in bytes. The line-delimited
+#: protocol has no length prefix, so without a bound one connection
+#: could make the server buffer without limit. It is a constant, not a
+#: knob: the largest legitimate lines are the fleet's own ``register``
+#: requests (a whole dataset slice as codec text, ~100 B/row), and
+#: this leaves room for millions of rows per slice.
+MAX_LINE_BYTES = 256 * 1024 * 1024
 
 #: every op this dispatcher understands (advertised in the typed
 #: unknown-op error so a client can see what the server speaks)
@@ -107,15 +117,21 @@ def encode_rows(
     rows: List[Dict[str, Any]], schema: Schema, dictionary
 ) -> List[Dict[str, str]]:
     """Text-encode typed row values for JSON transport."""
+    encoders: Dict[str, Callable[[Any], str]] = {}
     out = []
     for row in rows:
         enc: Dict[str, str] = {}
         for field, value in row.items():
-            sem = schema[field] if field in schema else None
-            if sem is None:
-                enc[field] = str(value)
-            else:
-                enc[field] = encode_value(value, sem, dictionary)
+            try:
+                encode = encoders[field]
+            except KeyError:
+                # bound once per column per reply; rows are sparse, so
+                # a column is first met at whichever row carries it
+                encode = encoders[field] = (
+                    encoder(schema[field], dictionary)
+                    if field in schema else str
+                )
+            enc[field] = encode(value)
         out.append(enc)
     return out
 
@@ -124,15 +140,23 @@ def decode_rows(
     rows: List[Dict[str, str]], schema: Schema, dictionary
 ) -> List[Dict[str, Any]]:
     """Invert :func:`encode_rows` given a compatible dictionary."""
+    decoders: Dict[str, Optional[Callable[[str], Any]]] = {}
     out = []
     for row in rows:
         dec: Dict[str, Any] = {}
         for field, text in row.items():
+            try:
+                decode = decoders[field]
+            except KeyError:
+                decode = decoders[field] = (
+                    decoder(schema[field], dictionary)
+                    if field in schema else None
+                )
             # only strings rode the codec; JSON-native values (a
             # client pushing plain ints/floats without a dictionary)
             # pass through untouched
-            if field in schema and isinstance(text, str):
-                dec[field] = decode_value(text, schema[field], dictionary)
+            if decode is not None and isinstance(text, str):
+                dec[field] = decode(text)
             else:
                 dec[field] = text
         out.append(dec)
@@ -149,15 +173,16 @@ def encode_groups(
     ``[[key parts (codec text)...], value]``. Key parts ride through
     the semantic codec (the group fields are result-schema fields);
     values must be JSON-native (numbers / ``[sum, count]`` partials)."""
+    encoders = [
+        encoder(schema[field], dictionary) if field in schema else str
+        for field in group_by
+    ]
     out: List[List[Any]] = []
     for key, value in groups.items():
-        enc_key = []
-        for field, part in zip(group_by, key):
-            sem = schema[field] if field in schema else None
-            if sem is None or part is None:
-                enc_key.append(None if part is None else str(part))
-            else:
-                enc_key.append(encode_value(part, sem, dictionary))
+        enc_key = [
+            None if part is None else encode(part)
+            for encode, part in zip(encoders, key)
+        ]
         if isinstance(value, tuple):
             value = list(value)
         out.append([enc_key, value])
@@ -174,23 +199,22 @@ def decode_groups(
     """Invert :func:`encode_groups`. ``partial_how`` names the
     aggregator when the values are *unfinalized* partials (``mean``
     partials come back as 2-lists and must become tuples again)."""
+    decoders = [
+        decoder(schema[field], dictionary) if field in schema else None
+        for field in group_by
+    ]
+    # mean partials are (sum, count); p50/p95 partials are the raw
+    # sample tuples — both ride JSON as lists
+    retuple = partial_how in ("mean", "p50", "p95")
     out: Dict[tuple, Any] = {}
     for enc_key, value in groups:
-        key = []
-        for field, part in zip(group_by, enc_key):
-            if part is None:
-                key.append(None)
-            elif field in schema:
-                key.append(decode_value(part, schema[field], dictionary))
-            else:
-                key.append(part)
-        if partial_how in ("mean", "p50", "p95") and isinstance(
-            value, list
-        ):
-            # mean partials are (sum, count); p50/p95 partials are
-            # the raw sample tuples — both ride JSON as lists
+        key = tuple(
+            part if part is None or decode is None else decode(part)
+            for decode, part in zip(decoders, enc_key)
+        )
+        if retuple and isinstance(value, list):
             value = tuple(value)
-        out[tuple(key)] = value
+        out[key] = value
     return out
 
 
@@ -935,7 +959,25 @@ class InProcessClient:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # one connection, many requests
         service = self.server.service  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                # Discard the rest of the line a chunk at a time, so
+                # the sender has finished writing and reads the reply
+                # instead of a reset; then drop the connection.
+                while raw and not raw.endswith(b"\n"):
+                    raw = self.rfile.readline(1 << 16)
+                self._reply({
+                    "ok": False,
+                    "error": "ProtocolError",
+                    "message": (
+                        "request line exceeds "
+                        f"{MAX_LINE_BYTES} bytes; closing connection"
+                    ),
+                })
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -951,13 +993,19 @@ class _Handler(socketserver.StreamRequestHandler):
                 }
             else:
                 response = dispatch(service, request)
-            try:
-                self.wfile.write(
-                    (json.dumps(response) + "\n").encode("utf-8")
-                )
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
+            if not self._reply(response):
                 return
+
+    def _reply(self, response: Dict[str, Any]) -> bool:
+        """Write one response line; False once the peer is gone."""
+        try:
+            self.wfile.write(
+                (json.dumps(response) + "\n").encode("utf-8")
+            )
+            self.wfile.flush()
+        except (BrokenPipeError, ConnectionResetError):
+            return False
+        return True
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

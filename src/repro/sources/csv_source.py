@@ -23,7 +23,7 @@ from repro.core.semantics import Schema
 from repro.errors import FeedRewoundError, SourceError
 from repro.sources.base import DataSource
 from repro.sources.predicate import ColumnPredicate
-from repro.wrappers.codec import decode_value
+from repro.wrappers.codec import decoder
 
 
 class CSVSource(DataSource):
@@ -176,6 +176,10 @@ class CSVSource(DataSource):
             if predicate is not None:
                 need.update(predicate.columns())
             decoded_cols = [c for c in known if c in need]
+        decoders = [
+            (c, decoder(self._schema[c], self.dictionary))
+            for c in decoded_cols
+        ]
         wanted = None if columns is None else set(columns)
 
         out: List[Dict[str, Any]] = []
@@ -205,11 +209,8 @@ class CSVSource(DataSource):
                     record = dict(zip(header, fields))
                     rows_read += 1
                     row: Dict[str, Any] = {}
-                    for col in decoded_cols:
-                        value = decode_value(
-                            record.get(col), self._schema[col],
-                            self.dictionary,
-                        )
+                    for col, decode in decoders:
+                        value = decode(record.get(col))
                         if value is not None:
                             row[col] = value
                     if not row:
@@ -294,7 +295,10 @@ class CSVSource(DataSource):
                 since_offset=start, current_offset=size,
             )
         bound = size if until_offset is None else until_offset
-        known = [c for c in header if c in self._schema]
+        decoders = [
+            (c, decoder(self._schema[c], self.dictionary))
+            for c in header if c in self._schema
+        ]
         out: List[Dict[str, Any]] = []
         committed = start
         try:
@@ -321,11 +325,8 @@ class CSVSource(DataSource):
                     fields = next(csv.reader([text]))
                     record = dict(zip(header, fields))
                     row: Dict[str, Any] = {}
-                    for col in known:
-                        value = decode_value(
-                            record.get(col), self._schema[col],
-                            self.dictionary,
-                        )
+                    for col, decode in decoders:
+                        value = decode(record.get(col))
                         if value is not None:
                             row[col] = value
                     if row:

@@ -47,6 +47,12 @@ class EqTerm:
     def matches(self, row: Dict[str, Any]) -> bool:
         return row.get(self.column) == self.value
 
+    def filter_rows(
+        self, rows: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        column, value = self.column, self.value
+        return [row for row in rows if row.get(column) == value]
+
     def to_json_dict(self) -> Dict[str, Any]:
         return {"op": "eq", "column": self.column, "value": self.value}
 
@@ -78,6 +84,28 @@ class RangeTerm:
             return False  # unorderable stored value can never be in range
         return True
 
+    def filter_rows(
+        self, rows: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        column, low, high = self.column, self.low, self.high
+        out = []
+        for row in rows:
+            if column not in row:
+                continue
+            v = row[column]
+            v = getattr(v, "epoch", v)
+            try:
+                # written as rejections, not low <= v < high: a NaN
+                # fails neither comparison and stays, as in matches
+                if low is not None and v < low:
+                    continue
+                if high is not None and v >= high:
+                    continue
+            except TypeError:
+                continue
+            out.append(row)
+        return out
+
     def to_json_dict(self) -> Dict[str, Any]:
         return {"op": "range", "column": self.column,
                 "low": self.low, "high": self.high}
@@ -86,9 +114,10 @@ class RangeTerm:
 class ColumnPredicate:
     """An immutable conjunction of :class:`EqTerm`/:class:`RangeTerm`.
 
-    ``matches(row)`` is the row-level truth; ``segment_may_match`` and
-    ``partition_may_match`` are the conservative pruning oracles used
-    by the store and the sources.
+    ``matches(row)`` is the row-level truth and ``filter_rows(rows)``
+    its bulk form (equal to filtering by ``matches``, order kept);
+    ``segment_may_match`` and ``partition_may_match`` are the
+    conservative pruning oracles used by the store and the sources.
     """
 
     def __init__(self, terms: Sequence[Any]) -> None:
@@ -118,6 +147,19 @@ class ColumnPredicate:
 
     def matches(self, row: Dict[str, Any]) -> bool:
         return all(t.matches(row) for t in self.terms)
+
+    def filter_rows(
+        self, rows: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """The rows :meth:`matches` keeps, in order, one term at a
+        time: equality terms first (cheap and selective), range terms
+        over the survivors — each a single loop over a shrinking list
+        instead of interpreting the whole conjunction per row."""
+        if not self.terms:
+            return list(rows)
+        for t in sorted(self.terms, key=lambda t: t.op != "eq"):
+            rows = t.filter_rows(rows)
+        return rows
 
     def columns(self) -> List[str]:
         seen: List[str] = []

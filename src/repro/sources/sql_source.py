@@ -25,7 +25,7 @@ from repro.core.semantics import Schema
 from repro.errors import SourceError
 from repro.sources.base import DataSource
 from repro.sources.predicate import ColumnPredicate, EqTerm, RangeTerm
-from repro.wrappers.codec import decode_value
+from repro.wrappers.codec import decoder
 
 
 class SQLSource(DataSource):
@@ -171,6 +171,10 @@ class SQLSource(DataSource):
                     if predicate is not None:
                         need.update(predicate.columns())
                     decoded_cols = [c for c in known if c in need]
+                decoders = [
+                    (c, decoder(self._schema[c], self.dictionary))
+                    for c in decoded_cols
+                ]
                 wanted = None if columns is None else set(columns)
 
                 sql = self._sql()
@@ -190,13 +194,9 @@ class SQLSource(DataSource):
                     named = dict(zip(cols, record))
                     rows_read += 1
                     row: Dict[str, Any] = {}
-                    for col in decoded_cols:
+                    for col, decode in decoders:
                         raw = named[col]
-                        value = decode_value(
-                            None if raw is None else str(raw),
-                            self._schema[col],
-                            self.dictionary,
-                        )
+                        value = decode(None if raw is None else str(raw))
                         if value is not None:
                             row[col] = value
                     if not row:

@@ -15,7 +15,7 @@ from repro.errors import WrapperError
 from repro.core.dataset import ScrubJayDataset
 from repro.core.dictionary import SemanticDictionary
 from repro.wrappers.base import Unwrapper
-from repro.wrappers.codec import encode_value
+from repro.wrappers.codec import encoder
 
 
 class CSVUnwrapper(Unwrapper):
@@ -27,20 +27,17 @@ class CSVUnwrapper(Unwrapper):
 
     def save(self, dataset: ScrubJayDataset) -> str:
         fields = dataset.schema.fields()
+        encoders = [
+            (field, encoder(dataset.schema[field], self.dictionary))
+            for field in fields
+        ]
         try:
             with open(self.path, "w", newline="", encoding="utf-8") as f:
                 writer = csv.writer(f)
                 writer.writerow(fields)
                 for row in dataset.collect():
                     writer.writerow(
-                        [
-                            encode_value(
-                                row.get(field),
-                                dataset.schema[field],
-                                self.dictionary,
-                            )
-                            for field in fields
-                        ]
+                        [encode(row.get(field)) for field, encode in encoders]
                     )
         except OSError as exc:
             raise WrapperError(f"cannot write {self.path}: {exc}") from exc

@@ -15,7 +15,7 @@ from repro.errors import WrapperError
 from repro.core.dataset import ScrubJayDataset
 from repro.core.dictionary import SemanticDictionary
 from repro.wrappers.base import Unwrapper
-from repro.wrappers.codec import encode_value
+from repro.wrappers.codec import encoder
 
 
 class SQLUnwrapper(Unwrapper):
@@ -32,6 +32,10 @@ class SQLUnwrapper(Unwrapper):
         fields = dataset.schema.fields()
         cols = ", ".join(f'"{f}" TEXT' for f in fields)
         placeholders = ", ".join("?" for _ in fields)
+        encoders = [
+            (field, encoder(dataset.schema[field], self.dictionary))
+            for field in fields
+        ]
         try:
             with sqlite3.connect(self.db_path) as conn:
                 conn.execute(f'DROP TABLE IF EXISTS "{self.table}"')
@@ -40,12 +44,8 @@ class SQLUnwrapper(Unwrapper):
                     f'INSERT INTO "{self.table}" VALUES ({placeholders})',
                     (
                         tuple(
-                            encode_value(
-                                row.get(field),
-                                dataset.schema[field],
-                                self.dictionary,
-                            )
-                            for field in fields
+                            encode(row.get(field))
+                            for field, encode in encoders
                         )
                         for row in dataset.collect()
                     ),

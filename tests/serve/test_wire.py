@@ -23,6 +23,7 @@ from tests.serve.conftest import (
     HOT_VALUES,
     JOIN_DOMAINS,
     JOIN_VALUES,
+    make_session,
     row_multiset,
 )
 
@@ -150,6 +151,57 @@ def test_malformed_lines_do_not_kill_connection(service, server):
         f.write(json.dumps({"op": "ping"}).encode() + b"\n")
         f.flush()
         assert json.loads(f.readline())["ok"] is True
+
+
+def _oversized_line_is_refused(address, bound):
+    """One line past ``bound`` gets the typed error, then EOF; a line
+    of exactly ``bound`` bytes is still read (and is merely bad JSON)."""
+    with socket.create_connection(address, timeout=10) as sock:
+        f = sock.makefile("rwb")
+        f.write(b"x" * bound + b"\n")
+        f.flush()
+        resp = json.loads(f.readline())
+        assert resp["error"] == "ProtocolError"
+        assert "malformed" in resp["message"]
+        f.write(b"x" * (bound + 1) + b"\n" + b'{"op": "ping"}\n')
+        f.flush()
+        resp = json.loads(f.readline())
+        assert resp["ok"] is False and resp["error"] == "ProtocolError"
+        assert f"exceeds {bound} bytes" in resp["message"]
+        assert f.readline() == b""  # closed: the ping was never read
+
+
+def test_oversized_line_is_refused_by_server_and_shard(
+    serve_session, monkeypatch
+):
+    from repro.serve import ShardRouter, wire
+
+    # the real bound has room for a fleet register line; shrunk here
+    # (before the shards fork, so they inherit it) to keep this fast
+    assert wire.MAX_LINE_BYTES >= 64 * 1024 * 1024
+    bound = 4096
+    monkeypatch.setattr(wire, "MAX_LINE_BYTES", bound)
+    svc = QueryService(serve_session, num_workers=1)
+    try:
+        with QueryServer(svc) as server:
+            _oversized_line_is_refused(server.address, bound)
+            with QueryClient(*server.address) as client:
+                assert client.ping() is True  # the server lives on
+    finally:
+        svc.close()
+    # few enough rows that each shard's register line fits the bound
+    sj = make_session(rows=8, keys=4)
+    router = ShardRouter(
+        sj, shards=2, shard_on={"samples": ["node"]}, num_workers=1
+    )
+    try:
+        shard = router._fleet[0][0]
+        _oversized_line_is_refused(shard.address, bound)
+        rows = router.query(HOT_DOMAINS, HOT_VALUES).collect()
+        assert len(rows) == 4  # the shard lives on
+    finally:
+        router.close()
+        sj.close()
 
 
 def test_unknown_op(service):

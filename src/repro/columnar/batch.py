@@ -100,10 +100,10 @@ class Column:
         data = self.data
         validity = self.validity
         gathered = map(data.__getitem__, indices)
-        if self.kind in ("f", "q"):
-            out = array(data.typecode, gathered)
-        else:
+        if self.kind == "obj":
             out = list(gathered)
+        else:  # typed buffers (dictionary codes too) stay arrays
+            out = array(data.typecode, gathered)
         if 0 not in validity:
             new_validity = bytearray(b"\x01") * len(out)
         else:

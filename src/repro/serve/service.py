@@ -544,43 +544,18 @@ class QueryService:
             q, tenant=tenant, timeout=timeout, aggregate=spec
         ).result()
 
-    def _aggregate_for_wire(
-        self,
-        query,
-        spec: AggregateSpec,
-        tenant: str = "default",
-        timeout: Optional[float] = None,
-        partial: bool = False,
-    ) -> Tuple[Dict[Tuple, Any], Any]:
-        """Wire-layer aggregate entry: returns ``(groups, schema)``.
-
-        ``partial=True`` is how a shard serves the router — it answers
-        with unfinalized mergeable partials. The result schema rides
-        along so the caller can codec-encode the group-key parts.
-        """
-        if partial:
-            spec = spec.as_partial()
-        ticket = self.submit(
-            query, tenant=tenant, timeout=timeout, aggregate=spec
-        )
-        groups = ticket.result()
-        return groups, ticket.result_schema
-
     # ------------------------------------------------------------------
     # standing subscriptions (the streaming serve tier)
     # ------------------------------------------------------------------
 
-    def _columnar(self) -> bool:
-        return bool(getattr(
-            getattr(self.session.engine, "config", None),
-            "columnar", False,
-        ))
-
-    def _columnar_off(self) -> tuple:
-        return tuple(getattr(
-            getattr(self.session.engine, "config", None),
-            "columnar_off_ops", (),
-        ))
+    def _columnar_opts(self) -> Dict[str, Any]:
+        """The engine's kernel switches, as ``DeltaPlan.execute_*``
+        keyword arguments."""
+        config = self.session.engine.config
+        return {
+            "columnar": config.columnar,
+            "columnar_off": tuple(config.columnar_off_ops),
+        }
 
     def _pinned_catalog(
         self, watermarks: Dict[str, int]
@@ -658,6 +633,10 @@ class QueryService:
         (single non-windowed measure) derives its spec from the
         measures — the grain buckets inside the plan, so updates
         arrive keyed by ``(per-dims..., bucket)``.
+
+        This method owns every step the single-process service and a
+        sharded fleet share; where the answer comes from is the
+        :meth:`_initial_answer` hook.
         """
         session = self.session
         query = as_query(query, values, filters)
@@ -666,49 +645,42 @@ class QueryService:
                 "a metric subscription derives its aggregate from "
                 "the measures; drop the AggregateSpec"
             )
-        state = session.state_fingerprint()
         nq = normalize_query(query)
-        pkey = plan_key(state, nq)
         plan = self.plan_cache.get_or_solve(
-            pkey, lambda: self._solve_serve_plan(nq)
+            plan_key(session.state_fingerprint(), nq),
+            lambda: self._solve_serve_plan(nq),
         )
         dplan = DeltaPlan(plan)
         feed_names = tuple(
             n for n in dplan.dataset_names() if n in session.feeds
         )
-        marks = {
-            n: session.feeds[n].watermark for n in feed_names
-        }
-        dataset = dplan.execute_full(
-            self._pinned_catalog(marks),
-            session.dictionary,
-            columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
-        )
         if query.is_metric:
             # ``partial=True`` is the sharded fleet's mode: the shard
             # keeps mergeable partials and the router finalizes
             aggregate = AggregateSpec.for_metric_query(
-                dataset.schema, query, partial=partial
+                plan.derive_schema(
+                    session.schemas(), session.dictionary
+                ),
+                query,
+                partial=partial,
             )
-        rows = partials = None
-        if aggregate is not None:
-            partials = group_aggregate_partials(
-                dataset, list(aggregate.group_by),
-                aggregate.value_field, aggregate.how,
-            )
-        else:
-            rows = dataset.collect()
+        marks = {
+            n: session.feeds[n].watermark for n in feed_names
+        }
         with self._subs_lock:
             self._sub_counter += 1
             sub_id = f"sub-{self._sub_counter}"
-            sub = Subscription(
-                sub_id, tenant, query, plan, dplan, aggregate,
-                feed_names, marks, dataset.schema,
-                rows=rows, partials=partials,
-            )
+        schema, rows, partials = self._initial_answer(
+            sub_id, tenant, query, dplan, aggregate, marks
+        )
+        sub = Subscription(
+            sub_id, tenant, query, plan, dplan, aggregate,
+            feed_names, marks, schema,
+            rows=rows, partials=partials,
+        )
+        with self._subs_lock:
             self._subs[sub_id] = sub
-        reg = getattr(session.ctx, "metrics", None)
+        reg = self.metrics.registry
         if reg is not None:
             reg.inc("stream.subscribe")
         return sub
@@ -732,7 +704,8 @@ class QueryService:
         if sub is None:
             return False
         sub._close()
-        reg = getattr(self.session.ctx, "metrics", None)
+        self._release_subscription(sub)
+        reg = self.metrics.registry
         if reg is not None:
             reg.inc("stream.unsubscribe")
         return True
@@ -744,7 +717,8 @@ class QueryService:
     ) -> Dict[str, Any]:
         """Advance feed ``name`` (pushing ``rows`` first when given,
         otherwise tailing whatever its source committed), then keep
-        the serve tier honest about it: scoped-evict the result-cache
+        the serve tier honest about it: hand the appended rows to
+        :meth:`_fan_out_append`, scoped-evict the result-cache
         entries whose plans read the dataset
         (:meth:`ResultCache.invalidate_dataset` — unrelated tenants'
         entries survive) and synchronously refresh every dependent
@@ -757,6 +731,7 @@ class QueryService:
         adv = feed.push(rows) if rows is not None else feed.advance()
         evicted = refreshed = 0
         if adv.advanced:
+            self._fan_out_append(name, adv.rows)
             evicted = self.result_cache.invalidate_dataset(name)
             with self._subs_lock:
                 dependents = [
@@ -785,10 +760,11 @@ class QueryService:
         watermarks, so the race costs a retry, never a mixed-
         watermark answer. A writer that outruns the refresher for 16
         straight rounds raises :class:`StaleRefreshError` rather than
-        looping forever.
+        looping forever. What one round does is the
+        :meth:`_refresh_round` hook.
         """
         session = self.session
-        reg = getattr(session.ctx, "metrics", None)
+        reg = self.metrics.registry
         committed = False
         with sub._refresh_lock:
             for _ in range(16):
@@ -806,28 +782,90 @@ class QueryService:
                         changed.add(n)
                 if not changed:
                     return committed
-                mode, decisions = sub.delta_plan.classify(changed)
-                sub.delta_plan.record(
-                    getattr(session.ctx, "report", None), decisions
-                )
-                if mode == "delta":
-                    self._refresh_delta(sub, base, targets, changed)
-                else:
-                    self._refresh_replay(sub, targets)
+                mode = self._refresh_round(sub, base, targets, changed)
                 committed = True
-                key = ("refresh_delta" if mode == "delta"
-                       else "refresh_replay")
                 with self._subs_lock:
-                    self._stream_stats[key] += 1
+                    self._stream_stats["refresh_" + mode] += 1
                 if reg is not None:
-                    reg.inc(
-                        "stream.refresh.delta" if mode == "delta"
-                        else "stream.refresh.replay"
-                    )
+                    reg.inc("stream.refresh." + mode)
             raise StaleRefreshError(
                 f"subscription {sub.sub_id!r} cannot catch up: its "
                 "feeds kept advancing across 16 refresh rounds"
             )
+
+    # ------------------------------------------------------------------
+    # streaming hooks — a ShardRouter overrides these to subscribe on,
+    # append to and gather from its shard fleet instead
+    # ------------------------------------------------------------------
+
+    def _initial_answer(
+        self,
+        sub_id: str,
+        tenant: str,
+        query: Query,
+        dplan: DeltaPlan,
+        aggregate: Optional[AggregateSpec],
+        marks: Dict[str, int],
+    ) -> Tuple[Any, Optional[List[Dict[str, Any]]], Optional[Dict]]:
+        """A new subscription's ``(schema, rows, partials)`` with every
+        feed input pinned at ``marks`` (rows or partials, by whether it
+        aggregates)."""
+        dataset = self._replay(dplan, marks)
+        return (
+            dataset.schema, *self._rows_or_partials(dataset, aggregate)
+        )
+
+    def _replay(
+        self, dplan: DeltaPlan, marks: Dict[str, int]
+    ) -> ScrubJayDataset:
+        """Full execution with every feed input bounded at ``marks``."""
+        return dplan.execute_full(
+            self._pinned_catalog(marks),
+            self.session.dictionary,
+            **self._columnar_opts(),
+        )
+
+    @staticmethod
+    def _rows_or_partials(
+        dataset: ScrubJayDataset, spec: Optional[AggregateSpec]
+    ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[Dict]]:
+        """What a subscription keeps of an executed plan: its rows,
+        or — when it aggregates — their mergeable group partials."""
+        if spec is None:
+            return dataset.collect(), None
+        return None, group_aggregate_partials(
+            dataset, list(spec.group_by), spec.value_field, spec.how
+        )
+
+    def _fan_out_append(
+        self, name: str, rows: List[Dict[str, Any]]
+    ) -> None:
+        """Feed ``name`` just committed ``rows``; one process has
+        nowhere to send them."""
+
+    def _release_subscription(self, sub: Subscription) -> None:
+        """``sub`` was just closed; one process holds nothing else for
+        it."""
+
+    def _refresh_round(
+        self,
+        sub: Subscription,
+        base: Dict[str, int],
+        targets: Dict[str, int],
+        changed,
+    ) -> str:
+        """Commit one refresh of ``sub`` from watermarks ``base`` to
+        ``targets`` (``changed`` names the feeds that moved) and say
+        how: ``"delta"`` or ``"replay"``."""
+        mode, decisions = sub.delta_plan.classify(changed)
+        sub.delta_plan.record(
+            getattr(self.session.ctx, "report", None), decisions
+        )
+        if mode == "delta":
+            self._refresh_delta(sub, base, targets, changed)
+        else:
+            self._refresh_replay(sub, targets)
+        return mode
 
     def _refresh_delta(
         self,
@@ -858,8 +896,7 @@ class QueryService:
         }
         result = sub.delta_plan.execute_delta(
             self._pinned_catalog(pinned), deltas,
-            session.dictionary, columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
+            session.dictionary, **self._columnar_opts(),
         )
         if delta_rows:
             with self._subs_lock:
@@ -867,39 +904,19 @@ class QueryService:
             reg = getattr(session.ctx, "metrics", None)
             if reg is not None:
                 reg.inc("stream.refresh.rows", delta_rows)
-        if sub.aggregate is not None:
-            spec = sub.aggregate
-            part = group_aggregate_partials(
-                result, list(spec.group_by),
-                spec.value_field, spec.how,
-            )
-            sub._commit_delta(targets, partials=part)
-        else:
-            sub._commit_delta(targets, rows=result.collect())
+        rows, partials = self._rows_or_partials(result, sub.aggregate)
+        sub._commit_delta(targets, rows=rows, partials=partials)
 
     def _refresh_replay(
         self, sub: Subscription, targets: Dict[str, int]
     ) -> None:
         """Scoped replay: full recompute with every feed input
         bounded at its target watermark, replacing the answer."""
-        session = self.session
-        result = sub.delta_plan.execute_full(
-            self._pinned_catalog({
-                n: targets[n] for n in sub.feed_names if n in targets
-            }),
-            session.dictionary,
-            columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
-        )
-        if sub.aggregate is not None:
-            spec = sub.aggregate
-            part = group_aggregate_partials(
-                result, list(spec.group_by),
-                spec.value_field, spec.how,
-            )
-            sub._commit_replace(targets, partials=part)
-        else:
-            sub._commit_replace(targets, rows=result.collect())
+        result = self._replay(sub.delta_plan, {
+            n: targets[n] for n in sub.feed_names if n in targets
+        })
+        rows, partials = self._rows_or_partials(result, sub.aggregate)
+        sub._commit_replace(targets, rows=rows, partials=partials)
 
     def cancel(self, ticket: QueryTicket) -> bool:
         """Cancel a still-queued ticket. Returns False once the query

@@ -69,7 +69,7 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.aggregate import (
     finalize_group_partials,
@@ -78,35 +78,25 @@ from repro.analysis.aggregate import (
 from repro.config import diff as profile_diff
 from repro.core.dataset import ScrubJayDataset
 from repro.core.pipeline import LoadNode, ScanNode
-from repro.core.query import Query
 from repro.core.semantics import Schema
 from repro.errors import (
-    ScrubJayError,
-    ServiceError,
+    QueryTimeoutError,
     ShardError,
     ShardRoutingError,
     ShardStaleReadError,
     ShardStateError,
     StaleRefreshError,
-    SubscriptionError,
 )
 from repro.rdd.shuffle import portable_hash
-from repro.serve.keys import normalize_query, plan_key
-from repro.serve.service import (
-    AggregateSpec,
-    QueryService,
-    QueryTicket,
-    as_query,
-)
+from repro.serve.service import AggregateSpec, QueryService, QueryTicket
 from repro.serve.subscribe import Subscription
 from repro.serve.wire import (
+    InProcessClient,
     QueryClient,
+    StampedAnswer,
     WireError,
-    decode_groups,
-    decode_rows,
     encode_rows,
 )
-from repro.stream import DeltaPlan
 
 __all__ = [
     "ShardConfig",
@@ -233,10 +223,14 @@ def _shard_main(conn, config: ShardConfig) -> None:
             pass
 
 
-class ShardHandle:
+class ShardHandle(InProcessClient):
     """One shard process seen from the router: the forked process, the
     control pipe, and a persistent wire connection (lazily opened,
-    dropped on transport failure so the next use reconnects)."""
+    dropped on transport failure so the next use reconnects).
+
+    It is a wire client — the router drives a shard through the typed
+    method per op it inherits (``query``, ``register_rows``,
+    ``subscribe``, ...); only :meth:`request` is its own."""
 
     def __init__(self, index: int, replica: int, config: ShardConfig) -> None:
         self.index = index
@@ -309,6 +303,16 @@ class ShardHandle:
                         shard=self.index,
                     ) from exc
                 raise
+
+    def _ok(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        """A shard's ``ok: false`` reply keeps its error class and
+        says which shard it came from."""
+        try:
+            return super()._ok(req)
+        except WireError as exc:
+            raise WireError(
+                exc.error, f"shard {self.index}: {exc.remote_message}"
+            ) from exc
 
     def _drop_client_locked(self) -> None:
         if self._client is not None:
@@ -460,14 +464,19 @@ class ShardRouter(QueryService):
     Everything north of execution is inherited unchanged: admission
     control, per-tenant round-robin fairness, deadlines, the plan
     cache (the §5.2 search runs once, router-side) and the result
-    cache (keyed on the router session's fingerprints). Only
-    ``_execute_plan`` / ``_aggregate_plan`` differ: the solved plan's
-    scan predicates pick the shards that may hold matching rows, each
-    target answers the original query over its slice, and the router
-    merges — row concatenation for datasets, partial-aggregate merge
+    cache (keyed on the router session's fingerprints) — and, for
+    standing queries, the whole subscribe/advance/refresh skeleton.
+    Only the hooks differ, each written as wire-client calls on the
+    shards (a :class:`ShardHandle` is a client). ``_execute_plan`` /
+    ``_aggregate_plan``: the solved plan's scan predicates pick the
+    shards that may hold matching rows, each target answers the
+    original query over its slice, and the router merges — row
+    concatenation for datasets, partial-aggregate merge
     (:func:`~repro.analysis.aggregate.merge_group_partials`) for
     grouped aggregates, so rows never cross the wire for aggregate
-    tickets.
+    tickets. ``_initial_answer`` / ``_fan_out_append`` /
+    ``_refresh_round`` / ``_release_subscription``: subscribe on,
+    append to, re-gather from and unsubscribe from every shard.
 
     Parameters (beyond :class:`QueryService`'s)
     -------------------------------------------
@@ -570,7 +579,8 @@ class ShardRouter(QueryService):
             )
 
     # ------------------------------------------------------------------
-    # replication: seeding and mutations
+    # talking to shards: every exchange is a wire-client method call on
+    # a ShardHandle
     # ------------------------------------------------------------------
 
     def _each_handle(self):
@@ -593,6 +603,57 @@ class ShardRouter(QueryService):
             )
         return live
 
+    def _mutate(
+        self,
+        call: Callable[[ShardHandle], Dict[str, Any]],
+        shard: Optional[int] = None,
+    ) -> List[Tuple[ShardHandle, Dict[str, Any]]]:
+        """Replicate one mutation — a client method call — to every
+        live process of ``shard`` (of the whole fleet when None); the
+        caller holds the fleet lock. A process that refuses it no
+        longer mirrors the router: :class:`ShardStateError`. Returns
+        each process with its answer."""
+        done = []
+        for replicas in (
+            self._fleet if shard is None else [self._fleet[shard]]
+        ):
+            for handle in self._live_handles(replicas):
+                try:
+                    done.append((handle, call(handle)))
+                except WireError as exc:
+                    raise ShardStateError(
+                        f"replication to {handle.name} failed: {exc}"
+                    ) from exc
+        return done
+
+    def _ask_shard(
+        self, j: int, call: Callable[[ShardHandle], Any]
+    ) -> Any:
+        """``call`` shard ``j``, failing over replica by replica on
+        transport loss."""
+        last: Optional[ShardError] = None
+        for attempt, handle in enumerate(self._fleet[j]):
+            try:
+                answer = call(handle)
+            except ShardError as exc:
+                last = exc
+                continue
+            if attempt > 0:
+                with self._fleet_lock:
+                    self._routing["failovers"] += 1
+                if self.metrics.registry is not None:
+                    self.metrics.registry.inc("serve.shard.failovers")
+            return answer
+        raise ShardError(
+            f"shard {j} unreachable on all {len(self._fleet[j])} "
+            f"replicas: {last}",
+            shard=j,
+        )
+
+    # ------------------------------------------------------------------
+    # replication: seeding and mutations
+    # ------------------------------------------------------------------
+
     def _seed_fleet(self) -> None:
         """Replicate the router session's current catalog to every
         shard process and record the settled fleet stamp."""
@@ -601,50 +662,38 @@ class ShardRouter(QueryService):
                 self._replicate_dataset(name, dataset)
             self._refresh_fleet_stamp()
 
-    def _replicate_dataset(self, name: str, dataset) -> None:
-        rows = dataset.collect()
-        schema = dataset.schema
+    def _wire_slices(
+        self, name: str, rows: List[Dict[str, Any]], schema: Schema, split
+    ) -> List[List[Dict[str, str]]]:
+        """``rows`` as codec text, one list per shard index: a sharded
+        dataset's go through ``split`` (the placement's ``split`` or
+        ``append``), a replicated dataset's are encoded once and sent
+        whole to every shard."""
+        dictionary = self.session.dictionary
         if self.placement.is_sharded(name):
-            parts = self.placement.split(name, rows)
-            for j, replicas in enumerate(self._fleet):
-                payload = self._register_request(name, schema, parts[j])
-                for handle in self._live_handles(replicas):
-                    resp = self._replicate(handle, payload)
-                    if "watermark" in resp:
-                        self._feed_marks[(name, j)] = resp["watermark"]
-        else:
-            payload = self._register_request(name, schema, rows)
-            for j, replicas in enumerate(self._fleet):
-                for handle in self._live_handles(replicas):
-                    resp = self._replicate(handle, payload)
-                    if "watermark" in resp:
-                        self._feed_marks[(name, j)] = resp["watermark"]
+            return [
+                encode_rows(part, schema, dictionary)
+                for part in split(name, rows)
+            ]
+        return [encode_rows(rows, schema, dictionary)] * self.num_shards
 
-    def _register_request(
-        self, name: str, schema: Schema, rows: List[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        req = {
-            "op": "register",
-            "name": name,
-            "schema": schema.to_json_dict(),
-            "rows": encode_rows(rows, schema, self.session.dictionary),
-        }
-        if name in self.session.feeds:
-            # Live dataset: the shard backs it with a push feed so the
-            # router's advance fan-out can grow it in place.
-            req["feed"] = True
-        return req
-
-    def _replicate(
-        self, handle: ShardHandle, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        resp = handle.request(request)
-        if not resp.get("ok"):
-            raise ShardStateError(
-                f"replication of {request.get('op')!r} to {handle.name} "
-                f"failed: {resp.get('error')}: {resp.get('message')}"
-            )
-        return resp
+    def _replicate_dataset(self, name: str, dataset) -> None:
+        schema = dataset.schema
+        # Live dataset: the shard backs it with a push feed so the
+        # router's advance fan-out can grow it in place.
+        feed = name in self.session.feeds
+        slices = self._wire_slices(
+            name, dataset.collect(), schema, self.placement.split
+        )
+        for j, wire_rows in enumerate(slices):
+            for _, out in self._mutate(
+                lambda shard: shard.register_rows(
+                    wire_rows, schema, name, None, feed=feed
+                ),
+                j,
+            ):
+                if "watermark" in out:
+                    self._feed_marks[(name, j)] = out["watermark"]
 
     def _refresh_fleet_stamp(self) -> None:
         """Sync every process and require one agreed-on stamp whose
@@ -660,28 +709,21 @@ class ShardRouter(QueryService):
         the fleet, so disagreement is a hard :class:`ShardStateError`,
         not a warning."""
         profile = getattr(self.session, "profile", None)
-        sync_req: Dict[str, Any] = {"op": "sync"}
-        tuned: Dict[str, Any] = {}
-        if profile is not None:
-            state = profile.tuned_state()
-            tuned = state["tuned"]
-            sync_req["profile"] = state
+        state = profile.tuned_state() if profile is not None else None
         stamps = set()
         profile_versions: Set[int] = set()
-        for replicas in self._fleet:
-            for handle in self._live_handles(replicas):
-                resp = self._replicate(handle, sync_req)
-                stamps.add((resp["catalog_version"], resp["state"]))
-                if profile is not None and "profile_version" in resp:
-                    mismatch = profile_diff(
-                        tuned, resp.get("profile_tuned") or {}
+        for handle, out in self._mutate(lambda shard: shard.sync(state)):
+            stamps.add((out["catalog_version"], out["state"]))
+            if state is not None and "profile_version" in out:
+                mismatch = profile_diff(
+                    state["tuned"], out.get("profile_tuned") or {}
+                )
+                if mismatch:
+                    raise ShardStateError(
+                        f"{handle.name} did not adopt the router's "
+                        f"tuned profile: {mismatch}"
                     )
-                    if mismatch:
-                        raise ShardStateError(
-                            f"{handle.name} did not adopt the router's "
-                            f"tuned profile: {mismatch}"
-                        )
-                    profile_versions.add(int(resp["profile_version"]))
+                profile_versions.add(int(out["profile_version"]))
         if len(stamps) != 1:
             raise ShardStateError(
                 f"fleet did not converge after replication: {stamps}"
@@ -739,10 +781,7 @@ class ShardRouter(QueryService):
         with self._fleet_lock:
             ds = self.session.drop(name)
             self.placement.forget(name)
-            payload = {"op": "drop", "name": name}
-            for replicas in self._fleet:
-                for handle in self._live_handles(replicas):
-                    self._replicate(handle, payload)
+            self._mutate(lambda shard: shard.drop(name))
             self._refresh_fleet_stamp()
             return ds
 
@@ -757,16 +796,9 @@ class ShardRouter(QueryService):
             out = self.session.define_dimension(
                 name, continuous, ordered, description
             )
-            payload = {
-                "op": "define_dimension",
-                "name": name,
-                "continuous": continuous,
-                "ordered": ordered,
-                "description": description,
-            }
-            for replicas in self._fleet:
-                for handle in self._live_handles(replicas):
-                    self._replicate(handle, payload)
+            self._mutate(lambda shard: shard.define_dimension(
+                name, continuous, ordered, description
+            ))
             self._refresh_fleet_stamp()
             return out
 
@@ -782,17 +814,9 @@ class ShardRouter(QueryService):
             out = self.session.define_unit(
                 name, kind, dimension, scale, offset
             )
-            payload = {
-                "op": "define_unit",
-                "name": name,
-                "kind": kind,
-                "dimension": dimension,
-                "scale": scale,
-                "offset": offset,
-            }
-            for replicas in self._fleet:
-                for handle in self._live_handles(replicas):
-                    self._replicate(handle, payload)
+            self._mutate(lambda shard: shard.define_unit(
+                name, kind, dimension, scale, offset
+            ))
             self._refresh_fleet_stamp()
             return out
 
@@ -848,42 +872,18 @@ class ShardRouter(QueryService):
     # scatter-gather
     # ------------------------------------------------------------------
 
-    def _shard_request(
-        self, j: int, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Send to shard ``j``, failing over replica by replica on
-        transport loss."""
-        last: Optional[ShardError] = None
-        for attempt, handle in enumerate(self._fleet[j]):
-            try:
-                resp = handle.request(request)
-            except ShardError as exc:
-                last = exc
-                continue
-            if attempt > 0:
-                with self._fleet_lock:
-                    self._routing["failovers"] += 1
-                if self.metrics.registry is not None:
-                    self.metrics.registry.inc("serve.shard.failovers")
-            return resp
-        raise ShardError(
-            f"shard {j} unreachable on all {len(self._fleet[j])} "
-            f"replicas: {last}",
-            shard=j,
-        )
-
     def _scatter(
         self,
         plan,
         ticket: QueryTicket,
-        request: Dict[str, Any],
-    ) -> List[Dict[str, Any]]:
-        """Fan ``request`` over the plan's target shards, enforcing
-        per-shard deadline budgets and fleet-stamp consistency."""
+        ask: Callable[[ShardHandle, Optional[float]], StampedAnswer],
+    ) -> List[StampedAnswer]:
+        """``ask(shard, timeout)`` each of the plan's target shards in
+        turn, enforcing per-shard deadline budgets and fleet-stamp
+        consistency."""
         with self._fleet_lock:
             expected = self._fleet_stamp
         targets = self._route(plan)
-        request = dict(request, tenant=ticket.tenant)
         with self._fleet_lock:
             self._routing["scattered"] += 1
             self._routing["shard_requests"] += len(targets)
@@ -893,25 +893,20 @@ class ShardRouter(QueryService):
             self.metrics.registry.inc(
                 "serve.shard.pruned", self.num_shards - len(targets)
             )
-        responses = []
+        answers = []
         for j in targets:
+            budget = None
             if ticket.deadline is not None:
                 budget = ticket.deadline - self._clock()
                 if budget <= 0:
-                    from repro.errors import QueryTimeoutError
-
                     raise QueryTimeoutError(
                         "deadline expired mid-scatter "
                         f"(shard {j} of {targets})"
                     )
-                request["timeout"] = budget
-            resp = self._shard_request(j, request)
-            if not resp.get("ok"):
-                raise WireError(
-                    str(resp.get("error", "UnknownError")),
-                    f"shard {j}: " + str(resp.get("message", "")),
-                )
-            stamp = (resp.get("catalog_version"), resp.get("state"))
+            answer = self._ask_shard(j, lambda shard: ask(shard, budget))
+            stamp = (
+                answer.stamp["catalog_version"], answer.stamp["state"]
+            )
             if expected is not None and stamp != expected:
                 with self._fleet_lock:
                     self._routing["stale_retries"] += 1
@@ -920,22 +915,8 @@ class ShardRouter(QueryService):
                     f"expected {expected} (catalog churn mid-scatter)",
                     shard=j,
                 )
-            responses.append(resp)
-        return responses
-
-    def _wire_query(self, ticket: QueryTicket) -> Dict[str, Any]:
-        q = ticket.query
-        values: List[Any] = []
-        for t in q.values:
-            if getattr(t, "units", None):
-                values.append([t.dimension, t.units])
-            else:
-                values.append(t.dimension)
-        return {
-            "domains": list(q.domains),
-            "values": values,
-            "filters": [f.to_json_dict() for f in q.filters],
-        }
+            answers.append(answer)
+        return answers
 
     # -- execution hooks -----------------------------------------------
 
@@ -946,26 +927,23 @@ class ShardRouter(QueryService):
         state: str,
         version: int,
     ) -> ScrubJayDataset:
-        request = dict(self._wire_query(ticket), op="query")
-        responses = self._scatter(plan, ticket, request)
-        schema: Optional[Schema] = None
-        schema_json: Optional[dict] = None
-        name = "result"
+        q = ticket.query
+        answers = self._scatter(
+            plan, ticket,
+            lambda shard, timeout: shard.query(
+                q.domains, q.values, ticket.tenant, timeout,
+                self.session.dictionary, q.filters,
+            ),
+        )
+        schema, name = answers[0][1], answers[0].name or "result"
         rows: List[Dict[str, Any]] = []
-        for resp in responses:
-            if schema is None:
-                schema_json = resp["schema"]
-                schema = Schema.from_json_dict(schema_json)
-                name = resp.get("name", name)
-            elif resp["schema"] != schema_json:
+        for answer in answers:
+            if answer[1] != schema:
                 raise ShardStateError(
                     "shards answered one query with different result "
                     "schemas — fleet state has diverged"
                 )
-            rows.extend(
-                decode_rows(resp["rows"], schema, self.session.dictionary)
-            )
-        assert schema is not None
+            rows.extend(answer[0])
         return ScrubJayDataset.from_rows(
             self.session.ctx, rows, schema, name
         )
@@ -977,47 +955,31 @@ class ShardRouter(QueryService):
         state: str,
         version: int,
     ) -> Dict[Tuple, Any]:
-        spec = ticket.aggregate
+        q, spec = ticket.query, ticket.aggregate
         assert spec is not None
-        request = dict(
-            self._wire_query(ticket),
-            op="aggregate",
+        answers = self._scatter(
+            plan, ticket,
             # shards always answer with mergeable partials; the
             # router merges across shards and finalizes once
-            **spec.as_partial().to_wire(),
+            lambda shard, timeout: shard.aggregate(
+                q.domains, q.values, spec.group_by, spec.value_field,
+                spec.how, ticket.tenant, timeout, q.filters,
+                partial=True, dictionary=self.session.dictionary,
+            ),
         )
-        responses = self._scatter(plan, ticket, request)
         merged: Dict[Tuple, Any] = {}
-        schema: Optional[Schema] = None
-        for resp in responses:
-            schema = Schema.from_json_dict(resp["schema"])
-            partials = decode_groups(
-                resp["groups"],
-                list(spec.group_by),
-                schema,
-                self.session.dictionary,
-                partial_how=spec.how,
-            )
+        for partials, schema in answers:
             merge_group_partials(merged, partials, spec.how)
-        ticket.result_schema = schema
+            ticket.result_schema = schema
         if spec.partial:
             return merged
         return finalize_group_partials(merged, spec.how)
 
     # ------------------------------------------------------------------
-    # streaming: feed fan-out and scatter-gather subscriptions
+    # streaming hooks: feed fan-out and scatter-gather subscriptions.
+    # The fleet lock serializes subscribe, advance and refresh, so they
+    # can never interleave into a mixed-watermark answer.
     # ------------------------------------------------------------------
-
-    def _stream_request(
-        self, handle: ShardHandle, req: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        resp = handle.request(req)
-        if not resp.get("ok"):
-            raise WireError(
-                str(resp.get("error", "UnknownError")),
-                f"{handle.name}: " + str(resp.get("message", "")),
-            )
-        return resp
 
     def subscribe(
         self,
@@ -1026,6 +988,7 @@ class ShardRouter(QueryService):
         tenant: str = "default",
         filters: Sequence = (),
         aggregate: Optional[AggregateSpec] = None,
+        partial: bool = False,
     ) -> Subscription:
         """Standing query over the fleet: subscribe on *every* shard
         (future appends may hash new key tuples anywhere, so routing
@@ -1036,116 +999,10 @@ class ShardRouter(QueryService):
         re-gathers and re-merges. A metric ``query`` ships its full
         JSON to the shards, so each buckets its own plan and derives
         the same spec."""
-        session = self.session
-        query = as_query(query, values, filters)
-        if query.is_metric and aggregate is not None:
-            raise ServiceError(
-                "a metric subscription derives its aggregate from "
-                "the measures; drop the AggregateSpec"
-            )
-        state = session.state_fingerprint()
-        nq = normalize_query(query)
-        plan = self.plan_cache.get_or_solve(
-            plan_key(state, nq),
-            lambda: self._solve_serve_plan(nq),
-        )
-        dplan = DeltaPlan(plan)
-        feed_names = tuple(
-            n for n in dplan.dataset_names() if n in session.feeds
-        )
-        wire_values: List[Any] = []
-        for t in query.values:
-            if getattr(t, "units", None):
-                wire_values.append([t.dimension, t.units])
-            else:
-                wire_values.append(t.dimension)
-        req: Dict[str, Any] = {
-            "op": "subscribe",
-            "domains": list(query.domains),
-            "values": wire_values,
-            "tenant": tenant,
-            "filters": [f.to_json_dict() for f in query.filters],
-        }
-        if query.is_metric:
-            # each shard rebuilds the bucketed plan and the spec from
-            # the query itself; the router keeps the finalizing copy
-            aggregate = AggregateSpec.for_metric_query(
-                plan.derive_schema(
-                    session.schemas(), session.dictionary
-                ),
-                query,
-            )
-            req.update(query=query.to_json_dict(), partial=True)
-        elif aggregate is not None:
-            # the router merges, then finalizes
-            req.update(aggregate.as_partial().to_wire())
         with self._fleet_lock:
-            marks = {
-                n: session.feeds[n].watermark for n in feed_names
-            }
-            book: Dict[str, Any] = {
-                "shard_subs": {}, "versions": {},
-                "rows": {}, "partials": {},
-            }
-            schema: Optional[Schema] = None
-            for j in range(self.num_shards):
-                # Primary only: a subscription is stateful server-side,
-                # so its updates must keep hitting the same process.
-                resp = self._stream_request(self._fleet[j][0], req)
-                book["shard_subs"][j] = resp["sub_id"]
-                book["versions"][j] = resp["version"]
-                if schema is None and resp.get("schema") is not None:
-                    schema = Schema.from_json_dict(resp["schema"])
-                if aggregate is not None:
-                    book["partials"][j] = decode_groups(
-                        resp.get("groups") or [],
-                        list(aggregate.group_by),
-                        schema, session.dictionary,
-                        partial_how=aggregate.how,
-                    )
-                else:
-                    book["rows"][j] = decode_rows(
-                        resp.get("rows") or [], schema,
-                        session.dictionary,
-                    )
-            rows = partials = None
-            if aggregate is not None:
-                partials = {}
-                for part in book["partials"].values():
-                    merge_group_partials(partials, part, aggregate.how)
-            else:
-                rows = [
-                    r for j in sorted(book["rows"])
-                    for r in book["rows"][j]
-                ]
-            with self._subs_lock:
-                self._sub_counter += 1
-                sub_id = f"sub-{self._sub_counter}"
-                sub = Subscription(
-                    sub_id, tenant, query, plan, dplan, aggregate,
-                    feed_names, marks, schema,
-                    rows=rows, partials=partials,
-                )
-                self._subs[sub_id] = sub
-            self._router_subs[sub_id] = book
-        reg = self.metrics.registry
-        if reg is not None:
-            reg.inc("stream.subscribe")
-        return sub
-
-    def unsubscribe(self, sub_id: str) -> bool:
-        with self._fleet_lock:
-            book = self._router_subs.pop(sub_id, None)
-            if book is not None:
-                for j, shard_sub in book["shard_subs"].items():
-                    try:
-                        self._stream_request(
-                            self._fleet[j][0],
-                            {"op": "unsubscribe", "sub_id": shard_sub},
-                        )
-                    except (ShardError, WireError):
-                        pass  # best-effort: the shard GCs on close
-        return super().unsubscribe(sub_id)
+            return super().subscribe(
+                query, values, tenant, filters, aggregate, partial
+            )
 
     def advance(
         self,
@@ -1157,64 +1014,74 @@ class ShardRouter(QueryService):
         placement for sharded datasets — extending the routing table
         in place — whole-row replication otherwise), then refresh
         dependent standing subscriptions by re-gathering shard
-        answers. Serialized under the fleet lock, so concurrent
-        advances and refreshes can never interleave into a
-        mixed-watermark answer."""
-        session = self.session
-        try:
-            feed = session.feed(name)
-        except ScrubJayError as exc:
-            raise SubscriptionError(str(exc)) from exc
+        answers."""
         with self._fleet_lock:
-            adv = (
-                feed.push(rows) if rows is not None else feed.advance()
-            )
-            evicted = refreshed = 0
-            if adv.advanced:
-                self._fan_feed_rows(
-                    name, adv.rows, session.dataset(name).schema
-                )
-                evicted = self.result_cache.invalidate_dataset(name)
-                with self._subs_lock:
-                    dependents = [
-                        s for s in self._subs.values()
-                        if name in s.feed_names and not s.closed
-                    ]
-                for sub in dependents:
-                    if self._refresh_subscription(sub):
-                        refreshed += 1
-            return {
-                "name": name,
-                "since": adv.since,
-                "watermark": adv.watermark,
-                "rows_added": adv.rows_added,
-                "evicted": evicted,
-                "subscriptions_refreshed": refreshed,
-            }
+            return super().advance(name, rows)
 
-    def _fan_feed_rows(
-        self, name: str, rows: List[Dict[str, Any]], schema: Schema
+    def _merged(
+        self, book: Dict[str, Any], aggregate: Optional[AggregateSpec]
+    ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[Dict]]:
+        """``(rows, partials)`` of a fleet subscription, merged from
+        the per-shard answers its book holds."""
+        parts = book["parts"]
+        if aggregate is None:
+            return [r for j in sorted(parts) for r in parts[j]], None
+        merged: Dict[Tuple, Any] = {}
+        for part in parts.values():
+            merge_group_partials(merged, part, aggregate.how)
+        return None, merged
+
+    def _initial_answer(
+        self, sub_id, tenant, query, dplan, aggregate, marks
+    ):
+        # shards keep mergeable partials; the router keeps the
+        # finalizing spec (a metric query's shards derive theirs)
+        spec = {} if aggregate is None else aggregate.as_partial().to_wire()
+        book: Dict[str, Any] = {
+            "shard_subs": {}, "versions": {}, "parts": {},
+        }
+        schema = None
+        for j in range(self.num_shards):
+            # Primary only: a subscription is stateful server-side,
+            # so its updates must keep hitting the same process.
+            first = self._fleet[j][0].subscribe(
+                query=query, tenant=tenant,
+                dictionary=self.session.dictionary, **spec,
+            )
+            book["shard_subs"][j] = first["sub_id"]
+            book["versions"][j] = first["version"]
+            book["parts"][j] = first[
+                "rows" if aggregate is None else "groups"
+            ]
+            schema = schema or first["schema"]
+        self._router_subs[sub_id] = book
+        return (schema, *self._merged(book, aggregate))
+
+    def _release_subscription(self, sub: Subscription) -> None:
+        with self._fleet_lock:
+            book = self._router_subs.pop(sub.sub_id)
+            for j, shard_sub in book["shard_subs"].items():
+                try:
+                    self._fleet[j][0].unsubscribe(shard_sub)
+                except (ShardError, WireError):
+                    pass  # best-effort: the shard GCs on close
+
+    def _fan_out_append(
+        self, name: str, rows: List[Dict[str, Any]]
     ) -> None:
-        """Route appended feed rows to the fleet (caller holds the
-        fleet lock) and record each shard's post-append watermark."""
-        parts = (
-            self.placement.append(name, rows)
-            if self.placement.is_sharded(name)
-            else None
+        """Route appended feed rows to the fleet and record each
+        shard's post-append watermark."""
+        slices = self._wire_slices(
+            name, rows, self.session.dataset(name).schema,
+            self.placement.append,
         )
-        for j, replicas in enumerate(self._fleet):
-            shard_rows = parts[j] if parts is not None else rows
-            req = {
-                "op": "advance",
-                "name": name,
-                "rows": encode_rows(
-                    shard_rows, schema, self.session.dictionary
-                ),
+        for j, wire_rows in enumerate(slices):
+            marks = {
+                int(out["watermark"])
+                for _, out in self._mutate(
+                    lambda shard: shard.advance(name, wire_rows), j
+                )
             }
-            marks: Set[int] = set()
-            for handle in self._live_handles(replicas):
-                resp = self._replicate(handle, req)
-                marks.add(int(resp["watermark"]))
             if len(marks) != 1:
                 raise ShardStateError(
                     f"replicas of shard {j} disagree on the feed "
@@ -1222,7 +1089,9 @@ class ShardRouter(QueryService):
                 )
             self._feed_marks[(name, j)] = marks.pop()
 
-    def _refresh_subscription(self, sub: Subscription) -> bool:
+    def _refresh_round(
+        self, sub: Subscription, base, targets, changed
+    ) -> str:
         """Scatter-gather refresh: pull each shard's standing answer
         forward (``updates`` since the version the router last saw)
         and re-merge. Every shard answer's watermarks must match the
@@ -1230,90 +1099,45 @@ class ShardRouter(QueryService):
         the router (or hasn't settled) is retried briefly, then
         surfaces :class:`StaleRefreshError`, mirroring the
         ShardStaleReadError contract of the query path."""
-        book = self._router_subs.get(sub.sub_id)
-        if book is None:  # not a fleet subscription (defensive)
-            return super()._refresh_subscription(sub)
-        session = self.session
-        with sub._refresh_lock:
-            targets = {
-                n: session.feeds[n].watermark
-                for n in sub.feed_names if n in session.feeds
-            }
-            if targets == sub.watermarks:
-                return False
-            modes: List[str] = []
-            for j, shard_sub in book["shard_subs"].items():
-                handle = self._fleet[j][0]
-                resp = None
-                for attempt in range(4):
-                    resp = self._stream_request(handle, {
-                        "op": "updates",
-                        "sub_id": shard_sub,
-                        "since_version": book["versions"][j],
-                    })
-                    settled = all(
-                        resp.get("watermarks", {}).get(n)
-                        == self._feed_marks.get((n, j))
-                        for n in sub.feed_names
-                        if (n, j) in self._feed_marks
-                    )
-                    if settled:
-                        break
-                    self._routing["stale_retries"] += 1
-                    time.sleep(0.01 * (attempt + 1))
-                else:
-                    raise StaleRefreshError(
-                        f"shard {j} never settled at the router's "
-                        f"watermarks for subscription {sub.sub_id!r}"
-                    )
-                book["versions"][j] = resp["version"]
-                if resp.get("changed"):
-                    modes.append(str(resp.get("refresh_mode")))
-                    if sub.aggregate is not None:
-                        book["partials"][j] = decode_groups(
-                            resp.get("groups") or [],
-                            list(sub.aggregate.group_by),
-                            sub.schema, session.dictionary,
-                            partial_how=sub.aggregate.how,
-                        )
-                    else:
-                        book["rows"][j] = decode_rows(
-                            resp.get("rows") or [], sub.schema,
-                            session.dictionary,
-                        )
-            mode = (
-                "delta"
-                if modes and all(m == "delta" for m in modes)
-                else "replay"
-            )
-            if sub.aggregate is not None:
-                merged: Dict[Tuple, Any] = {}
-                for part in book["partials"].values():
-                    merge_group_partials(
-                        merged, part, sub.aggregate.how
-                    )
-                sub._commit_replace(targets, partials=merged, mode=mode)
+        book = self._router_subs[sub.sub_id]
+        modes: List[str] = []
+        for j, shard_sub in book["shard_subs"].items():
+            for attempt in range(4):
+                upd = self._fleet[j][0].updates(
+                    shard_sub, book["versions"][j],
+                    dictionary=self.session.dictionary,
+                )
+                settled = all(
+                    upd["watermarks"].get(n)
+                    == self._feed_marks.get((n, j))
+                    for n in sub.feed_names
+                    if (n, j) in self._feed_marks
+                )
+                if settled:
+                    break
+                self._routing["stale_retries"] += 1
+                time.sleep(0.01 * (attempt + 1))
             else:
-                sub._commit_replace(
-                    targets,
-                    rows=[
-                        r for j in sorted(book["rows"])
-                        for r in book["rows"][j]
-                    ],
-                    mode=mode,
+                raise StaleRefreshError(
+                    f"shard {j} never settled at the router's "
+                    f"watermarks for subscription {sub.sub_id!r}"
                 )
-            key = (
-                "refresh_delta" if mode == "delta" else "refresh_replay"
-            )
-            with self._subs_lock:
-                self._stream_stats[key] += 1
-            reg = self.metrics.registry
-            if reg is not None:
-                reg.inc(
-                    "stream.refresh.delta" if mode == "delta"
-                    else "stream.refresh.replay"
-                )
-        return True
+            book["versions"][j] = upd["version"]
+            if upd["changed"]:
+                modes.append(str(upd["refresh_mode"]))
+                book["parts"][j] = upd[
+                    "rows" if sub.aggregate is None else "groups"
+                ]
+        mode = (
+            "delta"
+            if modes and all(m == "delta" for m in modes)
+            else "replay"
+        )
+        rows, partials = self._merged(book, sub.aggregate)
+        sub._commit_replace(
+            targets, rows=rows, partials=partials, mode=mode
+        )
+        return mode
 
     # ------------------------------------------------------------------
     # observability
@@ -1328,10 +1152,9 @@ class ShardRouter(QueryService):
         fleet = {"completed": 0, "failed": 0, "submitted": 0, "shed": 0}
         for handle in self._each_handle():
             try:
-                resp = handle.request({"op": "metrics"})
-                m = resp["metrics"] if resp.get("ok") else {
-                    "alive": False, "error": resp.get("message")
-                }
+                m = handle.metrics()
+            except WireError as exc:
+                m = {"alive": False, "error": exc.remote_message}
             except ShardError as exc:
                 m = {"alive": False, "error": str(exc)}
             per_shard[handle.name] = m
@@ -1364,12 +1187,10 @@ class ShardRouter(QueryService):
         for handle in self._each_handle():
             pid = 2 + handle.index * self.replication + handle.replica
             try:
-                resp = handle.request({"op": "trace"})
-            except ShardError:
+                trace = handle.trace()
+            except (ShardError, WireError):
                 continue
-            if not resp.get("ok"):
-                continue
-            for ev in resp["trace"].get("traceEvents", []):
+            for ev in trace.get("traceEvents", []):
                 ev = dict(ev, pid=pid)
                 events.append(ev)
             label = f"shard {handle.index}"

@@ -6,22 +6,42 @@ that a load generator can hammer from many sockets. The same request
 dispatcher backs an :class:`InProcessClient`, so tests and embedded
 callers speak the exact protocol without a socket.
 
-Requests (``op`` selects the action)::
+Requests (``op`` selects the action; one line per op the server
+speaks, kept in step with the dispatcher's handler table by a test)::
 
     {"op": "hello",  "version": 2}
     {"op": "ping"}
-    {"op": "query",  "domains": [...], "values": [...],
-     "tenant": "...", "timeout": 1.5}
-    {"op": "aggregate", "domains": [...], "values": [...],
-     "group_by": [...], "value_field": "...", "how": "mean",
-     "partial": false}
-    {"op": "explain","domains": [...], "values": [...]}
     {"op": "metrics"}
-    {"op": "register", "name": "...", "schema": {...}, "rows": [...]}
-    {"op": "drop", "name": "..."}
-    {"op": "define_dimension" / "define_unit", ...}
-    {"op": "sync"}
+    {"op": "sync",   "profile": {...}}
     {"op": "trace"}
+    {"op": "register", "name": "...", "schema": {...}, "rows": [...],
+     "partitions": 4, "feed": false}
+    {"op": "drop", "name": "..."}
+    {"op": "define_dimension", "name": "...", "continuous": true,
+     "ordered": true, "description": "..."}
+    {"op": "define_unit", "name": "...", "kind": "...",
+     "dimension": "...", "scale": 1.0, "offset": 0.0}
+    {"op": "query",  "domains": [...], "values": [...],
+     "filters": [...], "tenant": "...", "timeout": 1.5}
+    {"op": "explain","domains": [...], "values": [...],
+     "filters": [...]}
+    {"op": "aggregate", "domains": [...], "values": [...],
+     "filters": [...], "group_by": [...], "value_field": "...",
+     "how": "mean", "partial": false, "tenant": "...", "timeout": 1.5}
+    {"op": "metric", "query": {...}, "tenant": "...", "timeout": 1.5}
+    {"op": "subscribe", "domains": [...], "values": [...],
+     "filters": [...], "tenant": "...", "group_by": [...],
+     "value_field": "...", "how": "mean", "partial": false}
+    {"op": "subscribe", "query": {...}, "tenant": "...",
+     "partial": false}
+    {"op": "updates", "sub_id": "...", "since_version": 3,
+     "timeout": 1.5}
+    {"op": "unsubscribe", "sub_id": "..."}
+    {"op": "advance", "name": "...", "rows": [...]}
+
+A value is a dimension name or a ``[dimension, units]`` pair; a
+``query`` object is :meth:`Query.to_json_dict`. Keys a handler does
+not read are ignored.
 
 The ``hello`` handshake pins the protocol version: a client opening a
 connection announces its :data:`PROTOCOL_VERSION`, and a server on a
@@ -55,7 +75,7 @@ import socketserver
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.query import FilterTerm, Query
+from repro.core.query import FilterTerm, Query, ValueTerm
 from repro.core.semantics import Schema
 from repro.errors import (
     ProtocolVersionError,
@@ -86,31 +106,10 @@ PROTOCOL_VERSION = 2
 #: this leaves room for millions of rows per slice.
 MAX_LINE_BYTES = 256 * 1024 * 1024
 
-#: every op this dispatcher understands (advertised in the typed
-#: unknown-op error so a client can see what the server speaks)
-SUPPORTED_OPS = (
-    "hello", "ping", "metrics", "sync", "trace",
-    "register", "drop", "define_dimension", "define_unit",
-    "query", "explain", "aggregate", "metric",
-    "subscribe", "updates", "unsubscribe", "advance",
-)
-
 
 # ----------------------------------------------------------------------
-# shared dispatch (socket handler + in-process handle)
+# row / group codec
 # ----------------------------------------------------------------------
-
-
-def _values_from_wire(values: Sequence[Any]) -> List[Any]:
-    """JSON arrays arrive as lists; Query.of wants str | (dim, units)."""
-    out: List[Any] = []
-    for v in values:
-        if isinstance(v, str):
-            out.append(v)
-        else:
-            dim, units = v
-            out.append((dim, units))
-    return out
 
 
 def encode_rows(
@@ -218,6 +217,11 @@ def decode_groups(
     return out
 
 
+# ----------------------------------------------------------------------
+# shared dispatch (socket handler + in-process handle)
+# ----------------------------------------------------------------------
+
+
 def _sub_payload(service: QueryService, sub, upd) -> Dict[str, Any]:
     """Wire form of one :class:`~repro.serve.subscribe.
     SubscriptionUpdate` (rows/groups ride the semantic codec; an
@@ -261,9 +265,286 @@ def _state_stamp(service: QueryService) -> Dict[str, Any]:
     }
 
 
+def _request_query(request: Dict[str, Any]) -> Query:
+    """The question a ``query``/``explain``/``aggregate``/``subscribe``
+    request asks. JSON arrays arrive as lists; ``Query.of`` unpacks a
+    ``[dimension, units]`` list like the pair it was sent as."""
+    return Query.of(
+        request.get("domains") or [],
+        request.get("values") or [],
+        tuple(
+            FilterTerm.from_json_dict(f)
+            for f in request.get("filters") or ()
+        ),
+    )
+
+
+# -- one handler per op: (service, request) -> the reply's fields ------
+
+_Msg = Dict[str, Any]
+
+
+def _op_hello(service: QueryService, request: _Msg) -> _Msg:
+    remote = request.get("version")
+    if remote != PROTOCOL_VERSION:
+        raise ProtocolVersionError(
+            f"client speaks wire protocol v{remote}, server "
+            f"speaks v{PROTOCOL_VERSION}; upgrade the older "
+            f"side of the connection",
+            local=PROTOCOL_VERSION,
+            remote=int(remote or 0),
+        )
+    return {"version": PROTOCOL_VERSION}
+
+
+def _op_ping(service: QueryService, request: _Msg) -> _Msg:
+    return {"pong": True}
+
+
+def _op_metrics(service: QueryService, request: _Msg) -> _Msg:
+    return {"metrics": service.snapshot().as_dict()}
+
+
+def _op_sync(service: QueryService, request: _Msg) -> _Msg:
+    out = _state_stamp(service)
+    # Profile propagation piggybacks on the sync round: the
+    # router sends its tuned knob state, the shard adopts it
+    # (pinned knobs win locally) and echoes its resulting
+    # tuned state + version so the router can assert fleet
+    # agreement. Keys are additive — a client that sends no
+    # profile gets the plain stamp and, when the session has a
+    # profile, the shard's current tuned view.
+    profile = getattr(service.session, "profile", None)
+    if profile is not None:
+        state = request.get("profile")
+        if isinstance(state, dict):
+            profile.apply_tuned(state)
+        echoed = profile.tuned_state()
+        out["profile_version"] = echoed["version"]
+        out["profile_tuned"] = echoed["tuned"]
+    return out
+
+
+def _op_trace(service: QueryService, request: _Msg) -> _Msg:
+    from repro.obs.export import to_chrome_trace
+
+    tracer = getattr(service.session.ctx, "tracer", None)
+    roots = tracer.roots() if tracer is not None else []
+    return {"trace": to_chrome_trace(roots)}
+
+
+def _op_register(service: QueryService, request: _Msg) -> _Msg:
+    schema = Schema.from_json_dict(request["schema"])
+    rows = decode_rows(
+        request.get("rows") or [], schema, service.session.dictionary
+    )
+    if request.get("feed"):
+        # Replicating a *live* dataset: back it with a push
+        # feed so later `advance` ops can grow it in place
+        # (the sharded router's feed fan-out path).
+        builder = service.session.ingest().feed(schema, rows=rows)
+        if request.get("partitions"):
+            builder = builder.partitions(int(request["partitions"]))
+        feed = builder.tail(request["name"])
+        return {
+            "feed": True,
+            "watermark": feed.watermark,
+            **_state_stamp(service),
+        }
+    service.session.register_rows(
+        rows, schema, name=request["name"],
+        num_partitions=request.get("partitions"),
+    )
+    return _state_stamp(service)
+
+
+def _op_drop(service: QueryService, request: _Msg) -> _Msg:
+    service.session.drop(request["name"])
+    return _state_stamp(service)
+
+
+def _op_define_dimension(service: QueryService, request: _Msg) -> _Msg:
+    service.session.define_dimension(
+        request["name"],
+        bool(request.get("continuous")),
+        bool(request.get("ordered")),
+        request.get("description", ""),
+    )
+    return _state_stamp(service)
+
+
+def _op_define_unit(service: QueryService, request: _Msg) -> _Msg:
+    service.session.define_unit(
+        request["name"],
+        request["kind"],
+        request.get("dimension"),
+        request.get("scale", 1.0),
+        request.get("offset", 0.0),
+    )
+    return _state_stamp(service)
+
+
+def _op_query(service: QueryService, request: _Msg) -> _Msg:
+    dataset = service.query(
+        _request_query(request),
+        tenant=str(request.get("tenant", "default")),
+        timeout=request.get("timeout"),
+    )
+    rows = dataset.collect()
+    return {
+        "name": dataset.name,
+        "schema": dataset.schema.to_json_dict(),
+        "rows": encode_rows(
+            rows, dataset.schema, service.session.dictionary
+        ),
+        "row_count": len(rows),
+        **_state_stamp(service),
+    }
+
+
+def _op_explain(service: QueryService, request: _Msg) -> _Msg:
+    plan = service.session.plan(_request_query(request))
+    return {
+        "plan": plan.describe(),
+        "operations": plan.operations(),
+        "steps": plan.num_steps(),
+    }
+
+
+def _op_aggregate(service: QueryService, request: _Msg) -> _Msg:
+    query = _request_query(request)
+    # ``partial`` (part of the spec) is how a shard serves the router:
+    # it answers with unfinalized mergeable partials
+    spec = AggregateSpec.from_wire(request)
+    if spec is None:
+        raise ServiceError("aggregate needs group_by (and value_field)")
+    ticket = service.submit(
+        query,
+        tenant=str(request.get("tenant", "default")),
+        timeout=request.get("timeout"),
+        aggregate=spec,
+    )
+    groups = ticket.result()
+    schema = ticket.result_schema
+    return {
+        "schema": schema.to_json_dict(),
+        "groups": encode_groups(
+            groups, list(spec.group_by), schema,
+            service.session.dictionary,
+        ),
+        "group_count": len(groups),
+        "partial": spec.partial,
+        **_state_stamp(service),
+    }
+
+
+def _op_metric(service: QueryService, request: _Msg) -> _Msg:
+    from repro.metrics.compute import metric_group_fields
+
+    q = Query.from_json_dict(request["query"])
+    ticket = service.submit(
+        q,
+        tenant=str(request.get("tenant", "default")),
+        timeout=request.get("timeout"),
+    )
+    ans = ticket.result()
+    schema = ticket.result_schema
+    gf, _ = metric_group_fields(schema, q)
+    decision = ans.decision
+    return {
+        "schema": schema.to_json_dict(),
+        "groups": encode_groups(
+            ans.groups, gf, schema, service.session.dictionary
+        ),
+        "group_fields": list(gf),
+        "group_dims": list(ans.group_dims),
+        "measures": ans.measure_keys(),
+        "group_count": len(ans.groups),
+        "decision": (
+            decision.as_dict() if decision is not None else None
+        ),
+        **_state_stamp(service),
+    }
+
+
+def _op_subscribe(service: QueryService, request: _Msg) -> _Msg:
+    if request.get("query"):
+        # full-Query form (metric subscriptions): the server
+        # rebuilds the bucketed plan and derives the spec
+        # from the measures; ``partial`` keeps shard-mode
+        # subscriptions mergeable
+        query, spec = Query.from_json_dict(request["query"]), None
+    else:
+        query = _request_query(request)
+        spec = AggregateSpec.from_wire(request)
+    sub = service.subscribe(
+        query,
+        tenant=str(request.get("tenant", "default")),
+        aggregate=spec,
+        partial=bool(request.get("partial")),
+    )
+    return {
+        **_sub_payload(service, sub, sub.current()),
+        **_state_stamp(service),
+    }
+
+
+def _op_updates(service: QueryService, request: _Msg) -> _Msg:
+    sub = service.subscription(request["sub_id"])
+    upd = sub.updates(
+        int(request.get("since_version", 0)),
+        timeout=request.get("timeout"),
+    )
+    return {**_sub_payload(service, sub, upd), **_state_stamp(service)}
+
+
+def _op_unsubscribe(service: QueryService, request: _Msg) -> _Msg:
+    return {"removed": service.unsubscribe(request["sub_id"])}
+
+
+def _op_advance(service: QueryService, request: _Msg) -> _Msg:
+    name = request["name"]
+    rows = request.get("rows")
+    if rows is not None:
+        rows = decode_rows(
+            rows, service.session.dataset(name).schema,
+            service.session.dictionary,
+        )
+    return {**service.advance(name, rows=rows), **_state_stamp(service)}
+
+
+#: op name -> handler: the one list of what this server speaks. The
+#: streaming ops and ``metric`` are additive on v2 (see
+#: :data:`PROTOCOL_VERSION`).
+_HANDLERS: Dict[str, Callable[[QueryService, _Msg], _Msg]] = {
+    "hello": _op_hello,
+    "ping": _op_ping,
+    "metrics": _op_metrics,
+    "sync": _op_sync,
+    "trace": _op_trace,
+    "register": _op_register,
+    "drop": _op_drop,
+    "define_dimension": _op_define_dimension,
+    "define_unit": _op_define_unit,
+    "query": _op_query,
+    "explain": _op_explain,
+    "aggregate": _op_aggregate,
+    "metric": _op_metric,
+    "subscribe": _op_subscribe,
+    "updates": _op_updates,
+    "unsubscribe": _op_unsubscribe,
+    "advance": _op_advance,
+}
+
+#: every op this dispatcher understands (advertised in the typed
+#: unknown-op error so a client can see what the server speaks)
+SUPPORTED_OPS = tuple(_HANDLERS)
+
+
 def dispatch(service: QueryService, request: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one wire request against a service; never raises — all
-    failures become typed error responses."""
+    failures become typed error responses. Request keys a handler does
+    not read are ignored."""
     try:
         op = request.get("op")
         v = request.get("v")
@@ -274,261 +555,15 @@ def dispatch(service: QueryService, request: Dict[str, Any]) -> Dict[str, Any]:
                 local=PROTOCOL_VERSION,
                 remote=int(v),
             )
-        if op == "hello":
-            remote = request.get("version")
-            if remote != PROTOCOL_VERSION:
-                raise ProtocolVersionError(
-                    f"client speaks wire protocol v{remote}, server "
-                    f"speaks v{PROTOCOL_VERSION}; upgrade the older "
-                    f"side of the connection",
-                    local=PROTOCOL_VERSION,
-                    remote=int(remote or 0),
-                )
-            return {"ok": True, "version": PROTOCOL_VERSION}
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "metrics":
-            return {
-                "ok": True,
-                "metrics": service.snapshot().as_dict(),
-            }
-        if op == "sync":
-            out = {"ok": True, **_state_stamp(service)}
-            # Profile propagation piggybacks on the sync round: the
-            # router sends its tuned knob state, the shard adopts it
-            # (pinned knobs win locally) and echoes its resulting
-            # tuned state + version so the router can assert fleet
-            # agreement. Keys are additive — a client that sends no
-            # profile gets the plain stamp and, when the session has a
-            # profile, the shard's current tuned view.
-            profile = getattr(service.session, "profile", None)
-            if profile is not None:
-                state = request.get("profile")
-                if isinstance(state, dict):
-                    profile.apply_tuned(state)
-                echoed = profile.tuned_state()
-                out["profile_version"] = echoed["version"]
-                out["profile_tuned"] = echoed["tuned"]
-            return out
-        if op == "trace":
-            from repro.obs.export import to_chrome_trace
-
-            tracer = getattr(service.session.ctx, "tracer", None)
-            roots = tracer.roots() if tracer is not None else []
-            return {"ok": True, "trace": to_chrome_trace(roots)}
-        if op == "register":
-            schema = Schema.from_json_dict(request["schema"])
-            rows = decode_rows(
-                request.get("rows") or [], schema,
-                service.session.dictionary,
-            )
-            if request.get("feed"):
-                # Replicating a *live* dataset: back it with a push
-                # feed so later `advance` ops can grow it in place
-                # (the sharded router's feed fan-out path).
-                builder = service.session.ingest().feed(
-                    schema, rows=rows
-                )
-                if request.get("partitions"):
-                    builder = builder.partitions(
-                        int(request["partitions"])
-                    )
-                feed = builder.tail(request["name"])
-                return {
-                    "ok": True,
-                    "feed": True,
-                    "watermark": feed.watermark,
-                    **_state_stamp(service),
-                }
-            service.session.register_rows(
-                rows, schema, name=request["name"],
-                num_partitions=request.get("partitions"),
-            )
-            return {"ok": True, **_state_stamp(service)}
-        if op == "advance":
-            name = request["name"]
-            rows_in = request.get("rows")
-            rows = None
-            if rows_in is not None:
-                schema = service.session.dataset(name).schema
-                rows = decode_rows(
-                    rows_in, schema, service.session.dictionary
-                )
-            out = service.advance(name, rows=rows)
-            return {"ok": True, **out, **_state_stamp(service)}
-        if op == "subscribe":
-            tenant = str(request.get("tenant", "default"))
-            if request.get("query"):
-                # full-Query form (metric subscriptions): the server
-                # rebuilds the bucketed plan and derives the spec
-                # from the measures; ``partial`` keeps shard-mode
-                # subscriptions mergeable
-                sub = service.subscribe(
-                    Query.from_json_dict(request["query"]),
-                    tenant=tenant,
-                    partial=bool(request.get("partial")),
-                )
-            else:
-                domains = request.get("domains") or []
-                values = _values_from_wire(request.get("values") or [])
-                filters = tuple(
-                    FilterTerm.from_json_dict(f)
-                    for f in request.get("filters") or ()
-                )
-                sub = service.subscribe(
-                    domains, values,
-                    tenant=tenant,
-                    filters=filters,
-                    aggregate=AggregateSpec.from_wire(request),
-                )
-            return {
-                "ok": True,
-                **_sub_payload(service, sub, sub.current()),
-                **_state_stamp(service),
-            }
-        if op == "updates":
-            sub = service.subscription(request["sub_id"])
-            upd = sub.updates(
-                int(request.get("since_version", 0)),
-                timeout=request.get("timeout"),
-            )
-            return {
-                "ok": True,
-                **_sub_payload(service, sub, upd),
-                **_state_stamp(service),
-            }
-        if op == "unsubscribe":
-            removed = service.unsubscribe(request["sub_id"])
-            return {"ok": True, "removed": removed}
-        if op == "drop":
-            service.session.drop(request["name"])
-            return {"ok": True, **_state_stamp(service)}
-        if op == "define_dimension":
-            service.session.define_dimension(
-                request["name"],
-                bool(request.get("continuous")),
-                bool(request.get("ordered")),
-                request.get("description", ""),
-            )
-            return {"ok": True, **_state_stamp(service)}
-        if op == "define_unit":
-            service.session.define_unit(
-                request["name"],
-                request["kind"],
-                request.get("dimension"),
-                request.get("scale", 1.0),
-                request.get("offset", 0.0),
-            )
-            return {"ok": True, **_state_stamp(service)}
-        if op == "aggregate":
-            domains = request.get("domains") or []
-            values = _values_from_wire(request.get("values") or [])
-            filters = tuple(
-                FilterTerm.from_json_dict(f)
-                for f in request.get("filters") or ()
-            )
-            spec = AggregateSpec.from_wire(request)
-            if spec is None:
-                raise ServiceError(
-                    "aggregate needs group_by (and value_field)"
-                )
-            partial = bool(request.get("partial"))
-            groups, schema = service._aggregate_for_wire(
-                Query.of(domains, values, filters),
-                spec,
-                tenant=str(request.get("tenant", "default")),
-                timeout=request.get("timeout"),
-                partial=partial,
-            )
-            return {
-                "ok": True,
-                "schema": schema.to_json_dict(),
-                "groups": encode_groups(
-                    groups, list(spec.group_by), schema,
-                    service.session.dictionary,
-                ),
-                "group_count": len(groups),
-                "partial": partial,
-                **_state_stamp(service),
-            }
-        if op == "metric":
-            # additive on v2: an older server answers with the typed
-            # UnsupportedOpError below, which clients surface as
-            # repro.errors.UnsupportedOpError
-            from repro.metrics.compute import metric_group_fields
-
-            q = Query.from_json_dict(request["query"])
-            ticket = service.submit(
-                q,
-                tenant=str(request.get("tenant", "default")),
-                timeout=request.get("timeout"),
-            )
-            ans = ticket.result()
-            schema = ticket.result_schema
-            gf, _ = metric_group_fields(schema, q)
-            decision = ans.decision
-            return {
-                "ok": True,
-                "schema": schema.to_json_dict(),
-                "groups": encode_groups(
-                    ans.groups, gf, schema,
-                    service.session.dictionary,
-                ),
-                "group_fields": list(gf),
-                "group_dims": list(ans.group_dims),
-                "measures": ans.measure_keys(),
-                "group_count": len(ans.groups),
-                "decision": (
-                    decision.as_dict()
-                    if decision is not None else None
-                ),
-                **_state_stamp(service),
-            }
-        if op in ("query", "explain"):
-            domains = request.get("domains") or []
-            values = _values_from_wire(request.get("values") or [])
-            filters = tuple(
-                FilterTerm.from_json_dict(f)
-                for f in request.get("filters") or ()
-            )
-            if op == "explain":
-                plan = service.session.plan(
-                    Query.of(domains, values, filters)
-                )
-                return {
-                    "ok": True,
-                    "plan": plan.describe(),
-                    "operations": plan.operations(),
-                    "steps": plan.num_steps(),
-                }
-            dataset = service.query(
-                domains,
-                values,
-                tenant=str(request.get("tenant", "default")),
-                timeout=request.get("timeout"),
-                filters=filters,
-            )
-            rows = dataset.collect()
-            return {
-                "ok": True,
-                "name": dataset.name,
-                "schema": dataset.schema.to_json_dict(),
-                "rows": encode_rows(
-                    rows, dataset.schema, service.session.dictionary
-                ),
-                "row_count": len(rows),
-                **_state_stamp(service),
-            }
-        return {
-            "ok": False,
-            "error": "UnsupportedOpError",
-            "message": (
+        handler = _HANDLERS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise UnsupportedOpError(
                 f"unknown op {op!r}; this server supports: "
-                + ", ".join(SUPPORTED_OPS)
-            ),
-            "op": op,
-            "supported": list(SUPPORTED_OPS),
-        }
+                + ", ".join(SUPPORTED_OPS),
+                op=op,
+                supported=SUPPORTED_OPS,
+            )
+        return {"ok": True, **handler(service, request)}
     except (ScrubJayError, WrapperError) as exc:
         resp = {
             "ok": False,
@@ -538,6 +573,9 @@ def dispatch(service: QueryService, request: Dict[str, Any]) -> Dict[str, Any]:
         if isinstance(exc, ProtocolVersionError):
             resp["local"] = exc.local
             resp["remote"] = exc.remote
+        elif isinstance(exc, UnsupportedOpError):
+            resp["op"] = exc.op
+            resp["supported"] = list(exc.supported)
         return resp
     except Exception as exc:  # malformed requests must not kill a conn
         return {
@@ -575,6 +613,51 @@ def _raise_on_error(response: Dict[str, Any]) -> Dict[str, Any]:
     return response
 
 
+def _question(
+    domains: Sequence[str], values: Sequence[Any], filters: Sequence
+) -> Dict[str, Any]:
+    """The request fields that ask a question (the client half of
+    :func:`_request_query`). A value is a dimension name, a
+    ``(dimension, units)`` pair or a
+    :class:`~repro.core.query.ValueTerm`, so a caller holding a
+    :class:`Query` passes its parts straight through."""
+    wire_values: List[Any] = []
+    for v in values:
+        if isinstance(v, ValueTerm):
+            v = [v.dimension, v.units] if v.units else v.dimension
+        wire_values.append(v)
+    return {
+        "domains": list(domains),
+        "values": wire_values,
+        "filters": [f.to_json_dict() for f in filters],
+    }
+
+
+def _stamp(resp: Dict[str, Any], **answer: Any) -> Dict[str, Any]:
+    """``answer`` plus the consistency stamp its reply carried."""
+    return {
+        **answer,
+        "catalog_version": resp["catalog_version"],
+        "state": resp["state"],
+    }
+
+
+class StampedAnswer(tuple):
+    """What ``query``/``aggregate`` return: the ``(rows | groups,
+    schema)`` pair, carrying the reply's consistency :attr:`stamp` and
+    dataset :attr:`name` for a router that must check every shard
+    answered at the same epoch."""
+
+    stamp: Dict[str, Any]
+    name: Optional[str]
+
+    def __new__(cls, resp: Dict[str, Any], data: Any, schema: Schema):
+        self = super().__new__(cls, (data, schema))
+        self.stamp = _stamp(resp)
+        self.name = resp.get("name")
+        return self
+
+
 # ----------------------------------------------------------------------
 # in-process handle
 # ----------------------------------------------------------------------
@@ -583,7 +666,13 @@ def _raise_on_error(response: Dict[str, Any]) -> Dict[str, Any]:
 class InProcessClient:
     """The wire protocol without the wire: same requests/responses,
     dispatched directly against a local service. Useful for embedding
-    and for protocol tests that should not depend on sockets."""
+    and for protocol tests that should not depend on sockets.
+
+    One typed method per op; every transport (:class:`QueryClient`'s
+    socket, a :class:`~repro.serve.sharded.ShardHandle`'s shard
+    process) only supplies :meth:`request`. Replies that carry the
+    server's consistency stamp hand it on (see :func:`_stamp`).
+    """
 
     def __init__(self, service: QueryService) -> None:
         self.service = service
@@ -591,8 +680,13 @@ class InProcessClient:
     def request(self, req: Dict[str, Any]) -> Dict[str, Any]:
         return dispatch(self.service, req)
 
+    def _ok(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        """One round-trip whose reply must be ``ok``; anything else
+        raises the typed error it names."""
+        return _raise_on_error(self.request(req))
+
     def ping(self) -> bool:
-        return bool(_raise_on_error(self.request({"op": "ping"})).get("pong"))
+        return bool(self._ok({"op": "ping"}).get("pong"))
 
     def hello(self) -> int:
         """Version handshake. Returns the server's protocol version;
@@ -609,19 +703,27 @@ class InProcessClient:
         return int(resp["version"])
 
     def metrics(self) -> Dict[str, Any]:
-        return _raise_on_error(self.request({"op": "metrics"}))["metrics"]
+        return self._ok({"op": "metrics"})["metrics"]
 
-    def sync(self) -> Dict[str, Any]:
-        """The server session's current consistency stamp."""
-        resp = _raise_on_error(self.request({"op": "sync"}))
-        return {
-            "catalog_version": resp["catalog_version"],
-            "state": resp["state"],
-        }
+    def sync(
+        self, profile: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """The server session's current consistency stamp. ``profile``
+        (a :meth:`~repro.config.TuningProfile.tuned_state` dict) is
+        adopted by the server first; a server with a profile echoes
+        its resulting ``profile_version``/``profile_tuned``."""
+        req: Dict[str, Any] = {"op": "sync"}
+        if profile is not None:
+            req["profile"] = profile
+        resp = self._ok(req)
+        return _stamp(resp, **{
+            k: resp[k]
+            for k in ("profile_version", "profile_tuned") if k in resp
+        })
 
     def trace(self) -> Dict[str, Any]:
         """The server's span tree as Chrome Trace Event Format JSON."""
-        return _raise_on_error(self.request({"op": "trace"}))["trace"]
+        return self._ok({"op": "trace"})["trace"]
 
     def register_rows(
         self,
@@ -635,31 +737,28 @@ class InProcessClient:
         """Register in-memory rows on the server (replication op).
         ``feed=True`` registers them as a *live* dataset backed by a
         push feed, so later :meth:`advance` calls can grow it.
-        Returns the server's post-mutation consistency stamp."""
+        ``dictionary=None`` sends ``rows`` as they are — already codec
+        text, encoded once by a caller registering them on many
+        servers. Returns the server's post-mutation consistency stamp
+        (plus the feed ``watermark``)."""
+        if dictionary is not None:
+            rows = encode_rows(rows, schema, dictionary)
         req: Dict[str, Any] = {
             "op": "register",
             "name": name,
             "schema": schema.to_json_dict(),
-            "rows": encode_rows(rows, schema, dictionary),
+            "rows": rows,
             "partitions": partitions,
         }
         if feed:
             req["feed"] = True
-        resp = _raise_on_error(self.request(req))
-        out = {
-            "catalog_version": resp["catalog_version"],
-            "state": resp["state"],
-        }
+        resp = self._ok(req)
         if "watermark" in resp:
-            out["watermark"] = resp["watermark"]
-        return out
+            return _stamp(resp, watermark=resp["watermark"])
+        return _stamp(resp)
 
     def drop(self, name: str) -> Dict[str, Any]:
-        resp = _raise_on_error(self.request({"op": "drop", "name": name}))
-        return {
-            "catalog_version": resp["catalog_version"],
-            "state": resp["state"],
-        }
+        return _stamp(self._ok({"op": "drop", "name": name}))
 
     def define_dimension(
         self,
@@ -668,17 +767,13 @@ class InProcessClient:
         ordered: bool,
         description: str = "",
     ) -> Dict[str, Any]:
-        resp = _raise_on_error(self.request({
+        return _stamp(self._ok({
             "op": "define_dimension",
             "name": name,
             "continuous": continuous,
             "ordered": ordered,
             "description": description,
         }))
-        return {
-            "catalog_version": resp["catalog_version"],
-            "state": resp["state"],
-        }
 
     def define_unit(
         self,
@@ -688,7 +783,7 @@ class InProcessClient:
         scale: float = 1.0,
         offset: float = 0.0,
     ) -> Dict[str, Any]:
-        resp = _raise_on_error(self.request({
+        return _stamp(self._ok({
             "op": "define_unit",
             "name": name,
             "kind": kind,
@@ -696,10 +791,6 @@ class InProcessClient:
             "scale": scale,
             "offset": offset,
         }))
-        return {
-            "catalog_version": resp["catalog_version"],
-            "state": resp["state"],
-        }
 
     def aggregate(
         self,
@@ -717,18 +808,15 @@ class InProcessClient:
         """Grouped aggregate over the wire. With a ``dictionary`` the
         group keys come back as typed tuples; without one they stay
         codec text (same contract as :meth:`query`)."""
-        resp = _raise_on_error(self.request({
+        resp = self._ok({
             "op": "aggregate",
-            "domains": list(domains),
-            "values": list(values),
-            "group_by": list(group_by),
-            "value_field": value_field,
-            "how": how,
+            **_question(domains, values, filters),
+            **AggregateSpec(
+                tuple(group_by), value_field, how, partial
+            ).to_wire(),
             "tenant": tenant,
             "timeout": timeout,
-            "filters": [f.to_json_dict() for f in filters],
-            "partial": partial,
-        }))
+        })
         schema = Schema.from_json_dict(resp["schema"])
         groups: Any = resp["groups"]
         if dictionary is not None:
@@ -736,7 +824,7 @@ class InProcessClient:
                 groups, list(group_by), schema, dictionary,
                 partial_how=how if partial else None,
             )
-        return groups, schema
+        return StampedAnswer(resp, groups, schema)
 
     def metric(
         self,
@@ -756,12 +844,12 @@ class InProcessClient:
         """
         if not isinstance(query, Query):
             query = query.build()
-        resp = _raise_on_error(self.request({
+        resp = self._ok({
             "op": "metric",
             "query": query.to_json_dict(),
             "tenant": tenant,
             "timeout": timeout,
-        }))
+        })
         from repro.metrics.compute import MetricAnswer
 
         schema = Schema.from_json_dict(resp["schema"])
@@ -785,12 +873,9 @@ class InProcessClient:
         values: Sequence[Any],
         filters: Sequence = (),
     ) -> Dict[str, Any]:
-        return _raise_on_error(self.request({
-            "op": "explain",
-            "domains": list(domains),
-            "values": list(values),
-            "filters": [f.to_json_dict() for f in filters],
-        }))
+        return self._ok({
+            "op": "explain", **_question(domains, values, filters),
+        })
 
     def query(
         self,
@@ -801,19 +886,17 @@ class InProcessClient:
         dictionary=None,
         filters: Sequence = (),
     ) -> Tuple[List[Dict[str, Any]], Schema]:
-        resp = _raise_on_error(self.request({
+        resp = self._ok({
             "op": "query",
-            "domains": list(domains),
-            "values": list(values),
+            **_question(domains, values, filters),
             "tenant": tenant,
             "timeout": timeout,
-            "filters": [f.to_json_dict() for f in filters],
-        }))
+        })
         schema = Schema.from_json_dict(resp["schema"])
         rows = resp["rows"]
         if dictionary is not None:
             rows = decode_rows(rows, schema, dictionary)
-        return rows, schema
+        return StampedAnswer(resp, rows, schema)
 
     # -- streaming ops (additive on v2; an old server answers these
     # -- with UnsupportedOpError) --------------------------------------
@@ -869,7 +952,13 @@ class InProcessClient:
         """Install a standing query; returns its initial answer plus
         the ``sub_id`` to poll :meth:`updates` with. Pass a metric
         ``query`` to subscribe to a measure — the server derives the
-        grouping from the measures and buckets by the grain."""
+        grouping from the measures and buckets by the grain. Any other
+        ``query`` stands for its domains, values and filters."""
+        if query is not None and not query.is_metric:
+            domains, values, filters = (
+                query.domains, query.values, query.filters
+            )
+            query = None
         if query is not None:
             req: Dict[str, Any] = {
                 "op": "subscribe",
@@ -880,16 +969,14 @@ class InProcessClient:
         else:
             req = {
                 "op": "subscribe",
-                "domains": list(domains),
-                "values": list(values),
+                **_question(domains, values, filters),
                 "tenant": tenant,
-                "filters": [f.to_json_dict() for f in filters],
             }
             if group_by:
                 req.update(AggregateSpec(
                     tuple(group_by), str(value_field), how, partial
                 ).to_wire())
-        resp = _raise_on_error(self.request(req))
+        resp = self._ok(req)
         return self._decode_sub(resp, dictionary)
 
     def updates(
@@ -902,18 +989,18 @@ class InProcessClient:
         """The subscription's answer if it changed past
         ``since_version`` (``changed: False`` otherwise); ``timeout``
         long-polls server-side for the change."""
-        resp = _raise_on_error(self.request({
+        resp = self._ok({
             "op": "updates",
             "sub_id": sub_id,
             "since_version": since_version,
             "timeout": timeout,
-        }))
+        })
         return self._decode_sub(resp, dictionary)
 
     def unsubscribe(self, sub_id: str) -> bool:
-        resp = _raise_on_error(self.request({
+        resp = self._ok({
             "op": "unsubscribe", "sub_id": sub_id,
-        }))
+        })
         return bool(resp.get("removed"))
 
     def advance(
@@ -931,7 +1018,7 @@ class InProcessClient:
             if schema is not None and dictionary is not None:
                 rows = encode_rows(rows, schema, dictionary)
             req["rows"] = rows
-        resp = _raise_on_error(self.request(req))
+        resp = self._ok(req)
         return {
             "name": resp["name"],
             "since": resp["since"],

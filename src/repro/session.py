@@ -30,10 +30,8 @@ per-node runtime statistics — EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from repro.config import ServeConfig, TuningProfile
@@ -47,7 +45,7 @@ from repro.core.derivation import (
     GLOBAL_REGISTRY,
 )
 from repro.core.dictionary import SemanticDictionary, default_dictionary
-from repro.core.engine import DerivationEngine, EngineConfig
+from repro.core.engine import DerivationEngine
 from repro.core.pipeline import DerivationPlan
 from repro.core.query import Query, QueryBuilder, ValueSpec
 from repro.core.semantics import Schema
@@ -59,18 +57,6 @@ from repro.util.hashing import content_hash
 import repro.core.transformations  # noqa: F401
 import repro.core.combinations  # noqa: F401
 import repro.core.domain_derivations  # noqa: F401
-
-
-#: flat constructor kwargs from the pre-profile era, each folded into
-#: the equivalent profile knob by the one-release deprecation shim
-_LEGACY_SESSION_KWARGS = (
-    "config",
-    "cache_dir",
-    "cache_max_entries",
-    "num_workers",
-    "adaptive",
-    "broadcast_threshold",
-)
 
 
 class ScrubJaySession:
@@ -86,7 +72,6 @@ class ScrubJaySession:
         executor=None,
         retry_policy=None,
         tracer: Optional[Tracer] = None,
-        **legacy: Any,
     ) -> None:
         """All scalar knobs live on the ``profile`` (a
         :class:`~repro.config.TuningProfile`) — engine search depths,
@@ -108,40 +93,15 @@ class ScrubJaySession:
         ``registry``, an :class:`~repro.rdd.Executor` *instance* as
         ``executor``, a :class:`~repro.rdd.RetryPolicy` as
         ``retry_policy``, and an enabled :class:`~repro.obs.Tracer`
-        as ``tracer``.
-
-        The pre-profile flat kwargs (``cache_dir=``, ``adaptive=``,
-        ``broadcast_threshold=``, ...) still work for one release via
-        a :class:`DeprecationWarning` shim that folds them into the
-        profile."""
+        as ``tracer``."""
         from repro.rdd.context import SJContext
 
         if profile is not None and not isinstance(profile, TuningProfile):
-            # pre-profile signature took a ready-made ctx positionally
-            if ctx is not None:
-                raise ScrubJayError("pass either ctx or profile first")
-            warnings.warn(
-                "passing a ctx positionally is deprecated; use "
-                "ScrubJaySession(ctx=...) (the first parameter is now "
-                "the TuningProfile)",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                "ScrubJaySession's first argument is a TuningProfile, "
+                f"not {type(profile).__name__}; pass a context as ctx="
             )
-            ctx, profile = profile, None
         self.profile = profile if profile is not None else TuningProfile()
-        if ctx is not None and executor is not None:
-            raise ScrubJayError("pass either ctx or executor, not both")
-        if isinstance(executor, str):
-            warnings.warn(
-                "executor=<kind name> is deprecated; set it on the "
-                "profile: TuningProfile(executor_kind=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.profile.set("executor.kind", executor)
-            executor = None
-        if legacy:
-            self._fold_legacy_kwargs(legacy)
         cache_dir = self.profile.get("session.cache_dir")
         # Re-load persisted tuned knobs *before* the frozen configs are
         # derived, so a restarted session starts where tuning left off.
@@ -228,49 +188,6 @@ class ScrubJaySession:
         self._profile_listener = self.profile.on_change(
             self._on_profile_change
         )
-
-    def _fold_legacy_kwargs(self, legacy: Dict[str, Any]) -> None:
-        """The one-release deprecation shim: fold pre-profile flat
-        kwargs into the profile, warn once per construction."""
-        unknown = [k for k in legacy if k not in _LEGACY_SESSION_KWARGS]
-        if unknown:
-            raise ConfigError(
-                f"unknown ScrubJaySession argument(s) "
-                f"{', '.join(sorted(unknown))}; scalar knobs go on the "
-                f"TuningProfile", knob=sorted(unknown)[0],
-            )
-        warnings.warn(
-            f"flat ScrubJaySession kwargs "
-            f"({', '.join(sorted(legacy))}) are deprecated; set them "
-            f"on a TuningProfile: ScrubJaySession(TuningProfile(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        cfg = legacy.get("config")
-        if cfg is not None:
-            defaults = EngineConfig()
-            for f in dataclasses.fields(EngineConfig):
-                value = getattr(cfg, f.name)
-                if value != getattr(defaults, f.name):
-                    self.profile.set(f"engine.{f.name}", value)
-        adaptive = legacy.get("adaptive")
-        if adaptive is not None:
-            from repro.rdd.stats import AdaptiveConfig
-
-            defaults = AdaptiveConfig()
-            for f in dataclasses.fields(AdaptiveConfig):
-                value = getattr(adaptive, f.name)
-                if value != getattr(defaults, f.name):
-                    self.profile.set(f"adaptive.{f.name}", value)
-        simple = {
-            "cache_dir": "session.cache_dir",
-            "cache_max_entries": "session.cache_max_entries",
-            "num_workers": "executor.num_workers",
-            "broadcast_threshold": "adaptive.broadcast_threshold_bytes",
-        }
-        for key, knob in simple.items():
-            if legacy.get(key) is not None:
-                self.profile.set(knob, legacy[key])
 
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the

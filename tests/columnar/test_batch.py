@@ -127,3 +127,19 @@ def test_approx_bytes_positive_and_monotonic():
     small = ColumnBatch.from_rows([{"a": 1.0}])
     big = ColumnBatch.from_rows([{"a": float(i)} for i in range(1000)])
     assert 0 < small.approx_bytes() < big.approx_bytes()
+
+
+def test_take_keeps_typed_buffers_typed():
+    # dictionary codes are an array like the numeric kinds; a gathered
+    # column must still answer approx_bytes (the scan's free statistics
+    # call it on every filtered batch)
+    rows = [{"f": float(i), "q": i, "s": f"node-{i % 3}", "o": [i]}
+            for i in range(9)]
+    rows.append({"s": "node-0"})
+    batch = ColumnBatch.from_rows(rows)
+    taken = batch.take([0, 4, 9])
+    assert taken.to_rows() == [rows[0], rows[4], rows[9]]
+    for name, col in batch.cols.items():
+        assert type(taken.cols[name].data) is type(col.data)
+    assert taken.cols["s"].data.typecode == batch.cols["s"].data.typecode
+    assert 0 < taken.approx_bytes() < batch.approx_bytes()

@@ -190,3 +190,37 @@ def test_sparse_rows_survive_join():
     finally:
         col.close()
         row.close()
+
+
+def test_store_backed_filtered_scan_equivalent(tmp_path):
+    """A pushed filter that keeps part of a stored segment gathers the
+    surviving rows out of each batch — string (dictionary) columns
+    included — and the scan then sizes those batches for the planner."""
+    from repro.store import WideColumnStore
+
+    store = WideColumnStore(str(tmp_path / "store"))
+    table = store.create_table(
+        "facility", "temps", ["rack"], ["time"], memtable_limit=16
+    )
+    table.insert_many(temps_rows())
+    table.flush()
+
+    def ask(columnar):
+        s = ScrubJaySession(TuningProfile(columnar=columnar))
+        try:
+            s.ingest().table(
+                store, "facility", "temps", TEMPS_SCHEMA
+            ).register("rack_temperatures")
+            return (
+                s.query().across("racks", "time", "aisles")
+                .value("temperature")
+                .where("racks", equals=17)
+                .where("time", at_least=120.0, below=600.0)
+                .ask().collect()
+            )
+        finally:
+            s.close()
+
+    col, row = ask(True), ask(False)
+    assert col and _sorted(col) == _sorted(row)
+    assert all("aisle" in r for r in col)

@@ -253,11 +253,9 @@ def test_out_of_band_shard_mutation_surfaces_stale_read(fleet):
     # its stamp diverges from the fleet's. The router must refuse to
     # mix epochs rather than silently merge divergent answers.
     rogue, _ = keyed_tables(16, num_keys=2)
-    payload = fleet._register_request(
-        "rogue", KEYED_LEFT_SCHEMA, rogue
+    fleet._fleet[0][0].register_rows(
+        rogue, KEYED_LEFT_SCHEMA, "rogue", fleet.session.dictionary
     )
-    resp = fleet._fleet[0][0].request(payload)
-    assert resp["ok"]
     with pytest.raises(ShardStaleReadError):
         # unfiltered -> touches both shards -> sees the divergence
         fleet.query(JOIN_DOMAINS, JOIN_VALUES).collect()

@@ -123,25 +123,12 @@ def test_session_forwards_adaptive_knobs():
     sj.ctx.stop()
 
 
-def test_legacy_flat_kwargs_shim_warns_and_folds():
-    """Pre-profile flat kwargs still work for one release, each
-    construction warning once and folding into the profile."""
-    from repro import AdaptiveConfig
+def test_constructor_takes_a_profile_and_no_stray_arguments():
+    # the pre-profile shim is gone: flat knobs and a positional ctx are
+    # ordinary argument errors, not warnings
+    from repro import SJContext
 
-    cfg = AdaptiveConfig(target_partition_rows=99)
-    with pytest.warns(DeprecationWarning, match="flat ScrubJaySession"):
-        sj = ScrubJaySession(adaptive=cfg, broadcast_threshold=123)
-    assert sj.ctx.adaptive.target_partition_rows == 99
-    assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
-    assert sj.profile.provenance(
-        "adaptive.broadcast_threshold_bytes") == "user-pinned"
-    sj.ctx.stop()
-
-    with pytest.warns(DeprecationWarning, match="executor="):
-        sj = ScrubJaySession(executor="threads")
-    assert sj.profile.get("executor.kind") == "threads"
-    sj.ctx.stop()
-
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError, match="unknown ScrubJaySession"):
-        ScrubJaySession(bogus_knob=1)
+    with pytest.raises(TypeError, match="cache_dir"):
+        ScrubJaySession(cache_dir="/tmp/nowhere")
+    with pytest.raises(TypeError, match="TuningProfile"):
+        ScrubJaySession(SJContext())

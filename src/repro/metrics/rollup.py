@@ -166,8 +166,9 @@ class Rollup:
         return self
 
     def _publish(self) -> None:
-        """Rebuild the finalized table from the partial state and
-        swap it into the store + catalog (caller holds the lock)."""
+        """Rebuild the finalized table from the partial state as
+        ``<name>_vN``, swap it into the store + catalog, and drop
+        ``<name>_v(N-2)`` (caller holds the lock)."""
         session = self.session
         rows = rows_from_state(self.state, self.group_fields, self.query)
         store = session._rollup_store()
@@ -188,6 +189,12 @@ class Rollup:
         session.ingest().table(
             store, _STORE_KEYSPACE, table, schema
         ).register(self.name)
+        # v(N-1) stays: a query that resolved the catalog just before
+        # the swap may still be scanning it
+        if self._version > 2:
+            store.drop_table(
+                _STORE_KEYSPACE, f"{self.name}_v{self._version - 2}"
+            )
 
     def _table_schema(self):
         base_schema = self.base_plan.derive_schema(

@@ -394,10 +394,6 @@ class Scheduler:
                              agg["segments_skipped"], labels=labels)
             self.metrics.inc("scan.partitions_pruned", selection.skipped,
                              labels=labels)
-        # leaf statistics come free here — downstream join planning
-        # (broadcast-vs-shuffle) sees real post-scan sizes
-        if rdd._stats is None and self.planner is not None:
-            rdd._stats = collect_stats(out, self.planner.config)
         return out
 
     def _absorb_scan_meta(

@@ -234,14 +234,18 @@ class RDD:
         comb_fn: Callable[[Any, Any], Any],
         num_partitions: Optional[int] = None,
     ) -> "RDD":
+        """Fold each key's values into ``zero`` with ``seq_fn``, then
+        merge per-partition results with ``comb_fn``. Every key starts
+        from its own deep copy of an unhashable (so possibly mutable)
+        ``zero``; a hashable one is taken to be immutable and shared."""
         import copy
 
-        return self.combineByKey(
-            lambda v: seq_fn(copy.deepcopy(zero), v),
-            seq_fn,
-            comb_fn,
-            num_partitions,
-        )
+        try:
+            hash(zero)
+            create = lambda v: seq_fn(zero, v)
+        except TypeError:
+            create = lambda v: seq_fn(copy.deepcopy(zero), v)
+        return self.combineByKey(create, seq_fn, comb_fn, num_partitions)
 
     def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
         return (

@@ -8,8 +8,9 @@ at two levels:
   predicate terms over partition-key columns eliminate whole
   partitions before any task is launched;
 - **zone-map pruning** (worker-side, inside ``Table.scan``): segments
-  whose per-column min/max/null statistics rule out both the partition
-  key and the predicate are never unpickled.
+  whose per-column min/max/null statistics rule out the partition key
+  or the predicate are never opened; from a surviving segment the
+  task unpickles its own partition's block and nothing else.
 
 Rows already hold typed values (no codec); fields absent from the
 schema and None values are dropped.
@@ -161,8 +162,9 @@ class TableSource(DataSource):
         columns: Optional[Sequence[str]] = None,
         predicate: Optional[ColumnPredicate] = None,
     ):
-        """Columnar read: segments decode straight into batches inside
-        the store (:meth:`Table.scan_batches`); the schema-field filter
+        """Columnar read: this partition's block of each surviving
+        segment decodes straight into a batch inside the store
+        (:meth:`Table.scan_batches`); the schema-field filter
         and projection run as column drops instead of per-row dict
         rebuilds. Row-path equivalent of :meth:`read_partition_stats`
         (None values are nulls; rows empty after projection drop)."""

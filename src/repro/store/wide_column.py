@@ -13,10 +13,13 @@ store"):
   the memtable limit) writes an immutable, sorted **segment** file
   plus a **zone map** sidecar (per-column min/max/null-count and the
   partition keys present) used to skip segments at scan time;
+- a segment is laid out by partition key — a header, one pickled row
+  block per key, and a footer index ``{pkey: (offset, length)}`` — so
+  a partition read seeks to its own block and decodes nothing else;
 - ``scan()`` merge-reads segments plus the memtable, optionally
   restricted to one partition, projected to ``columns``, and filtered
   by a pushed-down ``predicate`` — segments whose zone map proves no
-  row can match are never unpickled.
+  row can match are never opened.
 
 Values must be picklable; rows are plain dicts.
 """
@@ -26,13 +29,47 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import shutil
+import struct
+from typing import (Any, BinaryIO, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import StoreError
 
 #: zone maps list explicit partition keys up to this many per segment;
-#: beyond it the list is dropped (pruning falls back to reading rows)
+#: beyond it the list is dropped (the segment's own index still says
+#: exactly which keys it holds, at the cost of opening it)
 ZONE_PKEY_CAP = 1024
+
+#: segment header: magic, then the byte offset of the footer index
+#: (which runs to the end of the file). A plain pickle starts with
+#: ``\x80``, so a file without the magic is a pre-index segment.
+_SEGMENT_HEADER = struct.Struct("<8sQ")
+_SEGMENT_MAGIC = b"SJSEG01\n"
+
+
+def _replace_into(path: str, chunks: Sequence[bytes]) -> None:
+    """Write ``chunks`` beside ``path`` and rename them into place, so
+    a reader sees the old file or the whole new one, never a part."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.writelines(chunks)
+    os.replace(tmp, path)
+
+
+def _read_index(
+    f: BinaryIO,
+) -> Tuple[Optional[Dict[Tuple, Tuple[int, int]]], int]:
+    """The footer index ``{pkey: (offset, length)}`` of the segment
+    open at ``f`` and the bytes read to get it (header + index);
+    ``(None, 0)`` for a pre-index segment."""
+    head = f.read(_SEGMENT_HEADER.size)
+    if not head.startswith(_SEGMENT_MAGIC):
+        return None, 0
+    index_at = _SEGMENT_HEADER.unpack(head)[1]
+    f.seek(index_at)
+    index = pickle.load(f)
+    return index, len(head) + f.tell() - index_at
 
 
 def _zone_epoch(value: Any) -> Any:
@@ -122,6 +159,8 @@ class Table:
         self.memtable_limit = memtable_limit
         self._memtable: Dict[Tuple, List[dict]] = {}
         self._memtable_rows = 0
+        #: parsed zone maps, {segment path: (segment stamp, zone)}
+        self._zones: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
         os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -152,20 +191,35 @@ class Table:
             self.insert(row)
 
     def flush(self) -> Optional[str]:
-        """Write the memtable as one sorted, immutable segment file,
-        plus its zone-map sidecar (``zones-NNNNNN.pkl``) stamped with
-        the segment's mtime/length so staleness is detectable."""
+        """Seal the memtable as one immutable segment file: a header,
+        one pickled block of clustering-sorted rows per partition key
+        (keys in ``repr`` order) and a footer index ``{pkey: (offset,
+        length)}``; plus its zone-map sidecar (``zones-NNNNNN.pkl``)
+        stamped with the segment's mtime/length so staleness is
+        detectable. Each file is written beside its name and renamed
+        into place, so the sealed-segment count never includes a
+        half-written segment."""
         if not self._memtable:
             return None
         seg_rows: List[dict] = []
+        blocks: List[bytes] = []
+        index: Dict[Tuple, Tuple[int, int]] = {}
+        offset = _SEGMENT_HEADER.size
         for pkey in sorted(self._memtable, key=repr):
             part = sorted(self._memtable[pkey], key=self._ckey)
             seg_rows.extend(part)
+            block = pickle.dumps(part)
+            index[pkey] = (offset, len(block))
+            offset += len(block)
+            blocks.append(block)
         zone = build_zone_map(seg_rows, list(self._memtable))
         seg_id = len(self._segment_paths())
         path = os.path.join(self.directory, f"segment-{seg_id:06d}.pkl")
-        with open(path, "wb") as f:
-            pickle.dump(seg_rows, f)
+        _replace_into(path, [
+            _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, offset),
+            *blocks,
+            pickle.dumps(index),
+        ])
         self._write_zone(path, zone)
         self._memtable.clear()
         self._memtable_rows = 0
@@ -225,9 +279,39 @@ class Table:
             )
         out: List[Dict[str, Any]] = []
         for path in paths[lo:hi]:
-            with open(path, "rb") as f:
-                out.extend(pickle.load(f))
+            out.extend(self._read_segment(path)[0])
         return out
+
+    def _read_segment(
+        self, path: str, partition: Optional[Tuple] = None
+    ) -> Tuple[Optional[List[Dict[str, Any]]], int]:
+        """Rows of one sealed segment — every block in index order, or
+        only ``partition``'s — and the bytes read to get them (header,
+        index and the blocks decoded). Rows are None when the index
+        holds no block for ``partition``: nothing was decoded.
+
+        A file without the header is a pre-index segment, one pickled
+        row list: read whole and filtered by key.
+        """
+        with open(path, "rb") as f:
+            index, nbytes = _read_index(f)
+            if index is None:
+                spans = [(0, -1)]
+            elif partition is None:
+                spans = list(index.values())
+            elif partition in index:
+                spans = [index[partition]]
+            else:
+                return None, 0
+            rows: List[Dict[str, Any]] = []
+            for offset, length in spans:
+                f.seek(offset)
+                block = f.read(length)
+                nbytes += len(block)
+                rows.extend(pickle.loads(block))
+        if index is None and partition is not None:
+            rows = [r for r in rows if self._pkey(r) == partition]
+        return rows, nbytes
 
     def _segment_paths(self) -> List[str]:
         return sorted(
@@ -251,22 +335,26 @@ class Table:
 
     def _write_zone(self, segment_path: str, zone: Dict[str, Any]) -> None:
         zone = dict(zone, stamp=self._segment_stamp(segment_path))
-        with open(self._zone_path(segment_path), "wb") as f:
-            pickle.dump(zone, f)
+        _replace_into(self._zone_path(segment_path), [pickle.dumps(zone)])
 
     def _load_zone(self, segment_path: str) -> Optional[Dict[str, Any]]:
-        zpath = self._zone_path(segment_path)
-        if not os.path.exists(zpath):
-            return None  # pre-zone-map segment: never prune it
+        """The segment's zone map, or None when it has no sidecar the
+        live segment file vouches for. A sidecar is parsed once per
+        segment stamp; after that a lookup is one ``os.stat``."""
+        stamp = self._segment_stamp(segment_path)
+        cached = self._zones.get(segment_path)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
         try:
-            with open(zpath, "rb") as f:
+            with open(self._zone_path(segment_path), "rb") as f:
                 zone = pickle.load(f)
         except (OSError, pickle.PickleError, EOFError):
-            return None
+            return None  # no (readable) sidecar: never prune it
         # a sidecar surviving a segment rewrite must not be believed:
         # only trust it when its stamp matches the live segment file
-        if zone.get("stamp") != self._segment_stamp(segment_path):
+        if zone.get("stamp") != stamp:
             return None
+        self._zones[segment_path] = (stamp, zone)
         return zone
 
     def ensure_zone_maps(self) -> int:
@@ -282,9 +370,8 @@ class Table:
             if self._load_zone(path) is not None:
                 continue
             try:
-                with open(path, "rb") as f:
-                    seg_rows = pickle.load(f)
-            except (OSError, pickle.PickleError, EOFError):
+                seg_rows, _ = self._read_segment(path)
+            except (OSError, pickle.PickleError, EOFError, struct.error):
                 continue  # unreadable segment: leave unpruned
             pkeys = {self._pkey(row) for row in seg_rows}
             self._write_zone(path, build_zone_map(seg_rows, sorted(
@@ -341,10 +428,48 @@ class Table:
         """Materializing :meth:`scan` that also reports read statistics:
         ``rows_read`` (rows examined after partition restriction,
         before the predicate), ``bytes_scanned`` (segment file bytes
-        unpickled), ``segments_read`` and ``segments_skipped``."""
+        read: header, index and the blocks decoded), ``segments_read``
+        and ``segments_skipped``."""
         stats: Dict[str, Any] = {}
         rows = list(self._scan_impl(partition, columns, predicate, stats))
         return rows, stats
+
+    def _row_chunks(
+        self,
+        partition: Optional[Tuple],
+        predicate: Optional[Any],
+        stats: Dict[str, Any],
+    ) -> Iterator[List[Dict[str, Any]]]:
+        """The rows a scan examines, one list per surviving segment
+        and then one for the memtable, filling in every statistic but
+        ``rows_read``. A segment is skipped when its zone map rules it
+        out or, exactly, when its index holds no block for
+        ``partition``."""
+        if partition is not None and not isinstance(partition, tuple):
+            partition = (partition,)
+        stats.update(
+            rows_read=0, bytes_scanned=0, segments_read=0,
+            segments_skipped=0,
+        )
+        for path in self._segment_paths():
+            rows = None
+            if not self._segment_skippable(
+                self._load_zone(path), partition, predicate
+            ):
+                rows, nbytes = self._read_segment(path, partition)
+            if rows is None:
+                stats["segments_skipped"] += 1
+                continue
+            stats["segments_read"] += 1
+            stats["bytes_scanned"] += nbytes
+            yield rows
+        if partition is None:
+            parts = list(self._memtable.values())
+        else:
+            parts = [self._memtable.get(partition, [])]
+        yield [
+            row for rows in parts for row in sorted(rows, key=self._ckey)
+        ]
 
     def _scan_impl(
         self,
@@ -353,13 +478,7 @@ class Table:
         predicate: Optional[Any],
         stats: Dict[str, Any],
     ) -> Iterator[Dict[str, Any]]:
-        if partition is not None and not isinstance(partition, tuple):
-            partition = (partition,)
         wanted = set(columns) if columns is not None else None
-        stats.update(
-            rows_read=0, bytes_scanned=0, segments_read=0,
-            segments_skipped=0,
-        )
 
         def emit(row: Dict[str, Any]) -> Optional[Dict[str, Any]]:
             stats["rows_read"] += 1
@@ -370,29 +489,11 @@ class Table:
             projected = {k: v for k, v in row.items() if k in wanted}
             return projected or None
 
-        for path in self._segment_paths():
-            if self._segment_skippable(
-                self._load_zone(path), partition, predicate
-            ):
-                stats["segments_skipped"] += 1
-                continue
-            stats["segments_read"] += 1
-            try:
-                stats["bytes_scanned"] += os.path.getsize(path)
-            except OSError:
-                pass
-            with open(path, "rb") as f:
-                for row in pickle.load(f):
-                    if partition is None or self._pkey(row) == partition:
-                        out = emit(row)
-                        if out is not None:
-                            yield out
-        for pkey, rows in self._memtable.items():
-            if partition is None or pkey == partition:
-                for row in sorted(rows, key=self._ckey):
-                    out = emit(row)
-                    if out is not None:
-                        yield out
+        for rows in self._row_chunks(partition, predicate, stats):
+            for row in rows:
+                out = emit(row)
+                if out is not None:
+                    yield out
 
     def scan_batches(
         self,
@@ -411,12 +512,7 @@ class Table:
         """
         from repro.columnar import ColumnBatch, kernels
 
-        if partition is not None and not isinstance(partition, tuple):
-            partition = (partition,)
-        stats: Dict[str, Any] = dict(
-            rows_read=0, bytes_scanned=0, segments_read=0,
-            segments_skipped=0,
-        )
+        stats: Dict[str, Any] = {}
         batches: List[Any] = []
 
         def emit(rows: List[dict]) -> None:
@@ -431,29 +527,8 @@ class Table:
             if batch.num_rows:
                 batches.append(batch)
 
-        for path in self._segment_paths():
-            if self._segment_skippable(
-                self._load_zone(path), partition, predicate
-            ):
-                stats["segments_skipped"] += 1
-                continue
-            stats["segments_read"] += 1
-            try:
-                stats["bytes_scanned"] += os.path.getsize(path)
-            except OSError:
-                pass
-            with open(path, "rb") as f:
-                seg_rows = pickle.load(f)
-            if partition is not None:
-                seg_rows = [
-                    r for r in seg_rows if self._pkey(r) == partition
-                ]
-            emit(seg_rows)
-        mem_rows: List[dict] = []
-        for pkey, rows in self._memtable.items():
-            if partition is None or pkey == partition:
-                mem_rows.extend(sorted(rows, key=self._ckey))
-        emit(mem_rows)
+        for rows in self._row_chunks(partition, predicate, stats):
+            emit(rows)
         return batches, stats
 
     def count(self) -> int:
@@ -462,8 +537,9 @@ class Table:
     def partitions(self) -> List[Tuple]:
         """Distinct partition keys across segments and memtable.
 
-        Reads zone-map sidecars where available; only segments without
-        one (or whose key list overflowed the cap) are scanned."""
+        Reads zone-map sidecars where available; for segments without
+        one (or whose key list overflowed the cap) the segment's index
+        — no row block is decoded."""
         seen = set()
         for path in self._segment_paths():
             zone = self._load_zone(path)
@@ -471,8 +547,10 @@ class Table:
                 seen.update(zone["pkeys"])
                 continue
             with open(path, "rb") as f:
-                for row in pickle.load(f):
-                    seen.add(self._pkey(row))
+                keys, _ = _read_index(f)
+            if keys is None:  # pre-index segment: the keys are in the rows
+                keys = map(self._pkey, self._read_segment(path)[0])
+            seen.update(keys)
         seen.update(self._memtable)
         return sorted(seen, key=repr)
 
@@ -539,6 +617,16 @@ class WideColumnStore:
         table.ensure_zone_maps()
         self._tables[key] = table
         return table
+
+    def drop_table(self, keyspace: str, name: str) -> None:
+        """Forget the table and remove its directory. A scan already
+        running over it fails; callers drop only what no reader can
+        still reach."""
+        directory = self._table_dir(keyspace, name)
+        if not os.path.isdir(directory):
+            raise StoreError(f"no table {keyspace}.{name} in this store")
+        self._tables.pop((keyspace, name), None)
+        shutil.rmtree(directory)
 
     def keyspaces(self) -> List[str]:
         return sorted(

@@ -284,3 +284,34 @@ def test_stale_rollup_would_differ_fresh_one_does_not():
         assert_groups_equal(ans.groups, raw_truth(metric_q(sj)))
     finally:
         sj.close()
+
+
+def test_refresh_drops_superseded_rollup_tables():
+    # every refresh publishes <name>_vN; only N and N-1 (which a query
+    # that resolved the catalog before the swap may still be scanning)
+    # stay on disk, and the published dataset is right each time
+    rows = sorted(power_rows(), key=lambda r: r["time"].epoch)
+    step = len(rows) // 11
+    sj = ScrubJaySession()
+    try:
+        feed = (sj.ingest()
+                .feed(RACK_POWER_SCHEMA, rows=rows[:step])
+                .tail("rack_power"))
+        handle = sj.rollup("power_1h", metric_q(sj))
+        store = sj._rollup_store()
+        for i in range(1, 11):
+            hi = len(rows) if i == 10 else (i + 1) * step
+            feed.push(rows[i * step:hi])
+            assert handle.refreshes == i
+            assert store.tables("rollups") == sorted(
+                [f"power_1h_v{i}", f"power_1h_v{i + 1}"]
+            )
+            got = {
+                (r["rack"], r["time"]): r["power_mean"]
+                for r in sj.dataset("power_1h").collect()
+            }
+            assert_groups_equal(
+                got, manual_groups(rows[:hi], 3600.0, "mean")
+            )
+    finally:
+        sj.close()

@@ -53,6 +53,40 @@ def test_aggregateByKey_zero_not_shared_between_keys(ctx):
     assert got[2] == ["b"]
 
 
+def test_aggregateByKey_mutated_list_zero_not_shared(ctx):
+    # an unhashable zero may be mutated in place by seq_fn: every key
+    # must start from its own copy
+    def push(acc, v):
+        acc.append(v)
+        return acc
+
+    zero = []
+    r = ctx.parallelize([(1, "a"), (2, "b"), (1, "c"), (3, "d")], 1)
+    got = dict(r.aggregateByKey(zero, push, lambda a, b: a + b).collect())
+    assert got == {1: ["a", "c"], 2: ["b"], 3: ["d"]}
+    assert zero == []
+
+
+def test_aggregateByKey_hashable_zero_not_copied(ctx):
+    # a hashable zero is immutable as far as seq_fn can tell: each
+    # key's first fold sees the zero itself, not a deep copy of it
+    zero = (0, frozenset({"tag"}))
+    first_accs = []
+
+    def count(acc, _v):
+        if acc[0] == 0:
+            first_accs.append(acc)
+        return (acc[0] + 1, acc[1])
+
+    r = ctx.parallelize([(k % 5, k) for k in range(40)], 2)
+    got = dict(
+        r.aggregateByKey(zero, count, lambda a, b: (a[0] + b[0], a[1]))
+        .collect()
+    )
+    assert {k: v[0] for k, v in got.items()} == {k: 8 for k in range(5)}
+    assert first_accs and all(acc is zero for acc in first_accs)
+
+
 def test_combineByKey_custom_combiner(ctx):
     r = ctx.parallelize([("x", 1), ("x", 5), ("y", 2)], 2)
     got = dict(

@@ -95,3 +95,28 @@ def test_append_rows_via_store_handle(tmp_path):
     out = store.append_rows("perf", "power", _rows(0, 3))
     assert out["segment_count"] == 1
     assert store.table("perf", "power").count() == 3
+
+
+def test_half_written_segment_is_invisible(table):
+    # a seal is a write beside the final name plus a rename: what a
+    # crash leaves behind is a .tmp file that nothing counts or reads
+    table.append_rows(_rows(0, 3))
+    table.append_rows(_rows(3, 3))
+    table.append_rows(_rows(6, 3))
+    torn = os.path.join(table.directory, "segment-000003.pkl.tmp")
+    with open(torn, "wb") as f:
+        f.write(b"not a segment")
+    assert table.segment_count() == 3
+    rows, stats = table.scan_stats()
+    assert len(rows) == 9
+    assert stats["segments_read"] + stats["segments_skipped"] == 3
+    out = table.append_rows(_rows(9, 3))
+    assert [os.path.basename(p) for p in out["sealed"]] == [
+        "segment-000003.pkl"
+    ]
+    assert table.segment_count() == 4
+    assert len(table.read_segment_range(3, 4)) == 3
+    # the seal renamed its own temporaries away, the leftover with them
+    assert not [
+        f for f in os.listdir(table.directory) if f.endswith(".tmp")
+    ]

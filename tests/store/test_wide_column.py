@@ -1,5 +1,7 @@
 """Wide-column store: data model, flush/scan, persistence."""
 
+import os
+
 import pytest
 
 from repro.errors import StoreError
@@ -98,6 +100,53 @@ def test_keyspace_and_table_listing(store):
     assert store.keyspaces() == ["facility", "perf"]
     assert store.tables("perf") == ["ldms", "papi"]
     assert store.tables("ghost") == []
+
+
+def test_drop_table_forgets_handle_and_directory(store):
+    t = store.create_table("perf", "ldms", ["node"])
+    store.create_table("perf", "papi", ["node"])
+    t.insert({"node": 1})
+    t.flush()
+    store.drop_table("perf", "ldms")
+    assert store.tables("perf") == ["papi"]
+    with pytest.raises(StoreError):
+        store.table("perf", "ldms")
+    with pytest.raises(StoreError):
+        store.drop_table("perf", "ldms")
+    # the name is free again
+    assert store.create_table("perf", "ldms", ["node"]).count() == 0
+
+
+def test_zone_sidecar_parsed_once_per_segment(store, monkeypatch):
+    t = store.create_table("perf", "ldms", ["node"], ["time"])
+    for seg in range(3):
+        t.insert_many(
+            [{"node": n, "time": seg * 10 + n} for n in range(4)]
+        )
+        t.flush()
+    zone_opens = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        if os.path.basename(str(path)).startswith("zones-"):
+            zone_opens.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for _ in range(2):
+        for node in range(4):
+            assert len(t.scan_stats(partition=(node,))[0]) == 3
+    assert len(zone_opens) == 3  # 24 lookups, one parse per segment
+
+    # a rewritten segment is noticed: its stamp no longer matches the
+    # parsed zone, and the stale sidecar on disk is not believed either
+    seg = t._segment_paths()[0]
+    rows = t.read_segment_range(0, 1)
+    t2 = store.create_table("perf", "scratch", ["node"], ["time"])
+    t2.insert_many(rows + [{"node": 9, "time": 99}])
+    os.replace(t2.flush(), seg)
+    assert t._load_zone(seg) is None
+    assert len(t.scan_stats(partition=(9,))[0]) == 1
 
 
 def test_partitions_listing(store):

@@ -17,24 +17,30 @@ Both combinations execute adaptively: the natural join goes through
 broadcast-hash plan when run-time statistics say one side fits under
 the broadcast threshold (skipping the shuffle entirely) and falls back
 to the shuffle cogroup plan otherwise; the interpolation join likewise
-broadcasts its binned right ("sensor") side when it is small instead
-of shuffling both sides into per-bin cogroups. Every choice lands in
+broadcasts its right ("sensor") side when it is small instead of
+shuffling both sides into bins. Every choice lands in
 the context's :class:`~repro.rdd.stats.ExecutionReport`, and all
 strategies are result-equivalent (asserted by the property tests).
 
 The interpolation join avoids the unscalable all-pairs distance
-computation by binning both datasets twice into bins of width ``2W``
-(the second binning offset by exactly ``W``); any two elements within
-``W`` of each other are guaranteed to share at least one bin, so
-candidate pairs are generated by a cogroup per bin, filtered to
-distance < W, deduplicated (a pair may share bins in both schemes),
-and aggregated per left row according to the value semantics —
-interpolate continuous ordered values, pick the nearest otherwise.
+computation by binning at width ``2W``: a left row goes to its one
+bin, a right row to the one or two bins its open window
+``(t - W, t + W)`` touches — the paper's offset second binning, applied
+to the right side only — so any two elements within ``W`` of each
+other share exactly one bin. Inside a bin the right rows are sorted by
+time once, a left row selects its matches with ``bisect`` (the distance
+predicate still decides membership), and they are aggregated where
+they are found according to the value semantics — interpolate
+continuous ordered values, pick the nearest otherwise. This deviates
+from §5.3's literal algorithm (both sides binned twice, candidate
+pairs de-duplicated afterwards) and matches the same pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.columnar import ColumnBatch, kernels
@@ -258,17 +264,22 @@ class InterpolationJoin(Combination):
     """Windowed join over one continuous ordered shared dimension.
 
     Matches every left row against right rows whose continuous
-    coordinate lies strictly within ``window`` seconds — the open
-    interval avoids the boundary case where a pair at distance exactly
-    W straddles a bin edge in both binning schemes — (after
-    exact-matching all
-    discrete shared dimensions), then attaches the right dataset's
-    value fields to the left row: linearly interpolated at the left
-    coordinate when the value's dimension is continuous and ordered,
-    the nearest match otherwise. Right-side domain fields that are
-    *not* shared (e.g. the rack location of a temperature sensor)
+    coordinate lies strictly within ``window`` seconds — the window is
+    open, a pair at distance exactly W does not match — (after
+    exact-matching all discrete shared dimensions), then attaches the
+    right dataset's value fields to the left row: linearly interpolated
+    at the left coordinate when the value's dimension is continuous and
+    ordered, the nearest match otherwise. Right-side domain fields that
+    are *not* shared (e.g. the rack location of a temperature sensor)
     partition the matches, yielding one output row per (left row ×
     extra-domain combination).
+
+    The attached value does not depend on the order or partitioning of
+    the right rows. A field that is missing or ``None`` is not a
+    sample. Samples tied on one time stand for one reading: the mean of
+    interpolatable values, otherwise the value whose ``repr`` sorts
+    first. Of two readings equally near on either side, a
+    non-interpolatable value takes the earlier.
     """
 
     op_name = "interpolation_join"
@@ -360,155 +371,137 @@ class InterpolationJoin(Combination):
             f for f, sem in right.schema.value_fields().items()
             if f not in drop
         ]
-        interp_ok = {
-            f: dictionary.dimension(right.schema[f].dimension).interpolatable
-            if dictionary.has_dimension(right.schema[f].dimension) else False
+        extra_names = [rename[f] for f in r_extra_domains]
+        #: (right field, output name, interpolate?) per attached value
+        attached = [
+            (f, rename[f],
+             dictionary.has_dimension(right.schema[f].dimension)
+             and dictionary.dimension(
+                 right.schema[f].dimension).interpolatable)
             for f in r_values
-        }
+        ]
 
         # ------------------------------------------------------------------
-        # 1. tag rows with unique ids (needed for pair de-duplication
-        #    across the two bin schemes and for per-left aggregation)
+        # 1. key the right side once as (epoch, row); a row without a
+        #    time coordinate can match nothing
         # ------------------------------------------------------------------
-        ltagged = left.rdd.zipWithIndex()  # (row, uid)
-        rtagged = right.rdd.zipWithIndex()
-
-        # ------------------------------------------------------------------
-        # 2. bin both datasets twice: width 2W, second scheme offset by W
-        # ------------------------------------------------------------------
-        width = 2.0 * window
-
-        def bin_left(item):
-            row, uid = item
-            t = row.get(ldt)
-            if t is None:
-                return []
-            ex = tuple(row.get(f) for f in lex)
-            out = []
-            for scheme in (0, 1):
-                b = math.floor((t.epoch - scheme * window) / width)
-                out.append(((ex, scheme, b), ("L", uid, row)))
-            return out
-
-        def bin_right(item):
-            row, uid = item
+        def key_right(row):
             t = row.get(rdt)
-            if t is None:
-                return []
-            ex = tuple(row.get(f) for f in rex)
-            out = []
-            for scheme in (0, 1):
-                b = math.floor((t.epoch - scheme * window) / width)
-                out.append(((ex, scheme, b), ("R", uid, row)))
-            return out
+            return [] if t is None else [(t.epoch, row)]
 
-        # Adaptive strategy choice: when the bin (right) side is small
-        # enough, its binned index is built in the driver and shipped
-        # whole to every task — candidate pairs come from a narrow map
-        # over the left side, and the bin cogroup shuffle disappears.
-        # Otherwise both sides shuffle into per-bin cogroups as in the
-        # paper. Both paths feed the identical aggregation in step 4.
-        ctx = left.rdd.ctx
-        planner = getattr(ctx, "planner", None)
-        decision = None
-        if planner is not None:
-            # rtagged is already materialized (zipWithIndex is eager),
-            # so the statistics are free — no extra stages
-            decision = planner.decide_bin_broadcast(
-                rtagged.stats(), op=self.op_name
-            )
+        rkeyed = right.rdd.flatMap(key_right)
 
-        if decision is not None and decision.strategy == "broadcast":
-            # ----------------------------------------------------------
-            # 3a. broadcast path: driver-built bin index of the right
-            #     side; probe it from each left row (both bin schemes),
-            #     dedupe per left row locally
-            # ----------------------------------------------------------
-            rindex: Dict[Tuple, List[Tuple[int, Dict[str, Any]]]] = {}
-            for item in rtagged.collect():
-                for key, (_tag, ruid, rrow) in bin_right(item):
-                    rindex.setdefault(key, []).append((ruid, rrow))
-
-            def probe(item) -> List[Tuple[int, Tuple[int, Dict, Dict]]]:
-                row, uid = item
-                t = row.get(ldt)
-                if t is None:
-                    return []
-                lt = t.epoch
-                ex = tuple(row.get(f) for f in lex)
-                out = []
-                seen: set = set()
-                for scheme in (0, 1):
-                    b = math.floor((lt - scheme * window) / width)
-                    for ruid, rrow in rindex.get((ex, scheme, b), ()):
-                        if ruid in seen:
-                            continue
-                        if abs(lt - rrow[rdt].epoch) < window:
-                            seen.add(ruid)
-                            out.append((uid, (ruid, row, rrow)))
-                return out
-
-            candidate = ltagged.flatMap(probe)
-        else:
-            # ----------------------------------------------------------
-            # 3b. shuffle path: cogroup per bin, filter to |Δt| < W,
-            #     key candidate pairs by the left row id
-            # ----------------------------------------------------------
-            binned = ctx.union([
-                ltagged.flatMap(bin_left),
-                rtagged.flatMap(bin_right),
-            ])
-
-            def pairs(kv) -> List[Tuple[int, Tuple[int, Dict, Dict]]]:
-                _key, items = kv
-                lrows = [(uid, row) for tag, uid, row in items if tag == "L"]
-                rrows = [(uid, row) for tag, uid, row in items if tag == "R"]
-                out = []
-                for luid, lrow in lrows:
-                    lt = lrow[ldt].epoch
-                    for ruid, rrow in rrows:
-                        if abs(lt - rrow[rdt].epoch) < window:
-                            out.append((luid, (ruid, lrow, rrow)))
-                return out
-
-            candidate = binned.groupByKey().flatMap(pairs)
+        def by_time(pairs) -> Tuple[List[float], List[Dict[str, Any]]]:
+            pairs.sort(key=itemgetter(0))
+            return [t for t, _ in pairs], [r for _, r in pairs]
 
         # ------------------------------------------------------------------
-        # 4. aggregate per left row: dedupe, split by extra right-side
-        #    domains, and interpolate values at the left coordinate
+        # 2. one left row against the time-sorted right rows of its
+        #    exact key: select its window, split the matches by the
+        #    extra right-side domains, attach each value at its coordinate
         # ------------------------------------------------------------------
-        def aggregate(kv) -> List[Dict[str, Any]]:
-            _luid, matches = kv
-            seen: set = set()
-            lrow: Optional[Dict[str, Any]] = None
-            groups: Dict[Tuple, List[Dict[str, Any]]] = {}
-            for ruid, lrow_, rrow in matches:
-                lrow = lrow_
-                if ruid in seen:
-                    continue
-                seen.add(ruid)
-                gkey = tuple(rrow.get(f) for f in r_extra_domains)
-                groups.setdefault(gkey, []).append(rrow)
-            assert lrow is not None
+        def attach(lrow, times, rrows) -> List[Dict[str, Any]]:
             lt = lrow[ldt].epoch
+            # The predicate decides membership; bisect only narrows
+            # where it is evaluated. lt -/+ W as rounded bound every
+            # time within W, and the times within W are contiguous.
+            lo = bisect_left(times, lt - window)
+            hi = bisect_right(times, lt + window, lo)
+            while lo < hi and not abs(lt - times[lo]) < window:
+                lo += 1
+            while lo < hi and not abs(lt - times[hi - 1]) < window:
+                hi -= 1
+            groups: Dict[Tuple, Tuple[List[float], List[Dict]]] = {}
+            for i in range(lo, hi):
+                rrow = rrows[i]
+                gkey = tuple([rrow.get(f) for f in r_extra_domains])
+                group = groups.get(gkey)
+                if group is None:
+                    group = groups[gkey] = ([], [])
+                group[0].append(times[i])
+                group[1].append(rrow)
             out = []
-            for gkey, rrows in groups.items():
+            for gkey, (ts, rs) in groups.items():
                 new = dict(lrow)
-                for f, gval in zip(r_extra_domains, gkey):
-                    new[rename[f]] = gval
-                for f in r_values:
-                    samples = [
-                        (r[rdt].epoch, r[f]) for r in rrows if f in r
-                    ]
-                    if not samples:
-                        continue
-                    new[rename[f]] = _attach_value(
-                        samples, lt, interp_ok[f]
-                    )
+                new.update(zip(extra_names, gkey))
+                for f, name, interpolate in attached:
+                    fts, vs = ts, [r.get(f) for r in rs]
+                    if None in vs:  # a missing or None field is no sample
+                        fts = [t for t, v in zip(ts, vs) if v is not None]
+                        vs = [v for v in vs if v is not None]
+                    if vs:
+                        new[name] = _attach_value(fts, vs, lt, interpolate)
                 out.append(new)
             return out
 
-        joined = candidate.groupByKey().flatMap(aggregate)
+        # Adaptive strategy choice, taken on the pairs that would be
+        # shipped (persisted, so neither path computes them again): a
+        # small right side goes whole to every task and the left side
+        # probes it in one narrow stage; otherwise both sides shuffle
+        # once into bins of width 2W.
+        ctx = left.rdd.ctx
+        decision = ctx.planner.decide_bin_broadcast(
+            rkeyed.persist().stats(), op=self.op_name
+        )
+        if decision.strategy == "broadcast":
+            # ----------------------------------------------------------
+            # 3a. broadcast path: driver-built index of the right side
+            #     by exact key, probed once per left row
+            # ----------------------------------------------------------
+            by_key: Dict[Tuple, List[Tuple[float, Dict[str, Any]]]] = {}
+            for pair in rkeyed.collect():
+                ex = tuple([pair[1].get(f) for f in rex])
+                by_key.setdefault(ex, []).append(pair)
+            rindex = {ex: by_time(pairs) for ex, pairs in by_key.items()}
+            rkeyed.unpersist()  # the index is all the lineage keeps
+
+            def probe(lrows) -> List[Dict[str, Any]]:
+                out: List[Dict[str, Any]] = []
+                for lrow in lrows:
+                    hit = rindex.get(tuple([lrow.get(f) for f in lex]))
+                    if hit and lrow.get(ldt) is not None:
+                        out.extend(attach(lrow, *hit))
+                return out
+
+            joined = left.rdd.mapPartitions(probe)
+        else:
+            # ----------------------------------------------------------
+            # 3b. shuffle path: a left row goes to its one bin, a right
+            #     pair to every bin its window (rt - W, rt + W) touches
+            #     (one or two), so a pair of rows within W shares
+            #     exactly one bin and is met there once
+            # ----------------------------------------------------------
+            width = 2.0 * window
+
+            def bin_left(lrow):
+                t = lrow.get(ldt)
+                if t is None:
+                    return []
+                ex = tuple([lrow.get(f) for f in lex])
+                return [((ex, math.floor(t.epoch / width)), lrow)]
+
+            def bin_right(pair):
+                rt, rrow = pair
+                ex = tuple([rrow.get(f) for f in rex])
+                first = math.floor((rt - window) / width)
+                last = math.floor((rt + window) / width)
+                return [((ex, b), pair) for b in range(first, last + 1)]
+
+            def match_bin(kv) -> List[Dict[str, Any]]:
+                # the right side's elements are the (epoch, row) pairs,
+                # the left side's the rows themselves
+                pairs = [v for v in kv[1] if type(v) is tuple]
+                lrows = [v for v in kv[1] if type(v) is not tuple]
+                if not lrows or not pairs:
+                    return []
+                times, rrows = by_time(pairs)
+                return [new for lrow in lrows
+                        for new in attach(lrow, times, rrows)]
+
+            joined = ctx.union([
+                left.rdd.flatMap(bin_left), rkeyed.flatMap(bin_right)
+            ]).groupByKey().flatMap(match_bin)
+
         return ScrubJayDataset(
             joined,
             self.derive_schema(left.schema, right.schema, dictionary),
@@ -519,26 +512,44 @@ class InterpolationJoin(Combination):
         )
 
 
+def _reading(tied: List[Any], interpolate: bool) -> Any:
+    """One value for the samples tied on one time, whatever their
+    order: the mean of interpolatable values, otherwise the value
+    whose ``repr`` sorts first."""
+    if len(tied) == 1:
+        return tied[0]
+    if not interpolate:
+        return min(tied, key=repr)
+    base = min(tied)
+    return base + math.fsum(v - base for v in tied) / len(tied)
+
+
 def _attach_value(
-    samples: List[Tuple[float, Any]], at: float, interpolate: bool
+    times: List[float], values: List[Any], at: float, interpolate: bool
 ) -> Any:
-    """Collapse matched samples ``(t, value)`` to one value at ``at``.
+    """Collapse time-sorted samples to one value at ``at``.
 
     Continuous ordered values are linearly interpolated between the
-    nearest samples below and above ``at`` (averaging readings that
+    nearest readings below and above ``at`` (averaging readings that
     bracket the target, per the paper's temperature example); anything
-    else — and one-sided matches — takes the nearest sample.
+    else — and one-sided matches — takes the nearest reading, the
+    earlier one when two are equally near.
     """
-    if len(samples) == 1:
-        return samples[0][1]
+    n = len(times)
+    i = bisect_left(times, at)
+    j = bisect_right(times, at, i)
+    if i < j:  # sampled at the coordinate itself
+        return _reading(values[i:j], interpolate)
+    if i > 0:
+        t0 = times[i - 1]
+        below = _reading(values[bisect_left(times, t0, 0, i):i], interpolate)
+    if i < n:
+        t1 = times[i]
+        above = _reading(values[i:bisect_right(times, t1, i)], interpolate)
+    if i == 0:
+        return above
+    if i == n:
+        return below
     if interpolate:
-        below = [(t, v) for t, v in samples if t <= at]
-        above = [(t, v) for t, v in samples if t >= at]
-        if below and above:
-            t0, v0 = max(below, key=lambda s: s[0])
-            t1, v1 = min(above, key=lambda s: s[0])
-            if t1 == t0:
-                return (v0 + v1) / 2.0 if v0 != v1 else v0
-            w = (at - t0) / (t1 - t0)
-            return v0 + (v1 - v0) * w
-    return min(samples, key=lambda s: abs(s[0] - at))[1]
+        return below + (above - below) * ((at - t0) / (t1 - t0))
+    return below if at - t0 <= t1 - at else above

@@ -707,10 +707,11 @@ class AdaptivePlanner:
     ) -> JoinDecision:
         """Broadcast the bin side of a windowed join when it is small.
 
-        The interpolation join bins both datasets and cogroups per
-        bin; when the sensor-style (right) dataset fits under the
-        broadcast threshold, its binned index ships whole to every
-        task instead, skipping the bin shuffle entirely.
+        The interpolation join shuffles both datasets into time bins;
+        when the sensor-style (right) dataset, keyed as the
+        ``(epoch, row)`` pairs it would ship, fits under the broadcast
+        threshold, it goes whole to every task instead and the join
+        runs no shuffle at all.
         """
         cfg = self.config
         empty = RDDStats(partitions=[], total_rows=0, approx_bytes=0)

@@ -1,18 +1,24 @@
 """Adaptive execution at the combination layer.
 
 NaturalJoin routes through the adaptive join node, InterpolationJoin
-may broadcast its binned right side; in both cases the physical
-strategy must be invisible in the results and visible in the
-ExecutionReport.
+may broadcast its right side; in both cases the physical strategy must
+be invisible in the results and visible in the ExecutionReport.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import ScrubJaySession, TuningProfile
 from repro.core.combinations import InterpolationJoin, NaturalJoin
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema, domain, value
+from repro.datagen import generate_dat1, generate_dat2
+from repro.datagen.synthetic import (
+    TIMED_LEFT_SCHEMA,
+    TIMED_RIGHT_SCHEMA,
+    timed_tables,
+)
 from repro.rdd import SJContext
 from repro.units.temporal import Timestamp
 
@@ -97,7 +103,7 @@ def test_interp_join_broadcasts_small_bin_side(ctx, dictionary):
     assert interp and interp[-1].strategy == "broadcast"
 
 
-def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
+def _interp_inputs(ctx):
     lrows = [
         {"node": n, "time": Timestamp(float(t)), "power": float(n + t)}
         for n in range(3) for t in range(0, 60, 4)
@@ -106,10 +112,15 @@ def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
         {"node": n, "time": Timestamp(float(t)), "temp": 20.0 + n + t}
         for n in range(3) for t in range(0, 60, 9)
     ]
+    rrows.append({"node": 0, "time": None, "temp": 0.0})  # never shipped
+    lds = ScrubJayDataset.from_rows(ctx, lrows, TLEFT, "l", 4)
+    rds = ScrubJayDataset.from_rows(ctx, rrows, TRIGHT, "r", 4)
+    return lrows, rrows, lds, rds
 
+
+def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
     def run(ctx):
-        lds = ScrubJayDataset.from_rows(ctx, lrows, TLEFT, "l", 4)
-        rds = ScrubJayDataset.from_rows(ctx, rrows, TRIGHT, "r", 4)
+        _lrows, _rrows, lds, rds = _interp_inputs(ctx)
         rows = InterpolationJoin(window=8.0).apply(
             lds, rds, dictionary
         ).collect()
@@ -130,6 +141,75 @@ def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
             for d in sctx.report.joins()
         )
     assert broadcast == shuffled
+
+
+def test_interp_join_shuffle_path_is_one_shuffle_of_l_plus_2r(dictionary):
+    with _shuffle_ctx() as ctx:
+        lrows, rrows, lds, rds = _interp_inputs(ctx)
+        rows = InterpolationJoin(8.0).apply(lds, rds, dictionary).collect()
+        assert len(rows) == len(lrows)
+        # one exchange: a left row in one bin, a right row in at most two
+        (shuffle,) = ctx.report.shuffles()
+        assert len(lrows) < shuffle.input_rows <= \
+            len(lrows) + 2 * (len(rrows) - 1)
+        assert shuffle.shuffled_pairs <= shuffle.input_rows
+        assert ctx.metrics.counter("rdd.shuffle.pairs") == \
+            shuffle.shuffled_pairs
+
+
+def test_interp_join_broadcast_path_runs_no_shuffle(ctx, dictionary):
+    lrows, _rrows, lds, rds = _interp_inputs(ctx)
+    rows = InterpolationJoin(8.0).apply(lds, rds, dictionary).collect()
+    assert len(rows) == len(lrows)
+    assert ctx.report.joins()[-1].strategy == "broadcast"
+    assert ctx.report.shuffles() == []
+    assert ctx.metrics.counter("rdd.shuffle.pairs") == 0
+
+
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_interp_join_left_input_pipelines_into_the_join(
+        dictionary, threshold):
+    with SJContext(executor="serial", default_parallelism=4,
+                   broadcast_threshold=threshold) as ctx:
+        lrows, _rrows, lds, rds = _interp_inputs(ctx)
+        computed = []
+        lds = lds.with_rdd(
+            lds.rdd.map(lambda row: computed.append(row) or row)
+        )
+        out = InterpolationJoin(8.0).apply(lds, rds, dictionary)
+        # planning looks at the right side only; the left lineage
+        # first runs inside the join's own stage, once
+        assert ctx.report.joins()
+        assert computed == []
+        out.collect()
+        assert len(computed) == len(lrows)
+
+
+def test_paper_workload_joins_keep_their_strategy():
+    """The benchmark suite's Fig 3c join sits just above the 8 MiB
+    broadcast threshold on purpose (a broadcast join is a different
+    experiment); the DAT 1 and DAT 2 case-study joins sit below it."""
+    def strategy(sj, across, values):
+        sj.query().across(*across).values(*values).ask()
+        (d,) = [d for d in sj.ctx.report.joins()
+                if d.op == "interpolation_join"]
+        return d.strategy
+
+    left, right = timed_tables(18_000, 64, seed=12)
+    with ScrubJaySession(TuningProfile(interpolation_window=2.0)) as sj:
+        sj.register_rows(left, TIMED_LEFT_SCHEMA, "left")
+        sj.register_rows(right, TIMED_RIGHT_SCHEMA, "right")
+        assert strategy(sj, ("compute nodes", "time"),
+                        ("power", "temperature")) == "shuffle"
+    with ScrubJaySession() as sj:
+        generate_dat1(duration=2.5 * 3600.0).register(sj)
+        assert strategy(sj, ("jobs", "racks"),
+                        ("applications", "heat")) == "broadcast"
+    with ScrubJaySession(TuningProfile(interpolation_window=8.0)) as sj:
+        generate_dat2(run_duration=200.0, gap=50.0, papi_period=3.0,
+                      ipmi_period=4.0).register(sj)
+        assert strategy(sj, ("cpus",),
+                        ("active frequency", "power")) == "broadcast"
 
 
 def test_dataset_exposes_stats_and_report(ctx, dictionary):

@@ -11,6 +11,7 @@ from repro.core.combinations import (
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema, domain, value
 from repro.errors import DerivationError
+from repro.rdd import SJContext
 from repro.units.temporal import Timestamp
 
 LEFT = Schema({
@@ -270,8 +271,8 @@ def test_interp_join_unordered_value_takes_nearest(ctx, dictionary):
 
 
 def test_interp_join_pair_found_exactly_once_across_schemes(ctx, dictionary):
-    # elements near a bin boundary appear in both bin schemes; the
-    # dedupe must keep exactly one copy of each match
+    # a right row near a bin boundary is placed in two bins; each left
+    # row lives in one, so every match is met exactly once
     lds = ScrubJayDataset.from_rows(
         ctx, _trows(0, [(t, 1.0) for t in range(0, 200, 7)], 0, "power"),
         TLEFT, "l",
@@ -283,3 +284,62 @@ def test_interp_join_pair_found_exactly_once_across_schemes(ctx, dictionary):
     out = InterpolationJoin(10.0).apply(lds, rds, dictionary).collect()
     # exactly one output row per left row (single extra-domain group)
     assert len(out) == len(lds.collect())
+
+
+# -- order independence and None values, on both strategies -------------
+
+APPS = Schema({
+    "node": domain("compute nodes", "identifier"),
+    "time": domain("time", "datetime"),
+    "app": value("applications", "label"),
+})
+
+
+@pytest.fixture(params=["broadcast", "shuffle"])
+def strategy_ctx(request):
+    threshold = None if request.param == "broadcast" else 0
+    with SJContext(executor="serial", default_parallelism=4,
+                   broadcast_threshold=threshold) as c:
+        yield c
+        assert c.report.joins()[-1].strategy == request.param
+
+
+def _attached(ctx, dictionary, series, schema=TRIGHT, field="temp",
+              partitions=1):
+    """What one left row at t=10 gets attached, window 5."""
+    lds = ScrubJayDataset.from_rows(
+        ctx, _trows(0, [(10, 1.0)], 0, "power"), TLEFT, "l"
+    )
+    rds = ScrubJayDataset.from_rows(
+        ctx, _trows(0, series, 0, field), schema, "r", partitions
+    )
+    (row,) = InterpolationJoin(5.0).apply(lds, rds, dictionary).collect()
+    return row.get(field)
+
+
+def test_interp_join_none_value_is_not_a_sample(strategy_ctx, dictionary):
+    assert _attached(strategy_ctx, dictionary,
+                     [(8, None), (12, 30.0)]) == 30.0
+    # nothing left to attach: the row is kept, the field stays absent
+    assert _attached(strategy_ctx, dictionary,
+                     [(8, None), (12, None)]) is None
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 3, 4])
+def test_interp_join_tied_times_ignore_row_order(
+        strategy_ctx, dictionary, partitions):
+    series = [(8, 10.0), (8, 20.0), (12, 30.0)]
+    for order in (series, series[::-1]):
+        # the two samples at t=8 are one reading of 15.0; t=10 is midway
+        assert _attached(strategy_ctx, dictionary, order,
+                         partitions=partitions) == 22.5
+    labels = [(8, "b"), (8, "a"), (13, "c")]
+    for order in (labels, labels[::-1]):
+        # nearest is t=8; of its tied labels the first by repr
+        assert _attached(strategy_ctx, dictionary, order, APPS, "app",
+                         partitions) == "a"
+    equidistant = [(8, "late"), (12, "early")]
+    for order in (equidistant, equidistant[::-1]):
+        # equally near on both sides: the earlier reading
+        assert _attached(strategy_ctx, dictionary, order, APPS, "app",
+                         partitions) == "late"

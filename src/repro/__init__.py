@@ -28,7 +28,6 @@ from repro.config import (
     diff as config_diff,
     knob_table,
 )
-from repro.tuning import Tuner, TuningDecision
 from repro.core.semantics import DOMAIN, VALUE, Schema, SemanticType
 from repro.core.dictionary import SemanticDictionary, default_dictionary
 from repro.core.dataset import ScrubJayDataset
@@ -93,8 +92,6 @@ __all__ = [
     "KNOBS",
     "config_diff",
     "knob_table",
-    "Tuner",
-    "TuningDecision",
     "ConfigError",
     "DOMAIN",
     "VALUE",

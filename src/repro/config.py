@@ -8,18 +8,16 @@ forwarded into the serve tier. This module consolidates all of them
 behind one introspectable surface:
 
 - :class:`Knob` — one declared setting: dotted name, type, default,
-  bounds, documentation, and whether the online tuner may adjust it;
+  bounds, and documentation;
 - :data:`KNOBS` — the full registry (the generated table in DESIGN.md
   is rendered from it by :func:`knob_table`);
 - :class:`TuningProfile` — a validated knob store with per-knob
-  provenance (``default`` | ``user-pinned`` | ``tuned``), a version
-  counter, change listeners, and JSON persistence. Sessions, the
-  serve tier, and the tuner (:mod:`repro.tuning`) all read through
-  it; the tuner is the only writer of ``tuned`` values;
+  provenance (``default`` | ``user-pinned``), a version counter,
+  change listeners, and a JSON form. Sessions and the serve tier both
+  read through it;
 - :class:`ServeConfig` — the typed section handed to
   :class:`~repro.serve.QueryService`, replacing opaque ``**kwargs``;
-- :func:`diff` — knob-level difference between two profiles, used by
-  tests and the sharded ``sync`` agreement check.
+- :func:`diff` — knob-level difference between two profiles.
 
 Every rejected setting raises :class:`~repro.errors.ConfigError`
 naming the offending knob at construction time, not deep inside the
@@ -30,8 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-import json
-import os
+import math
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -61,7 +58,6 @@ __all__ = [
 #: provenance states a knob value can be in
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_USER = "user-pinned"
-PROVENANCE_TUNED = "tuned"
 
 _EXECUTOR_KINDS = ("serial", "threads", "processes", "simulated")
 
@@ -70,13 +66,10 @@ _EXECUTOR_KINDS = ("serial", "threads", "processes", "simulated")
 class Knob:
     """One declared configuration setting.
 
-    ``kind`` is the value type: ``bool``, ``int``, ``float``, ``str``,
-    or ``str_tuple`` (a tuple of strings, e.g. the per-operator
-    columnar off-list). ``low``/``high`` are inclusive bounds for the
-    numeric kinds; ``choices`` constrains ``str`` knobs; ``nullable``
-    admits ``None`` (meaning "unset / derive a default downstream").
-    ``tunable`` marks knobs the online tuner may adjust — everything
-    else only changes by explicit user action.
+    ``kind`` is the value type: ``bool``, ``int``, ``float`` or
+    ``str``. ``low``/``high`` are inclusive bounds for the numeric
+    kinds; ``choices`` constrains ``str`` knobs; ``nullable`` admits
+    ``None`` (meaning "unset / derive a default downstream").
     """
 
     name: str
@@ -87,7 +80,6 @@ class Knob:
     high: Optional[float] = None
     choices: Optional[Tuple[str, ...]] = None
     nullable: bool = False
-    tunable: bool = False
 
     def bounds_str(self) -> str:
         if self.choices:
@@ -133,11 +125,7 @@ def _build_knobs() -> Dict[str, Knob]:
              "Let the pushdown rewrite also prune scanned columns."),
         Knob("engine.columnar", "bool", e.columnar,
              "Execute plans over ColumnBatch kernels where operators "
-             "support them.", tunable=True),
-        Knob("engine.columnar_off_ops", "str_tuple", e.columnar_off_ops,
-             "Operators forced to the row path even under columnar "
-             "execution; the tuner adds an operator whose kernel "
-             "keeps falling back.", tunable=True),
+             "support them."),
         # -- adaptive execution ---------------------------------------
         Knob("adaptive.enabled", "bool", a.enabled,
              "Master switch for statistics-driven execution; off "
@@ -145,7 +133,7 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("adaptive.broadcast_threshold_bytes", "int",
              a.broadcast_threshold_bytes,
              "Broadcast a join side whose estimated size is at most "
-             "this many bytes.", low=0, high=1 << 31, tunable=True),
+             "this many bytes.", low=0, high=1 << 31),
         Knob("adaptive.broadcast_threshold_rows", "int",
              a.broadcast_threshold_rows,
              "... and whose row count is at most this (guards bad "
@@ -153,7 +141,7 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("adaptive.target_partition_rows", "int",
              a.target_partition_rows,
              "Auto-chosen reduce partitions aim for this many rows "
-             "each.", low=1, high=1_000_000, tunable=True),
+             "each.", low=1, high=1_000_000),
         Knob("adaptive.min_reduce_partitions", "int",
              a.min_reduce_partitions,
              "Lower bound for the auto-chosen reduce partition "
@@ -194,7 +182,7 @@ def _build_knobs() -> Dict[str, Knob]:
         # -- session ---------------------------------------------------
         Knob("session.cache_dir", "str", None,
              "On-disk derivation cache directory; also hosts rollup "
-             "tables and the persisted tuning profile.",
+             "tables.",
              nullable=True),
         Knob("session.cache_max_entries", "int", 64,
              "Derivation-cache capacity (entries).",
@@ -217,10 +205,8 @@ def _build_knobs() -> Dict[str, Knob]:
              "Result-cache capacity (materialized answers).",
              low=1, high=100_000),
         Knob("serve.result_ttl", "float", None,
-             "Result-cache time-to-live in seconds; None = no TTL. "
-             "The tuner shrinks it when churn collapses the hit "
-             "rate.", low=0.05, high=86_400, nullable=True,
-             tunable=True),
+             "Result-cache time-to-live in seconds; None = no TTL.",
+             low=0.05, high=86_400, nullable=True),
         Knob("serve.use_disk_cache", "bool", True,
              "Write results through to the session's disk cache and "
              "warm-start from it."),
@@ -230,24 +216,6 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("serve.metrics_window_s", "float", 30.0,
              "Sliding window (seconds) for recent-QPS and latency "
              "percentiles.", low=1, high=600),
-        # -- tuning ----------------------------------------------------
-        Knob("tuning.enabled", "bool", False,
-             "Run the online self-tuner: observe decisions and "
-             "timings, apply bounded knob adjustments."),
-        Knob("tuning.hysteresis", "int", 2,
-             "Consecutive same-direction regret observations required "
-             "before a knob moves (damps oscillation).", low=1,
-             high=10),
-        Knob("tuning.cooldown", "int", 2,
-             "Proposals to ignore per knob after an adjustment, so "
-             "its effect is measured before the next move.", low=0,
-             high=100),
-        Knob("tuning.regret_threshold", "float", 0.2,
-             "Minimum relative regret (regret / measured time) for an "
-             "observation to count as evidence.", low=0.0, high=10.0),
-        Knob("tuning.min_regret_s", "float", 0.005,
-             "Minimum absolute regret in seconds for an observation "
-             "to count as evidence.", low=0.0, high=10.0),
     ]
     return {k.name: k for k in knobs}
 
@@ -323,6 +291,13 @@ def _validate(knob: Knob, value: Any) -> Any:
                 f"{type(value).__name__} {value!r}", knob=knob.name,
             )
         value = float(value)
+        if math.isnan(value):
+            # NaN compares false against both bounds, so it would
+            # otherwise pass the range checks below
+            raise ConfigError(
+                f"knob {knob.name!r} must be a number, got nan",
+                knob=knob.name,
+            )
     elif knob.kind == "str":
         if not isinstance(value, str):
             raise ConfigError(
@@ -336,15 +311,6 @@ def _validate(knob: Knob, value: Any) -> Any:
                 knob=knob.name,
             )
         return value
-    elif knob.kind == "str_tuple":
-        if isinstance(value, str) or not all(
-            isinstance(v, str) for v in tuple(value)
-        ):
-            raise ConfigError(
-                f"knob {knob.name!r} expects a sequence of strings, "
-                f"got {value!r}", knob=knob.name,
-            )
-        return tuple(value)
     else:  # pragma: no cover — registry invariant
         raise ConfigError(f"knob {knob.name!r} has unknown kind "
                           f"{knob.kind!r}", knob=knob.name)
@@ -359,16 +325,6 @@ def _validate(knob: Knob, value: Any) -> Any:
             f"{knob.bounds_str()}", knob=knob.name,
         )
     return value
-
-
-def clamp(name: str, value: Union[int, float]) -> Union[int, float]:
-    """``value`` clamped into ``name``'s declared bounds."""
-    knob = KNOBS[resolve(name)]
-    if knob.low is not None and value < knob.low:
-        value = knob.low
-    if knob.high is not None and value > knob.high:
-        value = knob.high
-    return int(value) if knob.kind == "int" else float(value)
 
 
 # ----------------------------------------------------------------------
@@ -430,13 +386,12 @@ class ServeConfig:
 class TuningProfile:
     """The unified knob store every layer reads through.
 
-    Values set at construction or via :meth:`set` are *user-pinned*:
-    they express intent and the tuner never overrides them. Values
-    written by the tuner via :meth:`tune` carry ``tuned`` provenance.
-    Every write validates type and bounds, bumps :attr:`version`, and
-    notifies registered listeners — the hook the session uses to swap
-    the frozen :class:`EngineConfig`/:class:`AdaptiveConfig` objects
-    the hot paths read.
+    A knob is ``default`` until a value is set at construction or via
+    :meth:`set`, which makes it ``user-pinned``. Every write validates
+    type and bounds, bumps :attr:`version`, and notifies registered
+    listeners — the hook the session uses to swap the frozen
+    :class:`EngineConfig`/:class:`AdaptiveConfig` objects the hot paths
+    read.
 
     Keyword arguments accept canonical dotted names spelled with
     underscores (``adaptive_broadcast_threshold_bytes``), unique leaf
@@ -452,7 +407,6 @@ class TuningProfile:
         self._provenance: Dict[str, str] = {
             name: PROVENANCE_DEFAULT for name in KNOBS
         }
-        self._pinned: set = set()
         self._listeners: List[Callable[[str, Any, Any], None]] = []
         self.version = 0
         for key, value in overrides.items():
@@ -471,16 +425,6 @@ class TuningProfile:
         with self._lock:
             return self._provenance[resolve(key)]
 
-    def is_pinned(self, key: str) -> bool:
-        with self._lock:
-            return resolve(key) in self._pinned
-
-    def tunable(self, key: str) -> bool:
-        """May the tuner adjust this knob right now?"""
-        name = resolve(key)
-        with self._lock:
-            return KNOBS[name].tunable and name not in self._pinned
-
     def values(self) -> Dict[str, Any]:
         with self._lock:
             return dict(self._values)
@@ -488,47 +432,14 @@ class TuningProfile:
     # -- writes --------------------------------------------------------
 
     def set(self, key: str, value: Any) -> None:
-        """User write: validate, pin, record ``user-pinned``."""
-        self._write(key, value, PROVENANCE_USER, pin=True)
-
-    def pin(self, key: str) -> None:
-        """Pin a knob at its current value without changing it — the
-        tuner will leave it alone."""
-        name = resolve(key)
-        with self._lock:
-            self._pinned.add(name)
-            if self._provenance[name] == PROVENANCE_TUNED:
-                self._provenance[name] = PROVENANCE_USER
-
-    def tune(self, key: str, value: Any) -> Tuple[Any, Any]:
-        """Tuner write: refuse pinned/untunable knobs, record
-        ``tuned`` provenance; returns ``(old, new)``."""
-        name = resolve(key)
-        knob = KNOBS[name]
-        if not knob.tunable:
-            raise ConfigError(
-                f"knob {name!r} is not tunable", knob=name
-            )
-        if self.is_pinned(name):
-            raise ConfigError(
-                f"knob {name!r} is user-pinned; the tuner must not "
-                f"override it", knob=name,
-            )
-        old = self.get(name)
-        self._write(name, value, PROVENANCE_TUNED, pin=False)
-        return old, self.get(name)
-
-    def _write(
-        self, key: str, value: Any, provenance: str, pin: bool
-    ) -> None:
+        """Validate and store ``value``; the knob becomes
+        ``user-pinned``."""
         name = resolve(key)
         value = _validate(KNOBS[name], value)
         with self._lock:
             old = self._values[name]
             self._values[name] = value
-            self._provenance[name] = provenance
-            if pin:
-                self._pinned.add(name)
+            self._provenance[name] = PROVENANCE_USER
             self.version += 1
             listeners = list(self._listeners)
         if old != value:
@@ -607,7 +518,7 @@ class TuningProfile:
                 "version": self.version,
                 "knobs": {
                     name: {
-                        "value": _jsonable(self._values[name]),
+                        "value": self._values[name],
                         "provenance": self._provenance[name],
                     }
                     for name in KNOBS
@@ -628,92 +539,27 @@ class TuningProfile:
                 )
         return "\n".join(lines) or "(all knobs at defaults)"
 
-    # -- persistence & wire form --------------------------------------
+    # -- JSON form -----------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Full state: values, provenance, pinned set, version."""
+        """The user-pinned values plus the version."""
         with self._lock:
             return {
                 "version": self.version,
                 "values": {
-                    n: _jsonable(v) for n, v in self._values.items()
+                    n: v for n, v in self._values.items()
                     if self._provenance[n] != PROVENANCE_DEFAULT
                 },
-                "provenance": {
-                    n: p for n, p in self._provenance.items()
-                    if p != PROVENANCE_DEFAULT
-                },
-                "pinned": sorted(self._pinned),
             }
 
     @classmethod
     def from_json_dict(cls, state: Mapping[str, Any]) -> "TuningProfile":
         profile = cls()
-        provenance = dict(state.get("provenance") or {})
-        pinned = set(state.get("pinned") or ())
         for name, value in (state.get("values") or {}).items():
-            if name not in KNOBS:
-                continue  # forward compatibility: ignore unknown knobs
-            prov = provenance.get(name, PROVENANCE_USER)
-            profile._write(
-                name, _from_jsonable(KNOBS[name], value), prov,
-                pin=name in pinned,
-            )
+            if name in KNOBS:  # forward compatibility: skip unknown knobs
+                profile.set(name, value)
         profile.version = int(state.get("version", profile.version))
         return profile
-
-    def tuned_state(self) -> Dict[str, Any]:
-        """Only the tuner-written values plus the version — the wire
-        form the sharded ``sync`` op propagates and the on-disk form
-        persisted under ``cache_dir``."""
-        with self._lock:
-            return {
-                "version": self.version,
-                "tuned": {
-                    n: _jsonable(self._values[n])
-                    for n, p in self._provenance.items()
-                    if p == PROVENANCE_TUNED
-                },
-            }
-
-    def apply_tuned(self, state: Mapping[str, Any]) -> List[str]:
-        """Adopt another profile's tuned values (the receiving side of
-        ``sync`` propagation). Pinned knobs win locally; unknown knobs
-        are ignored. Returns the names that changed."""
-        changed: List[str] = []
-        for name, value in (state.get("tuned") or {}).items():
-            if name not in KNOBS or not self.tunable(name):
-                continue
-            value = _from_jsonable(KNOBS[name], value)
-            if self.get(name) != value:
-                self._write(name, value, PROVENANCE_TUNED, pin=False)
-                changed.append(name)
-        with self._lock:
-            self.version = max(
-                self.version, int(state.get("version", 0))
-            )
-        return changed
-
-    def save_tuned(self, path: str) -> None:
-        """Atomically persist :meth:`tuned_state` to ``path``."""
-        tmp = f"{path}.tmp.{os.getpid()}"
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(self.tuned_state(), f, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-
-    def load_tuned(self, path: str) -> List[str]:
-        """Re-load a persisted tuned state; missing or corrupt files
-        are treated as empty (tuning state is advisory, never
-        load-bearing). Returns the knob names adopted."""
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                state = json.load(f)
-        except (OSError, ValueError):
-            return []
-        if not isinstance(state, dict):
-            return []
-        return self.apply_tuned(state)
 
     def __repr__(self) -> str:
         with self._lock:
@@ -727,16 +573,6 @@ class TuningProfile:
         )
 
 
-def _jsonable(value: Any) -> Any:
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _from_jsonable(knob: Knob, value: Any) -> Any:
-    if knob.kind == "str_tuple" and isinstance(value, list):
-        return tuple(value)
-    return value
-
-
 # ----------------------------------------------------------------------
 # diffing & documentation
 # ----------------------------------------------------------------------
@@ -748,16 +584,15 @@ def diff(
 ) -> Dict[str, Tuple[Any, Any]]:
     """Knob-level difference: ``{name: (a_value, b_value)}`` for every
     knob whose effective value differs. Accepts profiles or plain
-    ``{name: value}`` mappings (e.g. a wire-propagated tuned state);
-    a knob missing from a mapping is treated as at its default."""
+    ``{name: value}`` mappings; a knob missing from a mapping is
+    treated as at its default."""
 
     def as_values(p) -> Dict[str, Any]:
         if isinstance(p, TuningProfile):
             return p.values()
         out = {name: knob.default for name, knob in KNOBS.items()}
         for key, value in dict(p).items():
-            name = resolve(key)
-            out[name] = _from_jsonable(KNOBS[name], value)
+            out[resolve(key)] = value
         return out
 
     va, vb = as_values(a), as_values(b)
@@ -772,13 +607,13 @@ def knob_table() -> str:
     """The generated markdown table documenting every knob — embedded
     in DESIGN.md and kept in sync by a test."""
     rows = [
-        "| Knob | Type | Default | Bounds | Tunable | Meaning |",
-        "|---|---|---|---|---|---|",
+        "| Knob | Type | Default | Bounds | Meaning |",
+        "|---|---|---|---|---|",
     ]
     for name, k in KNOBS.items():
         default = "None" if k.default is None else repr(k.default)
         rows.append(
             f"| `{name}` | {k.kind} | `{default}` | {k.bounds_str()} "
-            f"| {'yes' if k.tunable else 'no'} | {k.doc} |"
+            f"| {k.doc} |"
         )
     return "\n".join(rows)

@@ -68,8 +68,8 @@ class EngineConfig:
 
     Frozen: nothing mutates an ``EngineConfig`` in place. Knob changes
     go through the session's :class:`~repro.config.TuningProfile`,
-    which replaces ``engine.config`` wholesale — the tuner is the
-    single writer (see DESIGN.md "Self-tuning & configuration").
+    which replaces ``engine.config`` wholesale (see DESIGN.md
+    "Configuration").
     """
 
     #: transformation-closure depth per dataset before a combination
@@ -91,10 +91,6 @@ class EngineConfig:
     #: execute plans over ColumnBatch kernels where operators support
     #: them (row-path fallback per operator otherwise)
     columnar: bool = False
-    #: operators excluded from columnar kernels even when ``columnar``
-    #: is on (forced to the row path); the tuner adds an operator here
-    #: when its kernel keeps falling back anyway
-    columnar_off_ops: Tuple[str, ...] = ()
 
 
 @dataclass

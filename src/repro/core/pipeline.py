@@ -17,7 +17,7 @@ executing them; a plan can then be
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import PipelineError
 from repro.columnar.batch import ColumnBatch
@@ -313,7 +313,6 @@ class DerivationPlan:
         tracer=None,
         measure: bool = False,
         columnar: bool = False,
-        columnar_off: Sequence[str] = (),
     ) -> ScrubJayDataset:
         """Run the pipeline against actual data.
 
@@ -337,13 +336,10 @@ class DerivationPlan:
         Each choice is recorded as a
         :class:`~repro.rdd.stats.KernelDecision` on the context's
         execution report. Results are identical either way.
-        ``columnar_off`` names operators forced straight to the row
-        path (no kernel attempt) — the tuner populates it for
-        operators whose kernels keep declining.
         """
         return self._execute(
             self.root, catalog, dictionary, cache, tracer, measure,
-            columnar, columnar_off,
+            columnar,
         )
 
     def _execute(
@@ -355,7 +351,6 @@ class DerivationPlan:
         tracer=None,
         measure: bool = False,
         columnar: bool = False,
-        columnar_off: Sequence[str] = (),
     ) -> ScrubJayDataset:
         if tracer is not None and tracer.enabled:
             with tracer.span(
@@ -363,7 +358,7 @@ class DerivationPlan:
             ) as span:
                 result = self._execute_node(
                     node, catalog, dictionary, cache, tracer, measure,
-                    span, columnar, columnar_off,
+                    span, columnar,
                 )
                 if measure:
                     st = result.stats()
@@ -381,7 +376,7 @@ class DerivationPlan:
                 return result
         return self._execute_node(
             node, catalog, dictionary, cache, tracer, measure, None,
-            columnar, columnar_off,
+            columnar,
         )
 
     @staticmethod
@@ -402,7 +397,6 @@ class DerivationPlan:
         measure: bool,
         span,
         columnar: bool = False,
-        columnar_off: Sequence[str] = (),
     ) -> ScrubJayDataset:
         if isinstance(node, LoadNode):
             try:
@@ -435,26 +429,26 @@ class DerivationPlan:
         if isinstance(node, TransformNode):
             upstream = self._execute(
                 node.input, catalog, dictionary, cache, tracer, measure,
-                columnar, columnar_off,
+                columnar,
             )
             if columnar:
                 result = self._transform_columnar(
-                    node, upstream, dictionary, span, columnar_off
+                    node, upstream, dictionary, span
                 )
             else:
                 result = node.derivation.apply(upstream, dictionary)
         elif isinstance(node, CombineNode):
             left = self._execute(
                 node.left, catalog, dictionary, cache, tracer, measure,
-                columnar, columnar_off,
+                columnar,
             )
             right = self._execute(
                 node.right, catalog, dictionary, cache, tracer, measure,
-                columnar, columnar_off,
+                columnar,
             )
             if columnar:
                 result = self._combine_columnar(
-                    node, left, right, dictionary, span, columnar_off
+                    node, left, right, dictionary, span
                 )
             else:
                 result = node.derivation.apply(left, right, dictionary)
@@ -466,16 +460,13 @@ class DerivationPlan:
         return result
 
     def _transform_columnar(
-        self, node: TransformNode, upstream, dictionary, span,
-        columnar_off: Sequence[str] = (),
+        self, node: TransformNode, upstream, dictionary, span
     ) -> ScrubJayDataset:
         """One transformation under columnar execution: try the batch
         kernel, fall back to explode -> row apply -> re-batch."""
         derivation = node.derivation
         kernel = getattr(derivation, "apply_batched", None)
-        if derivation.op_name in columnar_off:
-            reason = "tuned-off: operator gated off the columnar path"
-        elif kernel is None:
+        if kernel is None:
             reason = "operator has no batch kernel"
         elif not getattr(upstream, "batched", False):
             reason = "upstream is row-shaped"
@@ -497,16 +488,13 @@ class DerivationPlan:
         return result
 
     def _combine_columnar(
-        self, node: CombineNode, left, right, dictionary, span,
-        columnar_off: Sequence[str] = (),
+        self, node: CombineNode, left, right, dictionary, span
     ) -> ScrubJayDataset:
         """One combination under columnar execution (same contract as
         :meth:`_transform_columnar`, two inputs)."""
         derivation = node.derivation
         kernel = getattr(derivation, "apply_batched", None)
-        if derivation.op_name in columnar_off:
-            reason = "tuned-off: operator gated off the columnar path"
-        elif kernel is None:
+        if kernel is None:
             reason = "operator has no batch kernel"
         else:
             result = kernel(left, right, dictionary)

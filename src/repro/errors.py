@@ -122,9 +122,8 @@ class ConfigError(ScrubJayError):
     """A configuration knob was rejected at construction time.
 
     Raised by the typed configuration layer (:mod:`repro.config`) for
-    unknown knob names, values of the wrong type, out-of-bounds
-    values, or attempts to tune a pinned/untunable knob. Carries the
-    offending ``knob`` name (when one was identified) so callers and
+    unknown knob names, values of the wrong type, NaN, or
+    out-of-bounds values. Carries the offending ``knob`` name (when one was identified) so callers and
     tests can pinpoint the rejected setting without parsing the
     message.
     """

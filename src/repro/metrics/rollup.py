@@ -158,7 +158,6 @@ class Rollup:
                 pinned_catalog(session, marks),
                 session.dictionary,
                 columnar=session.engine.config.columnar,
-                columnar_off=session.engine.config.columnar_off_ops,
             )
             self.state = metric_partials(base, self.query)
             self.watermarks = marks
@@ -329,7 +328,6 @@ class Rollup:
                     pinned_catalog(session, pinned), deltas,
                     session.dictionary,
                     columnar=session.engine.config.columnar,
-                    columnar_off=session.engine.config.columnar_off_ops,
                 )
                 part = metric_partials(result, self.query)
                 merge_metric_partials(self.state, part, self.query)
@@ -339,7 +337,6 @@ class Rollup:
                     pinned_catalog(session, targets),
                     session.dictionary,
                     columnar=session.engine.config.columnar,
-                    columnar_off=session.engine.config.columnar_off_ops,
                 )
                 self.state = metric_partials(result, self.query)
             self.watermarks = targets

@@ -9,7 +9,7 @@ time, the way Spark's adaptive query execution does:
   statistics (row counts, approximate serialized size, sampled
   distinct-key estimates, heavy-hitter keys) collected driver-side
   from materialized partitions and cached on the RDD;
-- :class:`AdaptiveConfig` — the tuning knobs (broadcast threshold,
+- :class:`AdaptiveConfig` — the adaptive knobs (broadcast threshold,
   target partition size, skew factors, sampling budgets);
 - :class:`AdaptivePlanner` — the decision procedures: broadcast-hash
   vs shuffle join selection, reduce-partition-count selection, and
@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Tuning knobs for statistics-driven execution.
+    """Knobs for statistics-driven execution.
 
     The defaults mirror Spark's: broadcast joins below ~8 MiB, reduce
     partitions sized for thousands of rows each, skew declared when a
@@ -286,7 +286,7 @@ class JoinDecision:
     reason: str
     adaptive: bool = True  # False when forced by an explicit hint
     #: wall-clock seconds the chosen strategy actually took, filled in
-    #: by the scheduler after execution — the tuner's regret input
+    #: by the scheduler after execution
     measured_s: Optional[float] = None
 
     kind = "join"
@@ -321,7 +321,7 @@ class ShuffleDecision:
     skewed_buckets: List[int]
     reason: str
     #: wall-clock seconds for the whole shuffle (map + exchange +
-    #: reduce), filled in by the scheduler — the tuner's regret input
+    #: reduce), filled in by the scheduler
     measured_s: Optional[float] = None
 
     kind = "shuffle"
@@ -464,13 +464,11 @@ class ExecutionReport:
         #: audit trail as the join/shuffle decisions instead of only
         #: in log lines.
         self.cache_stats: Dict[str, Any] = {}
-        #: accumulated span timings (seconds) keyed by span name, e.g.
-        #: ``join.broadcast`` / ``join.shuffle`` / ``shuffle`` — the
-        #: tuner's evidence for cost-model calibration
-        self.timings: Dict[str, float] = {}
 
     def add_timing(self, name: str, seconds: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
+        """Observe one measured span (``join.broadcast`` /
+        ``join.shuffle`` / ``shuffle``) into the ``rdd.timing.*``
+        histograms."""
         if self.metrics is not None:
             self.metrics.observe(f"rdd.timing.{name}", seconds)
 
@@ -510,11 +508,6 @@ class ExecutionReport:
                     "metrics.rollup.decisions",
                     labels={"route": decision.route},
                 )
-            elif decision.kind == "tuning":
-                self.metrics.inc(
-                    "tuning.decisions",
-                    labels={"knob": decision.knob},
-                )
 
     def set_cache_stats(self, stats: Dict[str, Any]) -> None:
         self.cache_stats = dict(stats)
@@ -526,7 +519,6 @@ class ExecutionReport:
     def clear(self) -> None:
         self.decisions.clear()
         self.cache_stats = {}
-        self.timings = {}
 
     def joins(self) -> List[JoinDecision]:
         return [d for d in self.decisions if d.kind == "join"]
@@ -542,11 +534,6 @@ class ExecutionReport:
 
     def rollups(self) -> List[RollupDecision]:
         return [d for d in self.decisions if d.kind == "rollup"]
-
-    def tunings(self) -> List[Any]:
-        """Knob adjustments (:class:`~repro.tuning.TuningDecision`)
-        applied by the online tuner, in order."""
-        return [d for d in self.decisions if d.kind == "tuning"]
 
     def broadcast_joins(self) -> List[JoinDecision]:
         return [d for d in self.joins() if d.strategy == "broadcast"]
@@ -602,7 +589,7 @@ class ExecutionReport:
                 lines.append(
                     f"  delta[{d.op}] -> {d.choice}: {d.reason}"
                 )
-            elif d.kind in ("rollup", "tuning"):
+            elif d.kind == "rollup":
                 lines.append(f"  {d}")
         return "\n".join(lines)
 

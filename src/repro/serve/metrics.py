@@ -76,7 +76,7 @@ class ServiceSnapshot:
     #: delta/replay refresh counters (empty when nothing streams)
     streams: Dict[str, Any] = field(default_factory=dict)
     #: the session's TuningProfile snapshot — effective knob values
-    #: with provenance (default | user-pinned | tuned) and version
+    #: with provenance (default | user-pinned) and version
     profile: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:

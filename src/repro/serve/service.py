@@ -394,16 +394,7 @@ class QueryService:
             clock=clock,
             registry=getattr(session.ctx, "metrics", None),
         )
-        # Tuned knob changes take effect on the live service: the only
-        # serve knob the tuner moves today is the result-cache TTL.
         self._profile = getattr(session, "profile", None)
-        self._profile_listener = None
-        if self._profile is not None:
-            def _on_knob(name, old, new, _svc=self):
-                if name == "serve.result_ttl":
-                    _svc.result_cache.ttl = new
-            self._profile_listener = self._profile.on_change(_on_knob)
-        self._completions_since_observe = 0
 
         self._subs: Dict[str, Subscription] = {}
         self._subs_lock = threading.Lock()
@@ -547,15 +538,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # standing subscriptions (the streaming serve tier)
     # ------------------------------------------------------------------
-
-    def _columnar_opts(self) -> Dict[str, Any]:
-        """The engine's kernel switches, as ``DeltaPlan.execute_*``
-        keyword arguments."""
-        config = self.session.engine.config
-        return {
-            "columnar": config.columnar,
-            "columnar_off": tuple(config.columnar_off_ops),
-        }
 
     def _pinned_catalog(
         self, watermarks: Dict[str, int]
@@ -822,7 +804,7 @@ class QueryService:
         return dplan.execute_full(
             self._pinned_catalog(marks),
             self.session.dictionary,
-            **self._columnar_opts(),
+            columnar=self.session.engine.config.columnar,
         )
 
     @staticmethod
@@ -896,7 +878,7 @@ class QueryService:
         }
         result = sub.delta_plan.execute_delta(
             self._pinned_catalog(pinned), deltas,
-            session.dictionary, **self._columnar_opts(),
+            session.dictionary, columnar=session.engine.config.columnar,
         )
         if delta_rows:
             with self._subs_lock:
@@ -947,6 +929,49 @@ class QueryService:
             self._clock(),
         )
         return True
+
+    # ------------------------------------------------------------------
+    # catalog mutations — the wire ops call these, so a ShardRouter's
+    # replicating overrides apply to remote clients too
+    # ------------------------------------------------------------------
+
+    def register_rows(
+        self,
+        rows: List[Dict[str, Any]],
+        schema,
+        name: str,
+        num_partitions: Optional[int] = None,
+        feed: bool = False,
+    ) -> ScrubJayDataset:
+        """Register ``rows`` as dataset ``name``; ``feed=True`` backs
+        it with a push feed, so :meth:`advance` can grow it."""
+        if not feed:
+            return self.session.register_rows(
+                rows, schema, name, num_partitions
+            )
+        builder = self.session.ingest().feed(schema, rows=rows)
+        if num_partitions:
+            builder = builder.partitions(num_partitions)
+        return builder.tail(name).dataset
+
+    def drop(self, name: str) -> ScrubJayDataset:
+        return self.session.drop(name)
+
+    def define_dimension(
+        self, name: str, continuous: bool, ordered: bool,
+        description: str = "",
+    ):
+        return self.session.define_dimension(
+            name, continuous, ordered, description
+        )
+
+    def define_unit(
+        self, name: str, kind: str, dimension: Optional[str] = None,
+        scale: float = 1.0, offset: float = 0.0,
+    ):
+        return self.session.define_unit(
+            name, kind, dimension, scale, offset
+        )
 
     def invalidate(self) -> None:
         """Explicitly flush both caches (keying already isolates stale
@@ -1005,9 +1030,6 @@ class QueryService:
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop admitting; by default let workers drain queued work,
         otherwise fail queued tickets with :class:`ServiceClosedError`."""
-        if self._profile is not None and self._profile_listener is not None:
-            self._profile.remove_listener(self._profile_listener)
-            self._profile_listener = None
         with self._cond:
             if self._closed:
                 return
@@ -1150,22 +1172,9 @@ class QueryService:
             )
         elif error is None:
             self.metrics.record_completed(latency)
-            self._maybe_observe_cache()
         else:
             self.metrics.record_failed(latency)
         ticket._deliver(result, error, finished)
-
-    def _maybe_observe_cache(self) -> None:
-        """Feed result-cache counters to the session's tuner every few
-        completions, so churn-collapsed hit rates shrink the TTL."""
-        tuner = getattr(self.session, "tuner", None)
-        if tuner is None:
-            return
-        self._completions_since_observe += 1
-        if self._completions_since_observe < 16:
-            return
-        self._completions_since_observe = 0
-        tuner.observe_cache(self.result_cache.stats())
 
     # ------------------------------------------------------------------
     # the actual pipeline: plan cache → engine → result cache → executor

@@ -75,7 +75,6 @@ from repro.analysis.aggregate import (
     finalize_group_partials,
     merge_group_partials,
 )
-from repro.config import diff as profile_diff
 from repro.core.dataset import ScrubJayDataset
 from repro.core.pipeline import LoadNode, ScanNode
 from repro.core.semantics import Schema
@@ -139,10 +138,9 @@ def _shard_profile_state(session) -> Optional[Dict[str, Any]]:
     fleet inconsistent per-shard plans and timings. Everything else
     stays shard-local — the shard's executor comes from
     :class:`ShardConfig`, ``session.cache_dir`` must not collide with
-    the router's on-disk cache, serve knobs arrive via
-    ``service_kwargs``, and shards never run their own tuner
-    (``tuning.*`` stays default-off; the router's closed loop pushes
-    tuned values through ``sync`` instead).
+    the router's on-disk cache, and serve knobs arrive via
+    ``service_kwargs``. The slice is taken once, at fork time: a knob
+    set on the router afterwards stays router-local.
     """
     profile = getattr(session, "profile", None)
     if profile is None:
@@ -155,10 +153,6 @@ def _shard_profile_state(session) -> Optional[Dict[str, Any]]:
     state["values"] = {
         n: v for n, v in state["values"].items() if keep(n)
     }
-    state["provenance"] = {
-        n: p for n, p in state["provenance"].items() if keep(n)
-    }
-    state["pinned"] = [n for n in state["pinned"] if keep(n)]
     return state
 
 
@@ -524,7 +518,6 @@ class ShardRouter(QueryService):
             service_kwargs=dict(shard_service or {}),
             profile=_shard_profile_state(session),
         )
-        self._profile_push_listener = None
         # Fork the fleet *before* the base class starts router worker
         # threads — forking a process with fewer live threads is the
         # safe order, and no query can arrive before __init__ returns.
@@ -561,22 +554,6 @@ class ShardRouter(QueryService):
         except BaseException:
             self.close()
             raise
-        # Closed loop across process boundaries: when the router-side
-        # tuner (or the user) moves a knob, re-push the tuned state so
-        # the fleet keeps planning with the router's thresholds. Best
-        # effort — a dying shard must not crash the tuner's apply path;
-        # the next mutation's sync round re-asserts convergence hard.
-        profile = getattr(session, "profile", None)
-        if profile is not None:
-            def _on_knob_change(name: str, old: Any, new: Any) -> None:
-                try:
-                    self.push_profile()
-                except Exception:
-                    pass
-
-            self._profile_push_listener = profile.on_change(
-                _on_knob_change
-            )
 
     # ------------------------------------------------------------------
     # talking to shards: every exchange is a wire-client method call on
@@ -697,41 +674,14 @@ class ShardRouter(QueryService):
 
     def _refresh_fleet_stamp(self) -> None:
         """Sync every process and require one agreed-on stamp whose
-        state fingerprint matches the router session's.
-
-        The sync request piggybacks the router profile's tuned knob
-        values, so the same round that settles the catalog converges
-        the fleet on one profile: each shard adopts the tuned values
-        (:meth:`~repro.config.TuningProfile.apply_tuned`) and reports
-        its resulting tuned state back, which is checked knob-by-knob
-        with :func:`repro.config.diff` — a shard that silently kept a
-        stale threshold would plan joins differently from the rest of
-        the fleet, so disagreement is a hard :class:`ShardStateError`,
-        not a warning."""
-        profile = getattr(self.session, "profile", None)
-        state = profile.tuned_state() if profile is not None else None
-        stamps = set()
-        profile_versions: Set[int] = set()
-        for handle, out in self._mutate(lambda shard: shard.sync(state)):
-            stamps.add((out["catalog_version"], out["state"]))
-            if state is not None and "profile_version" in out:
-                mismatch = profile_diff(
-                    state["tuned"], out.get("profile_tuned") or {}
-                )
-                if mismatch:
-                    raise ShardStateError(
-                        f"{handle.name} did not adopt the router's "
-                        f"tuned profile: {mismatch}"
-                    )
-                profile_versions.add(int(out["profile_version"]))
+        state fingerprint matches the router session's."""
+        stamps = {
+            (out["catalog_version"], out["state"])
+            for _, out in self._mutate(lambda shard: shard.sync())
+        }
         if len(stamps) != 1:
             raise ShardStateError(
                 f"fleet did not converge after replication: {stamps}"
-            )
-        if len(profile_versions) > 1:
-            raise ShardStateError(
-                "fleet profile versions diverged after sync: "
-                f"{sorted(profile_versions)}"
             )
         stamp = stamps.pop()
         local = self.session.state_fingerprint()
@@ -744,15 +694,6 @@ class ShardRouter(QueryService):
             )
         self._fleet_stamp = stamp
 
-    def push_profile(self) -> None:
-        """Propagate the router profile's tuned knob values to every
-        live shard and re-assert fleet agreement (one profile version,
-        zero knob diff). Called automatically whenever a router-side
-        knob changes; public so tests and operators can force a
-        convergence round."""
-        with self._fleet_lock:
-            self._refresh_fleet_stamp()
-
     # -- mutation surface (apply locally, replicate, re-stamp) ---------
 
     def register_rows(
@@ -761,14 +702,15 @@ class ShardRouter(QueryService):
         schema: Schema,
         name: str,
         num_partitions: Optional[int] = None,
+        feed: bool = False,
         shard_on: Optional[Sequence[str]] = None,
     ):
         """Register a dataset on the router session *and* across the
         fleet. ``shard_on`` hash-partitions it; omitted, it replicates
         whole."""
         with self._fleet_lock:
-            ds = self.session.register_rows(
-                rows, schema, name, num_partitions
+            ds = super().register_rows(
+                rows, schema, name, num_partitions, feed
             )
             if shard_on is not None:
                 self.placement.shard_on[name] = tuple(shard_on)
@@ -1214,12 +1156,6 @@ class ShardRouter(QueryService):
                 pass
 
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
-        listener = getattr(self, "_profile_push_listener", None)
-        if listener is not None:
-            profile = getattr(self.session, "profile", None)
-            if profile is not None:
-                profile.remove_listener(listener)
-            self._profile_push_listener = None
         super().close(drain=drain, timeout=timeout)
         self._stop_fleet()
 

@@ -12,7 +12,7 @@ speaks, kept in step with the dispatcher's handler table by a test)::
     {"op": "hello",  "version": 2}
     {"op": "ping"}
     {"op": "metrics"}
-    {"op": "sync",   "profile": {...}}
+    {"op": "sync"}
     {"op": "trace"}
     {"op": "register", "name": "...", "schema": {...}, "rows": [...],
      "partitions": 4, "feed": false}
@@ -306,23 +306,7 @@ def _op_metrics(service: QueryService, request: _Msg) -> _Msg:
 
 
 def _op_sync(service: QueryService, request: _Msg) -> _Msg:
-    out = _state_stamp(service)
-    # Profile propagation piggybacks on the sync round: the
-    # router sends its tuned knob state, the shard adopts it
-    # (pinned knobs win locally) and echoes its resulting
-    # tuned state + version so the router can assert fleet
-    # agreement. Keys are additive — a client that sends no
-    # profile gets the plain stamp and, when the session has a
-    # profile, the shard's current tuned view.
-    profile = getattr(service.session, "profile", None)
-    if profile is not None:
-        state = request.get("profile")
-        if isinstance(state, dict):
-            profile.apply_tuned(state)
-        echoed = profile.tuned_state()
-        out["profile_version"] = echoed["version"]
-        out["profile_tuned"] = echoed["tuned"]
-    return out
+    return _state_stamp(service)
 
 
 def _op_trace(service: QueryService, request: _Msg) -> _Msg:
@@ -338,33 +322,28 @@ def _op_register(service: QueryService, request: _Msg) -> _Msg:
     rows = decode_rows(
         request.get("rows") or [], schema, service.session.dictionary
     )
-    if request.get("feed"):
-        # Replicating a *live* dataset: back it with a push
-        # feed so later `advance` ops can grow it in place
-        # (the sharded router's feed fan-out path).
-        builder = service.session.ingest().feed(schema, rows=rows)
-        if request.get("partitions"):
-            builder = builder.partitions(int(request["partitions"]))
-        feed = builder.tail(request["name"])
+    name, feed = request["name"], bool(request.get("feed"))
+    # A live dataset is backed by a push feed, so later `advance` ops
+    # can grow it in place (the sharded router's feed fan-out path).
+    service.register_rows(
+        rows, schema, name, request.get("partitions"), feed=feed
+    )
+    if feed:
         return {
             "feed": True,
-            "watermark": feed.watermark,
+            "watermark": service.session.feed(name).watermark,
             **_state_stamp(service),
         }
-    service.session.register_rows(
-        rows, schema, name=request["name"],
-        num_partitions=request.get("partitions"),
-    )
     return _state_stamp(service)
 
 
 def _op_drop(service: QueryService, request: _Msg) -> _Msg:
-    service.session.drop(request["name"])
+    service.drop(request["name"])
     return _state_stamp(service)
 
 
 def _op_define_dimension(service: QueryService, request: _Msg) -> _Msg:
-    service.session.define_dimension(
+    service.define_dimension(
         request["name"],
         bool(request.get("continuous")),
         bool(request.get("ordered")),
@@ -374,7 +353,7 @@ def _op_define_dimension(service: QueryService, request: _Msg) -> _Msg:
 
 
 def _op_define_unit(service: QueryService, request: _Msg) -> _Msg:
-    service.session.define_unit(
+    service.define_unit(
         request["name"],
         request["kind"],
         request.get("dimension"),
@@ -705,21 +684,9 @@ class InProcessClient:
     def metrics(self) -> Dict[str, Any]:
         return self._ok({"op": "metrics"})["metrics"]
 
-    def sync(
-        self, profile: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """The server session's current consistency stamp. ``profile``
-        (a :meth:`~repro.config.TuningProfile.tuned_state` dict) is
-        adopted by the server first; a server with a profile echoes
-        its resulting ``profile_version``/``profile_tuned``."""
-        req: Dict[str, Any] = {"op": "sync"}
-        if profile is not None:
-            req["profile"] = profile
-        resp = self._ok(req)
-        return _stamp(resp, **{
-            k: resp[k]
-            for k in ("profile_version", "profile_tuned") if k in resp
-        })
+    def sync(self) -> Dict[str, Any]:
+        """The server session's current consistency stamp."""
+        return _stamp(self._ok({"op": "sync"}))
 
     def trace(self) -> Dict[str, Any]:
         """The server's span tree as Chrome Trace Event Format JSON."""

@@ -76,17 +76,12 @@ class ScrubJaySession:
         """All scalar knobs live on the ``profile`` (a
         :class:`~repro.config.TuningProfile`) — engine search depths,
         adaptive-execution thresholds, cache sizing, executor kind,
-        retry budgets, serve-tier defaults, and the self-tuner switch::
+        retry budgets, and serve-tier defaults::
 
             sj = ScrubJaySession(TuningProfile(
                 executor_kind="processes", columnar=True,
-                cache_dir="/tmp/sj", tuning_enabled=True,
+                cache_dir="/tmp/sj",
             ))
-
-        Values set on the profile are *user-pinned* — the online tuner
-        (enabled via ``tuning.enabled``) never overrides them. When the
-        profile has a ``session.cache_dir``, tuned knob values persist
-        there and re-load on the next startup.
 
         Rich objects stay keyword arguments: a ready-made ``ctx``
         (:class:`~repro.rdd.context.SJContext`), ``dictionary``,
@@ -103,15 +98,6 @@ class ScrubJaySession:
             )
         self.profile = profile if profile is not None else TuningProfile()
         cache_dir = self.profile.get("session.cache_dir")
-        # Re-load persisted tuned knobs *before* the frozen configs are
-        # derived, so a restarted session starts where tuning left off.
-        self._tuning_path = (
-            os.path.join(cache_dir, "tuning_profile.json")
-            if cache_dir
-            else None
-        )
-        if self._tuning_path and os.path.exists(self._tuning_path):
-            self.profile.load_tuned(self._tuning_path)
 
         if ctx is not None and executor is not None:
             raise ScrubJayError("pass either ctx or executor, not both")
@@ -170,39 +156,23 @@ class ScrubJaySession:
         self.rollups: Dict[str, Any] = {}
         self._rollup_store_obj = None
         self._rollup_dir_owned: Optional[str] = None
-        # The online tuner (ROADMAP item 5): observes the execution
-        # report after each query, adjusts tunable knobs through the
-        # profile. The listener below is what makes those writes take
-        # effect — the frozen EngineConfig/AdaptiveConfig objects the
-        # hot paths read are swapped wholesale on every knob change.
-        self.tuner = None
-        if self.profile.get("tuning.enabled"):
-            from repro.tuning import Tuner
-
-            self.tuner = Tuner(
-                self.profile,
-                self.ctx.report,
-                metrics=self.ctx.metrics,
-                store_path=self._tuning_path,
-            )
+        # Knob writes to a live session take effect: the frozen
+        # EngineConfig/AdaptiveConfig objects the hot paths read are
+        # swapped wholesale on every knob change.
         self._profile_listener = self.profile.on_change(
             self._on_profile_change
         )
 
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the
-        engine and context read, so knob writes (user or tuner) take
-        effect on the next query."""
+        engine and context read, so knob writes take effect on the
+        next query."""
         if name.startswith("adaptive."):
             cfg = self.profile.adaptive_config()
             self.ctx.adaptive = cfg
             self.ctx.planner.config = cfg
         elif name.startswith("engine."):
             self.engine.config = self.profile.engine_config()
-
-    def _observe_tuning(self) -> None:
-        if self.tuner is not None:
-            self.tuner.observe()
 
     # ------------------------------------------------------------------
     # catalog management
@@ -479,22 +449,16 @@ class ScrubJaySession:
                         tracer=tracer,
                         measure=True,
                         columnar=self.engine.config.columnar,
-                        columnar_off=self.engine.config.columnar_off_ops,
                     )
                     if self.cache is not None:
                         self.ctx.report.set_cache_stats(
                             self.cache.stats()
                         )
-                    self._observe_tuning()
         finally:
             tracer.enabled = was_enabled
         lines = [f"EXPLAIN ANALYZE {q}"]
         if decision is not None:
             lines.append(str(decision))
-        # knob adjustments the tuner applied during (or before) this
-        # run are part of the explanation: each one is auditable here
-        for td in self.ctx.report.tunings():
-            lines.append(str(td))
         solve = root.find("solve")
         if solve is not None:
             c = solve.counters
@@ -533,11 +497,9 @@ class ScrubJaySession:
         result = plan.execute(
             self.snapshot(), self.dictionary, self.cache, tracer=tracer,
             columnar=self.engine.config.columnar,
-            columnar_off=self.engine.config.columnar_off_ops,
         )
         if self.cache is not None:
             self.ctx.report.set_cache_stats(self.cache.stats())
-        self._observe_tuning()
         return result
 
     def ask(
@@ -607,11 +569,9 @@ class ScrubJaySession:
             self.snapshot(), self.dictionary, self.cache,
             tracer=tracer, measure=measure,
             columnar=self.engine.config.columnar,
-            columnar_off=self.engine.config.columnar_off_ops,
         )
         if self.cache is not None and report is not None:
             report.set_cache_stats(self.cache.stats())
-        self._observe_tuning()
         parts = metric_partials(dataset, q)
         return MetricAnswer(
             q, finalize_metric(parts, q), decision=decision

@@ -159,7 +159,6 @@ class DeltaPlan:
         delta_datasets: Dict[str, ScrubJayDataset],
         dictionary,
         columnar: bool = False,
-        columnar_off=(),
     ) -> ScrubJayDataset:
         """Execute the plan with changed leaves bound to delta rows.
 
@@ -173,8 +172,7 @@ class DeltaPlan:
         catalog = dict(base_catalog)
         catalog.update(delta_datasets)
         return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar,
-            columnar_off=columnar_off,
+            catalog, dictionary, None, columnar=columnar
         )
 
     def execute_full(
@@ -182,14 +180,12 @@ class DeltaPlan:
         catalog: Dict[str, ScrubJayDataset],
         dictionary,
         columnar: bool = False,
-        columnar_off=(),
     ) -> ScrubJayDataset:
         """Scoped replay: full execution against a catalog whose feed
         inputs the caller has pinned (bounded) at the target
         watermarks — never against live, still-growing sources."""
         return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar,
-            columnar_off=columnar_off,
+            catalog, dictionary, None, columnar=columnar
         )
 
     def record(self, report, decisions: List[DeltaDecision]) -> None:

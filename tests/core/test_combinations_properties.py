@@ -123,7 +123,10 @@ def _oracle_value(samples, at, interpolate):
             return readings[t0]
         return readings[t0] + \
             (readings[t1] - readings[t0]) * (at - t0) / (t1 - t0)
-    return readings[min(readings, key=lambda t: (abs(t - at), t))]
+    # the nearest reading is the closest on one side or the other; a
+    # farther one can only tie it through float rounding of |t - at|
+    closest = ([max(below)] if below else []) + ([min(above)] if above else [])
+    return readings[min(closest, key=lambda t: (abs(t - at), t))]
 
 
 def _oracle_rows(left_rows, right_rows, window):

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from repro import ScrubJaySession
+from repro import Schema, ScrubJaySession
+from repro.core.semantics import domain, value
 from repro.datagen.synthetic import (
     KEYED_LEFT_SCHEMA,
     KEYED_RIGHT_SCHEMA,
@@ -23,7 +24,7 @@ from repro.serve import (
     UnsupportedOpError,
 )
 from repro.serve import wire
-from repro.serve.wire import PROTOCOL_VERSION, SUPPORTED_OPS
+from repro.serve.wire import PROTOCOL_VERSION, SUPPORTED_OPS, WireError
 
 from tests.metrics.conftest import (
     RACK_POWER_SCHEMA,
@@ -36,7 +37,7 @@ ROWS, KEYS = 64, 8
 
 
 class Recording(InProcessClient):
-    """An in-process client that notes each exchange's key sets."""
+    """An in-process client that notes each ok exchange's key sets."""
 
     def __init__(self, service: QueryService) -> None:
         super().__init__(service)
@@ -44,9 +45,10 @@ class Recording(InProcessClient):
 
     def request(self, req):
         resp = super().request(req)
-        self.seen.append(
-            (req["op"], tuple(sorted(req)), tuple(sorted(resp)))
-        )
+        if resp.get("ok"):
+            self.seen.append(
+                (req["op"], tuple(sorted(req)), tuple(sorted(resp)))
+            )
         return resp
 
 
@@ -114,6 +116,33 @@ def _sub_view(sub):
     )
 
 
+#: humidity is a value dimension no dataset of :func:`_session` has, so
+#: a humidity question is answered by the rows registered for it or not
+#: at all
+HUMID_SCHEMA = Schema({
+    "node": domain("compute nodes", "identifier"),
+    "rh": value("humidity", "relative humidity percent"),
+})
+HUMID_ROWS = [{"node": i % 2, "rh": 40.0 + i} for i in range(6)]
+
+
+def _ask(c, sj, dimension):
+    rows, schema = c.query(
+        ["compute nodes"], [dimension], dictionary=sj.dictionary
+    )
+    return row_multiset(rows), schema
+
+
+def _ask_new(c, sj, schema, rows, dimension):
+    """Register ``rows``, ask the ``dimension`` question only they
+    answer, and drop them again: a mutation that skipped the shards
+    fails the question on a fleet."""
+    stamp = c.register_rows(rows, schema, "asked", sj.dictionary)
+    answer = _ask(c, sj, dimension)
+    c.drop("asked")
+    return stamp, answer
+
+
 # -- one scenario per op: (client, session) -> a comparable answer -----
 
 
@@ -122,16 +151,40 @@ def _register(c, sj):
     live = c.register_rows(
         left, KEYED_LEFT_SCHEMA, "extra_feed", sj.dictionary, feed=True
     )
-    static = c.register_rows(left, KEYED_LEFT_SCHEMA, "extra", sj.dictionary)
     c.drop("extra_feed")
-    c.drop("extra")
-    return live, static
+    return live, _ask_new(c, sj, HUMID_SCHEMA, HUMID_ROWS, "humidity")
 
 
 def _drop(c, sj):
-    left, _ = keyed_tables(8, num_keys=2)
-    c.register_rows(left, KEYED_LEFT_SCHEMA, "doomed", sj.dictionary)
-    return c.drop("doomed")
+    c.register_rows(HUMID_ROWS, HUMID_SCHEMA, "doomed", sj.dictionary)
+    before = _ask(c, sj, "humidity")
+    stamp = c.drop("doomed")
+    with pytest.raises(WireError) as err:
+        _ask(c, sj, "humidity")
+    assert err.value.error == "NoSolutionError"
+    return before, stamp
+
+
+def _define_dimension(c, sj):
+    stamp = c.define_dimension(
+        "wire surface dim", False, True, "a test dimension"
+    )
+    schema = Schema({
+        "node": domain("compute nodes", "identifier"),
+        "tag": value("wire surface dim", "label"),
+    })
+    rows = [{"node": i % 2, "tag": f"t{i}"} for i in range(6)]
+    return stamp["state"], _ask_new(c, sj, schema, rows, "wire surface dim")
+
+
+def _define_unit(c, sj):
+    stamp = c.define_unit("wire surface unit", "label")
+    schema = Schema({
+        "node": domain("compute nodes", "identifier"),
+        "rh": value("humidity", "wire surface unit"),
+    })
+    rows = [{"node": i % 2, "rh": f"level {i}"} for i in range(6)]
+    return stamp["state"], _ask_new(c, sj, schema, rows, "humidity")
 
 
 def _aggregate(c, sj):
@@ -214,16 +267,8 @@ SCENARIOS = {
     "trace": (lambda c, sj: sorted(c.trace()), _same),
     "register": (_register, _same),
     "drop": (_drop, _same),
-    "define_dimension": (
-        lambda c, sj: c.define_dimension(
-            "wire surface dim", False, True, "a test dimension"
-        )["state"],
-        _same,
-    ),
-    "define_unit": (
-        lambda c, sj: c.define_unit("wire surface unit", "label")["state"],
-        _same,
-    ),
+    "define_dimension": (_define_dimension, _same),
+    "define_unit": (_define_unit, _same),
     "query": (_query, _same),
     "explain": (lambda c, sj: c.explain(JOIN_DOMAINS, JOIN_VALUES), _same),
     "aggregate": (_aggregate, _aggregate_same),
@@ -251,11 +296,7 @@ WIRE_KEYS = {
     "hello": ([("version",)], [("version",)]),
     "ping": ([()], [("pong",)]),
     "metrics": ([()], [("metrics",)]),
-    "sync": (
-        [(), ("profile",)],
-        [_STAMP, ("catalog_version", "profile_tuned",
-                  "profile_version", "state")],
-    ),
+    "sync": ([()], [_STAMP]),
     "trace": ([()], [("trace",)]),
     "register": (
         [("name", "partitions", "rows", "schema"),

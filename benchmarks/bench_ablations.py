@@ -126,12 +126,12 @@ def test_engine_memoization_plan_invariant(benchmark):
 
 
 def test_map_side_combine_bounds_shuffle_volume(benchmark):
-    """reduceByKey's partial combiners keep the exchanged pair count at
+    """aggregateByKey's partial combiners keep the exchanged pair count at
     (#partitions × #keys), not #records."""
     with SJContext() as ctx:
         rdd = ctx.parallelize(
             [(i % 10, 1) for i in range(100_000)], 8
-        ).reduceByKey(lambda a, b: a + b)
+        ).aggregateByKey(0, lambda a, b: a + b, lambda a, b: a + b)
 
         # count pairs crossing the exchange by instrumenting the
         # scheduler's shuffle directly
@@ -139,7 +139,7 @@ def test_map_side_combine_bounds_shuffle_volume(benchmark):
 
         scheduler = ctx.scheduler
         parent_parts = scheduler.materialize(rdd.parent)
-        n = rdd.num_partitions()
+        n = ctx.default_parallelism
         from repro.rdd.shuffle import hash_bucket
 
         def count_exchanged():

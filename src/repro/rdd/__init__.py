@@ -13,7 +13,9 @@ Public entry points::
 
     ctx = SJContext(executor="processes", num_workers=4)
     rdd = ctx.parallelize(range(1000), num_partitions=8)
-    rdd.map(lambda x: (x % 10, x)).reduceByKey(lambda a, b: a + b).collect()
+    sums = rdd.keyBy(lambda x: x % 10).aggregateByKey(
+        0, lambda acc, x: acc + x, lambda a, b: a + b
+    ).collect()
 """
 
 # Deprecated aliases: the task/executor error family is defined in (and

@@ -118,12 +118,10 @@ class SJContext:
         n = max(1, min(n, max(1, len(items)))) if items else 1
         return SourceRDD(self, split_into_partitions(items, n))
 
-    def emptyRDD(self) -> RDD:
-        return self.parallelize([])
-
     def union(self, rdds: Sequence[RDD]) -> RDD:
+        """Concatenate RDDs' partitions (no shuffle)."""
         if not rdds:
-            return self.emptyRDD()
+            return self.parallelize([])
         return UnionRDD(self, list(rdds))
 
     # ------------------------------------------------------------------

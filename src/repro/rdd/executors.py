@@ -191,14 +191,6 @@ class ThreadExecutor(Executor):
         self._pool.shutdown(wait=True)
 
 
-def _invoke_pickled_task(payload: bytes) -> List[Any]:
-    """Worker-side entry point for the no-fork fallback: unpickle
-    (fn, index, items) and run it. The payload is cloudpickle-serialized
-    to support lambdas and closures."""
-    fn, index, items = cloudpickle.loads(payload)
-    return fn(index, items)
-
-
 # Worker-process-local cache for the per-stage closure broadcast: the
 # driver cloudpickles the stage function ONCE per stage and every task
 # ships the same payload bytes (a cheap memcpy for the stdlib pickler);

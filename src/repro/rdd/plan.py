@@ -36,7 +36,6 @@ the executors (see :mod:`repro.rdd.fault`).
 
 from __future__ import annotations
 
-import bisect
 import logging
 import os
 import time
@@ -52,10 +51,7 @@ from repro.rdd.partition import Partition
 from repro.rdd.rdd import (
     RDD,
     AdaptiveJoinRDD,
-    CoalescedRDD,
     MappedPartitionsRDD,
-    RangePartitionedRDD,
-    RepartitionedRDD,
     ScanRDD,
     ShuffledRDD,
     SourceRDD,
@@ -70,12 +66,6 @@ from repro.rdd.stats import (
 )
 
 logger = logging.getLogger("repro.rdd.plan")
-
-#: per-partition sample budget for range-partition boundary picking;
-#: a fixed cap keeps the driver-side sample bounded regardless of how
-#: rows distribute over partitions (the old stride formula degenerated
-#: to stride 1 — sampling everything — on skewed partition counts)
-RANGE_SAMPLE_BUDGET = 32
 
 #: sentinel tag marking a traced task's return value — a plain string
 #: compared by equality, so it survives any pickle round trip through
@@ -290,16 +280,10 @@ class Scheduler:
             return self._compute_narrow_chain(rdd)
         if isinstance(rdd, UnionRDD):
             return self._compute_union(rdd)
-        if isinstance(rdd, CoalescedRDD):
-            return self._compute_coalesce(rdd)
-        if isinstance(rdd, RepartitionedRDD):
-            return self._compute_repartition(rdd)
         if isinstance(rdd, ShuffledRDD):
             return self._compute_shuffle(rdd)
         if isinstance(rdd, AdaptiveJoinRDD):
             return self._compute_adaptive_join(rdd)
-        if isinstance(rdd, RangePartitionedRDD):
-            return self._compute_range_partition(rdd)
         raise TypeError(f"scheduler cannot materialize {type(rdd).__name__}")
 
     def _compute_scan(self, rdd: ScanRDD) -> List[Partition]:
@@ -469,23 +453,6 @@ class Scheduler:
                 parts.append(Partition(len(parts), list(p.data)))
         return parts
 
-    def _compute_coalesce(self, rdd: CoalescedRDD) -> List[Partition]:
-        parent_parts = self.materialize(rdd.parent)
-        n = rdd.num_partitions()
-        out: List[Partition] = [Partition(i, []) for i in range(n)]
-        for p in parent_parts:
-            out[p.index % n].data.extend(p.data)
-        return out
-
-    def _compute_repartition(self, rdd: RepartitionedRDD) -> List[Partition]:
-        parent_parts = self.materialize(rdd.parent)
-        n = rdd.num_partitions()
-        out: List[Partition] = [Partition(i, []) for i in range(n)]
-        for p in parent_parts:
-            for seq, item in enumerate(p.data):
-                out[(p.index + seq) % n].data.append(item)
-        return out
-
     def _choose_shuffle_partitions(
         self, rdd: ShuffledRDD, parent_parts: List[Partition]
     ) -> tuple:
@@ -638,8 +605,8 @@ class Scheduler:
         broadcast path builds a driver-side hash map from the small
         side and streams the big side through one narrow stage (no
         shuffle, no portable-hash requirement); the fallback reuses
-        the ordinary cogroup join lineage over the materialized
-        inputs.
+        the ordinary :meth:`~repro.rdd.rdd.RDD.join` lineage over the
+        materialized inputs.
         """
         left_parts = self.materialize(rdd.left)
         right_parts = self.materialize(rdd.right)
@@ -650,7 +617,7 @@ class Scheduler:
         if rdd.right._stats is None or rdd.right._stats.distinct_keys is None:
             rdd.right._stats = collect_stats(right_parts, cfg, keyed=True)
         decision: JoinDecision = planner.decide_join(
-            rdd.left._stats, rdd.right._stats, hint=rdd.strategy
+            rdd.left._stats, rdd.right._stats
         )
         join_t0 = time.perf_counter()
         if decision.strategy == "broadcast":
@@ -678,8 +645,8 @@ class Scheduler:
                     ]
             out = self._run_stage(probe, stream_parts, "broadcast-join")
         else:
-            # shuffle fallback: the classic cogroup plan over the
-            # inputs we already hold (SourceRDD wrappers make them
+            # shuffle fallback: the plain join plan over the inputs
+            # we already hold (SourceRDD wrappers make them
             # lineage roots)
             lsrc = SourceRDD(rdd.ctx, left_parts)
             rsrc = SourceRDD(rdd.ctx, right_parts)
@@ -689,50 +656,3 @@ class Scheduler:
         decision.measured_s = dt
         planner.report.add_timing(f"join.{decision.strategy}", dt)
         return out
-
-    def _compute_range_partition(
-        self, rdd: RangePartitionedRDD
-    ) -> List[Partition]:
-        parent_parts = self.materialize(rdd.parent)
-        n = rdd.num_partitions()
-        key_fn = rdd.key_fn
-        ascending = rdd.ascending
-
-        # Sample keys in the driver to pick range boundaries, as
-        # Spark's RangePartitioner does with its sampling job. A fixed
-        # per-partition budget bounds the sample: the old formula
-        # (32 * n // num_partitions) degenerated to stride 1 — sampling
-        # every row — when partitions outnumbered 32 * n, and
-        # oversampled tiny partitions next to huge ones.
-        sample_keys: List[Any] = []
-        for p in parent_parts:
-            if not p.data:
-                continue
-            stride = max(1, -(-len(p.data) // RANGE_SAMPLE_BUDGET))
-            sample_keys.extend(key_fn(x) for x in p.data[::stride])
-        sample_keys.sort()
-        boundaries = [
-            sample_keys[(i + 1) * len(sample_keys) // n]
-            for i in range(n - 1)
-            if sample_keys
-        ]
-
-        def map_task(_index: int, items: List[Any]) -> List[Any]:
-            buckets: List[List[Any]] = [[] for _ in range(n)]
-            for x in items:
-                b = bisect.bisect_right(boundaries, key_fn(x)) if boundaries else 0
-                if not ascending:
-                    b = n - 1 - b
-                buckets[b].append(x)
-            return buckets
-
-        map_out = self._run_stage(map_task, parent_parts, "range-map")
-        shuffle_parts = [
-            Partition(b, [x for mp in map_out for x in mp.data[b]])
-            for b in range(n)
-        ]
-
-        def reduce_task(_index: int, items: List[Any]) -> List[Any]:
-            return sorted(items, key=key_fn, reverse=not ascending)
-
-        return self._run_stage(reduce_task, shuffle_parts, "range-sort")

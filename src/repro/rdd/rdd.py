@@ -2,10 +2,15 @@
 
 Mirrors the Spark RDD programming model the paper builds on (§4.1):
 transformations are *lazy* — they only record lineage — and actions
-(``collect``, ``count``, ``reduce``, …) trigger evaluation. Narrow
-transformations pipeline inside a partition; key-based transformations
-introduce a shuffle and split the lineage into stages (see
-:mod:`repro.rdd.plan` for the scheduler).
+(``collect``, ``count``, ``take``, ``aggregate``) trigger evaluation.
+Narrow transformations pipeline inside a partition; key-based
+transformations introduce a shuffle and split the lineage into stages
+(see :mod:`repro.rdd.plan` for the scheduler).
+
+The surface is what ScrubJay's derivations call: map/filter/flatMap,
+keyBy, the keyed shuffles (``groupByKey``, ``aggregateByKey``, all built
+on ``combineByKey``) and the equi-join (``adaptiveJoin``, with ``join``
+as its shuffle plan).
 
 Rows in ScrubJay are variable-length named tuples, represented here as
 plain dicts; the RDD itself is agnostic to element type.
@@ -13,8 +18,7 @@ plain dicts; the RDD itself is agnostic to element type.
 
 from __future__ import annotations
 
-import builtins
-import random
+import copy
 from typing import (
     Any,
     Callable,
@@ -49,39 +53,6 @@ class RDD:
         self._stats: Optional["RDDStats"] = None
 
     # ------------------------------------------------------------------
-    # lineage interface (overridden by subclasses)
-    # ------------------------------------------------------------------
-
-    def parents(self) -> List["RDD"]:
-        """Immediate lineage parents."""
-        return []
-
-    def num_partitions(self) -> int:
-        raise NotImplementedError
-
-    def toDebugString(self) -> str:
-        """Render the lineage tree, one RDD per line (Spark parity).
-
-        Useful when a fault-tolerance log names a replayed stage and
-        you want to see which lineage it re-executed. Cached RDDs are
-        marked — they are replay barriers: recovery never recomputes
-        above a materialized cache.
-        """
-        lines: List[str] = []
-
-        def walk(rdd: "RDD", depth: int) -> None:
-            mark = " [cached]" if rdd.is_cached else ""
-            lines.append(
-                f"{'  ' * depth}{type(rdd).__name__}"
-                f"[{rdd.num_partitions()}]{mark}"
-            )
-            for parent in rdd.parents():
-                walk(parent, depth + 1)
-
-        walk(self, 0)
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
 
@@ -90,8 +61,6 @@ class RDD:
         self._persist = True
         return self
 
-    cache = persist
-
     def unpersist(self) -> "RDD":
         """Drop any cached partitions and stop caching."""
         self._persist = False
@@ -99,81 +68,30 @@ class RDD:
         self._stats = None
         return self
 
-    @property
-    def is_cached(self) -> bool:
-        return self._cached is not None
-
     # ------------------------------------------------------------------
     # narrow transformations
     # ------------------------------------------------------------------
 
-    def mapPartitionsWithIndex(
-        self, fn: Callable[[int, List[Any]], List[Any]]
-    ) -> "RDD":
-        """Apply ``fn(index, items) -> items`` to each partition."""
-        return MappedPartitionsRDD(self, fn)
-
     def mapPartitions(self, fn: Callable[[List[Any]], List[Any]]) -> "RDD":
-        return self.mapPartitionsWithIndex(lambda _i, items: fn(items))
+        return MappedPartitionsRDD(self, lambda _i, items: fn(items))
 
     def map(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.mapPartitionsWithIndex(
-            lambda _i, items: [fn(x) for x in items]
+        return MappedPartitionsRDD(
+            self, lambda _i, items: [fn(x) for x in items]
         )
 
     def flatMap(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return self.mapPartitionsWithIndex(
-            lambda _i, items: [y for x in items for y in fn(x)]
+        return MappedPartitionsRDD(
+            self, lambda _i, items: [y for x in items for y in fn(x)]
         )
 
     def filter(self, fn: Callable[[Any], bool]) -> "RDD":
-        return self.mapPartitionsWithIndex(
-            lambda _i, items: [x for x in items if fn(x)]
+        return MappedPartitionsRDD(
+            self, lambda _i, items: [x for x in items if fn(x)]
         )
-
-    def glom(self) -> "RDD":
-        """Collapse each partition into a single list element."""
-        return self.mapPartitionsWithIndex(lambda _i, items: [list(items)])
 
     def keyBy(self, fn: Callable[[Any], Any]) -> "RDD":
         return self.map(lambda x: (fn(x), x))
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
-    def mapValues(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda kv: (kv[0], fn(kv[1])))
-
-    def flatMapValues(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return self.flatMap(lambda kv: [(kv[0], v) for v in fn(kv[1])])
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        """Bernoulli sample; deterministic given ``seed``."""
-
-        def _sample(index: int, items: List[Any]) -> List[Any]:
-            rng = random.Random(seed * 1_000_003 + index)
-            return [x for x in items if rng.random() < fraction]
-
-        return self.mapPartitionsWithIndex(_sample)
-
-    # ------------------------------------------------------------------
-    # structural transformations
-    # ------------------------------------------------------------------
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self.ctx, [self, other])
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce partition count without a shuffle."""
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute elements round-robin over ``num_partitions``
-        (incurs a shuffle)."""
-        return RepartitionedRDD(self, num_partitions)
 
     # ------------------------------------------------------------------
     # shuffle (key-based) transformations
@@ -207,13 +125,6 @@ class RDD:
             merge_combiners,
         )
 
-    def reduceByKey(
-        self,
-        fn: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        return self.combineByKey(lambda v: v, fn, fn, num_partitions)
-
     def groupByKey(self, num_partitions: Optional[int] = None) -> "RDD":
         def _extend(acc: List[Any], acc2: List[Any]) -> List[Any]:
             acc.extend(acc2)
@@ -238,8 +149,6 @@ class RDD:
         merge per-partition results with ``comb_fn``. Every key starts
         from its own deep copy of an unhashable (so possibly mutable)
         ``zero``; a hashable one is taken to be immutable and shared."""
-        import copy
-
         try:
             hash(zero)
             create = lambda v: seq_fn(zero, v)
@@ -247,42 +156,18 @@ class RDD:
             create = lambda v: seq_fn(copy.deepcopy(zero), v)
         return self.combineByKey(create, seq_fn, comb_fn, num_partitions)
 
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
-        return (
-            self.map(lambda x: (x, None))
-            .reduceByKey(lambda a, _b: a, num_partitions)
-            .keys()
-        )
+    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
+        """Inner equi-join of keyed RDDs: ``(k, (v_self, v_other))``.
 
-    def subtract(self, other: "RDD",
-                 num_partitions: Optional[int] = None) -> "RDD":
-        """Elements of this RDD absent from ``other`` (duplicates kept).
-
-        Elements must be hashable (they become shuffle keys)."""
-        return (
-            self.map(lambda x: (x, False))
-            .cogroup(other.map(lambda x: (x, True)), num_partitions)
-            .flatMap(
-                lambda kv: [kv[0]] * len(kv[1][0]) if not kv[1][1] else []
-            )
-        )
-
-    def intersection(self, other: "RDD",
-                     num_partitions: Optional[int] = None) -> "RDD":
-        """Distinct elements present in both RDDs."""
-        return (
-            self.map(lambda x: (x, False))
-            .cogroup(other.map(lambda x: (x, True)), num_partitions)
-            .flatMap(
-                lambda kv: [kv[0]] if kv[1][0] and kv[1][1] else []
-            )
-        )
-
-    def cogroup(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Group two keyed RDDs: ``(k, (list_self, list_other))``."""
-        tagged = self.mapValues(lambda v: (0, v)).union(
-            other.mapValues(lambda v: (1, v))
-        )
+        Always the shuffle plan: both sides' values are tagged with
+        their side, grouped per key in one shuffle, and each key's two
+        value lists are crossed. Use :meth:`adaptiveJoin` to let
+        run-time statistics pick broadcast-hash instead.
+        """
+        tagged = UnionRDD(self.ctx, [
+            self.map(lambda kv: (kv[0], (0, kv[1]))),
+            other.map(lambda kv: (kv[0], (1, kv[1]))),
+        ])
 
         def _create(tv: Tuple[int, Any]) -> Tuple[List[Any], List[Any]]:
             pair: Tuple[List[Any], List[Any]] = ([], [])
@@ -300,15 +185,7 @@ class RDD:
 
         return tagged.combineByKey(
             _create, _merge_value, _merge_combiners, num_partitions
-        )
-
-    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        """Inner equi-join of keyed RDDs: ``(k, (v_self, v_other))``.
-
-        Always the shuffle (cogroup) plan. Use :meth:`adaptiveJoin`
-        to let run-time statistics pick broadcast-hash instead.
-        """
-        return self.cogroup(other, num_partitions).flatMap(
+        ).flatMap(
             lambda kv: [
                 (kv[0], (a, b)) for a in kv[1][0] for b in kv[1][1]
             ]
@@ -321,60 +198,12 @@ class RDD:
 
         The scheduler materializes both inputs, collects sampled
         statistics, and picks broadcast-hash (small side shipped whole
-        to every task, no shuffle) or the shuffle cogroup plan —
-        recording the decision in the context's
+        to every task, no shuffle) or the shuffle plan of :meth:`join`
+        — recording the decision in the context's
         :class:`~repro.rdd.stats.ExecutionReport`. Output is identical
         to :meth:`join` up to element order within partitions.
         """
-        return AdaptiveJoinRDD(self, other, num_partitions, "auto")
-
-    def broadcastJoin(self, other: "RDD", build_side: str = "right") -> "RDD":
-        """Inner equi-join forced to the broadcast-hash strategy.
-
-        ``build_side`` names the side materialized into the driver-built
-        hash map (``"right"`` = ``other``); the other side streams.
-        """
-        if build_side not in ("left", "right"):
-            raise ValueError(
-                f"build_side must be 'left' or 'right', got {build_side!r}"
-            )
-        return AdaptiveJoinRDD(self, other, None, f"broadcast-{build_side}")
-
-    def leftOuterJoin(
-        self, other: "RDD", num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return self.cogroup(other, num_partitions).flatMap(
-            lambda kv: [
-                (kv[0], (a, b))
-                for a in kv[1][0]
-                for b in (kv[1][1] or [None])
-            ]
-        )
-
-    def partitionBy(self, num_partitions: int) -> "RDD":
-        """Hash-partition keyed elements so equal keys share a partition."""
-        return self.groupByKey(num_partitions).flatMap(
-            lambda kv: [(kv[0], v) for v in kv[1]]
-        )
-
-    def sortBy(
-        self,
-        key_fn: Callable[[Any], Any],
-        ascending: bool = True,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD":
-        """Globally sort by ``key_fn`` via sampled range partitioning."""
-        return RangePartitionedRDD(
-            self,
-            key_fn,
-            ascending,
-            num_partitions or self.ctx.default_parallelism,
-        )
-
-    def sortByKey(
-        self, ascending: bool = True, num_partitions: Optional[int] = None
-    ) -> "RDD":
-        return self.sortBy(lambda kv: kv[0], ascending, num_partitions)
+        return AdaptiveJoinRDD(self, other, num_partitions)
 
     # ------------------------------------------------------------------
     # actions
@@ -390,11 +219,12 @@ class RDD:
     def count(self) -> int:
         return sum(len(p) for p in self._materialize())
 
-    def isEmpty(self) -> bool:
-        return self.count() == 0
-
     def take(self, n: int) -> List[Any]:
+        """The first ``n`` elements in partition order (none for
+        ``n <= 0``)."""
         out: List[Any] = []
+        if n <= 0:
+            return out
         for p in self._materialize():
             for x in p.data:
                 out.append(x)
@@ -402,44 +232,12 @@ class RDD:
                     return out
         return out
 
-    def first(self) -> Any:
-        taken = self.take(1)
-        if not taken:
-            raise ValueError("first() on an empty RDD")
-        return taken[0]
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        parts = [
-            p.data for p in self._materialize() if p.data
-        ]
-        if not parts:
-            raise ValueError("reduce() on an empty RDD")
-        partials = []
-        for data in parts:
-            acc = data[0]
-            for x in data[1:]:
-                acc = fn(acc, x)
-            partials.append(acc)
-        acc = partials[0]
-        for x in partials[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def fold(self, zero: Any, fn: Callable[[Any, Any], Any]) -> Any:
-        acc = zero
-        for p in self._materialize():
-            for x in p.data:
-                acc = fn(acc, x)
-        return acc
-
     def aggregate(
         self,
         zero: Any,
         seq_fn: Callable[[Any, Any], Any],
         comb_fn: Callable[[Any, Any], Any],
     ) -> Any:
-        import copy
-
         partials = []
         for p in self._materialize():
             acc = copy.deepcopy(zero)
@@ -450,71 +248,6 @@ class RDD:
         for partial in partials:
             acc = comb_fn(acc, partial)
         return acc
-
-    def sum(self) -> Any:
-        return self.fold(0, lambda a, b: a + b)
-
-    def min(self) -> Any:
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def max(self) -> Any:
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def mean(self) -> float:
-        total, n = self.aggregate(
-            (0.0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        if n == 0:
-            raise ValueError("mean() on an empty RDD")
-        return total / n
-
-    def countByKey(self) -> Dict[Any, int]:
-        out: Dict[Any, int] = {}
-        for k, _v in self.collect():
-            out[k] = out.get(k, 0) + 1
-        return out
-
-    def countByValue(self) -> Dict[Any, int]:
-        out: Dict[Any, int] = {}
-        for x in self.collect():
-            out[x] = out.get(x, 0) + 1
-        return out
-
-    def lookup(self, key: Any) -> List[Any]:
-        """All values whose key equals ``key``."""
-        return self.filter(lambda kv: kv[0] == key).values().collect()
-
-    def foreach(self, fn: Callable[[Any], None]) -> None:
-        for x in self.collect():
-            fn(x)
-
-    def zipWithIndex(self) -> "RDD":
-        """Pair each element with its global index.
-
-        Materializes this RDD eagerly (partition sizes are needed to
-        assign offsets), like Spark's extra job for the same op.
-        """
-        parts = self._materialize()
-        offset = 0
-        new_parts: List[Partition] = []
-        for p in parts:
-            new_parts.append(
-                Partition(
-                    p.index,
-                    [(x, offset + i) for i, x in enumerate(p.data)],
-                )
-            )
-            offset += len(p.data)
-        return SourceRDD(self.ctx, new_parts)
-
-    def top(self, n: int, key_fn: Optional[Callable[[Any], Any]] = None) -> List[Any]:
-        """The ``n`` largest elements, descending."""
-        return sorted(self.collect(), key=key_fn, reverse=True)[:n]
-
-    def getNumPartitions(self) -> int:
-        return self.num_partitions()
 
     # ------------------------------------------------------------------
     # statistics
@@ -527,8 +260,7 @@ class RDD:
         extra stages) and cached on the RDD; the scheduler also fills
         the cache when a persisted RDD first materializes. With
         ``keyed=True`` the elements are treated as ``(key, value)``
-        pairs and a sampled key census adds distinct/heavy-hitter
-        estimates.
+        pairs and a sampled key census adds a distinct-key estimate.
         """
         from repro.rdd.stats import collect_stats
 
@@ -549,9 +281,6 @@ class SourceRDD(RDD):
     def __init__(self, ctx: "SJContext", partitions: List[Partition]) -> None:
         super().__init__(ctx)
         self.partitions = partitions
-
-    def num_partitions(self) -> int:
-        return len(self.partitions)
 
 
 class ScanRDD(RDD):
@@ -598,9 +327,6 @@ class ScanRDD(RDD):
             batched=self.batched,
         )
 
-    def num_partitions(self) -> int:
-        return max(1, self.source.num_partitions())
-
 
 class MappedPartitionsRDD(RDD):
     """Narrow transformation: one output partition per parent partition."""
@@ -612,12 +338,6 @@ class MappedPartitionsRDD(RDD):
         self.parent = parent
         self.fn = fn
 
-    def parents(self) -> List[RDD]:
-        return [self.parent]
-
-    def num_partitions(self) -> int:
-        return self.parent.num_partitions()
-
 
 class UnionRDD(RDD):
     """Concatenation of several RDDs' partitions (no shuffle)."""
@@ -625,46 +345,6 @@ class UnionRDD(RDD):
     def __init__(self, ctx: "SJContext", rdds: List[RDD]) -> None:
         super().__init__(ctx)
         self.rdds = rdds
-
-    def parents(self) -> List[RDD]:
-        return list(self.rdds)
-
-    def num_partitions(self) -> int:
-        return sum(r.num_partitions() for r in self.rdds)
-
-
-class CoalescedRDD(RDD):
-    """Merge parent partitions into fewer, without moving data by key."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(parent.ctx)
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        self.parent = parent
-        self._n = num_partitions
-
-    def parents(self) -> List[RDD]:
-        return [self.parent]
-
-    def num_partitions(self) -> int:
-        return builtins.min(self._n, builtins.max(1, self.parent.num_partitions()))
-
-
-class RepartitionedRDD(RDD):
-    """Round-robin redistribution over ``num_partitions`` (a shuffle)."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(parent.ctx)
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        self.parent = parent
-        self._n = num_partitions
-
-    def parents(self) -> List[RDD]:
-        return [self.parent]
-
-    def num_partitions(self) -> int:
-        return self._n
 
 
 class ShuffledRDD(RDD):
@@ -691,24 +371,16 @@ class ShuffledRDD(RDD):
         self.merge_value = merge_value
         self.merge_combiners = merge_combiners
 
-    def parents(self) -> List[RDD]:
-        return [self.parent]
-
-    def num_partitions(self) -> int:
-        # the auto case is an estimate; the scheduler picks the actual
-        # count from input statistics at materialization time
-        return self._n or self.ctx.default_parallelism
-
 
 class AdaptiveJoinRDD(RDD):
     """Inner equi-join whose physical strategy is decided at run time.
 
-    Lineage stays lazy: the node only records its two keyed parents
-    and a strategy hint. When the scheduler materializes it, both
-    parents are computed, sampled statistics are collected (and cached
-    on the parents), and the context's planner picks broadcast-hash or
-    shuffle — after the inputs exist, so the decision sees actual
-    sizes, the way Spark AQE re-plans between stages.
+    Lineage stays lazy: the node only records its two keyed parents.
+    When the scheduler materializes it, both parents are computed,
+    sampled statistics are collected (and cached on the parents), and
+    the context's planner picks broadcast-hash or shuffle — after the
+    inputs exist, so the decision sees actual sizes, the way Spark AQE
+    re-plans between stages.
     """
 
     def __init__(
@@ -716,43 +388,8 @@ class AdaptiveJoinRDD(RDD):
         left: RDD,
         right: RDD,
         num_partitions: Optional[int] = None,
-        strategy: str = "auto",
     ) -> None:
         super().__init__(left.ctx)
         self.left = left
         self.right = right
         self._n = num_partitions
-        #: "auto" | "broadcast-left" | "broadcast-right" | "shuffle"
-        self.strategy = strategy
-
-    def parents(self) -> List[RDD]:
-        return [self.left, self.right]
-
-    def num_partitions(self) -> int:
-        # an estimate: the actual count depends on the chosen strategy
-        # (broadcast preserves the stream side's partitioning; shuffle
-        # repartitions) and is only known once materialized
-        return builtins.max(1, self.left.num_partitions())
-
-
-class RangePartitionedRDD(RDD):
-    """Global sort: sample key boundaries, range-shuffle, sort buckets."""
-
-    def __init__(
-        self,
-        parent: RDD,
-        key_fn: Callable[[Any], Any],
-        ascending: bool,
-        num_partitions: int,
-    ) -> None:
-        super().__init__(parent.ctx)
-        self.parent = parent
-        self.key_fn = key_fn
-        self.ascending = ascending
-        self._n = num_partitions
-
-    def parents(self) -> List[RDD]:
-        return [self.parent]
-
-    def num_partitions(self) -> int:
-        return self._n

@@ -5,10 +5,10 @@ joins pay for the exchange, not the map work. This module provides the
 pieces that let the scheduler avoid or tune those exchanges at run
 time, the way Spark's adaptive query execution does:
 
-- :class:`PartitionStats` / :class:`RDDStats` — lightweight sampled
-  statistics (row counts, approximate serialized size, sampled
-  distinct-key estimates, heavy-hitter keys) collected driver-side
-  from materialized partitions and cached on the RDD;
+- :class:`RDDStats` — lightweight sampled statistics (row counts,
+  approximate serialized size, a sampled distinct-key estimate)
+  collected driver-side from materialized partitions and cached on
+  the RDD;
 - :class:`AdaptiveConfig` — the adaptive knobs (broadcast threshold,
   target partition size, skew factors, sampling budgets);
 - :class:`AdaptivePlanner` — the decision procedures: broadcast-hash
@@ -29,7 +29,7 @@ cost time but never correctness.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -41,7 +41,6 @@ __all__ = [
     "ExecutionReport",
     "JoinDecision",
     "KernelDecision",
-    "PartitionStats",
     "RDDStats",
     "ShuffleDecision",
     "collect_stats",
@@ -99,45 +98,19 @@ DEFAULT_ADAPTIVE_CONFIG = AdaptiveConfig()
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    """Sampled statistics for one partition."""
-
-    index: int
-    rows: int
-    sampled_rows: int
-    approx_bytes: int
-
-
 @dataclass
 class RDDStats:
     """Aggregated sampled statistics for one materialized RDD.
 
-    ``distinct_keys`` and ``hot_keys`` are only present when the stats
-    were collected with ``keyed=True`` over ``(key, value)`` elements;
-    ``distinct_keys`` is an estimate scaled up from the key sample and
-    capped at ``total_rows``.
+    ``distinct_keys`` is only present when the stats were collected
+    with ``keyed=True`` over ``(key, value)`` elements; it is an
+    estimate scaled up from the key sample and capped at
+    ``total_rows``.
     """
 
-    partitions: List[PartitionStats]
     total_rows: int
     approx_bytes: int
     distinct_keys: Optional[int] = None
-    #: sampled frequency (0..1) of keys dominating the key sample
-    hot_keys: Dict[Any, float] = field(default_factory=dict)
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "partitions": self.num_partitions,
-            "total_rows": self.total_rows,
-            "approx_bytes": self.approx_bytes,
-            "distinct_keys": self.distinct_keys,
-            "hot_keys": {repr(k): v for k, v in self.hot_keys.items()},
-        }
 
 
 def _approx_size(obj: Any, depth: int = 0) -> int:
@@ -190,15 +163,14 @@ def collect_stats(
     Runs driver-side over the partitions the scheduler already holds,
     so it adds no stages and no executor round-trips. With
     ``keyed=True``, elements are treated as ``(key, value)`` pairs and
-    a key census is sampled for distinct/heavy-hitter estimates; the
+    a key census is sampled for the distinct-key estimate; the
     census degrades gracefully (``distinct_keys=None``) when elements
     are not pairs or keys are unhashable.
     """
     cfg = config or DEFAULT_ADAPTIVE_CONFIG
-    per_part: List[PartitionStats] = []
     total_rows = 0
     total_bytes = 0
-    key_counts: Optional[Dict[Any, int]] = {} if keyed else None
+    seen_keys: Optional[set] = set() if keyed else None
     keys_sampled = 0
     key_budget = max(
         16, cfg.stats_key_budget // max(1, len(partitions))
@@ -209,39 +181,30 @@ def collect_stats(
             # Columnar partitions: logical rows and exact byte counts
             # come straight off the batches — no sampling, no census
             # (batches are not (key, value) pairs).
-            rows = count_rows(p.data)
-            total_rows += rows
-            approx = sum(b.approx_bytes() for b in p.data)
-            total_bytes += approx
-            per_part.append(PartitionStats(p.index, rows, rows, approx))
+            total_rows += count_rows(p.data)
+            total_bytes += sum(b.approx_bytes() for b in p.data)
             continue
         rows = len(p.data)
         total_rows += rows
         if rows == 0:
-            per_part.append(PartitionStats(p.index, 0, 0, 0))
             continue
         stride = _sample_stride(rows, cfg.stats_sample_rows)
         sample = p.data[::stride]
         sampled_bytes = sum(_approx_size(x) for x in sample)
-        approx = sampled_bytes * rows // len(sample)
-        total_bytes += approx
-        per_part.append(
-            PartitionStats(p.index, rows, len(sample), approx)
-        )
-        if key_counts is not None:
+        total_bytes += sampled_bytes * rows // len(sample)
+        if seen_keys is not None:
             kstride = _sample_stride(rows, key_budget)
             try:
                 for item in p.data[::kstride]:
                     k, _v = item
-                    key_counts[k] = key_counts.get(k, 0) + 1
+                    seen_keys.add(k)
                     keys_sampled += 1
             except (TypeError, ValueError):
-                key_counts = None  # not (key, value) pairs / unhashable
+                seen_keys = None  # not (key, value) pairs / unhashable
 
     distinct: Optional[int] = None
-    hot: Dict[Any, float] = {}
-    if key_counts is not None and keys_sampled:
-        distinct_sampled = len(key_counts)
+    if seen_keys is not None and keys_sampled:
+        distinct_sampled = len(seen_keys)
         if keys_sampled >= total_rows:
             distinct = distinct_sampled
         else:
@@ -252,17 +215,10 @@ def collect_stats(
                     distinct_sampled * total_rows // keys_sampled,
                 ),
             )
-        hot = {
-            k: c / keys_sampled
-            for k, c in key_counts.items()
-            if c / keys_sampled >= 0.2 and c > 1
-        }
     return RDDStats(
-        partitions=per_part,
         total_rows=total_rows,
         approx_bytes=total_bytes,
         distinct_keys=distinct,
-        hot_keys=hot,
     )
 
 
@@ -284,7 +240,7 @@ class JoinDecision:
     right_bytes: int
     threshold_bytes: int
     reason: str
-    adaptive: bool = True  # False when forced by an explicit hint
+    adaptive: bool = True  # False when adaptive execution is disabled
     #: wall-clock seconds the chosen strategy actually took, filled in
     #: by the scheduler after execution
     measured_s: Optional[float] = None
@@ -312,7 +268,7 @@ class JoinDecision:
 class ShuffleDecision:
     """One shuffle's tuning outcome: partition count and skew handling."""
 
-    origin: str  # "shuffle" | "range" — which scheduler path
+    origin: str  # "shuffle" — which scheduler path
     requested_partitions: Optional[int]  # None = caller left it to stats
     chosen_partitions: int
     output_partitions: int  # after skew splitting
@@ -629,15 +585,12 @@ class AdaptivePlanner:
         self,
         left: RDDStats,
         right: RDDStats,
-        hint: str = "auto",
         op: str = "join",
     ) -> JoinDecision:
         """Choose broadcast-hash vs shuffle for an equi-join.
 
-        ``hint`` may force a strategy (``"broadcast-left"``,
-        ``"broadcast-right"``, ``"shuffle"``); ``"auto"`` consults the
-        statistics: the smaller side is broadcast when it fits under
-        both broadcast thresholds, otherwise the join shuffles.
+        The smaller side is broadcast when it fits under both broadcast
+        thresholds, otherwise the join shuffles.
         """
         cfg = self.config
 
@@ -657,12 +610,6 @@ class AdaptivePlanner:
             self.report.add(d)
             return d
 
-        if hint == "broadcast-left":
-            return decision("broadcast", "left", "forced by hint", False)
-        if hint == "broadcast-right":
-            return decision("broadcast", "right", "forced by hint", False)
-        if hint == "shuffle":
-            return decision("shuffle", None, "forced by hint", False)
         if not cfg.enabled:
             return decision("shuffle", None, "adaptive-disabled", False)
 
@@ -701,12 +648,11 @@ class AdaptivePlanner:
         runs no shuffle at all.
         """
         cfg = self.config
-        empty = RDDStats(partitions=[], total_rows=0, approx_bytes=0)
         if not cfg.enabled:
             d = JoinDecision(
                 op=op, strategy="shuffle", build_side=None,
                 left_rows=0, right_rows=bin_side.total_rows,
-                left_bytes=empty.approx_bytes,
+                left_bytes=0,
                 right_bytes=bin_side.approx_bytes,
                 threshold_bytes=cfg.broadcast_threshold_bytes,
                 reason="adaptive-disabled", adaptive=False,

@@ -1,10 +1,10 @@
 """Equivalence property tests for the adaptive join paths.
 
 The acceptance contract for adaptive execution: every physical
-strategy (broadcast-hash, shuffle, and the nested-loop oracle) must
-produce the same multiset of joined pairs, on every executor kind —
-including one that injects faults. A bad statistic may cost time, never
-correctness.
+strategy (broadcast-hash building either side, shuffle, and the
+nested-loop oracle) must produce the same multiset of joined pairs, on
+every executor kind — including one that injects faults. A bad
+statistic may cost time, never correctness.
 """
 
 from __future__ import annotations
@@ -72,21 +72,38 @@ def _make_pairs(dist, seed=0, n_left=300, n_right=40, n_keys=25):
 # strategy x strategy equivalence on the serial executor
 # ----------------------------------------------------------------------
 
+def _auto_join(left, right, **ctx_args):
+    """Run one auto-decided adaptive join: (result multiset, decision)."""
+    with SJContext(executor="serial", default_parallelism=4,
+                   **ctx_args) as ctx:
+        got = Counter(
+            ctx.parallelize(left, 5)
+            .adaptiveJoin(ctx.parallelize(right, 3))
+            .collect()
+        )
+        return got, ctx.report.joins()[-1]
+
+
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
 def test_all_strategies_match_nested_loop_oracle(dist):
-    left, right = _make_pairs(dist)
-    oracle = nested_loop_join(left, right)
+    big, small = _make_pairs(dist)
     with SJContext(executor="serial", default_parallelism=4) as ctx:
-        l = ctx.parallelize(left, 5)
-        r = ctx.parallelize(right, 3)
-        shuffle = Counter(l.join(r).collect())
-        adaptive = Counter(l.adaptiveJoin(r).collect())
-        bc_right = Counter(l.broadcastJoin(r, "right").collect())
-        bc_left = Counter(l.broadcastJoin(r, "left").collect())
-    assert shuffle == oracle
-    assert adaptive == oracle
-    assert bc_right == oracle
-    assert bc_left == oracle
+        shuffle = Counter(
+            ctx.parallelize(big, 5).join(ctx.parallelize(small, 3))
+            .collect()
+        )
+    assert shuffle == nested_loop_join(big, small)
+    # the planner builds whichever side is smaller, so swapping the
+    # inputs exercises both probes; threshold 0 forces the shuffle
+    cases = [
+        (big, small, {}, ("broadcast", "right")),
+        (small, big, {}, ("broadcast", "left")),
+        (big, small, {"broadcast_threshold": 0}, ("shuffle", None)),
+    ]
+    for left, right, ctx_args, chosen in cases:
+        got, d = _auto_join(left, right, **ctx_args)
+        assert (d.strategy, d.build_side) == chosen
+        assert got == nested_loop_join(left, right)
 
 
 def test_adaptive_join_prefers_broadcast_for_small_side():
@@ -116,24 +133,13 @@ def test_adaptive_join_falls_back_to_shuffle_over_threshold():
     assert got == nested_loop_join(left, right)
 
 
-def test_forced_broadcast_ignores_threshold():
-    left, right = _make_pairs("uniform")
-    with SJContext(
-        executor="serial", default_parallelism=4, broadcast_threshold=0
-    ) as ctx:
-        l = ctx.parallelize(left, 5)
-        r = ctx.parallelize(right, 3)
-        got = Counter(l.broadcastJoin(r, "right").collect())
-        d = ctx.report.joins()[-1]
-    assert (d.strategy, d.adaptive) == ("broadcast", False)
-    assert got == nested_loop_join(left, right)
-
-
-def test_broadcast_join_rejects_bad_build_side():
-    with SJContext(executor="serial") as ctx:
-        l = ctx.parallelize([(1, 1)])
-        with pytest.raises(ValueError):
-            l.broadcastJoin(l, "sideways")
+def test_adaptive_join_builds_left_when_left_is_smaller():
+    big, small = _make_pairs("uniform")
+    got, d = _auto_join(small, big)
+    assert (d.strategy, d.build_side, d.adaptive) == \
+        ("broadcast", "left", True)
+    # the left-build probe must keep (left value, right value) order
+    assert got == nested_loop_join(small, big)
 
 
 def test_adaptive_join_with_empty_sides():

@@ -84,8 +84,8 @@ def test_spawn_pool_pickles_closure_once_per_stage():
         pairs = [(i % 5, i) for i in range(100)]
         got = dict(
             ctx.parallelize(pairs, 8)
-            .mapValues(lambda v: v * 2)
-            .reduceByKey(operator.add, 4)
+            .map(lambda kv: (kv[0], kv[1] * 2))
+            .aggregateByKey(0, operator.add, operator.add, 4)
             .collect()
         )
         want: dict = {}

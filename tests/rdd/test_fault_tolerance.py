@@ -127,7 +127,6 @@ def _invariant_ops(ctx):
         "filter": ctx.parallelize(DATA, 5).filter(lambda x: x % 3).collect(),
         "flatMap": ctx.parallelize(DATA[:10], 3)
                       .flatMap(lambda x: [x, -x]).collect(),
-        "reduceByKey": sorted(pairs.reduceByKey(add).collect()),
         "groupByKey": sorted(
             (k, tuple(v)) for k, v in pairs.groupByKey().collect()
         ),
@@ -135,23 +134,12 @@ def _invariant_ops(ctx):
             pairs.aggregateByKey(0, add, add).collect()
         ),
         "join": sorted(pairs.join(other).collect()),
-        "cogroup": sorted(
-            (k, tuple(a), tuple(b))
-            for k, (a, b) in pairs.cogroup(other).collect()
-        ),
-        "distinct": sorted(
-            ctx.parallelize([x % 5 for x in DATA], 4).distinct().collect()
-        ),
-        "sortBy": ctx.parallelize(DATA, 4)
-                     .sortBy(lambda x: -x).collect(),
-        "union": ctx.parallelize(DATA[:5], 2)
-                    .union(ctx.parallelize(DATA[5:10], 2)).collect(),
-        "repartition": sorted(
-            ctx.parallelize(DATA, 6).repartition(3).collect()
-        ),
+        "adaptiveJoin": sorted(pairs.adaptiveJoin(other).collect()),
+        "union": ctx.union([
+            ctx.parallelize(DATA[:5], 2), ctx.parallelize(DATA[5:10], 2),
+        ]).collect(),
         "count": ctx.parallelize(DATA, 5).count(),
-        "sum": ctx.parallelize(DATA, 5).sum(),
-        "reduce": ctx.parallelize(DATA, 5).reduce(add),
+        "aggregate": ctx.parallelize(DATA, 5).aggregate(0, add, add),
         "take": ctx.parallelize(DATA, 5).take(7),
     }
 
@@ -196,7 +184,9 @@ def test_fault_schedule_is_deterministic():
             kill_tasks_per_stage=2,
         )
         with SJContext(executor=inj, default_parallelism=4) as ctx:
-            ctx.parallelize(PAIRS, 5).reduceByKey(operator.add).collect()
+            ctx.parallelize(PAIRS, 5).aggregateByKey(
+                0, operator.add, operator.add
+            ).collect()
         return inj.injected_task_faults
 
     assert run() == run() > 0
@@ -221,7 +211,7 @@ def test_injected_faults_outlasting_budget_become_fatal():
 
 @pytest.mark.parametrize("dead_stage", [0, 1, 2])
 def test_pool_death_recovers_via_stage_replay(dead_stage):
-    # a reduceByKey job is three stages: narrow, shuffle-map,
+    # an aggregateByKey job is three stages: narrow, shuffle-map,
     # shuffle-reduce; killing any of them must not change the result
     inj = FaultInjectingExecutor(
         SerialExecutor(RetryPolicy(**FAST)),
@@ -231,14 +221,14 @@ def test_pool_death_recovers_via_stage_replay(dead_stage):
         got = sorted(
             ctx.parallelize(PAIRS, 4)
             .map(lambda kv: (kv[0], kv[1] * 10))
-            .reduceByKey(operator.add)
+            .aggregateByKey(0, operator.add, operator.add)
             .collect()
         )
     with SJContext(executor="serial", default_parallelism=4) as ctx:
         expected = sorted(
             ctx.parallelize(PAIRS, 4)
             .map(lambda kv: (kv[0], kv[1] * 10))
-            .reduceByKey(operator.add)
+            .aggregateByKey(0, operator.add, operator.add)
             .collect()
         )
     assert got == expected
@@ -294,7 +284,7 @@ def test_real_pool_death_recovers_via_lineage_replay(tmp_path):
         assert out == [x * 2 for x in range(20)]
         assert not ctx.executor.degraded
         # the pool is healthy again for the next job
-        assert ctx.parallelize(range(10), 2).sum() == 45
+        assert sum(ctx.parallelize(range(10), 2).collect()) == 45
 
 
 def _die_n_times_then_increment(marker_dir, n):
@@ -348,12 +338,13 @@ def test_degraded_executor_keeps_serving_jobs(tmp_path):
         assert out == [x + 1 for x in range(8)]
         assert ex.degraded
         # subsequent jobs run serially, still correctly
-        assert ctx.parallelize(range(10), 2).sum() == 45
+        assert sum(ctx.parallelize(range(10), 2).collect()) == 45
         assert sorted(
-            ctx.parallelize(PAIRS, 3).reduceByKey(operator.add).collect()
+            ctx.parallelize(PAIRS, 3)
+            .aggregateByKey(0, operator.add, operator.add).collect()
         ) == sorted(
             SJContext(executor="serial").parallelize(PAIRS, 3)
-            .reduceByKey(operator.add).collect()
+            .aggregateByKey(0, operator.add, operator.add).collect()
         )
 
 
@@ -405,17 +396,6 @@ def test_fault_injector_reset_restarts_schedule():
         inj.reset()
         ctx.parallelize(DATA, 2).map(lambda x: x).collect()
     assert inj.injected_task_faults == first > 0
-
-
-def test_to_debug_string_shows_lineage(ctx):
-    rdd = (
-        ctx.parallelize(PAIRS, 3)
-        .mapValues(lambda v: v + 1)
-        .reduceByKey(operator.add)
-    )
-    text = rdd.toDebugString()
-    assert "ShuffledRDD" in text and "SourceRDD" in text
-    assert "MappedPartitionsRDD" in text
 
 
 def test_default_policy_adds_retry_wrapper_and_noop_otherwise():

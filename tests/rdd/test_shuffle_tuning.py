@@ -1,10 +1,9 @@
 """Shuffle tuning: auto partition counts, skew splitting, hash
-memoization, range sampling, and the union defensive copy."""
+memoization, and the union defensive copy."""
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 
 import pytest
 
@@ -24,7 +23,9 @@ def ctx():
 
 def test_explicit_partition_count_is_respected(ctx):
     pairs = [(i % 10, 1) for i in range(200)]
-    r = ctx.parallelize(pairs, 4).reduceByKey(operator.add, 7)
+    r = ctx.parallelize(pairs, 4).aggregateByKey(
+        0, operator.add, operator.add, 7
+    )
     assert len(r._materialize()) == 7
     d = ctx.report.shuffles()[-1]
     assert d.requested_partitions == 7
@@ -38,7 +39,8 @@ def test_auto_partition_count_from_stats():
                    adaptive=cfg) as ctx:
         pairs = [(i, 1) for i in range(400)]  # 400 distinct keys
         got = dict(ctx.parallelize(pairs, 4)
-                   .reduceByKey(operator.add).collect())
+                   .aggregateByKey(0, operator.add, operator.add)
+                   .collect())
         d = ctx.report.shuffles()[-1]
     assert got == {i: 1 for i in range(400)}
     assert d.requested_partitions is None
@@ -52,7 +54,8 @@ def test_auto_partition_count_capped_by_distinct_keys():
                    adaptive=cfg) as ctx:
         pairs = [(i % 3, 1) for i in range(300)]  # only 3 keys
         got = dict(ctx.parallelize(pairs, 4)
-                   .reduceByKey(operator.add).collect())
+                   .aggregateByKey(0, operator.add, operator.add)
+                   .collect())
         d = ctx.report.shuffles()[-1]
     assert got == {0: 100, 1: 100, 2: 100}
     assert d.chosen_partitions <= 3
@@ -62,7 +65,7 @@ def test_disabled_adaptive_uses_default_parallelism():
     with SJContext(executor="serial", default_parallelism=6,
                    adaptive=AdaptiveConfig(enabled=False)) as ctx:
         ctx.parallelize([(i, 1) for i in range(50)], 4) \
-            .reduceByKey(operator.add).collect()
+            .aggregateByKey(0, operator.add, operator.add).collect()
         d = ctx.report.shuffles()[-1]
     assert d.chosen_partitions == 6
     assert d.reason == "default-parallelism"
@@ -72,8 +75,8 @@ def test_shuffle_volume_reflects_map_side_combine(ctx):
     # 1000 records, 5 distinct keys, 4 map partitions: at most 20
     # combined pairs cross the exchange
     pairs = [(i % 5, 1) for i in range(1000)]
-    got = dict(ctx.parallelize(pairs, 4).reduceByKey(operator.add)
-               .collect())
+    got = dict(ctx.parallelize(pairs, 4)
+               .aggregateByKey(0, operator.add, operator.add).collect())
     assert got == {k: 200 for k in range(5)}
     d = ctx.report.shuffles()[-1]
     assert d.input_rows == 1000
@@ -128,12 +131,13 @@ def test_single_hot_key_is_not_split():
 
 
 def test_skew_split_keeps_equal_keys_together():
-    # reduceByKey over a split bucket only merges correctly if equal
+    # a keyed sum over a split bucket only merges correctly if equal
     # keys land in the same sub-bucket: 16 hot keys, all multiples of
     # 4, each repeated 125 times
     pairs = [(4 * (i % 16), 1) for i in range(2000)]
     with _skew_ctx() as ctx:
-        got = dict(ctx.parallelize(pairs, 5).reduceByKey(operator.add, 4)
+        got = dict(ctx.parallelize(pairs, 5)
+                   .aggregateByKey(0, operator.add, operator.add, 4)
                    .collect())
         d = ctx.report.shuffles()[-1]
     assert got == {4 * k: 125 for k in range(16)}
@@ -163,8 +167,8 @@ def test_composite_key_shuffle_matches_driver_oracle(ctx):
     want: dict = {}
     for k, v in pairs:
         want[k] = want.get(k, 0) + v
-    got = dict(ctx.parallelize(pairs, 6).reduceByKey(operator.add)
-               .collect())
+    got = dict(ctx.parallelize(pairs, 6)
+               .aggregateByKey(0, operator.add, operator.add).collect())
     assert got == want
 
 
@@ -172,80 +176,11 @@ def test_memoized_bucketing_matches_portable_hash(ctx):
     # every key in one output partition must hash to that bucket —
     # memoization may only cache, never change, the routing
     pairs = [((i % 11, "x"), i) for i in range(300)]
-    parts = ctx.parallelize(pairs, 4).reduceByKey(operator.add, 4) \
-        ._materialize()
+    parts = ctx.parallelize(pairs, 4) \
+        .aggregateByKey(0, operator.add, operator.add, 4)._materialize()
     for p in parts:
         for k, _v in p.data:
             assert portable_hash(k) % 4 == p.index
-
-
-# ----------------------------------------------------------------------
-# range-partition sampling (satellite fix)
-# ----------------------------------------------------------------------
-
-def test_sort_with_empty_partitions(ctx):
-    # 3 elements over 1 source partition, sorted into 4: most range
-    # buckets are empty and must not break sampling
-    r = ctx.parallelize([3, 1, 2], 1).sortBy(lambda x: x, True, 4)
-    assert r.collect() == [1, 2, 3]
-
-
-def test_sort_all_source_partitions_empty(ctx):
-    src = ctx.parallelize([1, 2], 2).filter(lambda x: x > 99)
-    assert src.sortBy(lambda x: x).collect() == []
-
-
-def test_sort_single_element(ctx):
-    assert ctx.parallelize([42], 1).sortBy(lambda x: x).collect() == [42]
-
-
-def test_sort_n1_output_partition(ctx):
-    data = [5, 3, 9, 1, 7]
-    r = ctx.parallelize(data, 3).sortBy(lambda x: x, True, 1)
-    assert r.collect() == sorted(data)
-
-
-def test_sort_descending(ctx):
-    data = list(range(50))
-    r = ctx.parallelize(data, 4).sortBy(lambda x: x, False, 3)
-    assert r.collect() == sorted(data, reverse=True)
-
-
-def test_sort_descending_with_duplicates_and_empties(ctx):
-    data = [2, 2, 2, 1, 9, 9, 0]
-    r = ctx.parallelize(data, 7).sortBy(lambda x: x, False, 5)
-    assert r.collect() == sorted(data, reverse=True)
-
-
-def test_sort_large_skewed_partitions(ctx):
-    # one huge partition next to tiny ones: the fixed stride samples
-    # each at its own rate instead of degenerating to every-row
-    data = list(range(1000, 0, -1)) + [0]
-    r = ctx.union([
-        ctx.parallelize(data[:1000], 1),
-        ctx.parallelize(data[1000:], 1),
-    ]).sortBy(lambda x: x)
-    assert r.collect() == sorted(data)
-
-
-def test_sort_sampling_is_bounded():
-    # the sample budget must be per-partition, independent of the
-    # output partition count (the old formula over-sampled)
-    from repro.rdd.plan import RANGE_SAMPLE_BUDGET
-    calls = 0
-
-    def key(x):
-        nonlocal calls
-        calls += 1
-        return x
-
-    with SJContext(executor="serial", default_parallelism=4) as ctx:
-        data = list(range(10_000))
-        ctx.parallelize(data, 2).sortBy(key, True, 64).collect()
-    # sampling pass: at most budget+1 keys per source partition; the
-    # map and sort passes then hash each row once or twice more
-    sample_calls = calls - 2 * len(data)
-    assert 0 < sample_calls <= 2 * (RANGE_SAMPLE_BUDGET + 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """SimulatedClusterExecutor: correctness and timing-model properties."""
 
+import operator
+
 import pytest
 
 from repro.rdd import SJContext, SimulatedClusterExecutor
@@ -13,10 +15,12 @@ def test_results_identical_to_serial():
             SJContext(executor="simulated", num_workers=4) as sim:
         serial = (s.parallelize(data, 8)
                   .map(lambda x: (x % 7, x))
-                  .reduceByKey(lambda a, b: a + b).collect())
+                  .aggregateByKey(0, operator.add, operator.add)
+                  .collect())
         simulated = (sim.parallelize(data, 8)
                      .map(lambda x: (x % 7, x))
-                     .reduceByKey(lambda a, b: a + b).collect())
+                     .aggregateByKey(0, operator.add, operator.add)
+                     .collect())
     assert sorted(serial) == sorted(simulated)
 
 

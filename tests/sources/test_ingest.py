@@ -49,7 +49,7 @@ def test_ingest_csv_lazy_and_partitioned(session, tmp_path, ctx, dictionary):
         session.ingest().csv(path, SCHEMA).partitions(3).register("temps")
     )
     assert isinstance(ds.source, CSVSource)
-    assert ds.rdd.num_partitions() == 3
+    assert ds.source.num_partitions() == 3
     assert sorted(ds.collect(), key=key) == sorted(rows, key=key)
 
 
@@ -76,7 +76,7 @@ def test_ingest_table(session, tmp_path):
         .table(store, "perf", "temps", SCHEMA)
         .register("temps")
     )
-    assert ds.rdd.num_partitions() == 3  # one per store partition key
+    assert ds.source.num_partitions() == 3  # one per store partition key
     assert sorted(ds.collect(), key=key) == sorted(rows, key=key)
 
 

@@ -548,7 +548,6 @@ class Scheduler:
         shuffle_decision: Optional[ShuffleDecision] = None
         if planner is not None:
             shuffle_decision = ShuffleDecision(
-                origin="shuffle",
                 requested_partitions=rdd._n,
                 chosen_partitions=n,
                 output_partitions=len(shuffle_parts),

@@ -268,7 +268,6 @@ class JoinDecision:
 class ShuffleDecision:
     """One shuffle's tuning outcome: partition count and skew handling."""
 
-    origin: str  # "shuffle" — which scheduler path
     requested_partitions: Optional[int]  # None = caller left it to stats
     chosen_partitions: int
     output_partitions: int  # after skew splitting
@@ -285,7 +284,6 @@ class ShuffleDecision:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "origin": self.origin,
             "requested_partitions": self.requested_partitions,
             "chosen_partitions": self.chosen_partitions,
             "output_partitions": self.output_partitions,
@@ -406,7 +404,7 @@ class ExecutionReport:
     (every :class:`~repro.rdd.context.SJContext` does this), each
     decision is also mirrored into the registry as labelled counters
     (``rdd.join.decisions{strategy=...}``,
-    ``rdd.shuffle.decisions{origin=...}``,
+    ``rdd.shuffle.decisions``,
     ``rdd.shuffle.pairs``), so the Prometheus dump carries the same
     evidence as the audit trail.
     """
@@ -437,10 +435,7 @@ class ExecutionReport:
                     labels={"strategy": decision.strategy},
                 )
             elif decision.kind == "shuffle":
-                self.metrics.inc(
-                    "rdd.shuffle.decisions",
-                    labels={"origin": decision.origin},
-                )
+                self.metrics.inc("rdd.shuffle.decisions")
                 self.metrics.inc(
                     "rdd.shuffle.pairs", decision.shuffled_pairs
                 )
@@ -531,7 +526,7 @@ class ExecutionReport:
                     else ""
                 )
                 lines.append(
-                    f"  shuffle[{d.origin}] {d.input_rows} rows ->"
+                    f"  shuffle {d.input_rows} rows ->"
                     f" {d.shuffled_pairs} pairs over"
                     f" {d.output_partitions} partitions"
                     f" (requested {d.requested_partitions},"
@@ -585,7 +580,6 @@ class AdaptivePlanner:
         self,
         left: RDDStats,
         right: RDDStats,
-        op: str = "join",
     ) -> JoinDecision:
         """Choose broadcast-hash vs shuffle for an equi-join.
 
@@ -596,7 +590,7 @@ class AdaptivePlanner:
 
         def decision(strategy, build_side, reason, adaptive=True):
             d = JoinDecision(
-                op=op,
+                op="join",
                 strategy=strategy,
                 build_side=build_side,
                 left_rows=left.total_rows,

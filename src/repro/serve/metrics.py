@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 
@@ -80,28 +80,7 @@ class ServiceSnapshot:
     profile: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "uptime_s": self.uptime_s,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "retried": self.retried,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
-            "tenants": self.tenants,
-            "qps": self.qps,
-            "recent_qps": self.recent_qps,
-            "latency_s": dict(self.latency_s),
-            "plan_cache": dict(self.plan_cache),
-            "result_cache": dict(self.result_cache),
-            "derivation_cache": dict(self.derivation_cache),
-            "shards": dict(self.shards),
-            "streams": dict(self.streams),
-            "profile": dict(self.profile),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lat = self.latency_s
@@ -158,34 +137,30 @@ class ServiceMetrics:
     # recording (called by the service)
     # ------------------------------------------------------------------
 
+    def _count(self, event: str) -> None:
+        """Bump counter ``event`` and its ``serve.<event>`` mirror."""
+        with self._lock:
+            setattr(self, event, getattr(self, event) + 1)
+        self._mirror(event)
+
     def _mirror(self, event: str) -> None:
         if self.registry is not None:
             self.registry.inc(f"serve.{event}")
 
     def record_submitted(self) -> None:
-        with self._lock:
-            self.submitted += 1
-        self._mirror("submitted")
+        self._count("submitted")
 
     def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
-        self._mirror("shed")
+        self._count("shed")
 
     def record_cancelled(self) -> None:
-        with self._lock:
-            self.cancelled += 1
-        self._mirror("cancelled")
+        self._count("cancelled")
 
     def record_timeout(self) -> None:
-        with self._lock:
-            self.timeouts += 1
-        self._mirror("timeouts")
+        self._count("timeouts")
 
     def record_retry(self) -> None:
-        with self._lock:
-            self.retried += 1
-        self._mirror("retried")
+        self._count("retried")
 
     def record_completed(self, latency_s: float) -> None:
         now = self._clock()

@@ -115,7 +115,8 @@ class PlanCache:
         except BaseException:
             # Non-deterministic/invalid failures: drop the in-flight
             # marker so the next caller retries the search.
-            self._release(key)
+            with self._lock:
+                self._wake(key)
             raise
         else:
             self._store(key, ("plan", plan))
@@ -128,10 +129,6 @@ class PlanCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._wake(key)
-
-    def _release(self, key: str) -> None:
-        with self._lock:
             self._wake(key)
 
     def _wake(self, key: str) -> None:

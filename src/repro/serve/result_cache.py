@@ -38,24 +38,49 @@ from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultEntry:
-    """One materialized result plus its bookkeeping."""
+    """One materialized result plus its bookkeeping.
 
-    rows: List[Dict[str, Any]]
-    schema_json: dict
+    The rows are kept only in the form the entry was born with: typed
+    ``rows`` (a local plan, a disk-tier promotion; replies encode
+    them) or codec text ``wire`` (a router's shard gather; typed uses
+    decode it). The other form is derived per call, never stored: a
+    local plan's rows are mostly the catalog's own row dicts, so text
+    would allocate the answer again, and a router keeping both would
+    double every entry."""
+
+    schema: Schema
     name: str
-    created_at: float
+    rows: Optional[List[Dict[str, Any]]] = None
+    wire: Optional[List[Dict[str, str]]] = None
+    #: the dictionary ``wire`` decodes against
+    dictionary: Any = None
+    created_at: float = 0.0
     #: catalog dataset names the producing plan read (dependency
     #: tracking for invalidate_dataset); empty = unknown provenance
     datasets: tuple = ()
 
+    def wire_rows(self, dictionary) -> List[Dict[str, str]]:
+        """The rows as codec text."""
+        if self.wire is not None:
+            return self.wire
+        # deferred: repro.serve.wire imports the service, which
+        # imports this module
+        from repro.serve import wire
+
+        return wire.encode_rows(self.rows, self.schema, dictionary)
+
+    def typed_rows(self) -> List[Dict[str, Any]]:
+        if self.rows is not None:
+            return self.rows
+        from repro.serve import wire
+
+        return wire.decode_rows(self.wire, self.schema, self.dictionary)
+
     def to_dataset(self, ctx) -> ScrubJayDataset:
         return ScrubJayDataset.from_rows(
-            ctx,
-            self.rows,
-            Schema.from_json_dict(self.schema_json),
-            self.name,
+            ctx, self.typed_rows(), self.schema, self.name
         )
 
 
@@ -120,9 +145,9 @@ class ResultCache:
             and self._clock() - entry.created_at > self.ttl
         )
 
-    def get(self, key: str, ctx) -> Optional[ScrubJayDataset]:
-        """A live dataset for ``key`` (re-parallelized into ``ctx``),
-        or None. Recency refresh is atomic with the read."""
+    def get(self, key: str) -> Optional[ResultEntry]:
+        """The live entry for ``key``, or None. Recency refresh is
+        atomic with the read."""
         entry: Optional[ResultEntry] = None
         expired_here = False
         with self._lock:
@@ -138,7 +163,7 @@ class ResultCache:
                     self.hits += 1
                     entry = found
         if entry is not None:
-            return entry.to_dataset(ctx)
+            return entry
         if expired_here:
             # Kill the write-through copy too, or the fallthrough
             # below would re-promote the stale entry with a fresh TTL.
@@ -162,9 +187,9 @@ class ResultCache:
                         self.misses += 1
                     return None
                 promoted = ResultEntry(
+                    Schema.from_json_dict(cold.schema_json),
+                    cold.name,
                     rows=cold.rows,
-                    schema_json=cold.schema_json,
-                    name=cold.name,
                     # Back-date so the remaining TTL reflects the
                     # entry's true age, not the promotion instant.
                     created_at=self._clock() - (age or 0.0),
@@ -173,7 +198,7 @@ class ResultCache:
                     self.hits += 1
                     self.backing_hits += 1
                     self._insert(key, promoted)
-                return promoted.to_dataset(ctx)
+                return promoted
         with self._lock:
             self.misses += 1
         return None
@@ -188,21 +213,22 @@ class ResultCache:
 
     def pin(
         self,
-        dataset: ScrubJayDataset,
+        result: Union[ScrubJayDataset, ResultEntry],
         datasets: Optional[List[str]] = None,
     ) -> ResultEntry:
-        """Materialize ``dataset`` driver-side — its one execution —
-        into an entry not yet published under any key. ``datasets``
-        names the catalog inputs the producing plan read, so
-        :meth:`invalidate_dataset` can evict exactly the dependents of
-        an appended-to dataset."""
-        return ResultEntry(
-            rows=dataset.collect(),
-            schema_json=dataset.schema.to_json_dict(),
-            name=dataset.name,
-            created_at=self._clock(),
-            datasets=tuple(datasets or ()),
+        """Stamp ``result`` — a dataset, collected here (its one
+        execution), or a router's gathered entry — as an entry not yet
+        published under any key. ``datasets`` names the catalog inputs
+        the producing plan read, so :meth:`invalidate_dataset` can
+        evict exactly the dependents of an appended-to dataset."""
+        entry = (
+            result if isinstance(result, ResultEntry)
+            else ResultEntry(result.schema, result.name,
+                             rows=result.collect())
         )
+        entry.created_at = self._clock()
+        entry.datasets = tuple(datasets or ())
+        return entry
 
     def put(
         self,
@@ -214,8 +240,8 @@ class ResultCache:
         disk tier when configured) and return its pinned entry.
         ``dataset`` is a :class:`ResultEntry` from :meth:`pin`, stored
         as is, or a dataset, pinned here first; either way the rows
-        are collected once and ``entry.to_dataset(ctx)`` serves them
-        without re-running the plan."""
+        are collected once and the entry serves them without
+        re-running the plan."""
         entry = (
             dataset if isinstance(dataset, ResultEntry)
             else self.pin(dataset, datasets)
@@ -226,8 +252,8 @@ class ResultCache:
             self.backing.put_entry(
                 key,
                 CachedResult(
-                    rows=entry.rows,
-                    schema_json=entry.schema_json,
+                    rows=entry.typed_rows(),
+                    schema_json=entry.schema.to_json_dict(),
                     name=entry.name,
                     created_at_wall=self._wall(),
                 ),

@@ -38,11 +38,12 @@ Design decisions, in the order they bite under load:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.aggregate import (
     finalize_group_partials,
@@ -68,8 +69,8 @@ from repro.rdd.rdd import ScanRDD
 from repro.serve.keys import normalize_query, plan_key, result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
 from repro.serve.plan_cache import PlanCache
-from repro.serve.result_cache import ResultCache
-from repro.serve.subscribe import Subscription, SubscriptionUpdate
+from repro.serve.result_cache import ResultCache, ResultEntry
+from repro.serve.subscribe import Subscription
 from repro.stream import DeltaPlan
 
 _QUEUED = "queued"
@@ -211,6 +212,7 @@ class QueryTicket:
         submitted_at: float,
         deadline: Optional[float],
         aggregate: Optional[AggregateSpec] = None,
+        ctx=None,
     ) -> None:
         self.tenant = tenant
         self.query = query
@@ -227,9 +229,11 @@ class QueryTicket:
         #: the session's tracer is enabled
         self.trace = None
         self._event = threading.Event()
-        #: a ScrubJayDataset, or a {group_tuple: value} dict for
+        #: a ResultEntry (re-parallelized into ``ctx`` by
+        #: :meth:`result`), or a {group_tuple: value} dict for
         #: aggregate tickets
         self._result: Optional[Any] = None
+        self._ctx = ctx
         self._error: Optional[BaseException] = None
         #: result-dataset schema, populated for aggregate tickets so
         #: the wire layer can codec-encode group-key parts
@@ -260,6 +264,14 @@ class QueryTicket:
         failed. ``timeout`` bounds only this wait, not the query.
         Returns the result dataset — or the ``{group_tuple: value}``
         dict for aggregate tickets."""
+        out = self.entry(timeout)
+        if isinstance(out, ResultEntry):
+            return out.to_dataset(self._ctx)
+        return out
+
+    def entry(self, timeout: Optional[float] = None) -> Any:
+        """:meth:`result` before a row answer becomes a dataset: the
+        result-cache entry itself, which a wire reply sends as text."""
         if not self._event.wait(timeout):
             raise QueryTimeoutError(
                 f"no result within {timeout}s (query still "
@@ -453,7 +465,9 @@ class QueryService:
         now = self._clock()
         effective = self.default_timeout if timeout is None else timeout
         deadline = None if effective is None else now + effective
-        ticket = QueryTicket(tenant, query, now, deadline, aggregate)
+        ticket = QueryTicket(
+            tenant, query, now, deadline, aggregate, self.session.ctx
+        )
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -1113,45 +1127,29 @@ class QueryService:
             )
             return
 
-        result: Optional[Any] = None
-        error: Optional[BaseException] = None
         tracer = getattr(self.session.ctx, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "query",
-                kind="query",
-                tenant=ticket.tenant,
-                query=str(ticket.query),
-            ) as root:
+        traced = tracer is not None and tracer.enabled
+        with (
+            tracer.span("query", kind="query", tenant=ticket.tenant,
+                        query=str(ticket.query))
+            if traced else contextlib.nullcontext()
+        ) as root:
+            if traced:
                 ticket.trace = root
                 # Queue wait is already over; record it retroactively
                 # on the span clock. The service clock is injectable
                 # (tests), so only the *duration* crosses clocks.
                 pc_now = time.perf_counter()
                 wait = max(0.0, now - ticket.submitted_at)
-                tracer.record(
-                    "queue-wait",
-                    pc_now - wait,
-                    pc_now,
-                    kind="queue",
-                    parent=root,
-                )
-                try:
-                    result = self._answer(ticket)
-                except ScrubJayError as exc:
-                    error = exc
-                except Exception as exc:  # defensive: never kill a worker
-                    error = exc
-                if error is not None:
-                    root.status = "error"
-                    root.set("error", type(error).__name__)
-        else:
+                tracer.record("queue-wait", pc_now - wait, pc_now,
+                              kind="queue", parent=root)
             try:
-                result = self._answer(ticket)
-            except ScrubJayError as exc:
-                error = exc
+                result, error = self._answer(ticket), None
             except Exception as exc:  # defensive: never kill a worker
-                error = exc
+                result, error = None, exc
+            if traced and error is not None:
+                root.status = "error"
+                root.set("error", type(error).__name__)
 
         finished = self._clock()
         latency = finished - ticket.submitted_at
@@ -1229,7 +1227,7 @@ class QueryService:
             return self._metric_plan(plan, ticket, state, version)
         if ticket.aggregate is not None:
             return self._aggregate_plan(plan, ticket, state, version)
-        return self._dataset_for(plan, ticket, state, version)
+        return self._entry_for(plan, ticket, state, version)
 
     def _metric_plan(
         self,
@@ -1291,13 +1289,13 @@ class QueryService:
             )
         return MetricAnswer(q, finalize_metric(partials, q), decision)
 
-    def _dataset_for(
+    def _entry_for(
         self,
         plan,
         ticket: QueryTicket,
         state: str,
         version: int,
-    ) -> ScrubJayDataset:
+    ) -> ResultEntry:
         """Result-cache lookup around the execution hook."""
         session = self.session
         tracer = getattr(session.ctx, "tracer", None)
@@ -1316,16 +1314,16 @@ class QueryService:
         rkey = result_key(plan.fingerprint(), state, version, dv)
         if traced:
             with tracer.span("result-cache", kind="cache") as rs:
-                hit = self.result_cache.get(rkey, session.ctx)
+                hit = self.result_cache.get(rkey)
                 rs.set("outcome", "hit" if hit is not None else "miss")
         else:
-            hit = self.result_cache.get(rkey, session.ctx)
+            hit = self.result_cache.get(rkey)
         if hit is not None:
             return hit
         # Pin the rows driver-side — the plan's one execution. The
-        # caller gets a dataset over those pinned rows (what a hit
-        # returns), so nothing downstream re-runs the lineage, and a
-        # cached entry never holds a lazy RDD that outlives its inputs.
+        # caller gets the pinned entry (what a hit returns), so nothing
+        # downstream re-runs the lineage, and a cached entry never
+        # holds a lazy RDD that outlives its inputs.
         entry = self.result_cache.pin(
             self._execute_plan(plan, ticket, state, version), names
         )
@@ -1342,7 +1340,7 @@ class QueryService:
             )
         ):
             self.result_cache.put(rkey, entry)
-        return entry.to_dataset(session.ctx)
+        return entry
 
     # ------------------------------------------------------------------
     # execution hooks — a ShardRouter overrides these to scatter-gather
@@ -1355,8 +1353,9 @@ class QueryService:
         ticket: QueryTicket,
         state: str,
         version: int,
-    ) -> ScrubJayDataset:
-        """Materialize one solved plan (cold result-cache path)."""
+    ) -> Union[ScrubJayDataset, ResultEntry]:
+        """Materialize one solved plan (cold result-cache path): a
+        dataset to pin, or an already-gathered entry."""
         return self.session.execute(plan).dataset
 
     def _aggregate_plan(
@@ -1371,10 +1370,11 @@ class QueryService:
         cache, so repeated aggregates over one result reuse it) and
         groups driver-side."""
         spec = ticket.aggregate
-        dataset = self._dataset_for(plan, ticket, state, version)
-        ticket.result_schema = dataset.schema
+        entry = self._entry_for(plan, ticket, state, version)
+        ticket.result_schema = entry.schema
         partials = group_aggregate_partials(
-            dataset, list(spec.group_by), spec.value_field, spec.how
+            entry.to_dataset(self.session.ctx), list(spec.group_by),
+            spec.value_field, spec.how,
         )
         if spec.partial:
             return partials

@@ -75,7 +75,6 @@ from repro.analysis.aggregate import (
     finalize_group_partials,
     merge_group_partials,
 )
-from repro.core.dataset import ScrubJayDataset
 from repro.core.pipeline import LoadNode, ScanNode
 from repro.core.semantics import Schema
 from repro.errors import (
@@ -87,6 +86,7 @@ from repro.errors import (
     StaleRefreshError,
 )
 from repro.rdd.shuffle import portable_hash
+from repro.serve.result_cache import ResultEntry
 from repro.serve.service import AggregateSpec, QueryService, QueryTicket
 from repro.serve.subscribe import Subscription
 from repro.serve.wire import (
@@ -561,9 +561,7 @@ class ShardRouter(QueryService):
     # ------------------------------------------------------------------
 
     def _each_handle(self):
-        for replicas in self._fleet:
-            for handle in replicas:
-                yield handle
+        return (h for replicas in self._fleet for h in replicas)
 
     def _live_handles(self, replicas: List[ShardHandle]) -> List[ShardHandle]:
         """The still-running processes of one shard index. A process
@@ -868,26 +866,29 @@ class ShardRouter(QueryService):
         ticket: QueryTicket,
         state: str,
         version: int,
-    ) -> ScrubJayDataset:
+    ) -> ResultEntry:
+        """Gather the target shards' row replies as codec text, in
+        target order: row queries need no router-side merge, so the
+        text is concatenated undecoded and forwarded as is."""
         q = ticket.query
         answers = self._scatter(
             plan, ticket,
             lambda shard, timeout: shard.query(
                 q.domains, q.values, ticket.tenant, timeout,
-                self.session.dictionary, q.filters,
+                None, q.filters,
             ),
         )
         schema, name = answers[0][1], answers[0].name or "result"
-        rows: List[Dict[str, Any]] = []
+        text: List[Dict[str, str]] = []
         for answer in answers:
             if answer[1] != schema:
                 raise ShardStateError(
                     "shards answered one query with different result "
                     "schemas — fleet state has diverged"
                 )
-            rows.extend(answer[0])
-        return ScrubJayDataset.from_rows(
-            self.session.ctx, rows, schema, name
+            text.extend(answer[0])
+        return ResultEntry(
+            schema, name, wire=text, dictionary=self.session.dictionary
         )
 
     def _aggregate_plan(

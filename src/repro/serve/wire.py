@@ -364,18 +364,18 @@ def _op_define_unit(service: QueryService, request: _Msg) -> _Msg:
 
 
 def _op_query(service: QueryService, request: _Msg) -> _Msg:
-    dataset = service.query(
+    # a router's entry is its shards' text, forwarded undecoded; a
+    # local entry is encoded here, with no dataset or collect between
+    entry = service.submit(
         _request_query(request),
         tenant=str(request.get("tenant", "default")),
         timeout=request.get("timeout"),
-    )
-    rows = dataset.collect()
+    ).entry()
+    rows = entry.wire_rows(service.session.dictionary)
     return {
-        "name": dataset.name,
-        "schema": dataset.schema.to_json_dict(),
-        "rows": encode_rows(
-            rows, dataset.schema, service.session.dictionary
-        ),
+        "name": entry.name,
+        "schema": entry.schema.to_json_dict(),
+        "rows": rows,
         "row_count": len(rows),
         **_state_stamp(service),
     }

@@ -27,9 +27,9 @@ def test_round_trip(serve_session):
     cache = ResultCache(max_entries=4)
     ds = _dataset(serve_session)
     cache.put("k", ds)
-    out = cache.get("k", serve_session.ctx)
+    out = cache.get("k")
     assert out is not None
-    assert row_multiset(out.collect()) == row_multiset(ds.collect())
+    assert row_multiset(out.typed_rows()) == row_multiset(ds.collect())
     assert out.schema == ds.schema
     s = cache.stats()
     assert s["hits"] == 1 and s["misses"] == 0
@@ -37,7 +37,7 @@ def test_round_trip(serve_session):
 
 def test_miss_counts(serve_session):
     cache = ResultCache()
-    assert cache.get("absent", serve_session.ctx) is None
+    assert cache.get("absent") is None
     assert cache.stats()["misses"] == 1
 
 
@@ -46,9 +46,9 @@ def test_ttl_expiry(serve_session):
     cache = ResultCache(ttl=10.0, clock=clock)
     cache.put("k", _dataset(serve_session))
     clock.advance(5.0)
-    assert cache.get("k", serve_session.ctx) is not None
+    assert cache.get("k") is not None
     clock.advance(6.0)  # 11s old now
-    assert cache.get("k", serve_session.ctx) is None
+    assert cache.get("k") is None
     s = cache.stats()
     assert s["expirations"] == 1
     assert s["entries"] == 0
@@ -59,10 +59,10 @@ def test_lru_bound_and_recency_refresh(serve_session):
     ds = _dataset(serve_session)
     cache.put("a", ds)
     cache.put("b", ds)
-    assert cache.get("a", serve_session.ctx) is not None  # refresh a
+    assert cache.get("a") is not None  # refresh a
     cache.put("c", ds)  # evicts b (least recently used), not a
-    assert cache.get("a", serve_session.ctx) is not None
-    assert cache.get("b", serve_session.ctx) is None
+    assert cache.get("a") is not None
+    assert cache.get("b") is None
     assert cache.stats()["evictions"] == 1
 
 
@@ -75,7 +75,7 @@ def test_write_through_and_warm_start(serve_session, tmp_path):
 
     # A fresh in-memory tier (service restart) warms from disk.
     cold = ResultCache(backing=disk)
-    out = cold.get("k", serve_session.ctx)
+    out = cold.get("k")
     assert out is not None
     assert cold.stats()["backing_hits"] == 1
     # and the entry was promoted into memory
@@ -91,9 +91,9 @@ def test_ttl_not_defeated_by_backing(serve_session, tmp_path):
     cache = ResultCache(ttl=10.0, backing=disk, clock=clock, wall_clock=clock)
     cache.put("k", _dataset(serve_session))
     clock.advance(11.0)
-    assert cache.get("k", serve_session.ctx) is None
+    assert cache.get("k") is None
     # the disk copy was invalidated too: still a miss, forever
-    assert cache.get("k", serve_session.ctx) is None
+    assert cache.get("k") is None
     assert len(disk) == 0
     assert cache.stats()["backing_hits"] == 0
 
@@ -109,15 +109,15 @@ def test_ttl_enforced_on_promotion_across_restart(serve_session, tmp_path):
     clock.advance(6.0)
     fresh = ResultCache(ttl=10.0, backing=disk, clock=clock, wall_clock=clock)
     # 6s old: promoted with 4s of TTL left
-    assert fresh.get("k", serve_session.ctx) is not None
+    assert fresh.get("k") is not None
     clock.advance(5.0)  # 11s old in total — past the ceiling
-    assert fresh.get("k", serve_session.ctx) is None
+    assert fresh.get("k") is None
 
     # an entry already past the TTL on disk is never served at all
     warm.put("k2", _dataset(serve_session))
     clock.advance(11.0)
     late = ResultCache(ttl=10.0, backing=disk, clock=clock, wall_clock=clock)
-    assert late.get("k2", serve_session.ctx) is None
+    assert late.get("k2") is None
     assert late.stats()["backing_hits"] == 0
     assert late.stats()["expirations"] == 1
 
@@ -141,7 +141,7 @@ def test_stampless_backing_entry_expired_when_ttl_set(
         ),
     )
     bounded = ResultCache(ttl=10.0, backing=disk)
-    assert bounded.get("k", serve_session.ctx) is None
+    assert bounded.get("k") is None
     assert bounded.stats()["expirations"] == 1
 
     disk.put_entry(
@@ -153,7 +153,7 @@ def test_stampless_backing_entry_expired_when_ttl_set(
         ),
     )
     unbounded = ResultCache(backing=disk)
-    assert unbounded.get("j", serve_session.ctx) is not None
+    assert unbounded.get("j") is not None
 
 
 def test_derivation_cache_counters_exposed(tmp_path, serve_session):

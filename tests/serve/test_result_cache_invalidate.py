@@ -38,12 +38,12 @@ def test_invalidate_evicts_only_dependents(serve_session):
     cache.put("k-untagged", other)  # legacy entry, no dependency info
 
     assert cache.invalidate_dataset("samples") == 1
-    assert cache.get("k-join", serve_session.ctx) is None
+    assert cache.get("k-join") is None
     # unrelated entries survive
-    survivor = cache.get("k-hot", serve_session.ctx)
+    survivor = cache.get("k-hot")
     assert survivor is not None
-    assert row_multiset(survivor.collect()) == row_multiset(other.collect())
-    assert cache.get("k-untagged", serve_session.ctx) is not None
+    assert row_multiset(survivor.typed_rows()) == row_multiset(other.collect())
+    assert cache.get("k-untagged") is not None
     assert cache.stats()["invalidations"] == 1
 
 
@@ -51,7 +51,7 @@ def test_invalidate_unknown_dataset_is_free(serve_session):
     cache = ResultCache()
     cache.put("k", serve_session.dataset("samples"), datasets=["samples"])
     assert cache.invalidate_dataset("nothere") == 0
-    assert cache.get("k", serve_session.ctx) is not None
+    assert cache.get("k") is not None
 
 
 def test_eviction_cleans_the_dependency_index(serve_session):

@@ -95,7 +95,7 @@ def run_mode(
             "result_rows": count,
             "kernels": [
                 {"op": k.op, "choice": k.choice, "reason": k.reason}
-                for k in sj.ctx.report.kernels()
+                for k in sj.ctx.report.of("kernel")
             ],
             "rows": rows,
         }

@@ -11,11 +11,11 @@ data* and writes machine-readable evidence to
 
 - **raw route** — ``session.ask`` on the metric query before any
   rollup exists: base-relation solve + execute + per-row partial
-  aggregation (``decision.route == "raw"``, asserted not assumed);
+  aggregation (``decision.choice == "raw"``, asserted not assumed);
 - **rollup route** — the identical query after
   ``session.rollup("power_15m", ...)`` registers a 15-minute rollup:
   the planner routes to it and re-aggregates its stored partials up
-  to the query's 1-hour grain (``decision.route == "rollup"``);
+  to the query's 1-hour grain (``decision.choice == "rollup"``);
 - **correctness** — both routes must produce the same group set with
   values equal within ``math.isclose`` (the two routes sum in
   different orders, so last-ULP float drift is expected and allowed).
@@ -31,7 +31,8 @@ Usage::
 
 Acceptance: the rollup route >= 5x faster than the raw route (>= 2x
 under ``--smoke``, where CI boxes are noisy), identical answers, and
-both routing decisions confirmed via :class:`RollupDecision`.
+both routing decisions confirmed via the ``rollup``
+:class:`~repro.rdd.stats.Decision` on each answer.
 """
 
 from __future__ import annotations
@@ -225,12 +226,12 @@ def check(payload: Dict[str, Any]) -> List[str]:
         problems.append(
             "rollup-route answer diverged from the raw-route answer"
         )
-    if ph["raw_decision"]["route"] != "raw":
+    if ph["raw_decision"]["choice"] != "raw":
         problems.append(
             f"pre-rollup query did not take the raw route "
             f"({ph['raw_decision']})"
         )
-    if ph["rollup_decision"]["route"] != "rollup" or \
+    if ph["rollup_decision"]["choice"] != "rollup" or \
             ph["rollup_decision"]["rollup"] != "power_15m":
         problems.append(
             f"post-rollup query did not route through power_15m "

@@ -108,8 +108,8 @@ def run_natural_join(
             if elapsed < state["best"]:
                 state["best"] = elapsed
                 state["report"] = ctx.report.as_dict()
-                state["joins"] = ctx.report.joins()
-                state["shuffled"] = ctx.report.shuffle_volume()
+                state["joins"] = ctx.report.of("join")
+                state["shuffled"] = ctx.metrics.counter("rdd.shuffle.pairs")
         return elapsed
 
     timing = adaptive_timing(sample, max(1, repeats))
@@ -124,8 +124,10 @@ def run_natural_join(
         "wall_seconds": timing.best,
         "timing": timing.as_dict(),
         "output_rows": state["count"],
-        "join_strategy": decision.strategy if decision else None,
-        "strategy_adaptive": decision.adaptive if decision else None,
+        "join_strategy": decision.choice if decision else None,
+        # adaptive: the planner weighed the sides' sizes (a disabled
+        # planner records its forced shuffle with no evidence)
+        "strategy_adaptive": bool(decision.evidence) if decision else None,
         "strategy_reason": decision.reason if decision else None,
         "shuffled_pairs": state["shuffled"],
         "report": state["report"],

@@ -8,7 +8,9 @@ of as a hand-written aggregation loop:
 1. tail a push feed of 30-second rack power samples;
 2. ask the metric query raw: `.measure("power", "mean")
    .measure("power", "p95").per("racks").grain("1h")` — the planner
-   records a `RollupDecision` explaining that no rollup could answer;
+   records a `rollup` decision (`answer.decision.choice == "raw"`,
+   its `.evidence` naming the candidates) explaining that no rollup
+   could answer;
 3. materialize a 15-minute rollup with `session.rollup(...)` and ask
    again: the mean now routes through the rollup's pre-aggregated
    partials (re-aggregated 15m → 1h), while p95 keeps the exact
@@ -99,7 +101,7 @@ def main() -> None:
 
     routed = sj.ask(hourly_query(sj))
     show("hourly mean power per rack (routed):", routed)
-    assert routed.decision.route == "rollup", routed.decision
+    assert routed.decision.choice == "rollup", routed.decision
 
     # p95 is not decomposable: re-aggregating 15m percentile state to
     # 1h would be wrong, so the planner keeps it exact on raw
@@ -107,7 +109,7 @@ def main() -> None:
                  .measure("power", "p95").per("racks").grain("1h")
                  .build())
     print(f"\np95 at 1h grain stays exact: {p95.decision}")
-    assert p95.decision.route == "raw"
+    assert p95.decision.choice == "raw"
 
     # ------------------------------------------------------------------
     # the feed advances; the rollup refreshes incrementally

@@ -49,7 +49,7 @@ from repro.core.derivation import Combination, register_derivation
 from repro.core.dictionary import SemanticDictionary
 from repro.core.semantics import Schema
 from repro.errors import DerivationError
-from repro.rdd.stats import JoinDecision
+from repro.rdd.stats import RDDStats
 
 
 def shared_domain_dimensions(left: Schema, right: Schema) -> Set[str]:
@@ -192,8 +192,9 @@ class NaturalJoin(Combination):
         encoded key columns feed a hash index; left batches probe it
         per partition. Declines (returns None, row-path fallback) when
         either input is row-shaped, the right side holds stray row
-        elements, or the build side exceeds the broadcast row
-        threshold — the adaptive shuffle join is the right tool there.
+        elements, or the planner's broadcast rule rejects the build
+        side (adaptive execution off, or over either broadcast
+        threshold) — the row path's adaptive join decides there.
         """
         if not getattr(left, "batched", False) or \
                 not getattr(right, "batched", False):
@@ -208,25 +209,13 @@ class NaturalJoin(Combination):
         collected = right.rdd.collect()
         if any(not isinstance(b, ColumnBatch) for b in collected):
             return None
-        ctx = left.ctx
         build = ColumnBatch.concat([b for b in collected if b.num_rows])
-        if build.num_rows > ctx.adaptive.broadcast_threshold_rows:
+        planner = left.ctx.planner
+        side = RDDStats(build.num_rows, build.approx_bytes())
+        if not planner.allows_broadcast(side):
             return None
+        planner.decide_join(self.op_name, (("right", side),), "build")
         index = kernels.build_hash_index(build, rfields)
-        report = getattr(ctx, "report", None)
-        if report is not None:
-            report.add(JoinDecision(
-                op=self.op_name,
-                strategy="broadcast",
-                build_side="right",
-                left_rows=0,
-                right_rows=build.num_rows,
-                left_bytes=0,
-                right_bytes=build.approx_bytes(),
-                threshold_bytes=ctx.adaptive.broadcast_threshold_bytes,
-                reason="columnar hash join: build side under the"
-                       " broadcast row threshold",
-            ))
 
         def probe(items: List[Any]) -> List[Any]:
             out: List[Any] = []
@@ -440,10 +429,10 @@ class InterpolationJoin(Combination):
         # probes it in one narrow stage; otherwise both sides shuffle
         # once into bins of width 2W.
         ctx = left.rdd.ctx
-        decision = ctx.planner.decide_bin_broadcast(
-            rkeyed.persist().stats(), op=self.op_name
+        decision = ctx.planner.decide_join(
+            self.op_name, (("right", rkeyed.persist().stats()),), "bin"
         )
-        if decision.strategy == "broadcast":
+        if decision.choice == "broadcast":
             # ----------------------------------------------------------
             # 3a. broadcast path: driver-built index of the right side
             #     by exact key, probed once per left row

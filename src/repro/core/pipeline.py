@@ -29,7 +29,7 @@ from repro.core.derivation import (
 )
 from repro.core.dictionary import SemanticDictionary
 from repro.rdd.rdd import ScanRDD
-from repro.rdd.stats import KernelDecision
+from repro.rdd.stats import Decision
 from repro.sources.predicate import ColumnPredicate
 from repro.util.hashing import content_hash
 
@@ -333,9 +333,9 @@ class DerivationPlan:
         leaves decode into batches, operators that expose an
         ``apply_batched`` kernel run vectorized, and everything else
         falls back per-operator (explode to rows, apply, re-batch).
-        Each choice is recorded as a
-        :class:`~repro.rdd.stats.KernelDecision` on the context's
-        execution report. Results are identical either way.
+        Each choice is recorded as a ``kernel``
+        :class:`~repro.rdd.stats.Decision` on the context's execution
+        report. Results are identical either way.
         """
         return self._execute(
             self.root, catalog, dictionary, cache, tracer, measure,
@@ -383,7 +383,7 @@ class DerivationPlan:
     def _record_kernel(ds, op, choice, reason, span) -> None:
         report = getattr(ds.ctx, "report", None)
         if report is not None:
-            report.add(KernelDecision(op=op, choice=choice, reason=reason))
+            report.add(Decision("kernel", op, choice, reason))
         if span is not None:
             span.set("kernel", choice)
 

@@ -19,7 +19,9 @@ first-class query concept:
   (``session.rollup(...)``) kept fresh incrementally as feeds
   advance, and :func:`choose_rollup`, the router that answers each
   metric query from the coarsest rollup that can — recorded as a
-  :class:`~repro.rdd.stats.RollupDecision`.
+  ``rollup`` :class:`~repro.rdd.stats.Decision` (``choice`` is
+  ``rollup`` or ``raw``; ``evidence`` names the rollup, both grains
+  and the candidate count), which is also ``MetricAnswer.decision``.
 """
 
 from repro.core.query import Grain, Measure

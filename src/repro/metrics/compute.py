@@ -183,8 +183,10 @@ class MetricAnswer:
 
     ``groups`` maps ``(per-dim values..., bucket Timestamp)`` — the
     bucket present only when the query has a grain — to
-    ``{measure_key: value}``. ``decision`` is the
-    :class:`~repro.rdd.stats.RollupDecision` that routed the query.
+    ``{measure_key: value}``. ``decision`` is the ``rollup``
+    :class:`~repro.rdd.stats.Decision` that routed the query (a plain
+    dict of its :meth:`~repro.rdd.stats.Decision.as_dict` over the
+    wire).
     """
 
     query: Query

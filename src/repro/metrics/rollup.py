@@ -45,7 +45,7 @@ from repro.metrics.compute import (
 )
 from repro.metrics.derive import BucketTime, RollupAggregate
 from repro.rdd.rdd import ScanRDD
-from repro.rdd.stats import RollupDecision
+from repro.rdd.stats import Decision
 from repro.stream import DeltaPlan
 from repro.units.temporal import Timestamp
 
@@ -305,9 +305,8 @@ class Rollup:
                     changed.add(n)
             if not changed:
                 return {"name": self.name, "refreshed": False}
-            mode, decisions = self.delta_plan.classify(changed)
-            self.delta_plan.record(
-                getattr(session.ctx, "report", None), decisions
+            mode, _ = self.delta_plan.classify(
+                changed, getattr(session.ctx, "report", None)
             )
             if mode == "delta":
                 deltas: Dict[str, ScrubJayDataset] = {}
@@ -359,45 +358,42 @@ class Rollup:
 
 
 def choose_rollup(
-    rollups: Dict[str, Rollup], query: Query
-) -> Tuple[Optional[Rollup], RollupDecision]:
+    rollups: Dict[str, Rollup], query: Query, report=None
+) -> Tuple[Optional[Rollup], Decision]:
     """Route a metric query: the **coarsest** registered rollup that
-    can answer it exactly, or raw. Always returns a
-    :class:`RollupDecision` explaining the choice."""
-    requested = query.grain.seconds if query.grain else None
+    can answer it exactly, or raw. Always returns the ``rollup``
+    :class:`~repro.rdd.stats.Decision` explaining the choice, recorded
+    on the ExecutionReport ``report`` when one is given."""
     eligible = [r for r in rollups.values() if r.can_answer(query)]
     if eligible:
         win = max(eligible, key=lambda r: r.query.grain.seconds)
-        return win, RollupDecision(
-            route="rollup",
-            rollup=win.name,
-            requested_grain=requested,
-            rollup_grain=win.query.grain.seconds,
-            candidates=len(eligible),
-            reason=(
-                f"coarsest of {len(eligible)} eligible rollup(s) "
-                f"at grain {win.query.grain.seconds:g}s"
-            ),
-        )
-    if not rollups:
-        reason = "no rollups registered"
-    elif any(
-        m.how not in DECOMPOSABLE_AGGS for m in query.measures
-    ):
+        choice, name, grain = "rollup", win.name, win.query.grain.seconds
         reason = (
-            "non-decomposable measure (p50/p95) needs an exact-grain, "
-            "exact-group rollup; none registered"
+            f"coarsest of {len(eligible)} eligible rollup(s) "
+            f"at grain {grain:g}s"
         )
     else:
-        reason = (
-            "no registered rollup covers the requested "
-            "measures/per/grain"
-        )
-    return None, RollupDecision(
-        route="raw",
-        rollup=None,
-        requested_grain=requested,
-        rollup_grain=None,
-        candidates=0,
-        reason=reason,
-    )
+        win, choice, name, grain = None, "raw", None, None
+        if not rollups:
+            reason = "no rollups registered"
+        elif any(
+            m.how not in DECOMPOSABLE_AGGS for m in query.measures
+        ):
+            reason = (
+                "non-decomposable measure (p50/p95) needs an "
+                "exact-grain, exact-group rollup; none registered"
+            )
+        else:
+            reason = (
+                "no registered rollup covers the requested "
+                "measures/per/grain"
+            )
+    decision = Decision("rollup", "metric", choice, reason, {
+        "rollup": name,
+        "requested_grain": query.grain.seconds if query.grain else None,
+        "rollup_grain": grain,
+        "candidates": len(eligible),
+    })
+    if report is not None:
+        report.add(decision)
+    return win, decision

@@ -46,12 +46,9 @@ from repro.rdd.fault import DEFAULT_RETRY_POLICY, RetryPolicy, no_retry_policy
 from repro.rdd.stats import (
     AdaptiveConfig,
     AdaptivePlanner,
-    DeltaDecision,
-    RollupDecision,
+    Decision,
     ExecutionReport,
-    JoinDecision,
     RDDStats,
-    ShuffleDecision,
 )
 
 __all__ = [
@@ -60,12 +57,9 @@ __all__ = [
     "Partition",
     "AdaptiveConfig",
     "AdaptivePlanner",
-    "DeltaDecision",
-    "RollupDecision",
+    "Decision",
     "ExecutionReport",
-    "JoinDecision",
     "RDDStats",
-    "ShuffleDecision",
     "Executor",
     "FaultInjectingExecutor",
     "SerialExecutor",

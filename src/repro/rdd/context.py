@@ -96,7 +96,8 @@ class SJContext:
         # tracer.enabled is observed everywhere at once.
         self.tracer = tracer or Tracer(enabled=False)
         self.metrics = metrics or MetricsRegistry()
-        #: audit trail of every adaptive decision (joins, shuffles)
+        #: audit trail of the newest decisions (joins, shuffles,
+        #: kernels, delta refreshes, rollup routes)
         self.report = ExecutionReport(metrics=self.metrics)
         self.planner = AdaptivePlanner(self.adaptive, self.report)
         self.scheduler = Scheduler(

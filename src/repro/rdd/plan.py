@@ -58,12 +58,7 @@ from repro.rdd.rdd import (
     UnionRDD,
 )
 from repro.rdd.shuffle import hash_bucket, portable_hash
-from repro.rdd.stats import (
-    AdaptivePlanner,
-    JoinDecision,
-    ShuffleDecision,
-    collect_stats,
-)
+from repro.rdd.stats import AdaptivePlanner, Decision, collect_stats
 
 logger = logging.getLogger("repro.rdd.plan")
 
@@ -456,9 +451,10 @@ class Scheduler:
     def _choose_shuffle_partitions(
         self, rdd: ShuffledRDD, parent_parts: List[Partition]
     ) -> tuple:
-        """Pick the reduce partition count: explicit, stats, or default."""
+        """Pick the reduce partition count: (count, how it was chosen —
+        ``explicit``, ``stats`` or ``default-parallelism`` —, reason)."""
         if rdd._n is not None:
-            return rdd._n, "explicit"
+            return rdd._n, "explicit", "explicit"
         planner = self.planner
         if planner is not None and planner.config.enabled:
             stats = collect_stats(
@@ -467,17 +463,20 @@ class Scheduler:
             n = planner.choose_reduce_partitions(
                 stats.total_rows, stats.distinct_keys
             )
-            return n, (
+            return n, "stats", (
                 f"stats: {stats.total_rows} rows,"
                 f" ~{stats.distinct_keys} distinct keys,"
                 f" target {planner.config.target_partition_rows} rows/part"
             )
-        return rdd.ctx.default_parallelism, "default-parallelism"
+        default = "default-parallelism"
+        return rdd.ctx.default_parallelism, default, default
 
     def _compute_shuffle(self, rdd: ShuffledRDD) -> List[Partition]:
         parent_parts = self.materialize(rdd.parent)
         shuffle_t0 = time.perf_counter()
-        n, n_reason = self._choose_shuffle_partitions(rdd, parent_parts)
+        n, n_choice, n_reason = self._choose_shuffle_partitions(
+            rdd, parent_parts
+        )
         create = rdd.create
         merge_value = rdd.merge_value
         merge_combiners = rdd.merge_combiners
@@ -545,18 +544,16 @@ class Scheduler:
                 # reduce-side merge; fall through to one partition
             shuffle_parts.append(Partition(len(shuffle_parts), pairs))
 
-        shuffle_decision: Optional[ShuffleDecision] = None
         if planner is not None:
-            shuffle_decision = ShuffleDecision(
-                requested_partitions=rdd._n,
-                chosen_partitions=n,
-                output_partitions=len(shuffle_parts),
-                input_rows=sum(len(p.data) for p in parent_parts),
-                shuffled_pairs=total_pairs,
-                skewed_buckets=skewed,
-                reason=n_reason,
-            )
-            planner.report.add(shuffle_decision)
+            decision = planner.report.add(Decision(
+                "shuffle", "shuffle", n_choice, n_reason, {
+                    "chosen_partitions": n,
+                    "output_partitions": len(shuffle_parts),
+                    "input_rows": sum(len(p.data) for p in parent_parts),
+                    "shuffled_pairs": total_pairs,
+                    "skewed_buckets": skewed,
+                },
+            ))
 
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -591,9 +588,9 @@ class Scheduler:
 
         out = self._run_stage(reduce_task, shuffle_parts, "shuffle-reduce")
         if planner is not None:
-            dt = time.perf_counter() - shuffle_t0
-            shuffle_decision.measured_s = dt
-            planner.report.add_timing("shuffle", dt)
+            planner.report.measured(
+                decision, time.perf_counter() - shuffle_t0
+            )
         return out
 
     def _compute_adaptive_join(self, rdd: AdaptiveJoinRDD) -> List[Partition]:
@@ -615,12 +612,12 @@ class Scheduler:
             rdd.left._stats = collect_stats(left_parts, cfg, keyed=True)
         if rdd.right._stats is None or rdd.right._stats.distinct_keys is None:
             rdd.right._stats = collect_stats(right_parts, cfg, keyed=True)
-        decision: JoinDecision = planner.decide_join(
-            rdd.left._stats, rdd.right._stats
+        decision = planner.decide_join(
+            "join", (("left", rdd.left._stats), ("right", rdd.right._stats))
         )
         join_t0 = time.perf_counter()
-        if decision.strategy == "broadcast":
-            if decision.build_side == "right":
+        if decision.choice == "broadcast":
+            if decision.evidence["build_side"] == "right":
                 build_parts, stream_parts = right_parts, left_parts
             else:
                 build_parts, stream_parts = left_parts, right_parts
@@ -628,7 +625,7 @@ class Scheduler:
             for p in build_parts:
                 for k, v in p.data:
                     build.setdefault(k, []).append(v)
-            if decision.build_side == "right":
+            if decision.evidence["build_side"] == "right":
                 def probe(_index: int, items: List[Any]) -> List[Any]:
                     return [
                         (k, (v, w))
@@ -651,7 +648,5 @@ class Scheduler:
             rsrc = SourceRDD(rdd.ctx, right_parts)
             out = self.materialize(lsrc.join(rsrc, rdd._n))
         # the measured strategy cost lands on the decision
-        dt = time.perf_counter() - join_t0
-        decision.measured_s = dt
-        planner.report.add_timing(f"join.{decision.strategy}", dt)
+        planner.report.measured(decision, time.perf_counter() - join_t0)
         return out

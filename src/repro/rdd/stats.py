@@ -14,10 +14,13 @@ time, the way Spark's adaptive query execution does:
 - :class:`AdaptivePlanner` — the decision procedures: broadcast-hash
   vs shuffle join selection, reduce-partition-count selection, and
   skewed-bucket detection;
-- :class:`ExecutionReport` — the audit trail. Every decision the
-  planner takes is recorded as a :class:`JoinDecision` or
-  :class:`ShuffleDecision` so tests and benchmarks can assert the
-  optimizer actually fired (and why), rather than trusting it.
+- :class:`Decision` and :class:`ExecutionReport` — the audit trail.
+  Every physical choice made while answering a query (join strategy,
+  shuffle partitioning, batch kernel, delta refresh, rollup route) is
+  one :class:`Decision` record on the context's report, mirrored into
+  the metrics registry, so tests, benchmarks and EXPLAIN ANALYZE can
+  assert the optimizer actually fired (and why), rather than trusting
+  it.
 
 Statistics are *estimates*: sizes come from a per-partition row
 sample, distinct-key counts from a sampled key census. They only steer
@@ -29,20 +32,21 @@ cost time but never correctness.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+import threading
+from collections import deque
+from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnBatch, count_rows
 
 __all__ = [
     "AdaptiveConfig",
     "AdaptivePlanner",
+    "DECISION_SERIES",
+    "Decision",
     "ExecutionReport",
-    "JoinDecision",
-    "KernelDecision",
     "RDDStats",
-    "ShuffleDecision",
     "collect_stats",
 ]
 
@@ -227,190 +231,102 @@ def collect_stats(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class JoinDecision:
-    """One join-strategy choice, with the evidence that drove it."""
+#: Each decision kind's registry mirror: ``(counter, label key, timing
+#: histogram)``. The label keys are the historical names the registry
+#: series carry (dashboards and the benchmark suite read them), so they
+#: live here and nowhere else; the label value is the decision's
+#: ``choice``. A kind without a label key counts unlabelled, one
+#: without a histogram is never timed.
+DECISION_SERIES: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
+    "join": ("rdd.join.decisions", "strategy", "rdd.timing.join.{choice}"),
+    "shuffle": ("rdd.shuffle.decisions", None, "rdd.timing.shuffle"),
+    "kernel": ("core.kernel.decisions", "choice", None),
+    "delta": ("stream.delta.decisions", "choice", None),
+    "rollup": ("metrics.rollup.decisions", "route", None),
+}
 
-    op: str  # "join" | "natural_join" | "interpolation_join" | ...
-    strategy: str  # "broadcast" | "shuffle"
-    build_side: Optional[str]  # "left" | "right" | None for shuffle
-    left_rows: int
-    right_rows: int
-    left_bytes: int
-    right_bytes: int
-    threshold_bytes: int
+#: decisions an :class:`ExecutionReport` holds; older ones drop off
+#: while the registry counters keep the totals
+REPORT_CAPACITY = 1024
+
+
+@dataclass
+class Decision:
+    """One physical choice taken while answering a query, with the
+    evidence that drove it.
+
+    ``kind`` names the decision procedure, ``choice`` what it picked:
+
+    - ``join`` (adaptive planner): ``broadcast`` | ``shuffle``;
+    - ``shuffle`` (scheduler), how the partition count was chosen:
+      ``explicit`` | ``stats`` | ``default-parallelism``;
+    - ``kernel`` (columnar execution): ``batch`` | ``row-fallback``;
+    - ``delta`` (standing-query refresh): ``delta`` | ``replay``;
+    - ``rollup`` (metric routing): ``rollup`` | ``raw``.
+
+    ``op`` is the operator it was taken for and ``reason`` says why.
+    ``evidence`` holds only the numbers the choice was made on (empty
+    when nothing was weighed, e.g. adaptive execution disabled);
+    ``measured_s`` is the wall-clock the chosen strategy then took,
+    when the scheduler timed it.
+    """
+
+    kind: str
+    op: str
+    choice: str
     reason: str
-    adaptive: bool = True  # False when adaptive execution is disabled
-    #: wall-clock seconds the chosen strategy actually took, filled in
-    #: by the scheduler after execution
+    evidence: Dict[str, Any] = field(default_factory=dict)
     measured_s: Optional[float] = None
 
-    kind = "join"
-
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "strategy": self.strategy,
-            "build_side": self.build_side,
-            "left_rows": self.left_rows,
-            "right_rows": self.right_rows,
-            "left_bytes": self.left_bytes,
-            "right_bytes": self.right_bytes,
-            "threshold_bytes": self.threshold_bytes,
-            "reason": self.reason,
-            "adaptive": self.adaptive,
-            "measured_s": self.measured_s,
+        """Flat JSON form: the fields, the choice once more under its
+        kind's label key, and the evidence."""
+        out: Dict[str, Any] = {
+            "kind": self.kind, "op": self.op, "choice": self.choice,
         }
-
-
-@dataclass
-class ShuffleDecision:
-    """One shuffle's tuning outcome: partition count and skew handling."""
-
-    requested_partitions: Optional[int]  # None = caller left it to stats
-    chosen_partitions: int
-    output_partitions: int  # after skew splitting
-    input_rows: int
-    shuffled_pairs: int  # post-combine shuffle volume
-    skewed_buckets: List[int]
-    reason: str
-    #: wall-clock seconds for the whole shuffle (map + exchange +
-    #: reduce), filled in by the scheduler
-    measured_s: Optional[float] = None
-
-    kind = "shuffle"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "requested_partitions": self.requested_partitions,
-            "chosen_partitions": self.chosen_partitions,
-            "output_partitions": self.output_partitions,
-            "input_rows": self.input_rows,
-            "shuffled_pairs": self.shuffled_pairs,
-            "skewed_buckets": list(self.skewed_buckets),
-            "reason": self.reason,
-            "measured_s": self.measured_s,
-        }
-
-
-@dataclass
-class KernelDecision:
-    """One operator's batch-vs-row execution choice.
-
-    Recorded by the columnar execution path so EXPLAIN ANALYZE and the
-    equivalence tests can assert which kernel actually ran: ``choice``
-    is ``"batch"`` when the vectorized kernel handled the operator and
-    ``"row-fallback"`` when it exploded to the row path (with the
-    reason — unsupported operator, stray row elements, oversized build
-    side, ...).
-    """
-
-    op: str  # "filter_equals" | "natural_join" | "groupby" | ...
-    choice: str  # "batch" | "row-fallback"
-    reason: str
-
-    kind = "kernel"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "choice": self.choice,
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class DeltaDecision:
-    """One standing-query refresh's delta-vs-replay choice.
-
-    Recorded by the streaming layer (:mod:`repro.stream`) each time a
-    feed advance refreshes a subscription: ``choice`` is ``"delta"``
-    when only the newly appended rows were pushed through the plan
-    (union-distributive path) and ``"replay"`` when a
-    non-incrementalizable operator forced a scoped recompute at the
-    new watermark — with the operator and reason, so tests and
-    benchmarks can assert the incremental path actually ran.
-    """
-
-    op: str  # offending/root op, e.g. "natural_join"
-    choice: str  # "delta" | "replay"
-    reason: str
-
-    kind = "delta"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "choice": self.choice,
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class RollupDecision:
-    """One metric query's routing outcome: rollup or raw.
-
-    Recorded by the metrics layer (:mod:`repro.metrics`) every time a
-    measure query is answered: ``route`` is ``"rollup"`` when a
-    materialized rollup table served the query (with its name and
-    grain) and ``"raw"`` when it fell back to base-relation
-    computation — with the reason (no registered rollup covers the
-    measures, a non-decomposable aggregate needed an exact grain,
-    ...), so EXPLAIN ANALYZE and the acceptance tests can assert which
-    path actually answered.
-    """
-
-    route: str  # "rollup" | "raw"
-    rollup: Optional[str]  # winning rollup name, None on raw
-    requested_grain: Optional[float]  # query bucket seconds
-    rollup_grain: Optional[float]  # winning rollup's bucket seconds
-    candidates: int  # how many registered rollups could answer
-    reason: str
-
-    kind = "rollup"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "route": self.route,
-            "rollup": self.rollup,
-            "requested_grain": self.requested_grain,
-            "rollup_grain": self.rollup_grain,
-            "candidates": self.candidates,
-            "reason": self.reason,
-        }
+        label = DECISION_SERIES[self.kind][1]
+        if label:
+            out[label] = self.choice
+        out["reason"] = self.reason
+        out.update(self.evidence)
+        out["measured_s"] = self.measured_s
+        return out
 
     def __str__(self) -> str:
-        target = self.rollup if self.route == "rollup" else "raw"
-        return (
-            f"rollup route -> {target} "
-            f"({self.candidates} candidate(s); {self.reason})"
-        )
+        evidence = ", ".join(f"{k}={v}" for k, v in self.evidence.items())
+        return "".join([
+            f"{self.kind}[{self.op}] -> {self.choice}",
+            f" ({evidence})" if evidence else "",
+            "" if self.measured_s is None
+            else f" in {self.measured_s * 1e3:.1f}ms",
+            f": {self.reason}",
+        ])
 
 
 class ExecutionReport:
-    """Audit trail of every adaptive decision taken on a context.
+    """Audit trail of the newest decisions taken on a context.
 
-    Appended to by the scheduler and the combination layer; read by
-    tests and benchmarks to prove the optimizer fired (acceptance
-    criterion: the broadcast strategy must be *selected*, not
-    hardcoded). Accumulates until :meth:`clear`.
+    Appended to by the scheduler, the combination layer, columnar
+    execution, stream refresh and metric routing; read by tests,
+    benchmarks and EXPLAIN ANALYZE to prove the optimizer fired (and
+    why) rather than trusting it. It holds the newest
+    :data:`REPORT_CAPACITY` decisions: a long-lived service records
+    several per query.
 
     When constructed with a :class:`~repro.obs.MetricsRegistry`
     (every :class:`~repro.rdd.context.SJContext` does this), each
-    decision is also mirrored into the registry as labelled counters
-    (``rdd.join.decisions{strategy=...}``,
-    ``rdd.shuffle.decisions``,
-    ``rdd.shuffle.pairs``), so the Prometheus dump carries the same
-    evidence as the audit trail.
+    decision is also mirrored into the registry through
+    :data:`DECISION_SERIES` — plus a shuffle's ``rdd.shuffle.pairs``
+    and ``rdd.shuffle.skewed_buckets`` — so the Prometheus dump carries
+    the same evidence, and every total, as the audit trail.
     """
 
     def __init__(self, metrics=None) -> None:
-        self.decisions: List[Any] = []
+        self.decisions: Deque[Decision] = deque(maxlen=REPORT_CAPACITY)
+        #: decisions ever added: a mark taken before a run selects
+        #: that run's decisions (:meth:`since`) however often the ring
+        #: has wrapped
+        self.recorded = 0
         self.metrics = metrics
         #: latest derivation-cache counter snapshot (hits, misses,
         #: evictions, ...) — set by ScrubJaySession.execute after each
@@ -418,47 +334,38 @@ class ExecutionReport:
         #: audit trail as the join/shuffle decisions instead of only
         #: in log lines.
         self.cache_stats: Dict[str, Any] = {}
+        self._lock = threading.Lock()
 
-    def add_timing(self, name: str, seconds: float) -> None:
-        """Observe one measured span (``join.broadcast`` /
-        ``join.shuffle`` / ``shuffle``) into the ``rdd.timing.*``
-        histograms."""
+    def add(self, decision: Decision) -> Decision:
+        with self._lock:
+            self.decisions.append(decision)
+            self.recorded += 1
         if self.metrics is not None:
-            self.metrics.observe(f"rdd.timing.{name}", seconds)
-
-    def add(self, decision: Any) -> None:
-        self.decisions.append(decision)
-        if self.metrics is not None:
-            if decision.kind == "join":
+            counter, label, _ = DECISION_SERIES[decision.kind]
+            self.metrics.inc(
+                counter, labels={label: decision.choice} if label else None
+            )
+            if decision.kind == "shuffle":
+                evidence = decision.evidence
                 self.metrics.inc(
-                    "rdd.join.decisions",
-                    labels={"strategy": decision.strategy},
+                    "rdd.shuffle.pairs", evidence["shuffled_pairs"]
                 )
-            elif decision.kind == "shuffle":
-                self.metrics.inc("rdd.shuffle.decisions")
-                self.metrics.inc(
-                    "rdd.shuffle.pairs", decision.shuffled_pairs
-                )
-                if decision.skewed_buckets:
+                if evidence["skewed_buckets"]:
                     self.metrics.inc(
                         "rdd.shuffle.skewed_buckets",
-                        len(decision.skewed_buckets),
+                        len(evidence["skewed_buckets"]),
                     )
-            elif decision.kind == "kernel":
-                self.metrics.inc(
-                    "core.kernel.decisions",
-                    labels={"choice": decision.choice},
-                )
-            elif decision.kind == "delta":
-                self.metrics.inc(
-                    "stream.delta.decisions",
-                    labels={"choice": decision.choice},
-                )
-            elif decision.kind == "rollup":
-                self.metrics.inc(
-                    "metrics.rollup.decisions",
-                    labels={"route": decision.route},
-                )
+        return decision
+
+    def measured(self, decision: Decision, seconds: float) -> None:
+        """Land the chosen strategy's wall-clock on ``decision`` and in
+        its kind's ``rdd.timing.*`` histogram."""
+        decision.measured_s = seconds
+        timing = DECISION_SERIES[decision.kind][2]
+        if self.metrics is not None and timing:
+            self.metrics.observe(
+                timing.format(choice=decision.choice), seconds
+            )
 
     def set_cache_stats(self, stats: Dict[str, Any]) -> None:
         self.cache_stats = dict(stats)
@@ -467,42 +374,33 @@ class ExecutionReport:
             # double count)
             self.metrics.set_gauges_from(stats, prefix="core.cache.")
 
-    def clear(self) -> None:
-        self.decisions.clear()
-        self.cache_stats = {}
+    def _held(self) -> List[Decision]:
+        with self._lock:
+            return list(self.decisions)
 
-    def joins(self) -> List[JoinDecision]:
-        return [d for d in self.decisions if d.kind == "join"]
+    def of(self, kind: str) -> List[Decision]:
+        """The held decisions of one kind, oldest first."""
+        return [d for d in self._held() if d.kind == kind]
 
-    def shuffles(self) -> List[ShuffleDecision]:
-        return [d for d in self.decisions if d.kind == "shuffle"]
-
-    def kernels(self) -> List[KernelDecision]:
-        return [d for d in self.decisions if d.kind == "kernel"]
-
-    def deltas(self) -> List[DeltaDecision]:
-        return [d for d in self.decisions if d.kind == "delta"]
-
-    def rollups(self) -> List[RollupDecision]:
-        return [d for d in self.decisions if d.kind == "rollup"]
-
-    def broadcast_joins(self) -> List[JoinDecision]:
-        return [d for d in self.joins() if d.strategy == "broadcast"]
-
-    def shuffle_volume(self) -> int:
-        """Total post-combine pairs moved through shuffles so far."""
-        return sum(d.shuffled_pairs for d in self.shuffles())
+    def since(self, mark: int) -> List[Decision]:
+        """The held decisions added after :attr:`recorded` read
+        ``mark``, oldest first."""
+        with self._lock:
+            held = list(self.decisions)
+            n = self.recorded - mark
+        return held[max(0, len(held) - n):]
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
-            "decisions": [d.as_dict() for d in self.decisions]
+            "decisions": [d.as_dict() for d in self._held()]
         }
         if self.cache_stats:
             out["cache_stats"] = dict(self.cache_stats)
         return out
 
     def summary(self) -> str:
-        lines = [f"ExecutionReport: {len(self.decisions)} decisions"]
+        held = self._held()
+        lines = [f"ExecutionReport: {len(held)} decisions"]
         if self.cache_stats:
             cs = self.cache_stats
             lines.append(
@@ -510,38 +408,7 @@ class ExecutionReport:
                 f" {cs.get('misses', 0)} misses,"
                 f" {cs.get('evictions', 0)} evictions"
             )
-        for d in self.decisions:
-            if d.kind == "join":
-                lines.append(
-                    f"  join[{d.op}] -> {d.strategy}"
-                    f"{' build=' + d.build_side if d.build_side else ''}"
-                    f" (L {d.left_rows} rows/{d.left_bytes} B,"
-                    f" R {d.right_rows} rows/{d.right_bytes} B,"
-                    f" threshold {d.threshold_bytes} B): {d.reason}"
-                )
-            elif d.kind == "shuffle":
-                skew = (
-                    f", skewed buckets {d.skewed_buckets}"
-                    if d.skewed_buckets
-                    else ""
-                )
-                lines.append(
-                    f"  shuffle {d.input_rows} rows ->"
-                    f" {d.shuffled_pairs} pairs over"
-                    f" {d.output_partitions} partitions"
-                    f" (requested {d.requested_partitions},"
-                    f" chosen {d.chosen_partitions}{skew}): {d.reason}"
-                )
-            elif d.kind == "kernel":
-                lines.append(
-                    f"  kernel[{d.op}] -> {d.choice}: {d.reason}"
-                )
-            elif d.kind == "delta":
-                lines.append(
-                    f"  delta[{d.op}] -> {d.choice}: {d.reason}"
-                )
-            elif d.kind == "rollup":
-                lines.append(f"  {d}")
+        lines.extend(f"  {d}" for d in held)
         return "\n".join(lines)
 
     def __len__(self) -> int:
@@ -576,106 +443,62 @@ class AdaptivePlanner:
 
     # -- joins ---------------------------------------------------------
 
+    def allows_broadcast(self, side: RDDStats) -> bool:
+        """The broadcast rule: adaptive execution is on and ``side``
+        fits under both broadcast thresholds."""
+        cfg = self.config
+        return (
+            cfg.enabled
+            and side.approx_bytes <= cfg.broadcast_threshold_bytes
+            and side.total_rows <= cfg.broadcast_threshold_rows
+        )
+
     def decide_join(
         self,
-        left: RDDStats,
-        right: RDDStats,
-    ) -> JoinDecision:
-        """Choose broadcast-hash vs shuffle for an equi-join.
-
-        The smaller side is broadcast when it fits under both broadcast
-        thresholds, otherwise the join shuffles.
+        op: str,
+        sides: Sequence[Tuple[str, RDDStats]],
+        name: Optional[str] = None,
+    ) -> Decision:
+        """Choose broadcast-hash vs shuffle for a join: broadcast the
+        smallest of ``sides`` (``(side, stats)`` pairs — both sides of
+        an equi-join, the bin side of a windowed one) when
+        :meth:`allows_broadcast` does, else shuffle, and record it.
+        The evidence is every side's rows and bytes, the thresholds,
+        and the ``build_side`` broadcast; ``name`` labels the side in
+        the reason (default: the side).
         """
         cfg = self.config
-
-        def decision(strategy, build_side, reason, adaptive=True):
-            d = JoinDecision(
-                op="join",
-                strategy=strategy,
-                build_side=build_side,
-                left_rows=left.total_rows,
-                right_rows=right.total_rows,
-                left_bytes=left.approx_bytes,
-                right_bytes=right.approx_bytes,
-                threshold_bytes=cfg.broadcast_threshold_bytes,
-                reason=reason,
-                adaptive=adaptive,
-            )
-            self.report.add(d)
-            return d
-
         if not cfg.enabled:
-            return decision("shuffle", None, "adaptive-disabled", False)
-
+            return self.report.add(
+                Decision("join", op, "shuffle", "adaptive-disabled")
+            )
+        evidence: Dict[str, Any] = {}
+        for side, stats in sides:
+            evidence[f"{side}_rows"] = stats.total_rows
+            evidence[f"{side}_bytes"] = stats.approx_bytes
+        evidence["threshold_bytes"] = cfg.broadcast_threshold_bytes
+        evidence["threshold_rows"] = cfg.broadcast_threshold_rows
         side, stats = min(
-            (("left", left), ("right", right)),
-            key=lambda s: (s[1].approx_bytes, s[1].total_rows),
+            sides, key=lambda s: (s[1].approx_bytes, s[1].total_rows)
         )
-        if (
-            stats.approx_bytes <= cfg.broadcast_threshold_bytes
-            and stats.total_rows <= cfg.broadcast_threshold_rows
-        ):
-            return decision(
-                "broadcast",
-                side,
-                f"{side} side ~{stats.approx_bytes} B"
-                f" <= threshold {cfg.broadcast_threshold_bytes} B",
+        name = name or side
+        if self.allows_broadcast(stats):
+            evidence["build_side"] = side
+            choice, reason = "broadcast", (
+                f"{name} side ~{stats.approx_bytes} B"
+                f" <= threshold {cfg.broadcast_threshold_bytes} B"
             )
-        return decision(
-            "shuffle",
-            None,
-            f"smallest side ~{stats.approx_bytes} B / {stats.total_rows}"
-            f" rows exceeds broadcast thresholds"
-            f" ({cfg.broadcast_threshold_bytes} B /"
-            f" {cfg.broadcast_threshold_rows} rows)",
-        )
-
-    def decide_bin_broadcast(
-        self, bin_side: RDDStats, op: str = "interpolation_join"
-    ) -> JoinDecision:
-        """Broadcast the bin side of a windowed join when it is small.
-
-        The interpolation join shuffles both datasets into time bins;
-        when the sensor-style (right) dataset, keyed as the
-        ``(epoch, row)`` pairs it would ship, fits under the broadcast
-        threshold, it goes whole to every task instead and the join
-        runs no shuffle at all.
-        """
-        cfg = self.config
-        if not cfg.enabled:
-            d = JoinDecision(
-                op=op, strategy="shuffle", build_side=None,
-                left_rows=0, right_rows=bin_side.total_rows,
-                left_bytes=0,
-                right_bytes=bin_side.approx_bytes,
-                threshold_bytes=cfg.broadcast_threshold_bytes,
-                reason="adaptive-disabled", adaptive=False,
-            )
-            self.report.add(d)
-            return d
-        if (
-            bin_side.approx_bytes <= cfg.broadcast_threshold_bytes
-            and bin_side.total_rows <= cfg.broadcast_threshold_rows
-        ):
-            d = JoinDecision(
-                op=op, strategy="broadcast", build_side="right",
-                left_rows=0, right_rows=bin_side.total_rows,
-                left_bytes=0, right_bytes=bin_side.approx_bytes,
-                threshold_bytes=cfg.broadcast_threshold_bytes,
-                reason=f"bin side ~{bin_side.approx_bytes} B"
-                       f" <= threshold {cfg.broadcast_threshold_bytes} B",
+        elif stats.approx_bytes > cfg.broadcast_threshold_bytes:
+            choice, reason = "shuffle", (
+                f"{name} side ~{stats.approx_bytes} B exceeds"
+                f" threshold {cfg.broadcast_threshold_bytes} B"
             )
         else:
-            d = JoinDecision(
-                op=op, strategy="shuffle", build_side=None,
-                left_rows=0, right_rows=bin_side.total_rows,
-                left_bytes=0, right_bytes=bin_side.approx_bytes,
-                threshold_bytes=cfg.broadcast_threshold_bytes,
-                reason=f"bin side ~{bin_side.approx_bytes} B exceeds"
-                       f" threshold {cfg.broadcast_threshold_bytes} B",
+            choice, reason = "shuffle", (
+                f"{name} side {stats.total_rows} rows exceeds"
+                f" threshold {cfg.broadcast_threshold_rows} rows"
             )
-        self.report.add(d)
-        return d
+        return self.report.add(Decision("join", op, choice, reason, evidence))
 
     # -- shuffles ------------------------------------------------------
 

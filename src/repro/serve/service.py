@@ -853,9 +853,8 @@ class QueryService:
         """Commit one refresh of ``sub`` from watermarks ``base`` to
         ``targets`` (``changed`` names the feeds that moved) and say
         how: ``"delta"`` or ``"replay"``."""
-        mode, decisions = sub.delta_plan.classify(changed)
-        sub.delta_plan.record(
-            getattr(self.session.ctx, "report", None), decisions
+        mode, _ = sub.delta_plan.classify(
+            changed, getattr(self.session.ctx, "report", None)
         )
         if mode == "delta":
             self._refresh_delta(sub, base, targets, changed)
@@ -1254,11 +1253,9 @@ class QueryService:
         session = self.session
         q = ticket.query
         rollup, decision = choose_rollup(
-            getattr(session, "rollups", {}) or {}, q
+            getattr(session, "rollups", {}) or {}, q,
+            getattr(session.ctx, "report", None),
         )
-        report = getattr(session.ctx, "report", None)
-        if report is not None:
-            report.add(decision)
         if rollup is not None:
             ticket.result_schema = rollup.dataset.schema
             return MetricAnswer(q, rollup.answer(q), decision)

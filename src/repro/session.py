@@ -411,7 +411,9 @@ class ScrubJaySession:
         *executed* (with per-node materialization) under a temporarily
         enabled tracer, and each node renders with its measured row
         count, approximate size, wall time, and derivation-cache
-        outcome, prefixed by a summary of the engine's search. The
+        outcome, prefixed by one line per decision the run took (join
+        strategy, shuffle partitioning, kernel, rollup route) and a
+        summary of the engine's search. The
         resulting trace tree is also retained on ``ctx.tracer`` —
         ``ctx.tracer.last_root()`` returns it for programmatic use.
         """
@@ -430,16 +432,14 @@ class ScrubJaySession:
         tracer = self.ctx.tracer
         was_enabled = tracer.enabled
         tracer.enabled = True
-        decision = None
+        report = self.ctx.report
+        mark = report.recorded
         try:
             with tracer.span(
                 "explain-analyze", kind="query", query=str(q)
             ) as root:
                 if q.is_metric:
-                    answer = self._ask_metric(
-                        q, tracer=tracer, measure=True
-                    )
-                    decision = answer.decision
+                    self._ask_metric(q, tracer=tracer, measure=True)
                 else:
                     plan = self.engine.solve(self.schemas(), q)
                     plan.execute(
@@ -451,14 +451,12 @@ class ScrubJaySession:
                         columnar=self.engine.config.columnar,
                     )
                     if self.cache is not None:
-                        self.ctx.report.set_cache_stats(
-                            self.cache.stats()
-                        )
+                        report.set_cache_stats(self.cache.stats())
         finally:
             tracer.enabled = was_enabled
         lines = [f"EXPLAIN ANALYZE {q}"]
-        if decision is not None:
-            lines.append(str(decision))
+        # every decision this run took, one line each
+        lines.extend(str(d) for d in report.since(mark))
         solve = root.find("solve")
         if solve is not None:
             c = solve.counters
@@ -541,8 +539,8 @@ class ScrubJaySession:
         """Answer a metric query: route to the coarsest registered
         rollup that can answer it, else solve + execute the base
         relation and aggregate raw. The route lands on the
-        ExecutionReport as a :class:`~repro.rdd.stats.RollupDecision`
-        either way."""
+        ExecutionReport as a ``rollup``
+        :class:`~repro.rdd.stats.Decision` either way."""
         from repro.metrics.compute import (
             MetricAnswer,
             finalize_metric,
@@ -551,10 +549,8 @@ class ScrubJaySession:
         from repro.metrics.rollup import choose_rollup
 
         q.validate(self.dictionary)
-        rollup, decision = choose_rollup(self.rollups, q)
         report = getattr(self.ctx, "report", None)
-        if report is not None:
-            report.add(decision)
+        rollup, decision = choose_rollup(self.rollups, q, report)
         if rollup is not None:
             if tracer is not None and tracer.enabled:
                 with tracer.span(

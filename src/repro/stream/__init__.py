@@ -14,8 +14,8 @@ full replay. This package closes that gap:
   changed datasets and, when every operator on the changed paths is
   union-distributive, executes the plan over just the appended rows
   (delta execution); otherwise falls back to a scoped replay at the
-  new watermark. Each choice lands as a
-  :class:`~repro.rdd.stats.DeltaDecision` on the ExecutionReport;
+  new watermark. Each operator's choice lands as a ``delta``
+  :class:`~repro.rdd.stats.Decision` on the ExecutionReport;
 - the serve layer builds standing-query subscriptions on these
   (:meth:`repro.serve.QueryService.subscribe`).
 
@@ -23,13 +23,11 @@ See DESIGN.md "Streaming & incremental derivation" for the watermark
 semantics and the delta-vs-replay decision table.
 """
 
-from repro.rdd.stats import DeltaDecision
 from repro.stream.delta import DELTA_SAFE_TRANSFORMS, DeltaPlan
 from repro.stream.feed import Feed, FeedAdvance
 
 __all__ = [
     "DELTA_SAFE_TRANSFORMS",
-    "DeltaDecision",
     "DeltaPlan",
     "Feed",
     "FeedAdvance",

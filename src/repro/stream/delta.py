@@ -22,9 +22,10 @@ samples), ``interpolation_join`` (neighbors straddle the watermark),
 or a combine with changed data on *both* sides — break the identity;
 those plans fall back to **scoped replay**: a full recompute pinned at
 the new watermark (time-windowed derivations only ever need the
-window reaching back ``max window`` before it). Either way the choice
-is recorded as a :class:`~repro.rdd.stats.DeltaDecision` on the
-ExecutionReport, so the incremental path is *asserted*, not assumed.
+window reaching back ``max window`` before it). Either way each
+operator's choice is recorded as a ``delta``
+:class:`~repro.rdd.stats.Decision` on the ExecutionReport, so the
+incremental path is *asserted*, not assumed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.pipeline import (
     TransformNode,
 )
 from repro.errors import PipelineError
-from repro.rdd.stats import DeltaDecision
+from repro.rdd.stats import Decision
 
 #: transformations that are row-local — applying them to a union of
 #: row sets equals the union of applying them to each set
@@ -82,21 +83,25 @@ class DeltaPlan:
     # -- classification ------------------------------------------------
 
     def classify(
-        self, changed: Sequence[str]
-    ) -> Tuple[str, List[DeltaDecision]]:
+        self, changed: Sequence[str], report=None
+    ) -> Tuple[str, List[Decision]]:
         """(``"delta"`` | ``"replay"`` | ``"none"``, decisions).
 
         ``"none"`` means no plan input changed — the standing answer
         is already current. ``"delta"`` means every operator on every
         changed path is union-distributive. Decisions cover each
         operator examined on a changed path; on ``"replay"`` the
-        offending operators carry the reason.
+        offending operators carry the reason. With an ExecutionReport
+        ``report`` the decisions are recorded on it (and so mirrored
+        into ``stream.delta.decisions``).
         """
         touched_names: Set[str] = set(changed) & set(self.dataset_names())
         if not touched_names:
             return "none", []
-        decisions: List[DeltaDecision] = []
-        safe = [True]
+        decisions: List[Decision] = []
+
+        def decide(op: str, choice: str, reason: str) -> None:
+            decisions.append(Decision("delta", op, choice, reason))
 
         def walk(node: PlanNode) -> bool:
             # True when the subtree reads a changed dataset
@@ -107,17 +112,16 @@ class DeltaPlan:
                 if touched:
                     op = node.derivation.op_name
                     if op in DELTA_SAFE_TRANSFORMS:
-                        decisions.append(DeltaDecision(
+                        decide(
                             op, "delta",
                             "row-local: distributes over row-set union",
-                        ))
+                        )
                     else:
-                        safe[0] = False
-                        decisions.append(DeltaDecision(
+                        decide(
                             op, "replay",
                             f"{op} needs cross-row context (not "
                             "union-distributive)",
-                        ))
+                        )
                 return touched
             if isinstance(node, CombineNode):
                 lt = walk(node.left)
@@ -125,31 +129,33 @@ class DeltaPlan:
                 if lt or rt:
                     op = node.derivation.op_name
                     if lt and rt:
-                        safe[0] = False
-                        decisions.append(DeltaDecision(
+                        decide(
                             op, "replay",
                             "changed datasets feed both sides of the "
                             "combine",
-                        ))
+                        )
                     elif op in DELTA_SAFE_COMBINES:
-                        decisions.append(DeltaDecision(
+                        decide(
                             op, "delta",
                             "join is linear in its single changed side",
-                        ))
+                        )
                     else:
-                        safe[0] = False
-                        decisions.append(DeltaDecision(
+                        decide(
                             op, "replay",
                             f"{op} reads neighbor rows across the "
                             "watermark (window/interpolation context)",
-                        ))
+                        )
                 return lt or rt
             raise PipelineError(
                 f"unknown plan node {type(node).__name__}"
             )
 
         walk(self.plan.root)
-        return ("delta" if safe[0] else "replay"), decisions
+        if report is not None:
+            for d in decisions:
+                report.add(d)
+        replay = any(d.choice == "replay" for d in decisions)
+        return ("replay" if replay else "delta"), decisions
 
     # -- execution -----------------------------------------------------
 
@@ -187,14 +193,6 @@ class DeltaPlan:
         return self.plan.execute(
             catalog, dictionary, None, columnar=columnar
         )
-
-    def record(self, report, decisions: List[DeltaDecision]) -> None:
-        """Publish classification decisions onto an ExecutionReport
-        (mirrored into ``stream.delta.decisions`` metrics)."""
-        if report is None:
-            return
-        for d in decisions:
-            report.add(d)
 
     def __repr__(self) -> str:
         return f"DeltaPlan({self.plan!r})"

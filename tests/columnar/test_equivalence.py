@@ -47,13 +47,13 @@ def _ask_both(query_fn, executor=None, **cfg):
     col = _fig5(True, executor=executor, **cfg)
     try:
         col_rows = query_fn(col).collect()
-        kernels = [(k.op, k.choice) for k in col.ctx.report.kernels()]
+        kernels = [(k.op, k.choice) for k in col.ctx.report.of("kernel")]
     finally:
         col.close()
     row = _fig5(False, executor=executor, **cfg)
     try:
         row_rows = query_fn(row).collect()
-        assert row.ctx.report.kernels() == []
+        assert row.ctx.report.of("kernel") == []
     finally:
         row.close()
     return col_rows, row_rows, kernels
@@ -116,6 +116,48 @@ def test_natural_and_interpolation_join_equivalent():
     assert col and _sorted(col) == _sorted(row)
     assert ("natural_join", "batch") in kernels
     assert ("interpolation_join", "row-fallback") in kernels
+
+
+@pytest.mark.parametrize("knob", [
+    {"adaptive_enabled": False},
+    {"adaptive_broadcast_threshold_bytes": 0},
+])
+def test_columnar_natural_join_obeys_the_broadcast_rule(knob):
+    """The batch hash join is a broadcast join, so the planner's
+    broadcast rule binds it too: with adaptive execution off, or a
+    build side over the threshold, it declines and the row path's
+    adaptive join shuffles — no broadcast is recorded, as on the row
+    path."""
+
+    def q(s):
+        return s.ask(
+            domains=["jobs", "racks"], values=["applications", "heat"]
+        )
+
+    col = _fig5(True, **knob)
+    try:
+        col_rows = q(col).collect()
+        metrics = col.ctx.metrics
+        broadcasts = metrics.counter(
+            "rdd.join.decisions", {"strategy": "broadcast"}
+        )
+        shuffles = metrics.counter(
+            "rdd.join.decisions", {"strategy": "shuffle"}
+        )
+        fallbacks = metrics.counter(
+            "core.kernel.decisions", {"choice": "row-fallback"}
+        )
+    finally:
+        col.close()
+    row = _fig5(False, **knob)
+    try:
+        row_rows = q(row).collect()
+    finally:
+        row.close()
+    assert col_rows and _sorted(col_rows) == _sorted(row_rows)
+    assert broadcasts == 0
+    assert shuffles >= 1
+    assert fallbacks >= 2  # the natural and the interpolation join
 
 
 @pytest.mark.parametrize("executor", ["threads", "processes"])
@@ -185,7 +227,7 @@ def test_sparse_rows_survive_join():
         want = row.ask(**q).collect()
         assert got and _sorted(got) == _sorted(want)
         assert ("natural_join", "batch") in [
-            (k.op, k.choice) for k in col.ctx.report.kernels()
+            (k.op, k.choice) for k in col.ctx.report.of("kernel")
         ]
     finally:
         col.close()

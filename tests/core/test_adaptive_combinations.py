@@ -64,22 +64,22 @@ def _run_natural(ctx, dictionary, left, right):
 def test_natural_join_selects_broadcast_adaptively(ctx, dictionary):
     left, right = _natural_rows()
     _run_natural(ctx, dictionary, left, right)
-    joins = ctx.report.joins()
+    joins = ctx.report.of("join")
     assert joins, "NaturalJoin must go through the adaptive planner"
     d = joins[-1]
-    assert d.strategy == "broadcast"
-    assert d.adaptive, "strategy must be *chosen*, not hardcoded"
-    assert d.build_side == "right"  # 8 rows vs 200
+    assert d.choice == "broadcast"
+    # strategy must be *chosen*, not hardcoded: the sizes it weighed
+    assert d.evidence["left_rows"] == 200 and d.evidence["right_rows"] == 8
+    assert d.evidence["build_side"] == "right"  # 8 rows vs 200
 
 
 def test_natural_join_same_rows_broadcast_vs_shuffle(ctx, dictionary):
     left, right = _natural_rows()
     adaptive = _run_natural(ctx, dictionary, left, right)
-    assert ctx.report.broadcast_joins()
+    assert ctx.report.of("join")[-1].choice == "broadcast"
     with _shuffle_ctx() as sctx:
         shuffled = _run_natural(sctx, dictionary, left, right)
-        assert sctx.report.joins()[-1].strategy == "shuffle"
-        assert not sctx.report.broadcast_joins()
+        assert [d.choice for d in sctx.report.of("join")] == ["shuffle"]
     assert adaptive == shuffled
     assert len(adaptive) == 200  # every left row matches one right row
 
@@ -98,9 +98,9 @@ def test_interp_join_broadcasts_small_bin_side(ctx, dictionary):
     out = InterpolationJoin(window=10.0).apply(lds, rds, dictionary)
     rows = out.collect()
     assert rows
-    interp = [d for d in ctx.report.joins()
+    interp = [d for d in ctx.report.of("join")
               if d.op == "interpolation_join"]
-    assert interp and interp[-1].strategy == "broadcast"
+    assert interp and interp[-1].choice == "broadcast"
 
 
 def _interp_inputs(ctx):
@@ -131,14 +131,14 @@ def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
     with SJContext(executor="serial", default_parallelism=4) as bctx:
         broadcast = run(bctx)
         assert any(
-            d.op == "interpolation_join" and d.strategy == "broadcast"
-            for d in bctx.report.joins()
+            d.op == "interpolation_join" and d.choice == "broadcast"
+            for d in bctx.report.of("join")
         )
     with _shuffle_ctx() as sctx:
         shuffled = run(sctx)
         assert any(
-            d.op == "interpolation_join" and d.strategy == "shuffle"
-            for d in sctx.report.joins()
+            d.op == "interpolation_join" and d.choice == "shuffle"
+            for d in sctx.report.of("join")
         )
     assert broadcast == shuffled
 
@@ -149,20 +149,20 @@ def test_interp_join_shuffle_path_is_one_shuffle_of_l_plus_2r(dictionary):
         rows = InterpolationJoin(8.0).apply(lds, rds, dictionary).collect()
         assert len(rows) == len(lrows)
         # one exchange: a left row in one bin, a right row in at most two
-        (shuffle,) = ctx.report.shuffles()
-        assert len(lrows) < shuffle.input_rows <= \
-            len(lrows) + 2 * (len(rrows) - 1)
-        assert shuffle.shuffled_pairs <= shuffle.input_rows
+        (shuffle,) = ctx.report.of("shuffle")
+        shipped = shuffle.evidence["input_rows"]
+        assert len(lrows) < shipped <= len(lrows) + 2 * (len(rrows) - 1)
+        assert shuffle.evidence["shuffled_pairs"] <= shipped
         assert ctx.metrics.counter("rdd.shuffle.pairs") == \
-            shuffle.shuffled_pairs
+            shuffle.evidence["shuffled_pairs"]
 
 
 def test_interp_join_broadcast_path_runs_no_shuffle(ctx, dictionary):
     lrows, _rrows, lds, rds = _interp_inputs(ctx)
     rows = InterpolationJoin(8.0).apply(lds, rds, dictionary).collect()
     assert len(rows) == len(lrows)
-    assert ctx.report.joins()[-1].strategy == "broadcast"
-    assert ctx.report.shuffles() == []
+    assert ctx.report.of("join")[-1].choice == "broadcast"
+    assert ctx.report.of("shuffle") == []
     assert ctx.metrics.counter("rdd.shuffle.pairs") == 0
 
 
@@ -179,7 +179,7 @@ def test_interp_join_left_input_pipelines_into_the_join(
         out = InterpolationJoin(8.0).apply(lds, rds, dictionary)
         # planning looks at the right side only; the left lineage
         # first runs inside the join's own stage, once
-        assert ctx.report.joins()
+        assert ctx.report.of("join")
         assert computed == []
         out.collect()
         assert len(computed) == len(lrows)
@@ -191,9 +191,9 @@ def test_paper_workload_joins_keep_their_strategy():
     experiment); the DAT 1 and DAT 2 case-study joins sit below it."""
     def strategy(sj, across, values):
         sj.query().across(*across).values(*values).ask()
-        (d,) = [d for d in sj.ctx.report.joins()
+        (d,) = [d for d in sj.ctx.report.of("join")
                 if d.op == "interpolation_join"]
-        return d.strategy
+        return d.choice
 
     left, right = timed_tables(18_000, 64, seed=12)
     with ScrubJaySession(TuningProfile(interpolation_window=2.0)) as sj:
@@ -227,7 +227,8 @@ def test_natural_join_report_disabled_cleanly(dictionary):
     with SJContext(executor="serial", default_parallelism=4,
                    adaptive=AdaptiveConfig(enabled=False)) as ctx:
         rows = _run_natural(ctx, dictionary, left, right)
-        d = ctx.report.joins()[-1]
-    assert d.strategy == "shuffle"
-    assert not d.adaptive
+        d = ctx.report.of("join")[-1]
+    assert d.choice == "shuffle"
+    assert d.reason == "adaptive-disabled"
+    assert d.evidence == {}  # nothing was weighed
     assert len(rows) == 200

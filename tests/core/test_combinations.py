@@ -301,7 +301,7 @@ def strategy_ctx(request):
     with SJContext(executor="serial", default_parallelism=4,
                    broadcast_threshold=threshold) as c:
         yield c
-        assert c.report.joins()[-1].strategy == request.param
+        assert c.report.of("join")[-1].choice == request.param
 
 
 def _attached(ctx, dictionary, series, schema=TRIGHT, field="temp",

@@ -162,7 +162,7 @@ def test_binned_matching_equals_brute_force(case, lparts, rparts, shuffle):
     rds = ScrubJayDataset.from_rows(ctx, right_rows, WIDE_RIGHT, "r", rparts)
     got = InterpolationJoin(window).apply(lds, rds, _DICT).collect()
     if any(r["time"] is not None for r in right_rows):  # else 0 bytes
-        assert ctx.report.joins()[-1].strategy == \
+        assert ctx.report.of("join")[-1].choice == \
             ("shuffle" if shuffle else "broadcast")
 
     want = _oracle_rows(left_rows, right_rows, window)

@@ -156,7 +156,7 @@ def test_metric_answer_matches_manual_aggregation(power_session, how):
         power_session.query()
         .measure("power", how).per("racks").grain("1h")
     )
-    assert ans.decision.route == "raw"
+    assert ans.decision.choice == "raw"
     want = manual_groups(power_rows(), 3600.0, how)
     got = {k: v[f"power_{how}"] for k, v in ans.groups.items()}
     assert_groups_equal(got, want)

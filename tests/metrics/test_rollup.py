@@ -28,7 +28,7 @@ def raw_truth(q):
     try:
         ref.register_rows(power_rows(), RACK_POWER_SCHEMA, "rack_power")
         ans = ref.ask(q)
-        assert ans.decision.route == "raw"
+        assert ans.decision.choice == "raw"
         return ans.groups
     finally:
         ref.close()
@@ -70,7 +70,7 @@ def test_drop_rollup_unregisters(power_session):
     with pytest.raises(ScrubJayError, match="no rollup"):
         power_session.rollup("power_1h")
     q = metric_q(power_session)
-    assert power_session.ask(q).decision.route == "raw"
+    assert power_session.ask(q).decision.choice == "raw"
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +82,8 @@ def test_exact_grain_routes_and_matches_raw(power_session):
     want = raw_truth(q)
     power_session.rollup("power_1h", metric_q(power_session))
     ans = power_session.ask(q)
-    assert ans.decision.route == "rollup"
-    assert ans.decision.rollup == "power_1h"
+    assert ans.decision.choice == "rollup"
+    assert ans.decision.evidence["rollup"] == "power_1h"
     assert_groups_equal(ans.groups, want)
 
 
@@ -92,8 +92,8 @@ def test_coarser_query_reaggregates_from_finer_rollup(power_session):
     want = raw_truth(q2h)
     power_session.rollup("power_15m", metric_q(power_session, grain="15m"))
     ans = power_session.ask(q2h)
-    assert ans.decision.route == "rollup"
-    assert ans.decision.rollup_grain == 900.0
+    assert ans.decision.choice == "rollup"
+    assert ans.decision.evidence["rollup_grain"] == 900.0
     assert_groups_equal(ans.groups, want)
 
 
@@ -101,16 +101,16 @@ def test_coarsest_eligible_rollup_wins(power_session):
     power_session.rollup("power_15m", metric_q(power_session, grain="15m"))
     power_session.rollup("power_30m", metric_q(power_session, grain="30m"))
     ans = power_session.ask(metric_q(power_session, grain="1h"))
-    assert ans.decision.route == "rollup"
-    assert ans.decision.rollup == "power_30m"
-    assert ans.decision.candidates == 2
+    assert ans.decision.choice == "rollup"
+    assert ans.decision.evidence["rollup"] == "power_30m"
+    assert ans.decision.evidence["candidates"] == 2
     assert "coarsest" in ans.decision.reason
 
 
 def test_nondividing_grain_falls_back_to_raw(power_session):
     power_session.rollup("power_40m", metric_q(power_session, grain="40m"))
     ans = power_session.ask(metric_q(power_session, grain="1h"))
-    assert ans.decision.route == "raw"  # 2400s does not divide 3600s
+    assert ans.decision.choice == "raw"  # 2400s does not divide 3600s
 
 
 def test_per_subset_reaggregates_whole_fleet(power_session):
@@ -123,15 +123,15 @@ def test_per_subset_reaggregates_whole_fleet(power_session):
         .per("racks").grain("1h"),
     )
     ans = power_session.ask(q)
-    assert ans.decision.route == "rollup"
+    assert ans.decision.choice == "rollup"
     assert_groups_equal(ans.groups, want)
 
 
 def test_missing_measure_falls_back_to_raw(power_session):
     power_session.rollup("maxes", metric_q(power_session, how="max"))
     ans = power_session.ask(metric_q(power_session, how="mean"))
-    assert ans.decision.route == "raw"
-    assert ans.decision.candidates == 0
+    assert ans.decision.choice == "raw"
+    assert ans.decision.evidence["candidates"] == 0
 
 
 def test_p95_routes_only_at_exact_grain_and_per(power_session):
@@ -139,17 +139,17 @@ def test_p95_routes_only_at_exact_grain_and_per(power_session):
     want = raw_truth(q)
     power_session.rollup("p95_1h", metric_q(power_session, how="p95"))
     ans = power_session.ask(q)
-    assert ans.decision.route == "rollup"
+    assert ans.decision.choice == "rollup"
     assert_groups_equal(ans.groups, want)
     # coarser grain cannot re-aggregate a percentile
     ans2h = power_session.ask(metric_q(power_session, how="p95",
                                        grain="2h"))
-    assert ans2h.decision.route == "raw"
+    assert ans2h.decision.choice == "raw"
     assert "non-decomposable" in ans2h.decision.reason
     # nor can a per-dim subset
     qall = (power_session.query()
             .measure("power", "p95").grain("1h").build())
-    assert power_session.ask(qall).decision.route == "raw"
+    assert power_session.ask(qall).decision.choice == "raw"
 
 
 def test_windowed_decomposable_routes_windowed_p95_does_not(
@@ -159,14 +159,14 @@ def test_windowed_decomposable_routes_windowed_p95_does_not(
     want = raw_truth(qwin)
     power_session.rollup("power_1h", metric_q(power_session))
     ans = power_session.ask(qwin)
-    assert ans.decision.route == "rollup"
+    assert ans.decision.choice == "rollup"
     assert_groups_equal(ans.groups, want)
 
     power_session.rollup("p95_1h", metric_q(power_session, how="p95"))
     ans = power_session.ask(
         metric_q(power_session, how="p95", window="2h")
     )
-    assert ans.decision.route == "raw"
+    assert ans.decision.choice == "raw"
 
 
 def test_eq_filter_on_per_dim_post_filters_groups(power_session):
@@ -180,7 +180,7 @@ def test_eq_filter_on_per_dim_post_filters_groups(power_session):
     }
     power_session.rollup("power_1h", metric_q(power_session))
     ans = power_session.ask(q)
-    assert ans.decision.route == "rollup"
+    assert ans.decision.choice == "rollup"
     assert_groups_equal(ans.groups, want)
 
 
@@ -191,7 +191,7 @@ def test_range_filter_falls_back_to_raw(power_session):
          .where("time", below=Timestamp(3600.0))
          .build())
     ans = power_session.ask(q)
-    assert ans.decision.route == "raw"
+    assert ans.decision.choice == "raw"
 
 
 def test_rollup_with_filter_needs_matching_query_filter(power_session):
@@ -203,9 +203,9 @@ def test_rollup_with_filter_needs_matching_query_filter(power_session):
     # unfiltered query must NOT read the filtered rollup
     assert power_session.ask(
         metric_q(power_session)
-    ).decision.route == "raw"
+    ).decision.choice == "raw"
     # the exact same filtered query may
-    assert power_session.ask(filtered).decision.route == "rollup"
+    assert power_session.ask(filtered).decision.choice == "rollup"
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +214,10 @@ def test_rollup_with_filter_needs_matching_query_filter(power_session):
 
 def test_decision_lands_on_execution_report(power_session):
     power_session.rollup("power_1h", metric_q(power_session))
-    power_session.ctx.report.clear()
+    report = power_session.ctx.report
+    mark = report.recorded
     power_session.ask(metric_q(power_session))
-    kinds = [d for d in power_session.ctx.report.decisions
-             if getattr(d, "kind", None) == "rollup"]
+    kinds = [d for d in report.since(mark) if d.kind == "rollup"]
     assert len(kinds) == 1
     d = kinds[0].as_dict()
     assert d["route"] == "rollup"
@@ -228,13 +228,13 @@ def test_decision_lands_on_execution_report(power_session):
 def test_explain_shows_the_route(power_session):
     q = metric_q(power_session)
     text = power_session.explain(q)
-    assert "rollup route -> raw" in text
+    assert "rollup[metric] -> raw (rollup=None," in text
     power_session.rollup("power_1h", metric_q(power_session))
     text = power_session.explain(q)
-    assert "rollup route -> power_1h" in text
+    assert "rollup[metric] -> rollup (rollup=power_1h," in text
     analyzed = power_session.explain(q, analyze=True)
     assert "EXPLAIN ANALYZE" in analyzed
-    assert "rollup route -> power_1h" in analyzed
+    assert "rollup[metric] -> rollup (rollup=power_1h," in analyzed
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_rollup_refreshes_incrementally_on_feed_advance():
 
         q = metric_q(sj)
         ans = sj.ask(q)
-        assert ans.decision.route == "rollup"
+        assert ans.decision.choice == "rollup"
         assert_groups_equal(ans.groups, raw_truth(q))
         # the published table caught up too
         assert len(sj.dataset("power_1h").collect()) == len(ans.groups)
@@ -280,7 +280,7 @@ def test_stale_rollup_would_differ_fresh_one_does_not():
         feed.push(rows[third:2 * third])
         feed.push(rows[2 * third:])
         ans = sj.ask(metric_q(sj))
-        assert ans.decision.route == "rollup"
+        assert ans.decision.choice == "rollup"
         assert_groups_equal(ans.groups, raw_truth(metric_q(sj)))
     finally:
         sj.close()

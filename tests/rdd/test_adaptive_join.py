@@ -81,7 +81,7 @@ def _auto_join(left, right, **ctx_args):
             .adaptiveJoin(ctx.parallelize(right, 3))
             .collect()
         )
-        return got, ctx.report.joins()[-1]
+        return got, ctx.report.of("join")[-1]
 
 
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
@@ -102,7 +102,7 @@ def test_all_strategies_match_nested_loop_oracle(dist):
     ]
     for left, right, ctx_args, chosen in cases:
         got, d = _auto_join(left, right, **ctx_args)
-        assert (d.strategy, d.build_side) == chosen
+        assert (d.choice, d.evidence.get("build_side")) == chosen
         assert got == nested_loop_join(left, right)
 
 
@@ -112,12 +112,12 @@ def test_adaptive_join_prefers_broadcast_for_small_side():
         l = ctx.parallelize(left, 5)
         r = ctx.parallelize(right, 3)
         l.adaptiveJoin(r).collect()
-        joins = ctx.report.joins()
+        joins = ctx.report.of("join")
     assert joins, "adaptive join must record its decision"
     d = joins[-1]
-    assert d.strategy == "broadcast"
-    assert d.build_side == "right"  # the smaller side
-    assert d.adaptive
+    assert d.choice == "broadcast"
+    assert d.evidence["build_side"] == "right"  # the smaller side
+    assert d.evidence["right_bytes"] < d.evidence["left_bytes"]
 
 
 def test_adaptive_join_falls_back_to_shuffle_over_threshold():
@@ -128,16 +128,15 @@ def test_adaptive_join_falls_back_to_shuffle_over_threshold():
         l = ctx.parallelize(left, 5)
         r = ctx.parallelize(right, 3)
         got = Counter(l.adaptiveJoin(r).collect())
-        d = ctx.report.joins()[-1]
-    assert d.strategy == "shuffle"
+        d = ctx.report.of("join")[-1]
+    assert d.choice == "shuffle"
     assert got == nested_loop_join(left, right)
 
 
 def test_adaptive_join_builds_left_when_left_is_smaller():
     big, small = _make_pairs("uniform")
     got, d = _auto_join(small, big)
-    assert (d.strategy, d.build_side, d.adaptive) == \
-        ("broadcast", "left", True)
+    assert (d.choice, d.evidence["build_side"]) == ("broadcast", "left")
     # the left-build probe must keep (left value, right value) order
     assert got == nested_loop_join(small, big)
 
@@ -168,7 +167,7 @@ def test_adaptive_join_is_lazy():
         j = l.adaptiveJoin(l)
         assert len(ctx.report) == 0  # nothing decided before the action
         j.collect()
-        assert ctx.report.joins()
+        assert ctx.report.of("join")
 
 
 def test_adaptive_join_composes_with_downstream_ops():
@@ -262,5 +261,5 @@ def test_shuffle_fallback_under_faults():
         l = ctx.parallelize(left, 5)
         r = ctx.parallelize(right, 3)
         got = Counter(l.adaptiveJoin(r).collect())
-        assert ctx.report.joins()[-1].strategy == "shuffle"
+        assert ctx.report.of("join")[-1].choice == "shuffle"
     assert got == oracle

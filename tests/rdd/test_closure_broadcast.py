@@ -108,5 +108,5 @@ def test_spawn_pool_broadcast_join_correct():
             .adaptiveJoin(ctx.parallelize(right, 2))
             .collect()
         )
-        assert ctx.report.joins()[-1].strategy == "broadcast"
+        assert ctx.report.of("join")[-1].choice == "broadcast"
     assert got == want

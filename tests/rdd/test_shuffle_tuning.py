@@ -27,10 +27,9 @@ def test_explicit_partition_count_is_respected(ctx):
         0, operator.add, operator.add, 7
     )
     assert len(r._materialize()) == 7
-    d = ctx.report.shuffles()[-1]
-    assert d.requested_partitions == 7
-    assert d.chosen_partitions == 7
-    assert d.reason == "explicit"
+    d = ctx.report.of("shuffle")[-1]
+    assert d.choice == d.reason == "explicit"
+    assert d.evidence["chosen_partitions"] == 7
 
 
 def test_auto_partition_count_from_stats():
@@ -41,10 +40,10 @@ def test_auto_partition_count_from_stats():
         got = dict(ctx.parallelize(pairs, 4)
                    .aggregateByKey(0, operator.add, operator.add)
                    .collect())
-        d = ctx.report.shuffles()[-1]
+        d = ctx.report.of("shuffle")[-1]
     assert got == {i: 1 for i in range(400)}
-    assert d.requested_partitions is None
-    assert d.chosen_partitions == 8  # 400 rows / 50 per partition
+    assert d.choice == "stats"
+    assert d.evidence["chosen_partitions"] == 8  # 400 rows / 50 per part
     assert "stats" in d.reason
 
 
@@ -56,9 +55,9 @@ def test_auto_partition_count_capped_by_distinct_keys():
         got = dict(ctx.parallelize(pairs, 4)
                    .aggregateByKey(0, operator.add, operator.add)
                    .collect())
-        d = ctx.report.shuffles()[-1]
+        d = ctx.report.of("shuffle")[-1].evidence
     assert got == {0: 100, 1: 100, 2: 100}
-    assert d.chosen_partitions <= 3
+    assert d["chosen_partitions"] <= 3
 
 
 def test_disabled_adaptive_uses_default_parallelism():
@@ -66,9 +65,9 @@ def test_disabled_adaptive_uses_default_parallelism():
                    adaptive=AdaptiveConfig(enabled=False)) as ctx:
         ctx.parallelize([(i, 1) for i in range(50)], 4) \
             .aggregateByKey(0, operator.add, operator.add).collect()
-        d = ctx.report.shuffles()[-1]
-    assert d.chosen_partitions == 6
-    assert d.reason == "default-parallelism"
+        d = ctx.report.of("shuffle")[-1]
+    assert d.evidence["chosen_partitions"] == 6
+    assert d.choice == d.reason == "default-parallelism"
 
 
 def test_shuffle_volume_reflects_map_side_combine(ctx):
@@ -78,10 +77,11 @@ def test_shuffle_volume_reflects_map_side_combine(ctx):
     got = dict(ctx.parallelize(pairs, 4)
                .aggregateByKey(0, operator.add, operator.add).collect())
     assert got == {k: 200 for k in range(5)}
-    d = ctx.report.shuffles()[-1]
-    assert d.input_rows == 1000
-    assert d.shuffled_pairs <= 20
-    assert ctx.report.shuffle_volume() == d.shuffled_pairs
+    d = ctx.report.of("shuffle")[-1]
+    assert d.evidence["input_rows"] == 1000
+    assert d.evidence["shuffled_pairs"] <= 20
+    assert ctx.metrics.counter("rdd.shuffle.pairs") == \
+        d.evidence["shuffled_pairs"]
 
 
 # ----------------------------------------------------------------------
@@ -106,14 +106,14 @@ def test_skewed_bucket_is_split_and_result_correct():
     with _skew_ctx() as ctx:
         r = ctx.parallelize(pairs, 4).groupByKey(4)
         got = {k: sorted(vs) for k, vs in r.collect()}
-        d = ctx.report.shuffles()[-1]
+        d = ctx.report.of("shuffle")[-1].evidence
     want: dict = {}
     for k, v in pairs:
         want.setdefault(k, []).append(v)
     want = {k: sorted(vs) for k, vs in want.items()}
     assert got == want
-    assert d.skewed_buckets == [0], "the hot bucket must be detected"
-    assert d.output_partitions > d.chosen_partitions
+    assert d["skewed_buckets"] == [0], "the hot bucket must be detected"
+    assert d["output_partitions"] > d["chosen_partitions"]
 
 
 def test_single_hot_key_is_not_split():
@@ -123,11 +123,11 @@ def test_single_hot_key_is_not_split():
     pairs = [("only", i) for i in range(500)]
     with _skew_ctx(skew_min_pairs=2) as ctx:
         got = ctx.parallelize(pairs, 4).groupByKey(3).collect()
-        d = ctx.report.shuffles()[-1]
+        d = ctx.report.of("shuffle")[-1].evidence
     assert len(got) == 1
     assert sorted(got[0][1]) == list(range(500))
-    assert d.skewed_buckets, "the hot bucket is detected..."
-    assert d.output_partitions == d.chosen_partitions  # ...but not split
+    assert d["skewed_buckets"], "the hot bucket is detected..."
+    assert d["output_partitions"] == d["chosen_partitions"]  # ...not split
 
 
 def test_skew_split_keeps_equal_keys_together():
@@ -139,19 +139,19 @@ def test_skew_split_keeps_equal_keys_together():
         got = dict(ctx.parallelize(pairs, 5)
                    .aggregateByKey(0, operator.add, operator.add, 4)
                    .collect())
-        d = ctx.report.shuffles()[-1]
+        d = ctx.report.of("shuffle")[-1].evidence
     assert got == {4 * k: 125 for k in range(16)}
-    assert d.skewed_buckets == [0]
-    assert d.output_partitions > d.chosen_partitions
+    assert d["skewed_buckets"] == [0]
+    assert d["output_partitions"] > d["chosen_partitions"]
 
 
 def test_no_split_below_min_pairs():
     pairs = [(1, 1)] * 30 + [(2, 2)]  # lopsided but tiny
     with _skew_ctx(skew_min_pairs=1000) as ctx:
         ctx.parallelize(pairs, 2).groupByKey(2).collect()
-        d = ctx.report.shuffles()[-1]
-    assert d.skewed_buckets == []
-    assert d.output_partitions == d.chosen_partitions
+        d = ctx.report.of("shuffle")[-1].evidence
+    assert d["skewed_buckets"] == []
+    assert d["output_partitions"] == d["chosen_partitions"]
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro import ScrubJaySession
+from repro.obs import MetricsRegistry
 from repro.rdd import AdaptiveConfig, SJContext
 from repro.rdd.stats import (
+    REPORT_CAPACITY,
     AdaptivePlanner,
+    Decision,
     ExecutionReport,
     collect_stats,
 )
@@ -136,11 +142,11 @@ def test_small_side_broadcasts(ctx):
     planner = AdaptivePlanner(AdaptiveConfig(), ExecutionReport())
     left = _stats_of(ctx, [(i, "x" * 50) for i in range(1000)], 4)
     right = _stats_of(ctx, [(i, i) for i in range(10)])
-    d = planner.decide_join(left, right)
-    assert d.strategy == "broadcast"
-    assert d.build_side == "right"
-    assert d.adaptive
-    assert planner.report.joins() == [d]
+    d = planner.decide_join("join", (("left", left), ("right", right)))
+    assert d.choice == "broadcast"
+    assert d.evidence["build_side"] == "right"
+    assert d.evidence["right_rows"] == 10
+    assert planner.report.of("join") == [d]
 
 
 def test_threshold_zero_forces_shuffle(ctx):
@@ -149,21 +155,24 @@ def test_threshold_zero_forces_shuffle(ctx):
     )
     left = _stats_of(ctx, [(i, i) for i in range(100)])
     right = _stats_of(ctx, [(i, i) for i in range(10)])
-    d = planner.decide_join(left, right)
-    assert d.strategy == "shuffle"
-    assert d.build_side is None
+    d = planner.decide_join("join", (("left", left), ("right", right)))
+    assert d.choice == "shuffle"
+    assert "build_side" not in d.evidence
+    assert d.reason.startswith("right side ~")
+    assert "exceeds threshold 0 B" in d.reason
 
 
 def test_disabled_config_records_non_adaptive_decision(ctx):
     planner = AdaptivePlanner(
         AdaptiveConfig(enabled=False), ExecutionReport()
     )
-    d = planner.decide_join(
-        _stats_of(ctx, [(1, 1)]), _stats_of(ctx, [(2, 2)])
-    )
-    assert d.strategy == "shuffle"
-    assert not d.adaptive
-    assert "disabled" in d.reason
+    d = planner.decide_join("join", (
+        ("left", _stats_of(ctx, [(1, 1)])),
+        ("right", _stats_of(ctx, [(2, 2)])),
+    ))
+    assert d.choice == "shuffle"
+    assert d.evidence == {}
+    assert d.reason == "adaptive-disabled"
 
 
 def test_choose_reduce_partitions_targets_rows():
@@ -192,14 +201,16 @@ def test_detect_skew():
 def test_report_summary_and_dict(ctx):
     report = ExecutionReport()
     planner = AdaptivePlanner(AdaptiveConfig(), report)
-    planner.decide_join(
-        _stats_of(ctx, [(1, 1)] * 5), _stats_of(ctx, [(2, 2)])
-    )
+    planner.decide_join("join", (
+        ("left", _stats_of(ctx, [(1, 1)] * 5)),
+        ("right", _stats_of(ctx, [(2, 2)])),
+    ))
     assert len(report) == 1
-    assert "broadcast" in report.summary()
+    assert "join[join] -> broadcast (left_rows=5," in report.summary()
     d = report.as_dict()["decisions"][0]
     assert d["kind"] == "join"
-    assert d["strategy"] == "broadcast"
+    assert d["choice"] == d["strategy"] == "broadcast"
+    assert d["build_side"] == "right"
 
 
 def test_planner_keeps_passed_empty_report():
@@ -214,3 +225,48 @@ def test_context_report_is_plumbed_to_scheduler(ctx):
     assert ctx.scheduler.planner is ctx.planner
     assert ctx.planner.report is ctx.report
     assert isinstance(ctx.report, ExecutionReport)
+
+
+def test_report_keeps_the_newest_decisions_and_every_total():
+    metrics = MetricsRegistry()
+    report = ExecutionReport(metrics)
+    extra = 5
+    for i in range(REPORT_CAPACITY + extra):
+        report.add(Decision("kernel", f"op{i}", "batch", "vectorized"))
+    assert len(report) == REPORT_CAPACITY
+    assert report.of("kernel")[0].op == f"op{extra}"
+    assert metrics.counter("core.kernel.decisions", {"choice": "batch"}) \
+        == REPORT_CAPACITY + extra
+    # a mark taken after the ring wrapped still selects exactly the
+    # decisions added after it
+    mark = report.recorded
+    report.add(Decision("delta", "filter_range", "delta", "row-local"))
+    assert [d.op for d in report.since(mark)] == ["filter_range"]
+    assert report.since(report.recorded) == []
+
+
+def _decision_lines(text):
+    # one line per decision; measured times differ from run to run
+    return sorted(
+        re.sub(r" in [0-9.]+ms", "", line) for line in text.splitlines()
+        if re.match(r"(join|shuffle|kernel|delta|rollup)\[", line)
+    )
+
+
+def test_explain_analyze_lists_its_own_decisions_after_the_ring_wraps():
+    from tests.conftest import (JOBS_SCHEMA, LAYOUT_SCHEMA, TEMPS_SCHEMA,
+                                jobs_rows, layout_rows, temps_rows)
+
+    def explain(fill):
+        with ScrubJaySession() as sj:
+            sj.register_rows(jobs_rows(), JOBS_SCHEMA, "job_queue_log")
+            sj.register_rows(layout_rows(), LAYOUT_SCHEMA, "node_layout")
+            sj.register_rows(temps_rows(), TEMPS_SCHEMA, "rack_temperatures")
+            for _ in range(fill):
+                sj.ctx.report.add(Decision("kernel", "filler", "batch", "-"))
+            return sj.explain(domains=["jobs", "racks"],
+                              values=["applications", "heat"], analyze=True)
+
+    fresh = _decision_lines(explain(0))
+    assert any(line.startswith("join[interpolation_join]") for line in fresh)
+    assert _decision_lines(explain(REPORT_CAPACITY + 3)) == fresh

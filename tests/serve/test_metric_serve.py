@@ -42,7 +42,7 @@ def truth(sj):
 def test_service_answers_metric_raw(power_service):
     sj, svc = power_service
     ans = svc.query(metric_query(sj))
-    assert ans.decision.route == "raw"
+    assert ans.decision.choice == "raw"
     assert_groups_equal(ans.groups, truth(sj))
 
 
@@ -78,8 +78,8 @@ def test_service_routes_through_rollup(power_service):
     sj.rollup("power_1h", metric_query(sj))
     svc.invalidate()
     ans = svc.query(metric_query(sj))
-    assert ans.decision.route == "rollup"
-    assert ans.decision.rollup == "power_1h"
+    assert ans.decision.choice == "rollup"
+    assert ans.decision.evidence["rollup"] == "power_1h"
     assert_groups_equal(ans.groups, want)
 
 

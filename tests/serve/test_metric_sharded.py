@@ -52,7 +52,7 @@ def fleet():
 def test_sharded_metric_query_merges_partials(fleet):
     sj, router, rows, half = fleet
     ans = router.query(metric_query(sj))
-    assert ans.decision.route == "raw"
+    assert ans.decision.choice == "raw"
     assert_groups_equal(ans.groups, truth_at(rows[:half]))
 
 

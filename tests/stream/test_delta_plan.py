@@ -19,7 +19,7 @@ from repro.datagen.synthetic import (
     KEYED_RIGHT_SCHEMA,
     keyed_tables,
 )
-from repro.rdd.stats import DeltaDecision
+from repro.rdd.stats import Decision
 from repro.stream import DELTA_SAFE_TRANSFORMS, DeltaPlan
 
 from tests.serve.conftest import JOIN_DOMAINS, JOIN_VALUES, row_multiset
@@ -158,16 +158,13 @@ def test_delta_union_base_equals_full_replay(feed_session):
 def test_decisions_land_on_the_execution_report(feed_session):
     sj, _left, _right = feed_session
     dp = DeltaPlan(sj.plan(Query.of(JOIN_DOMAINS, JOIN_VALUES)))
-    _mode, decisions = dp.classify({"samples"})
-    assert decisions
     report = sj.ctx.report
-    before = len(
-        [d for d in report.decisions if d.kind == "delta"]
-    )
-    dp.record(report, decisions)
-    recorded = [d for d in report.decisions if d.kind == "delta"]
-    assert len(recorded) == before + len(decisions)
-    assert all(isinstance(d, DeltaDecision) for d in recorded)
+    mark = report.recorded
+    _mode, decisions = dp.classify({"samples"}, report)
+    assert decisions
+    assert report.since(mark) == decisions
+    assert all(isinstance(d, Decision) and d.kind == "delta"
+               for d in decisions)
     # the classification mirrors into labelled counters
     reg = sj.ctx.metrics
     assert reg.counter(
@@ -175,6 +172,10 @@ def test_decisions_land_on_the_execution_report(feed_session):
     ) >= 1
 
 
-def test_record_tolerates_absent_report():
-    dp = _plan(LoadNode("a"))
-    dp.record(None, [DeltaDecision("filter_range", "delta", "r")])
+def test_classify_without_report_records_nothing(feed_session):
+    sj, _left, _right = feed_session
+    dp = DeltaPlan(sj.plan(Query.of(JOIN_DOMAINS, JOIN_VALUES)))
+    mark = sj.ctx.report.recorded
+    _mode, decisions = dp.classify({"samples"})
+    assert decisions
+    assert sj.ctx.report.recorded == mark

@@ -1,16 +1,22 @@
 """Grouped aggregation and time-series extraction on datasets.
 
 Implemented as RDD aggregations so they distribute like everything
-else; results are small and returned driver-side.
+else; results are small and returned driver-side. Rows are keyed in
+one pass that drops a row whose value or group field is missing or
+``None`` and, for a metric's grain, snaps its time to the bucket
+there and then, so only per-bucket partials are shuffled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.columnar import kernels
 from repro.errors import SemanticError
 from repro.core.dataset import ScrubJayDataset
+from repro.units.temporal import Timestamp
 
 def _percentile(values: Sequence[float], q: float) -> Any:
     """Linear-interpolation percentile (numpy's default method) over
@@ -48,11 +54,39 @@ _AGGREGATORS: Dict[str, Tuple[Any, Callable, Callable]] = {
 DECOMPOSABLE_AGGS = frozenset({"mean", "sum", "min", "max", "count"})
 
 
+def key_rows(
+    rows: Iterable[Dict[str, Any]],
+    group_fields: Sequence[str],
+    value_field: str,
+    bucket: Optional[Callable[[float], float]] = None,
+) -> List[Tuple[Tuple, Any]]:
+    """``(group key, value)`` for every row whose value and group
+    fields are all present and not ``None`` (``None`` is absent, as it
+    is in a batch). With ``bucket`` the last group field is a time,
+    keyed as the float ``bucket(epoch)``."""
+    per = list(group_fields)
+    tf = per.pop() if bucket is not None else None
+    out = []
+    for row in rows:
+        v = row.get(value_field)
+        key = tuple(map(row.get, per))
+        if v is None or None in key:
+            continue
+        if tf is not None:
+            t = row.get(tf)
+            if t is None:
+                continue
+            key += (bucket(getattr(t, "epoch", t)),)
+        out.append((key, v))
+    return out
+
+
 def group_aggregate_partials(
     dataset: ScrubJayDataset,
     group_fields: Sequence[str],
     value_field: str,
     how: str = "mean",
+    grain=None,
 ) -> Dict[Tuple, Any]:
     """Per-dataset *unfinalized* aggregation state, mergeable across
     datasets.
@@ -64,6 +98,13 @@ def group_aggregate_partials(
     :func:`~repro.columnar.kernels.group_aggregate_partial` kernel
     already makes per partition. ``mean`` partials are ``(sum, count)``
     tuples; the other aggregators' partials are their own values.
+
+    With a :class:`~repro.core.query.Grain` the last group field is a
+    time, snapped to ``grain.bucket(epoch)`` while each row is keyed:
+    the map-side combine merges a bucket's rows before the shuffle,
+    and the key crosses it as a plain ``(..., float bucket)`` tuple.
+    Result keys end in the bucket-start ``Timestamp``, built once per
+    group.
     """
     for f in list(group_fields) + [value_field]:
         if f not in dataset.schema:
@@ -76,6 +117,9 @@ def group_aggregate_partials(
             f"{sorted(_AGGREGATORS)}"
         ) from None
     gf = list(group_fields)
+    if grain is not None and not gf:
+        raise ValueError("a grain needs the time as the last group field")
+    bucket = grain.bucket if grain is not None else None
 
     if getattr(dataset, "batched", False):
         # Columnar path: partial aggregation per partition over the
@@ -84,28 +128,24 @@ def group_aggregate_partials(
         partials = dataset.rdd.mapPartitions(
             lambda items: [
                 kernels.group_aggregate_partial(
-                    items, gf, value_field, zero, seq
+                    items, gf, value_field, zero, seq, bucket
                 )
             ]
         ).collect()
         acc: Dict[Tuple, Any] = {}
         for part in partials:
             merge_group_partials(acc, part, how)
-        return acc
-
-    def key(row):
-        return tuple(row.get(f) for f in gf)
-
-    pairs = (
-        dataset.rdd.filter(
-            lambda row: value_field in row
-            and all(f in row for f in gf)
+    else:
+        acc = dict(
+            dataset.rdd.mapPartitions(
+                lambda rows: key_rows(rows, gf, value_field, bucket)
+            )
+            .aggregateByKey(zero, seq, _merge_for(how))
+            .collect()
         )
-        .map(lambda row: (key(row), row[value_field]))
-        .aggregateByKey(zero, seq, _merge_for(how))
-        .collect()
-    )
-    return dict(pairs)
+    if grain is None:
+        return acc
+    return {k[:-1] + (Timestamp(k[-1]),): v for k, v in acc.items()}
 
 
 def merge_group_partials(
@@ -135,8 +175,8 @@ def group_aggregate(
     """Aggregate ``value_field`` per distinct ``group_fields`` tuple.
 
     ``how`` is one of mean/sum/min/max/count/p50/p95. Rows missing any
-    group or value field are skipped. Returns ``{group_tuple:
-    aggregate}``.
+    group or value field, or holding ``None`` there, are skipped.
+    Returns ``{group_tuple: aggregate}``.
     """
     return finalize_group_partials(
         group_aggregate_partials(dataset, group_fields, value_field, how),

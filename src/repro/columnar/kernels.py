@@ -288,11 +288,16 @@ def group_aggregate_partial(
     value_field: str,
     zero: Any,
     seq: Callable[[Any, Any], Any],
+    bucket: Optional[Callable[[float], float]] = None,
 ) -> Dict[Tuple, Any]:
     """Per-partition partial aggregation over batches (and any stray
     rows), skipping rows missing the value or any group field — the
-    exact filter of :func:`repro.analysis.aggregate.group_aggregate`.
+    exact filter of :func:`repro.analysis.aggregate.key_rows`, whose
+    ``bucket`` it applies too.
     """
+    # deferred: repro.analysis.aggregate imports this module
+    from repro.analysis.aggregate import key_rows
+
     acc: Dict[Tuple, Any] = {}
     gf = list(group_fields)
     for x in elements:
@@ -311,10 +316,11 @@ def group_aggregate_partial(
                 if not vvalid[i] or not all(v[i] for v in gvalid):
                     continue
                 k = keys[i]
+                if bucket is not None:
+                    t = k[-1]
+                    k = k[:-1] + (bucket(getattr(t, "epoch", t)),)
                 acc[k] = seq(acc.get(k, zero), values[i])
         else:  # a plain row dict
-            if value_field not in x or not all(f in x for f in gf):
-                continue
-            k = tuple(x.get(f) for f in gf)
-            acc[k] = seq(acc.get(k, zero), x[value_field])
+            for k, v in key_rows([x], gf, value_field, bucket):
+                acc[k] = seq(acc.get(k, zero), v)
     return acc

@@ -10,11 +10,10 @@ first-class query concept:
   domain, attached to a :class:`~repro.core.query.Query` via the
   builder's ``.measure() / .per() / .grain()`` terminals;
 - :mod:`repro.metrics.compute` — measure evaluation over the engine's
-  answer to the query's base relation (mergeable partials everywhere,
-  finalize once);
-- :mod:`repro.metrics.derive` — the ``bucket_time`` and
-  ``rollup_aggregate`` derivations that make a rollup an ordinary,
-  serializable derivation plan;
+  answer to the query's base relation (mergeable partials keyed at the
+  grain from the first row, finalize once);
+- :mod:`repro.metrics.derive` — the ``bucket_time`` derivation the
+  serve tier puts on top of a metric query's base plan;
 - :mod:`repro.metrics.rollup` — materialized :class:`Rollup` tables
   (``session.rollup(...)``) kept fresh incrementally as feeds
   advance, and :func:`choose_rollup`, the router that answers each
@@ -26,9 +25,6 @@ first-class query concept:
 
 from repro.core.query import Grain, Measure
 
-# Importing registers the bucket_time / rollup_aggregate derivations.
-import repro.metrics.derive  # noqa: F401
-
 from repro.metrics.compute import (
     MetricAnswer,
     finalize_metric,
@@ -36,7 +32,8 @@ from repro.metrics.compute import (
     metric_group_fields,
     metric_partials,
 )
-from repro.metrics.derive import BucketTime, RollupAggregate
+# Importing registers the bucket_time derivation.
+from repro.metrics.derive import BucketTime
 from repro.metrics.rollup import Rollup, choose_rollup, rows_from_state
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "MetricAnswer",
     "Rollup",
     "BucketTime",
-    "RollupAggregate",
     "choose_rollup",
     "finalize_metric",
     "merge_metric_partials",

@@ -4,9 +4,11 @@ dataset.
 A metric query's *base* relation is solved by the derivation engine
 like any other query; this module does the measure half — resolve the
 per/grain dimensions to result-schema fields, compute mergeable group
-partials per measure (:func:`metric_partials`), snap them to the time
-grain (:func:`rebucket_partials`), and finalize — applying trailing
-windows over the bucketed series where a measure asks for one.
+partials per measure keyed at the time grain from the first row
+(:func:`metric_partials`), and finalize — applying trailing windows
+over the bucketed series where a measure asks for one.
+:func:`rebucket_partials` merges partials that are already bucketed
+(a sharded fleet's gather) onto the grain.
 
 Partials, not finalized values, cross every boundary (shards,
 subscriptions, rollups); finalize happens exactly once, driver-side.
@@ -73,7 +75,9 @@ def rebucket_partials(
 ) -> Dict[Tuple, Any]:
     """Snap the time component of each group key (position
     ``bucket_index``) to its grain bucket, merging partials that land
-    in the same bucket. Identity when there is no grain."""
+    in the same bucket. Identity when there is no grain. For partials
+    that are already bucketed (a sharded gather); raw rows are keyed
+    at the grain by :func:`metric_partials` instead."""
     if grain is None:
         return partials
     out: Dict[Tuple, Any] = {}
@@ -96,22 +100,20 @@ def metric_partials(
     result dataset: ``{measure_key: {(per..., bucket): partial}}``.
 
     Group keys are per-dim values in query order with the bucket-start
-    :class:`Timestamp` last (when the query has a grain).
+    :class:`Timestamp` last (when the query has a grain). Rows are
+    keyed at the grain from the start, so nothing is re-bucketed.
     """
     from repro.analysis.aggregate import group_aggregate_partials
 
     schema = dataset.schema
-    gf, tfield = metric_group_fields(schema, query)
-    out: Dict[str, Dict[Tuple, Any]] = {}
-    for m in query.measures:
-        vfield = resolve_value_field(schema, m.dimension)
-        part = group_aggregate_partials(
-            dataset, gf, vfield, m.how
+    gf, _ = metric_group_fields(schema, query)
+    return {
+        m.key(): group_aggregate_partials(
+            dataset, gf, resolve_value_field(schema, m.dimension),
+            m.how, query.grain,
         )
-        if tfield is not None:
-            part = rebucket_partials(part, query.grain, m.how)
-        out[m.key()] = part
-    return out
+        for m in query.measures
+    }
 
 
 def _windowed(
@@ -177,6 +179,15 @@ def merge_metric_partials(
     return acc
 
 
+def sorted_keys(groups) -> List[Tuple]:
+    """Group keys in key order (rack 2 before rack 10); ``repr`` order
+    only when the keys are not mutually orderable."""
+    try:
+        return sorted(groups)
+    except TypeError:
+        return sorted(groups, key=repr)
+
+
 @dataclass
 class MetricAnswer:
     """The result of a metric query.
@@ -209,7 +220,7 @@ class MetricAnswer:
         """The groups as plain rows (group dims + measure columns),
         sorted by group key."""
         out = []
-        for g in sorted(self.groups, key=repr):
+        for g in sorted_keys(self.groups):
             row = dict(zip(self.group_dims, g))
             row.update(self.groups[g])
             out.append(row)

@@ -1,34 +1,21 @@
-"""Derivations backing the semantic metrics layer.
+"""The derivation backing the serve tier's metric plans.
 
-Two registered, serializable plan steps:
-
-- :class:`BucketTime` — snap a datetime domain field to its grain
-  bucket (row-local, delta-safe);
-- :class:`RollupAggregate` — the *rollup* derivation kind: group by
-  domain fields (+ time bucket) and reduce a measure set to one wide
-  row per group, via the partial-aggregation machinery of
-  :mod:`repro.analysis.aggregate`.
-
-A materialized rollup's plan is ``base plan → bucket_time →
-rollup_aggregate`` — an ordinary :class:`~repro.core.pipeline.
-DerivationPlan`, so it serializes, renders in EXPLAIN, and fingerprints
-like every other derivation sequence.
+:class:`BucketTime` — snap a datetime domain field to its grain bucket
+(row-local, delta-safe). The serve tier puts it on top of a metric
+query's base plan, so the plan serializes, renders in EXPLAIN and
+fingerprints like every other derivation sequence, and shards group
+rows that are already bucketed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.errors import DerivationError
-from repro.analysis.aggregate import (
-    finalize_group_partials,
-    group_aggregate_partials,
-)
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import Transformation, register_derivation
 from repro.core.dictionary import SemanticDictionary
-from repro.core.query import Measure
-from repro.core.semantics import Schema, SemanticType, VALUE
+from repro.core.semantics import Schema
 from repro.units.temporal import Timestamp
 
 
@@ -82,121 +69,3 @@ class BucketTime(Transformation):
                         "seconds": seconds,
                         "input": dataset.provenance},
         )
-
-
-@register_derivation
-class RollupAggregate(Transformation):
-    """Reduce a dataset to one wide row per group: the rollup
-    derivation kind.
-
-    ``group_fields`` (domain fields, typically per-dims plus an
-    already-bucketed time field) key the output; each measure in
-    ``measures`` (``{"dimension", "how", "window"}`` dicts — the JSON
-    form of :class:`~repro.core.query.Measure`) lands as a value
-    column named ``<dimension>_<how>``, reduced from the input's
-    single value field on that dimension.
-
-    The unfinalized partial states are attached to the result dataset
-    as ``_rollup_partials`` (``{measure_key: {group_tuple:
-    partial}}``), which is what makes materialized rollups
-    incrementally maintainable: a feed delta's partials merge into the
-    standing state without re-reading history.
-    """
-
-    op_name = "rollup_aggregate"
-
-    def __init__(
-        self, group_fields: List[str], measures: List[dict]
-    ) -> None:
-        if not group_fields:
-            raise DerivationError(
-                "rollup_aggregate needs at least one group field"
-            )
-        if not measures:
-            raise DerivationError(
-                "rollup_aggregate needs at least one measure"
-            )
-        self.group_fields = list(group_fields)
-        self.measures = [
-            m.to_json_dict() if isinstance(m, Measure) else dict(m)
-            for m in measures
-        ]
-
-    def _measure_objs(self) -> List[Measure]:
-        return [Measure.from_json_dict(m) for m in self.measures]
-
-    def _value_field(self, schema: Schema, dimension: str) -> str:
-        fields = schema.fields_for(dimension, VALUE)
-        if len(fields) != 1:
-            raise DerivationError(
-                f"rollup measure on dimension {dimension!r} needs "
-                f"exactly one value field in the input schema, found "
-                f"{sorted(fields)}"
-            )
-        return fields[0]
-
-    def applies(self, schema: Schema, dictionary: SemanticDictionary) -> bool:
-        if any(f not in schema for f in self.group_fields):
-            return False
-        try:
-            for m in self._measure_objs():
-                self._value_field(schema, m.dimension)
-        except DerivationError:
-            return False
-        return True
-
-    def derive_schema(
-        self, schema: Schema, dictionary: SemanticDictionary
-    ) -> Schema:
-        fields: Dict[str, SemanticType] = {
-            f: schema[f] for f in self.group_fields
-        }
-        for m in self._measure_objs():
-            src = schema[self._value_field(schema, m.dimension)]
-            units = src.units
-            if m.how == "count" and dictionary.has_unit("count"):
-                units = "count"
-            fields[m.key()] = SemanticType(VALUE, src.dimension, units)
-        return Schema(fields)
-
-    def apply(
-        self, dataset: ScrubJayDataset, dictionary: SemanticDictionary
-    ) -> ScrubJayDataset:
-        self._check(dataset, dictionary)
-        schema = dataset.schema
-        partials: Dict[str, Dict[tuple, Any]] = {}
-        finalized: Dict[str, Dict[tuple, Any]] = {}
-        for m in self._measure_objs():
-            vfield = self._value_field(schema, m.dimension)
-            part = group_aggregate_partials(
-                dataset, self.group_fields, vfield, m.how
-            )
-            partials[m.key()] = part
-            finalized[m.key()] = finalize_group_partials(
-                dict(part), m.how
-            )
-        groups = sorted(
-            {g for per in finalized.values() for g in per},
-            key=repr,
-        )
-        rows: List[Dict[str, Any]] = []
-        for g in groups:
-            row = dict(zip(self.group_fields, g))
-            for mkey, values in finalized.items():
-                if g in values and values[g] is not None:
-                    row[mkey] = values[g]
-            rows.append(row)
-        out = ScrubJayDataset.from_rows(
-            dataset.ctx,
-            rows,
-            self.derive_schema(schema, dictionary),
-            f"{dataset.name}|{self.op_name}",
-        )
-        out.provenance = {
-            "op": self.op_name,
-            "group_fields": list(self.group_fields),
-            "measures": [dict(m) for m in self.measures],
-            "input": dataset.provenance,
-        }
-        out._rollup_partials = partials
-        return out

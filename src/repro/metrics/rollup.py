@@ -3,9 +3,10 @@
 ``session.rollup(name, query)`` takes a metric query and materializes
 its answer — one wide row per (per-dims, time bucket) group — into the
 wide-column store, registering the result in the session catalog so
-the engine's schema search sees it like any other dataset. The
-materialization itself is an ordinary derivation plan (``base plan →
-bucket_time → rollup_aggregate``), so it serializes and EXPLAINs.
+the engine's schema search sees it like any other dataset. The base
+relation is an ordinary derivation plan; the measures are computed
+over its result by :func:`~repro.metrics.compute.metric_partials`,
+keyed at the rollup's grain.
 
 Two states are kept per rollup:
 
@@ -35,15 +36,16 @@ from repro.analysis.aggregate import (
     _merge_for,
 )
 from repro.core.dataset import ScrubJayDataset
-from repro.core.pipeline import DerivationPlan, TransformNode
 from repro.core.query import Query
+from repro.core.semantics import Schema, SemanticType, VALUE
 from repro.metrics.compute import (
     finalize_metric,
     merge_metric_partials,
     metric_group_fields,
     metric_partials,
+    resolve_value_field,
+    sorted_keys,
 )
-from repro.metrics.derive import BucketTime, RollupAggregate
 from repro.rdd.rdd import ScanRDD
 from repro.rdd.stats import Decision
 from repro.stream import DeltaPlan
@@ -85,7 +87,7 @@ def rows_from_state(
     """Finalized wide rows from a per-measure partial state."""
     final = finalize_metric(state, query)
     rows: List[Dict[str, Any]] = []
-    for g in sorted(final, key=repr):
+    for g in sorted_keys(final):
         row = dict(zip(group_fields, g))
         for mkey, val in final[g].items():
             if val is not None:
@@ -95,7 +97,7 @@ def rows_from_state(
 
 
 class Rollup:
-    """One materialized rollup: its defining metric query, plan,
+    """One materialized rollup: its defining metric query, base plan,
     partial state, table, and feed watermarks."""
 
     def __init__(self, session, name: str, query: Query) -> None:
@@ -118,26 +120,14 @@ class Rollup:
         self.delta_refreshes = 0
         self._version = 0
         self._lock = threading.RLock()
-        # Solve the base relation once; the rollup plan wraps it.
+        # Solve the base relation once.
         self.base_plan = session.engine.solve(
             session.schemas(), query.base()
         )
         schema = self.base_plan.derive_schema(
             session.schemas(), session.dictionary
         )
-        gf, tfield = metric_group_fields(schema, query)
-        self.group_fields = gf
-        self.time_field = tfield
-        #: the materialization plan — base → bucket_time →
-        #: rollup_aggregate — a plain serializable DerivationPlan
-        node = TransformNode(
-            BucketTime(tfield, query.grain.seconds),
-            self.base_plan.root,
-        )
-        node = TransformNode(
-            RollupAggregate(gf, list(query.measures)), node
-        )
-        self.plan = DerivationPlan(node)
+        self.group_fields, _ = metric_group_fields(schema, query)
         self.delta_plan = DeltaPlan(self.base_plan)
         self.feed_names = tuple(
             n for n in self.base_plan.dataset_names()
@@ -195,12 +185,22 @@ class Rollup:
                 _STORE_KEYSPACE, f"{self.name}_v{self._version - 2}"
             )
 
-    def _table_schema(self):
-        base_schema = self.base_plan.derive_schema(
-            self.session.schemas(), self.session.dictionary
+    def _table_schema(self) -> Schema:
+        """The group fields as the base relation types them, then one
+        value column per measure, in its value field's units (``count``
+        is in counts)."""
+        dictionary = self.session.dictionary
+        base = self.base_plan.derive_schema(
+            self.session.schemas(), dictionary
         )
-        agg = RollupAggregate(self.group_fields, list(self.query.measures))
-        return agg.derive_schema(base_schema, self.session.dictionary)
+        fields = {f: base[f] for f in self.group_fields}
+        for m in self.query.measures:
+            src = base[resolve_value_field(base, m.dimension)]
+            units = src.units
+            if m.how == "count" and dictionary.has_unit("count"):
+                units = "count"
+            fields[m.key()] = SemanticType(VALUE, src.dimension, units)
+        return Schema(fields)
 
     @property
     def dataset(self) -> ScrubJayDataset:

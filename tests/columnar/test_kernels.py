@@ -160,6 +160,8 @@ def test_group_aggregate_partial_matches_row_filter():
         {"g": "b", "v": 5.0},
         {"g": "b"},           # missing value: skipped
         {"v": 9.0},           # missing group: skipped
+        {"g": "a", "v": None},  # None value: skipped
+        {"g": None, "v": 4.0},  # None group: skipped
     ]
     batch = ColumnBatch.from_rows(rows)
     acc = kernels.group_aggregate_partial(

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Query
+from repro import Query, ScrubJaySession, TuningProfile
 from repro.core.query import Grain, Measure, QueryBuilder
 from repro.errors import QueryError, QueryValidationError
+from repro.metrics import MetricAnswer, rows_from_state
 from repro.metrics.compute import rebucket_partials
 from repro.units.temporal import Timestamp
 
 from tests.metrics.conftest import (
+    RACK_POWER_SCHEMA,
     assert_groups_equal,
     close,
     manual_groups,
@@ -231,3 +233,60 @@ def test_measure_without_grain_gives_single_bucketless_groups(
         want[k] = max(want.get(k, float("-inf")), row["power"])
     got = {k: v["power_max"] for k, v in ans.groups.items()}
     assert_groups_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# None is absent; rows sort by group key
+# ----------------------------------------------------------------------
+
+#: a present-but-None value, rack and time: none of them is a sample
+NONE_ROWS = [
+    {"rack": 1, "time": Timestamp(60.0), "power": None},
+    {"rack": None, "time": Timestamp(60.0), "power": 5.0},
+    {"rack": 1, "time": None, "power": 7.0},
+]
+
+
+@pytest.mark.parametrize("columnar", [False, True],
+                         ids=["row", "columnar"])
+@pytest.mark.parametrize(
+    "how", ["mean", "sum", "min", "max", "count", "p50", "p95"]
+)
+def test_none_value_or_group_field_is_not_a_sample(how, columnar):
+    def groups(rows):
+        sj = ScrubJaySession(TuningProfile(columnar=columnar))
+        try:
+            sj.register_rows(rows, RACK_POWER_SCHEMA, "rack_power")
+            return sj.ask(
+                sj.query().measure("power", how).per("racks").grain("1h")
+            ).groups
+        finally:
+            sj.close()
+
+    got = groups(NONE_ROWS[:1] + power_rows() + NONE_ROWS[1:])
+    assert_groups_equal(got, groups(power_rows()))
+
+
+def test_metric_rows_sort_by_group_key_not_repr():
+    rows = [
+        {"rack": r, "time": Timestamp(0.0), "power": 1.0}
+        for r in (10, 2, 18, 4)
+    ]
+    sj = ScrubJaySession()
+    try:
+        sj.register_rows(rows, RACK_POWER_SCHEMA, "rack_power")
+        q = sj.query().measure("power", "sum").per("racks").grain("1h")
+        ans = sj.ask(q)
+        assert [r["racks"] for r in ans.rows()] == [2, 4, 10, 18]
+        state = {"power_sum": {k: 1.0 for k in ans.groups}}
+        table = rows_from_state(state, ["rack", "time"], q.build())
+        assert [r["rack"] for r in table] == [2, 4, 10, 18]
+    finally:
+        sj.close()
+
+
+def test_unorderable_group_keys_fall_back_to_repr_order():
+    q = Query.of(["racks"], ["power"])
+    ans = MetricAnswer(q, {("b",): {"p": 1}, (3,): {"p": 2}},
+                       group_dims=("racks",))
+    assert [r["racks"] for r in ans.rows()] == ["b", 3]

@@ -11,6 +11,9 @@ model).
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro import SJContext, ScrubJayDataset, default_dictionary
@@ -23,12 +26,14 @@ from repro.datagen.synthetic import (
     keyed_tables,
     timed_tables,
 )
+from repro.rdd.stats import AdaptiveConfig
 
 ROW_COUNTS = [5_000, 10_000, 20_000, 40_000]
 WORKER_COUNTS = [1, 2, 4, 8, 10]
 STRONG_SCALING_ROWS = 40_000
 WINDOW = 2.0
 PARTITIONS = 20
+ROUNDS = 3
 
 _DICT = default_dictionary()
 
@@ -51,12 +56,28 @@ def scaling_recorder(recorder_factory):
     )
 
 
-def _run_join(workers, left_rows, right_rows):
-    # broadcast_threshold=0 pins the bin-shuffle path these panels
-    # measure; the adaptive broadcast is covered by its own tests
-    with SJContext(
+@contextmanager
+def _frozen_heap():
+    """Keep the module's input tables (~300k objects) out of the cyclic
+    GC while a join runs: a full collection walks them all, and one
+    landing inside a ~10 ms stage would outweigh the join itself."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def _run_join(workers, left_rows, right_rows, adaptive=True):
+    # broadcast_threshold=0 pins the exact-key shuffle path these panels
+    # measure; the adaptive broadcast is covered by its own tests.
+    # adaptive=False also fixes the reduce side at PARTITIONS tasks.
+    planner = {"broadcast_threshold": 0} if adaptive else \
+        {"adaptive": AdaptiveConfig(enabled=False)}
+    with _frozen_heap(), SJContext(
         executor="simulated", num_workers=workers,
-        default_parallelism=PARTITIONS, broadcast_threshold=0,
+        default_parallelism=PARTITIONS, **planner,
     ) as ctx:
         left = ScrubJayDataset.from_rows(
             ctx, left_rows, TIMED_LEFT_SCHEMA, "left", PARTITIONS
@@ -72,8 +93,15 @@ def _run_join(workers, left_rows, right_rows):
 @pytest.mark.parametrize("num_rows", ROW_COUNTS)
 def test_fig3c_time_vs_rows(benchmark, tables, rows_recorder, num_rows):
     left, right = tables[num_rows]
+    # The paper's Spark ran a fixed partition count, so each node's
+    # share grew with the rows. The adaptive count (rows / 8192) keeps
+    # every reduce task near one size instead: on 10 workers this sweep
+    # would measure the fixed costs, not the rows (EXPERIMENTS.md).
+    # A warm-up round: the smallest point's join takes a few ms, so
+    # its first run's cold start would decide the linearity check.
     sim_s, count = benchmark.pedantic(
-        _run_join, args=(10, left, right), rounds=1, iterations=1
+        _run_join, args=(10, left, right, False), rounds=1, iterations=1,
+        warmup_rounds=1,
     )
     # the generator guarantees every left row a right sample in-window
     assert count == len(left)
@@ -89,39 +117,52 @@ def test_fig3c_shape_is_linear(benchmark, rows_recorder, shape):
     shape.assert_roughly_linear(xs, ys)
 
 
-def test_fig3c_costlier_than_natural_join(benchmark, tables):
+def test_fig3c_costlier_than_natural_join(benchmark, tables,
+                                          recorder_factory):
     """The paper's panels put the interpolation join roughly an order
-    of magnitude above the natural join at equal row counts. Here the
-    gap is ~2.5x at 20k rows; demand a conservative 1.5x. The windowed
-    join costs more per row for reasons the algorithm cannot shed: the
-    right side is replicated into every bin its window touches, and
-    each bin sorts its right rows before the left rows search them."""
+    of magnitude above the natural join at equal row counts. That gap
+    is not reproduced (EXPERIMENTS.md): both joins here shuffle each
+    row once by its exact key, so what the windowed join adds is only
+    a per-key sort by time, a bisect per left row and the value
+    attachment. Demand the shape that still follows from the
+    algorithm: the windowed join costs more."""
     from repro.util import Timer
 
     n = 20_000
 
+    def best_of(join, left, right):
+        # one-shot wall-clocks of ~0.1 s swing by more than the gap
+        best = float("inf")
+        for _ in range(ROUNDS):
+            with Timer() as t:
+                join.apply(left, right, _DICT).count()
+            best = min(best, t.elapsed)
+        return best
+
     def compare():
+        kl, kr = keyed_tables(n, num_keys=64)
         # same execution strategy for both joins: broadcast off, so the
         # comparison measures the algorithms, not the optimizer
-        with SJContext(executor="serial", broadcast_threshold=0) as ctx:
-            kl, kr = keyed_tables(n, num_keys=64)
+        with _frozen_heap(), \
+                SJContext(executor="serial", broadcast_threshold=0) as ctx:
             left = ScrubJayDataset.from_rows(ctx, kl, KEYED_LEFT_SCHEMA, "l")
             right = ScrubJayDataset.from_rows(ctx, kr, KEYED_RIGHT_SCHEMA, "r")
-            with Timer() as tn:
-                NaturalJoin().apply(left, right, _DICT).count()
             tl, tr = tables[n]
             ileft = ScrubJayDataset.from_rows(ctx, tl, TIMED_LEFT_SCHEMA, "l")
             iright = ScrubJayDataset.from_rows(
                 ctx, tr, TIMED_RIGHT_SCHEMA, "r"
             )
-            with Timer() as ti:
-                InterpolationJoin(WINDOW).apply(ileft, iright, _DICT).count()
-        return tn.elapsed, ti.elapsed
+            return (best_of(NaturalJoin(), left, right),
+                    best_of(InterpolationJoin(WINDOW), ileft, iright))
 
     natural_s, interp_s = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info["natural_s"] = natural_s
     benchmark.extra_info["interp_s"] = interp_s
-    assert interp_s > 1.5 * natural_s
+    recorder = recorder_factory("fig3c_interp_vs_natural", "rows", "seconds")
+    recorder.add(n, natural_s, "natural join")
+    recorder.add(n, interp_s,
+                 f"interpolation join ({interp_s / natural_s:.2f}x)")
+    assert interp_s > natural_s
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -18,22 +18,20 @@ broadcast-hash plan when run-time statistics say one side fits under
 the broadcast threshold (skipping the shuffle entirely) and falls back
 to the shuffle cogroup plan otherwise; the interpolation join likewise
 broadcasts its right ("sensor") side when it is small instead of
-shuffling both sides into bins. Every choice lands in
+shuffling both sides by exact key. Every choice lands in
 the context's :class:`~repro.rdd.stats.ExecutionReport`, and all
 strategies are result-equivalent (asserted by the property tests).
 
 The interpolation join avoids the unscalable all-pairs distance
-computation by binning at width ``2W``: a left row goes to its one
-bin, a right row to the one or two bins its open window
-``(t - W, t + W)`` touches — the paper's offset second binning, applied
-to the right side only — so any two elements within ``W`` of each
-other share exactly one bin. Inside a bin the right rows are sorted by
-time once, a left row selects its matches with ``bisect`` (the distance
-predicate still decides membership), and they are aggregated where
-they are found according to the value semantics — interpolate
-continuous ordered values, pick the nearest otherwise. This deviates
-from §5.3's literal algorithm (both sides binned twice, candidate
-pairs de-duplicated afterwards) and matches the same pairs.
+computation with a per-key time index: the right rows of one exact key
+(every shared dimension but time) are sorted by time once, a left row
+selects its matches with ``bisect`` (the distance predicate still
+decides membership), and they are aggregated on the spot according to
+the value semantics — interpolate continuous ordered values, pick the
+nearest otherwise. This deviates from §5.3, which bins time so that
+the time comparison runs in parallel: a time-only relation is refused,
+so an exact key always exists and parallelism comes from the exact
+keys (one hot key is one reduce task; skew splitting works per key).
 """
 
 from __future__ import annotations
@@ -105,6 +103,15 @@ def _merge_rename(
         out[f] = name
         taken.add(name)
     return out
+
+
+def _exact_key(fields: List[str]):
+    """A row's key on ``fields``: the one field's value (no tuple per
+    row), else their tuple. A missing field reads as None."""
+    if len(fields) == 1:
+        field = fields[0]
+        return lambda row: row.get(field)
+    return lambda row: tuple([row.get(f) for f in fields])
 
 
 @register_derivation
@@ -261,7 +268,10 @@ class InterpolationJoin(Combination):
     ordered, the nearest match otherwise. Right-side domain fields that
     are *not* shared (e.g. the rack location of a temperature sensor)
     partition the matches, yielding one output row per (left row ×
-    extra-domain combination).
+    extra-domain combination). Each exact key's time index is built on
+    the driver (broadcast) or where the key lands after one shuffle; one
+    matcher serves both, and left rows at one (key, time) share one
+    window reading.
 
     The attached value does not depend on the order or partitioning of
     the right rows. A field that is missing or ``None`` is not a
@@ -343,8 +353,9 @@ class InterpolationJoin(Combination):
         split = self._split_plan(left.schema, right.schema, dictionary)
         assert split is not None
         (_dim, ldt, rdt), exact = split
-        lex = [lf for _, lf, _ in exact]
+        lkey = _exact_key([lf for _, lf, _ in exact])
         rex = [rf for _, _, rf in exact]
+        rkey = _exact_key(rex)
         window = self.window
 
         drop = [rdt] + rex
@@ -385,12 +396,12 @@ class InterpolationJoin(Combination):
             return [t for t, _ in pairs], [r for _, r in pairs]
 
         # ------------------------------------------------------------------
-        # 2. one left row against the time-sorted right rows of its
-        #    exact key: select its window, split the matches by the
-        #    extra right-side domains, attach each value at its coordinate
+        # 2. one window reading of one exact key's time index at a left
+        #    time: select the window, split the matches by the extra
+        #    right-side domains, attach each value at its coordinate —
+        #    one update dict per extra-domain group
         # ------------------------------------------------------------------
-        def attach(lrow, times, rrows) -> List[Dict[str, Any]]:
-            lt = lrow[ldt].epoch
+        def reading(times, rrows, lt) -> List[Dict[str, Any]]:
             # The predicate decides membership; bisect only narrows
             # where it is evaluated. lt -/+ W as rounded bound every
             # time within W, and the times within W are contiguous.
@@ -409,87 +420,76 @@ class InterpolationJoin(Combination):
                     group = groups[gkey] = ([], [])
                 group[0].append(times[i])
                 group[1].append(rrow)
-            out = []
+            updates = []
             for gkey, (ts, rs) in groups.items():
-                new = dict(lrow)
-                new.update(zip(extra_names, gkey))
+                update = dict(zip(extra_names, gkey))
                 for f, name, interpolate in attached:
                     fts, vs = ts, [r.get(f) for r in rs]
                     if None in vs:  # a missing or None field is no sample
                         fts = [t for t, v in zip(ts, vs) if v is not None]
                         vs = [v for v in vs if v is not None]
                     if vs:
-                        new[name] = _attach_value(fts, vs, lt, interpolate)
-                out.append(new)
-            return out
+                        update[name] = _attach_value(fts, vs, lt, interpolate)
+                updates.append(update)
+            return updates
+
+        # 3. the one matcher: timed left rows of exact key ``ex`` share a
+        #    reading per time via ``memo``; each output row is a new dict
+        def match(ex, lrows, index, memo, out) -> None:
+            for lrow in lrows:
+                lt = lrow[ldt].epoch
+                updates = memo.get((ex, lt))
+                if updates is None:
+                    updates = memo[ex, lt] = reading(*index, lt)
+                out.extend([{**lrow, **update} for update in updates])
 
         # Adaptive strategy choice, taken on the pairs that would be
         # shipped (persisted, so neither path computes them again): a
         # small right side goes whole to every task and the left side
-        # probes it in one narrow stage; otherwise both sides shuffle
-        # once into bins of width 2W.
+        # probes it in one narrow stage; else both shuffle by exact key.
         ctx = left.rdd.ctx
         decision = ctx.planner.decide_join(
-            self.op_name, (("right", rkeyed.persist().stats()),), "bin"
+            self.op_name, (("right", rkeyed.persist().stats()),), "index"
         )
         if decision.choice == "broadcast":
-            # ----------------------------------------------------------
-            # 3a. broadcast path: driver-built index of the right side
+            # 4a. broadcast path: driver-built index of the right side
             #     by exact key, probed once per left row
-            # ----------------------------------------------------------
-            by_key: Dict[Tuple, List[Tuple[float, Dict[str, Any]]]] = {}
+            by_key: Dict[Any, List[Tuple[float, Dict[str, Any]]]] = {}
             for pair in rkeyed.collect():
-                ex = tuple([pair[1].get(f) for f in rex])
-                by_key.setdefault(ex, []).append(pair)
+                by_key.setdefault(rkey(pair[1]), []).append(pair)
             rindex = {ex: by_time(pairs) for ex, pairs in by_key.items()}
             rkeyed.unpersist()  # the index is all the lineage keeps
 
             def probe(lrows) -> List[Dict[str, Any]]:
                 out: List[Dict[str, Any]] = []
+                memo: Dict[Tuple, List[Dict[str, Any]]] = {}  # per task
                 for lrow in lrows:
-                    hit = rindex.get(tuple([lrow.get(f) for f in lex]))
-                    if hit and lrow.get(ldt) is not None:
-                        out.extend(attach(lrow, *hit))
+                    ex = lkey(lrow)
+                    index = rindex.get(ex)
+                    if index and lrow.get(ldt) is not None:
+                        match(ex, (lrow,), index, memo, out)
                 return out
 
             joined = left.rdd.mapPartitions(probe)
         else:
-            # ----------------------------------------------------------
-            # 3b. shuffle path: a left row goes to its one bin, a right
-            #     pair to every bin its window (rt - W, rt + W) touches
-            #     (one or two), so a pair of rows within W shares
-            #     exactly one bin and is met there once
-            # ----------------------------------------------------------
-            width = 2.0 * window
-
-            def bin_left(lrow):
-                t = lrow.get(ldt)
-                if t is None:
-                    return []
-                ex = tuple([lrow.get(f) for f in lex])
-                return [((ex, math.floor(t.epoch / width)), lrow)]
-
-            def bin_right(pair):
-                rt, rrow = pair
-                ex = tuple([rrow.get(f) for f in rex])
-                first = math.floor((rt - window) / width)
-                last = math.floor((rt + window) / width)
-                return [((ex, b), pair) for b in range(first, last + 1)]
-
-            def match_bin(kv) -> List[Dict[str, Any]]:
-                # the right side's elements are the (epoch, row) pairs,
-                # the left side's the rows themselves
-                pairs = [v for v in kv[1] if type(v) is tuple]
-                lrows = [v for v in kv[1] if type(v) is not tuple]
-                if not lrows or not pairs:
-                    return []
-                times, rrows = by_time(pairs)
-                return [new for lrow in lrows
-                        for new in attach(lrow, times, rrows)]
+            # 4b. shuffle path: a timed left row ships once as (ex, row),
+            #     a right pair once as (ex, pair); each exact key's group
+            #     becomes its time index where it lands
+            def match_key(kv) -> List[Dict[str, Any]]:
+                # right elements are (epoch, row) pairs, left ones rows; a
+                # key lands in one task, so a memo per key is the task's
+                ex, values = kv
+                pairs = [v for v in values if type(v) is tuple]
+                lrows = [v for v in values if type(v) is not tuple]
+                out: List[Dict[str, Any]] = []
+                if lrows and pairs:
+                    match(ex, lrows, by_time(pairs), {}, out)
+                return out
 
             joined = ctx.union([
-                left.rdd.flatMap(bin_left), rkeyed.flatMap(bin_right)
-            ]).groupByKey().flatMap(match_bin)
+                left.rdd.filter(lambda r: r.get(ldt) is not None).keyBy(lkey),
+                rkeyed.keyBy(lambda pair: rkey(pair[1])),
+            ]).groupByKey().flatMap(match_key)
 
         return ScrubJayDataset(
             joined,

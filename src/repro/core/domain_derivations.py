@@ -108,13 +108,13 @@ class DeriveHeat(Transformation):
 
         def heat(kv) -> List[Dict[str, Any]]:
             _k, rows = kv
-            hot = [r[temp] for r in rows
-                   if r.get(aisle) == HOT_AISLE and temp in r]
-            cold = [r[temp] for r in rows
-                    if r.get(aisle) == COLD_AISLE and temp in r]
+            # a missing or None temperature is no sample
+            rows = [r for r in rows if r.get(temp) is not None]
+            hot = [r[temp] for r in rows if r.get(aisle) == HOT_AISLE]
+            cold = [r[temp] for r in rows if r.get(aisle) == COLD_AISLE]
             if not hot or not cold:
                 return []
-            base = next(r for r in rows if temp in r)
+            base = rows[0]
             new = {
                 k: v for k, v in base.items() if k not in (aisle, temp)
             }
@@ -187,9 +187,9 @@ class DeriveActiveFrequency(Transformation):
         out_field = self.OUT_FIELD
 
         def derive(row: Dict[str, Any]) -> List[Dict[str, Any]]:
-            if aperf not in row or mperf not in row or rated not in row:
-                return []
-            if not row[mperf]:
+            # a missing or None input is no sample; nor is a zero mperf
+            if row.get(aperf) is None or row.get(rated) is None \
+                    or not row.get(mperf):
                 return []
             new = dict(row)
             new[out_field] = row[aperf] / row[mperf] * row[rated]

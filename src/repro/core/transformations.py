@@ -384,8 +384,10 @@ class DeriveRate(Transformation):
 
         def rates(kv) -> List[Dict[str, Any]]:
             _k, rows = kv
+            # a missing or None field is no sample: a row without a time
+            # is dropped, a pair without a count is skipped for it
             rows = sorted(
-                (r for r in rows if time_field in r),
+                (r for r in rows if r.get(time_field) is not None),
                 key=lambda r: r[time_field],
             )
             out = []
@@ -398,7 +400,7 @@ class DeriveRate(Transformation):
                 }
                 any_rate = False
                 for f in count_fields:
-                    if f not in cur or f not in prev:
+                    if cur.get(f) is None or prev.get(f) is None:
                         continue
                     delta = cur[f] - prev[f]
                     if delta < 0:  # counter reset between samples
@@ -434,7 +436,8 @@ class DeriveRate(Transformation):
 class DeriveRatio(Transformation):
     """Derive a new value as the ratio of two existing value fields —
     the paper's canonical example: instruction counts / elapsed times
-    → instruction rates. Rows with a zero denominator are dropped."""
+    → instruction rates. Rows with a zero denominator are dropped, and
+    so are rows missing either input (a ``None`` is no sample)."""
 
     op_name = "derive_ratio"
 
@@ -484,7 +487,7 @@ class DeriveRatio(Transformation):
         drop = (num, den) if self.drop_inputs else ()
 
         def derive(row: Dict[str, Any]) -> List[Dict[str, Any]]:
-            if num not in row or den not in row or not row[den]:
+            if row.get(num) is None or not row.get(den):
                 return []
             new = {k: v for k, v in row.items() if k not in drop}
             new[result] = row[num] / row[den]

@@ -461,7 +461,7 @@ class AdaptivePlanner:
     ) -> Decision:
         """Choose broadcast-hash vs shuffle for a join: broadcast the
         smallest of ``sides`` (``(side, stats)`` pairs — both sides of
-        an equi-join, the bin side of a windowed one) when
+        an equi-join, the index side of a windowed one) when
         :meth:`allows_broadcast` does, else shuffle, and record it.
         The evidence is every side's rows and bytes, the thresholds,
         and the ``build_side`` broadcast; ``name`` labels the side in

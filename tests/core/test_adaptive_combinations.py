@@ -143,16 +143,19 @@ def test_interp_join_same_rows_broadcast_vs_shuffle(dictionary):
     assert broadcast == shuffled
 
 
-def test_interp_join_shuffle_path_is_one_shuffle_of_l_plus_2r(dictionary):
+def test_interp_join_shuffle_path_ships_each_timed_row_once(dictionary):
     with _shuffle_ctx() as ctx:
         lrows, rrows, lds, rds = _interp_inputs(ctx)
         rows = InterpolationJoin(8.0).apply(lds, rds, dictionary).collect()
         assert len(rows) == len(lrows)
-        # one exchange: a left row in one bin, a right row in at most two
+        # one exchange keyed by the exact dimensions: every row with a
+        # time ships once, and the map-side combine leaves one grouped
+        # pair per exact key per map partition (4 left + 4 right)
         (shuffle,) = ctx.report.of("shuffle")
-        shipped = shuffle.evidence["input_rows"]
-        assert len(lrows) < shipped <= len(lrows) + 2 * (len(rrows) - 1)
-        assert shuffle.evidence["shuffled_pairs"] <= shipped
+        timed = [r for r in lrows + rrows if r["time"] is not None]
+        assert shuffle.evidence["input_rows"] == len(timed)
+        keys = {r["node"] for r in timed}
+        assert shuffle.evidence["shuffled_pairs"] <= len(keys) * (4 + 4)
         assert ctx.metrics.counter("rdd.shuffle.pairs") == \
             shuffle.evidence["shuffled_pairs"]
 

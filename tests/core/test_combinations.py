@@ -271,8 +271,8 @@ def test_interp_join_unordered_value_takes_nearest(ctx, dictionary):
 
 
 def test_interp_join_pair_found_exactly_once_across_schemes(ctx, dictionary):
-    # a right row near a bin boundary is placed in two bins; each left
-    # row lives in one, so every match is met exactly once
+    # a right row is in the window of several left rows, a left row has
+    # several right rows in its window; each left row is met once
     lds = ScrubJayDataset.from_rows(
         ctx, _trows(0, [(t, 1.0) for t in range(0, 200, 7)], 0, "power"),
         TLEFT, "l",
@@ -343,3 +343,19 @@ def test_interp_join_tied_times_ignore_row_order(
         # equally near on both sides: the earlier reading
         assert _attached(strategy_ctx, dictionary, order, APPS, "app",
                          partitions) == "late"
+
+
+def test_interp_join_matches_every_exact_dimension(strategy_ctx, dictionary):
+    cpu = domain("cpus", "identifier")
+    left = ScrubJayDataset.from_rows(strategy_ctx, [
+        {"node": n, "cpu": c, "time": Timestamp(10.0), "power": 1.0}
+        for n in (0, 1) for c in (0, 1, 2)
+    ], TLEFT.with_field("cpu", cpu), "l", 2)
+    right = ScrubJayDataset.from_rows(strategy_ctx, [
+        {"node": n, "cpu": c, "time": Timestamp(9.0), "temp": 10.0 * n + c}
+        for n in (0, 1) for c in (0, 1)  # no cpu 2 on the right
+    ], TRIGHT.with_field("cpu", cpu), "r", 2)
+    out = InterpolationJoin(5.0).apply(left, right, dictionary).collect()
+    assert sorted((r["node"], r["cpu"], r["temp"]) for r in out) == [
+        (0, 0, 0.0), (0, 1, 1.0), (1, 0, 10.0), (1, 1, 11.0),
+    ]

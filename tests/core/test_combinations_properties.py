@@ -1,13 +1,14 @@
-"""Property test: the binned interpolation join produces the same rows
-as a brute-force all-pairs-within-window join.
+"""Property test: the interpolation join produces the same rows as a
+brute-force all-pairs-within-window join.
 
 This is the paper's §5.3 correctness claim in the form the operator
-now implements it: with bins of size 2W, a left row in its one bin and
-a right row in every bin its open window touches, every pair of
-elements within W shares exactly one bin — no pair is missed and none
-is met twice. The oracle below is a plain nested loop that knows
-nothing about bins, sorting or strategies, and it produces whole
-joined rows, attached values included.
+now implements it: the right rows of one exact key are sorted by time
+once, each left row bisects its open window out of them, and left rows
+at one (key, time) share that reading — no pair is missed, none is met
+twice, and no row's fields reach another row. The oracle below is a
+plain nested loop that knows nothing about keys, sorting, sharing or
+strategies, and it produces whole joined rows, attached values
+included.
 """
 
 import math
@@ -32,6 +33,8 @@ LEFT = Schema({
     "time": domain("time", "datetime"),
     "power": value("power", "watts"),
 })
+#: a left-only domain, present on some rows only
+WIDE_LEFT = LEFT.with_field("job", domain("jobs", "identifier"))
 RIGHT = Schema({
     "node": domain("compute nodes", "identifier"),
     "time": domain("time", "datetime"),
@@ -60,7 +63,8 @@ def join_cases(draw):
     """(left rows, right rows, window) with the awkward cases planted:
     half the right rows sit at a left row's time plus -W, -W/2, 0, W/2
     or W — ties, equally-near neighbours, and pairs at distance exactly
-    W (outside the open window) or one ulp inside it."""
+    W (outside the open window) or one ulp inside it — and left twins
+    that share a (node, time) but not their fields."""
     window = draw(st.one_of(
         windows, st.integers(1, 80).map(lambda q: q / 4.0)
     ))
@@ -93,6 +97,20 @@ def join_cases(draw):
          "time": None if t is None else Timestamp(t)}
         for i, t in enumerate(ltimes)
     ]
+    # twins: rows at an earlier row's (node, time) with their own
+    # payload and their own extra left field, so one window reading
+    # shared between them must not carry one row's fields into another
+    twins = draw(st.lists(
+        st.tuples(st.integers(0, 24), sparse(st.integers(0, 3))),
+        max_size=8 if left_rows else 0,
+    ))
+    for which, job in twins:
+        base = left_rows[which % len(left_rows)]
+        twin = {"node": base["node"], "time": base["time"],
+                "power": float(len(left_rows))}
+        if job != "absent":
+            twin["job"] = job
+        left_rows.append(twin)
     right_rows = []
     for node, loc, t, temp, app in rspec:
         row = {"node": node, "loc": loc,
@@ -155,10 +173,10 @@ def _oracle_rows(left_rows, right_rows, window):
 
 @given(join_cases(), st.integers(1, 4), st.integers(1, 4), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_binned_matching_equals_brute_force(case, lparts, rparts, shuffle):
+def test_interp_join_matches_brute_force(case, lparts, rparts, shuffle):
     left_rows, right_rows, window = case
     ctx = _SHUFFLE_CTX if shuffle else _CTX
-    lds = ScrubJayDataset.from_rows(ctx, left_rows, LEFT, "l", lparts)
+    lds = ScrubJayDataset.from_rows(ctx, left_rows, WIDE_LEFT, "l", lparts)
     rds = ScrubJayDataset.from_rows(ctx, right_rows, WIDE_RIGHT, "r", rparts)
     got = InterpolationJoin(window).apply(lds, rds, _DICT).collect()
     if any(r["time"] is not None for r in right_rows):  # else 0 bytes

@@ -80,6 +80,26 @@ def test_derive_heat_averages_duplicate_sensors(ctx, dictionary):
     assert out[0]["heat"] == pytest.approx((30.0 + 34.0) / 2 - 18.0)
 
 
+def test_derive_heat_none_temperature_is_not_a_sample(ctx, dictionary):
+    rows = _temp_rows() + [
+        # a None reading beside a real one: averaged as if absent
+        {"rack": 1, "location": "top", "aisle": "hot",
+         "time": Timestamp(0.0), "temp": None},
+        # the only cold reading is None: no heat row, as if missing
+        {"rack": 2, "location": "top", "aisle": "cold",
+         "time": Timestamp(0.0), "temp": None},
+    ]
+    ds = ScrubJayDataset.from_rows(ctx, rows, TEMPS, "t")
+    out = sorted(
+        DeriveHeat().apply(ds, dictionary).collect(),
+        key=lambda r: r["location"],
+    )
+    assert [(r["rack"], r["location"], r["heat"]) for r in out] == [
+        (1, "bottom", 6.0),
+        (1, "top", 12.0),
+    ]
+
+
 # ----------------------------------------------------------------------
 # active frequency
 # ----------------------------------------------------------------------
@@ -114,6 +134,22 @@ def test_active_frequency_math(ctx, dictionary):
     assert out[0] == pytest.approx(2.4)  # throttled to 75%
     assert out[1] == pytest.approx(3.2)  # full tilt
     assert 2 not in out  # zero mperf rate row dropped
+
+
+@pytest.mark.parametrize("field", ["aperf_rate", "mperf_rate",
+                                   "base_frequency"])
+def test_active_frequency_none_input_is_not_a_sample(ctx, dictionary, field):
+    rows = [
+        {"nodeid": 0, "cpuid": 0, "time": Timestamp(0.0),
+         "aperf_rate": 2.4e9, "mperf_rate": 3.2e9, "base_frequency": 3.2},
+        {"nodeid": 0, "cpuid": 1, "time": Timestamp(0.0),
+         "aperf_rate": 2.4e9, "mperf_rate": 3.2e9, "base_frequency": 3.2,
+         field: None},
+    ]
+    ds = ScrubJayDataset.from_rows(ctx, rows, FREQ, "f")
+    out = DeriveActiveFrequency().apply(ds, dictionary).collect()
+    assert [r["cpuid"] for r in out] == [0]
+    assert out[0]["active_frequency"] == pytest.approx(2.4)
 
 
 def test_active_frequency_requires_all_inputs(dictionary):

@@ -196,6 +196,31 @@ def test_derive_rate_unsorted_input(ctx, dictionary):
     assert [r["events_rate"] for r in rows] == [20.0, 10.0]
 
 
+def test_derive_rate_none_count_skips_its_pairs(ctx, dictionary):
+    schema = RATE_SCHEMA.with_field("other", value("event count", "count"))
+    rows = [
+        {"cpu": 0, "time": Timestamp(0.0), "events": 0, "other": 0},
+        {"cpu": 0, "time": Timestamp(10.0), "events": None, "other": 50},
+        {"cpu": 0, "time": Timestamp(20.0), "events": 300, "other": 100},
+    ]
+    ds = ScrubJayDataset.from_rows(ctx, rows, schema, "c")
+    out = sorted(DeriveRate().apply(ds, dictionary).collect(),
+                 key=lambda r: r["time"])
+    # both pairs touching the None are skipped for `events` only, as
+    # if the field were missing; `other` still has its two rates
+    assert [r.get("events_rate") for r in out] == [None, None]
+    assert [r["other_rate"] for r in out] == [5.0, 5.0]
+
+
+def test_derive_rate_none_time_is_not_a_sample(ctx, dictionary):
+    rows = _samples(0, [(0, 100), (10, 300)]) + [
+        {"cpu": 0, "time": None, "events": 1000},
+    ]
+    ds = ScrubJayDataset.from_rows(ctx, rows, RATE_SCHEMA, "c")
+    out = DeriveRate().apply(ds, dictionary).collect()
+    assert [r["events_rate"] for r in out] == [20.0]
+
+
 def test_derive_rate_requires_counts_and_time(dictionary):
     no_time = Schema({
         "cpu": domain("cpus", "identifier"),
@@ -269,6 +294,21 @@ def test_derive_ratio_drop_inputs(ctx, dictionary):
     out = t.apply(ds, dictionary)
     assert out.schema.fields() == ["r"]
     assert out.collect() == [{"r": 2.0}]
+
+
+def test_derive_ratio_none_input_is_not_a_sample(ctx, dictionary):
+    schema = Schema({
+        "a": value("event count", "count"),
+        "b": value("time", "seconds"),
+    })
+    ds = ScrubJayDataset.from_rows(ctx, [
+        {"a": 4, "b": 2.0},
+        {"a": None, "b": 2.0},  # dropped, as if `a` were missing
+        {"a": 4, "b": None},  # dropped, as if `b` were missing
+    ], schema, "x")
+    t = DeriveRatio("a", "b", "r", "event count per time",
+                    "count per second")
+    assert [r["r"] for r in t.apply(ds, dictionary).collect()] == [2.0]
 
 
 def test_derive_ratio_requires_value_fields(dictionary):

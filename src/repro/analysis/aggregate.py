@@ -13,7 +13,6 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from repro.columnar import kernels
 from repro.errors import SemanticError
 from repro.core.dataset import ScrubJayDataset
 from repro.units.temporal import Timestamp
@@ -61,9 +60,9 @@ def key_rows(
     bucket: Optional[Callable[[float], float]] = None,
 ) -> List[Tuple[Tuple, Any]]:
     """``(group key, value)`` for every row whose value and group
-    fields are all present and not ``None`` (``None`` is absent, as it
-    is in a batch). With ``bucket`` the last group field is a time,
-    keyed as the float ``bucket(epoch)``."""
+    fields are all present and not ``None`` (``None`` is absent). With
+    ``bucket`` the last group field is a time, keyed as the float
+    ``bucket(epoch)``."""
     per = list(group_fields)
     tf = per.pop() if bucket is not None else None
     out = []
@@ -94,10 +93,9 @@ def group_aggregate_partials(
     The distributable half of :func:`group_aggregate`: a sharded serve
     tier computes partials on each shard's slice, merges them with
     :func:`merge_group_partials`, and finalizes once driver-side with
-    :func:`finalize_group_partials` — the same split the columnar
-    :func:`~repro.columnar.kernels.group_aggregate_partial` kernel
-    already makes per partition. ``mean`` partials are ``(sum, count)``
-    tuples; the other aggregators' partials are their own values.
+    :func:`finalize_group_partials`. ``mean`` partials are
+    ``(sum, count)`` tuples; the other aggregators' partials are their
+    own values.
 
     With a :class:`~repro.core.query.Grain` the last group field is a
     time, snapped to ``grain.bucket(epoch)`` while each row is keyed:
@@ -121,28 +119,13 @@ def group_aggregate_partials(
         raise ValueError("a grain needs the time as the last group field")
     bucket = grain.bucket if grain is not None else None
 
-    if getattr(dataset, "batched", False):
-        # Columnar path: partial aggregation per partition over the
-        # batches (no shuffle at all — partials are tiny), merged
-        # driver-side with the same merge the row path shuffles with.
-        partials = dataset.rdd.mapPartitions(
-            lambda items: [
-                kernels.group_aggregate_partial(
-                    items, gf, value_field, zero, seq, bucket
-                )
-            ]
-        ).collect()
-        acc: Dict[Tuple, Any] = {}
-        for part in partials:
-            merge_group_partials(acc, part, how)
-    else:
-        acc = dict(
-            dataset.rdd.mapPartitions(
-                lambda rows: key_rows(rows, gf, value_field, bucket)
-            )
-            .aggregateByKey(zero, seq, _merge_for(how))
-            .collect()
+    acc = dict(
+        dataset.rdd.mapPartitions(
+            lambda rows: key_rows(rows, gf, value_field, bucket)
         )
+        .aggregateByKey(zero, seq, _merge_for(how))
+        .collect()
+    )
     if grain is None:
         return acc
     return {k[:-1] + (Timestamp(k[-1]),): v for k, v in acc.items()}
@@ -204,38 +187,19 @@ def time_series(
     value_field: str,
 ) -> Dict[Tuple, List[Tuple[float, Any]]]:
     """Per-group (epoch, value) series sorted by time — the shape the
-    paper's Figure 4/6 plots are drawn from."""
+    paper's Figure 4/6 plots are drawn from. Rows are keyed by
+    :func:`key_rows`, so a row whose group, time or value field is
+    missing or ``None`` is skipped."""
     for f in list(group_fields) + [time_field, value_field]:
         if f not in dataset.schema:
             raise SemanticError(f"dataset has no field {f!r}")
-    gf = list(group_fields)
-    rdd = dataset.rdd
-    if getattr(dataset, "batched", False):
-        from repro.columnar import ColumnBatch
+    fields = list(group_fields) + [time_field]
 
-        rdd = rdd.mapPartitions(
-            lambda items: [
-                row
-                for item in items
-                for row in (
-                    item.to_rows()
-                    if isinstance(item, ColumnBatch)
-                    else [item]
-                )
-            ]
-        )
-    pairs = (
-        rdd.filter(
-            lambda row: value_field in row and time_field in row
-            and all(f in row for f in gf)
-        )
-        .map(
-            lambda row: (
-                tuple(row.get(f) for f in gf),
-                (row[time_field].epoch, row[value_field]),
-            )
-        )
-        .groupByKey()
-        .collect()
-    )
+    def series_pairs(rows):
+        return [
+            (key[:-1], (key[-1], v))
+            for key, v in key_rows(rows, fields, value_field, float)
+        ]
+
+    pairs = dataset.rdd.mapPartitions(series_pairs).groupByKey().collect()
     return {k: sorted(v) for k, v in pairs}

@@ -24,8 +24,9 @@ def correlate(
 ) -> float:
     """Correlation coefficient between two value fields.
 
-    Rows missing either field are skipped. Raises ``ValueError`` when
-    fewer than two complete rows exist or a field is constant.
+    Rows missing either field, or holding ``None`` there, are skipped.
+    Raises ``ValueError`` when fewer than two complete rows exist or a
+    field is constant.
     """
     for f in (field_x, field_y):
         if f not in dataset.schema:
@@ -35,6 +36,11 @@ def correlate(
     if method == "spearman":
         return _spearman(dataset, field_x, field_y)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _complete(fx: str, fy: str):
+    """Row filter: both fields present and not ``None``."""
+    return lambda row: row.get(fx) is not None and row.get(fy) is not None
 
 
 def _pearson(ds: ScrubJayDataset, fx: str, fy: str) -> float:
@@ -56,8 +62,7 @@ def _pearson(ds: ScrubJayDataset, fx: str, fy: str) -> float:
         return tuple(u + v for u, v in zip(a, b))
 
     n, sx, sy, sxx, syy, sxy = (
-        ds.rdd.filter(lambda row: fx in row and fy in row)
-        .aggregate(zero, seq, comb)
+        ds.rdd.filter(_complete(fx, fy)).aggregate(zero, seq, comb)
     )
     if n < 2:
         raise ValueError("need at least two complete rows")
@@ -86,7 +91,7 @@ def _ranks(values: List[float]) -> List[float]:
 
 
 def _spearman(ds: ScrubJayDataset, fx: str, fy: str) -> float:
-    rows = ds.rdd.filter(lambda row: fx in row and fy in row).collect()
+    rows = ds.rdd.filter(_complete(fx, fy)).collect()
     if len(rows) < 2:
         raise ValueError("need at least two complete rows")
     xs = _ranks([r[fx] for r in rows])

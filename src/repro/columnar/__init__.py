@@ -1,14 +1,2 @@
-"""repro.columnar — the columnar vectorized execution core.
-
-:class:`ColumnBatch` is the record-batch representation (typed column
-buffers, dictionary-encoded strings, validity bitmaps);
-:mod:`repro.columnar.kernels` holds the per-operator batch kernels.
-The derivation executor (``repro.core.pipeline``) flows batches
-through the RDD layer when ``EngineConfig(columnar=True)`` is set,
-falling back to the row path per operator when no kernel applies.
-"""
-
-from repro.columnar.batch import Column, ColumnBatch, count_rows
-from repro.columnar import kernels
-
-__all__ = ["Column", "ColumnBatch", "count_rows", "kernels"]
+"""Removed: plans run on the row path only. The two submodules are
+empty anchors that benchmarks/suite/tracing.py still patches."""

@@ -123,9 +123,6 @@ def _build_knobs() -> Dict[str, Knob]:
              "scans."),
         Knob("engine.projection", "bool", e.projection,
              "Let the pushdown rewrite also prune scanned columns."),
-        Knob("engine.columnar", "bool", e.columnar,
-             "Execute plans over ColumnBatch kernels where operators "
-             "support them."),
         # -- adaptive execution ---------------------------------------
         Knob("adaptive.enabled", "bool", a.enabled,
              "Master switch for statistics-driven execution; off "
@@ -395,7 +392,7 @@ class TuningProfile:
 
     Keyword arguments accept canonical dotted names spelled with
     underscores (``adaptive_broadcast_threshold_bytes``), unique leaf
-    names (``columnar``, ``cache_dir``), and the historical flat-kwarg
+    names (``pushdown``, ``cache_dir``), and the historical flat-kwarg
     spellings (``executor``, ``broadcast_threshold``, ``num_workers``).
     """
 

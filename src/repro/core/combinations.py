@@ -41,13 +41,11 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.columnar import ColumnBatch, kernels
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import Combination, register_derivation
 from repro.core.dictionary import SemanticDictionary
 from repro.core.semantics import Schema
 from repro.errors import DerivationError
-from repro.rdd.stats import RDDStats
 
 
 def shared_domain_dimensions(left: Schema, right: Schema) -> Set[str]:
@@ -186,73 +184,6 @@ class NaturalJoin(Combination):
                         "left": left.provenance,
                         "right": right.provenance},
         )
-
-    def apply_batched(
-        self,
-        left: ScrubJayDataset,
-        right: ScrubJayDataset,
-        dictionary: SemanticDictionary,
-    ) -> Optional[ScrubJayDataset]:
-        """Columnar broadcast hash join.
-
-        The right side collects driver-side into one build batch whose
-        encoded key columns feed a hash index; left batches probe it
-        per partition. Declines (returns None, row-path fallback) when
-        either input is row-shaped, the right side holds stray row
-        elements, or the planner's broadcast rule rejects the build
-        side (adaptive execution off, or over either broadcast
-        threshold) — the row path's adaptive join decides there.
-        """
-        if not getattr(left, "batched", False) or \
-                not getattr(right, "batched", False):
-            return None
-        self._check(left, right, dictionary)
-        plan = _match_plan(left.schema, right.schema, dictionary)
-        assert plan is not None
-        lfields = [lf for lf, _, _ in plan.values()]
-        rfields = [rf for _, rf, _ in plan.values()]
-        rename = _merge_rename(left.schema, right.schema, drop=rfields)
-
-        collected = right.rdd.collect()
-        if any(not isinstance(b, ColumnBatch) for b in collected):
-            return None
-        build = ColumnBatch.concat([b for b in collected if b.num_rows])
-        planner = left.ctx.planner
-        side = RDDStats(build.num_rows, build.approx_bytes())
-        if not planner.allows_broadcast(side):
-            return None
-        planner.decide_join(self.op_name, (("right", side),), "build")
-        index = kernels.build_hash_index(build, rfields)
-
-        def probe(items: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for item in items:
-                if isinstance(item, ColumnBatch):
-                    joined = kernels.hash_join_probe(
-                        item, lfields, build, index, rename
-                    )
-                    if joined is not None:
-                        out.append(joined)
-                else:  # stray row element: merge the row way
-                    key = tuple(item.get(f) for f in lfields)
-                    for j in index.get(key, ()):
-                        row = dict(item)
-                        for f, v in build.row(j).items():
-                            if f in rename:
-                                row[rename[f]] = v
-                        out.append(row)
-            return out
-
-        result = ScrubJayDataset(
-            left.rdd.mapPartitions(probe),
-            self.derive_schema(left.schema, right.schema, dictionary),
-            name=f"({left.name} ⋈ {right.name})",
-            provenance={"op": self.op_name,
-                        "left": left.provenance,
-                        "right": right.provenance},
-        )
-        result.batched = True
-        return result
 
 
 @register_derivation

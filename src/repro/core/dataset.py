@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.columnar.batch import ColumnBatch
 from repro.errors import SemanticError
 from repro.core.semantics import Schema
 from repro.rdd.context import SJContext
@@ -39,13 +38,6 @@ class ScrubJayDataset:
         #: dataset, when it was ingested through ``session.ingest()`` —
         #: lets the pushdown rewrite collapse predicates into the scan.
         self.source = None
-        #: True when the RDD's elements are
-        #: :class:`~repro.columnar.batch.ColumnBatch` instead of dict
-        #: rows (columnar execution). Actions flatten batches back to
-        #: rows, so callers never observe the difference. Deliberately
-        #: NOT propagated by :meth:`with_rdd` — a derived RDD is
-        #: row-shaped unless the columnar pipeline marks it otherwise.
-        self.batched = False
 
     # ------------------------------------------------------------------
     # constructors
@@ -79,39 +71,12 @@ class ScrubJayDataset:
     # ------------------------------------------------------------------
 
     def collect(self) -> List[Dict[str, Any]]:
-        if self.batched:
-            rows: List[Dict[str, Any]] = []
-            for item in self.rdd.collect():
-                if isinstance(item, ColumnBatch):
-                    rows.extend(item.to_rows())
-                else:
-                    rows.append(item)
-            return rows
         return self.rdd.collect()
 
     def take(self, n: int) -> List[Dict[str, Any]]:
-        if self.batched:
-            # n batches hold >= n rows (batches are never built empty)
-            rows: List[Dict[str, Any]] = []
-            for item in self.rdd.take(n):
-                if isinstance(item, ColumnBatch):
-                    rows.extend(item.to_rows())
-                else:
-                    rows.append(item)
-                if len(rows) >= n:
-                    break
-            return rows[:n]
         return self.rdd.take(n)
 
     def count(self) -> int:
-        if self.batched:
-            return sum(
-                self.rdd.map(
-                    lambda b: b.num_rows
-                    if isinstance(b, ColumnBatch)
-                    else 1
-                ).collect()
-            )
         return self.rdd.count()
 
     def column(self, field: str) -> List[Any]:
@@ -120,18 +85,6 @@ class ScrubJayDataset:
             raise SemanticError(
                 f"dataset {self.name!r} has no field {field!r}"
             )
-        if self.batched:
-            out: List[Any] = []
-            for item in self.rdd.collect():
-                if isinstance(item, ColumnBatch):
-                    out.extend(
-                        v
-                        for v in item.column_values(field)
-                        if v is not None
-                    )
-                elif field in item:
-                    out.append(item[field])
-            return out
         return (
             self.rdd.filter(lambda row: field in row)
             .map(lambda row: row[field])

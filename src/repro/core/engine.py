@@ -88,9 +88,6 @@ class EngineConfig:
     pushdown: bool = True
     #: let the pushdown rewrite also prune scanned columns
     projection: bool = True
-    #: execute plans over ColumnBatch kernels where operators support
-    #: them (row-path fallback per operator otherwise)
-    columnar: bool = False
 
 
 @dataclass

@@ -20,7 +20,6 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import PipelineError
-from repro.columnar.batch import ColumnBatch
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import (
     Combination,
@@ -29,86 +28,11 @@ from repro.core.derivation import (
 )
 from repro.core.dictionary import SemanticDictionary
 from repro.rdd.rdd import ScanRDD
-from repro.rdd.stats import Decision
 from repro.sources.predicate import ColumnPredicate
 from repro.util.hashing import content_hash
 
 
-def _explode_partition(items: List) -> List:
-    """Flatten a partition of ColumnBatch elements back to dict rows."""
-    rows: List = []
-    for item in items:
-        if isinstance(item, ColumnBatch):
-            rows.extend(item.to_rows())
-        else:
-            rows.append(item)
-    return rows
-
-
-def _explode(ds: ScrubJayDataset) -> ScrubJayDataset:
-    """Row-shaped view of a (possibly) batched dataset."""
-    if not getattr(ds, "batched", False):
-        return ds
-    return ds.with_rdd(
-        ds.rdd.mapPartitions(_explode_partition),
-        ds.schema,
-        name=ds.name,
-        provenance=ds.provenance,
-    )
-
-
-def _to_batched(ds: ScrubJayDataset) -> ScrubJayDataset:
-    """Pivot a row dataset into one ColumnBatch per partition."""
-    out = ds.with_rdd(
-        ds.rdd.mapPartitions(
-            lambda rows: [ColumnBatch.from_rows(rows)] if rows else []
-        ),
-        ds.schema,
-        name=ds.name,
-        provenance=ds.provenance,
-    )
-    out.batched = True
-    return out
-
-
-def _batched_leaf(base: ScrubJayDataset) -> ScrubJayDataset:
-    """Batch-decode a catalog leaf for columnar execution.
-
-    Source-backed ScanRDD leaves re-scan with ``batched=True`` — store
-    segments decode straight into batches worker-side. Row-backed
-    leaves (``register_rows``) pivot through ``from_rows`` once; the
-    batched RDD is persisted and cached on the dataset so repeated
-    plan executions amortize the decode.
-    """
-    source = getattr(base, "source", None)
-    if source is not None and isinstance(base.rdd, ScanRDD):
-        out = base.with_rdd(
-            ScanRDD(
-                base.ctx,
-                source,
-                base.rdd.columns,
-                base.rdd.predicate,
-                batched=True,
-            ),
-            base.schema,
-            name=base.name,
-            provenance=base.provenance,
-        )
-        out.source = source
-        out.batched = True
-        return out
-    cached = getattr(base, "_columnar_leaf", None)
-    if cached is not None:
-        return cached
-    out = _to_batched(base)
-    out.rdd.persist()
-    base._columnar_leaf = out
-    return out
-
-
-def _apply_scan(
-    base: ScrubJayDataset, node: "ScanNode", batched: bool = False
-) -> ScrubJayDataset:
+def _apply_scan(base: ScrubJayDataset, node: "ScanNode") -> ScrubJayDataset:
     """Execute a ScanNode against its catalog dataset.
 
     Source-backed datasets (ingested via ``session.ingest()``) get a
@@ -116,10 +40,6 @@ def _apply_scan(
     the predicate/projection, so pruning happens in the storage layer.
     Datasets without a source (e.g. ``register_rows``) fall back to an
     equivalent lazy filter+project over their existing RDD.
-
-    With ``batched=True`` (columnar execution) the pushed scan decodes
-    into ColumnBatch elements; the no-source fallback runs its row
-    filter/project and re-batches the result.
     """
     predicate = node.predicate if node.predicate else None
     columns = node.columns
@@ -134,10 +54,7 @@ def _apply_scan(
             cols = [c for c in cols if c in base.rdd.columns]
         elif cols is None:
             cols = base.rdd.columns
-        rdd = ScanRDD(
-            base.ctx, source, columns=cols, predicate=merged,
-            batched=batched,
-        )
+        rdd = ScanRDD(base.ctx, source, columns=cols, predicate=merged)
     else:
         rdd = base.rdd
         if predicate is not None:
@@ -147,7 +64,7 @@ def _apply_scan(
             rdd = rdd.map(
                 lambda row: {k: v for k, v in row.items() if k in wanted}
             ).filter(bool)
-    result = base.with_rdd(
+    return base.with_rdd(
         rdd,
         base.schema,
         name=f"{base.name}|scan",
@@ -159,12 +76,6 @@ def _apply_scan(
             "input": base.provenance,
         },
     )
-    if batched:
-        if source is not None and isinstance(result.rdd, ScanRDD):
-            result.batched = True
-        else:
-            result = _to_batched(result)
-    return result
 
 
 class PlanNode:
@@ -312,7 +223,6 @@ class DerivationPlan:
         cache: Optional["DerivationCache"] = None,  # noqa: F821
         tracer=None,
         measure: bool = False,
-        columnar: bool = False,
     ) -> ScrubJayDataset:
         """Run the pipeline against actual data.
 
@@ -328,18 +238,9 @@ class DerivationPlan:
         attaches measured ``rows_out``/``approx_bytes`` counters —
         EXPLAIN ANALYZE mode. Ordinary runs must leave it off: it
         defeats lazy whole-plan pipelining.
-
-        ``columnar`` executes the plan over ColumnBatch elements:
-        leaves decode into batches, operators that expose an
-        ``apply_batched`` kernel run vectorized, and everything else
-        falls back per-operator (explode to rows, apply, re-batch).
-        Each choice is recorded as a ``kernel``
-        :class:`~repro.rdd.stats.Decision` on the context's execution
-        report. Results are identical either way.
         """
         return self._execute(
-            self.root, catalog, dictionary, cache, tracer, measure,
-            columnar,
+            self.root, catalog, dictionary, cache, tracer, measure
         )
 
     def _execute(
@@ -350,23 +251,18 @@ class DerivationPlan:
         cache,
         tracer=None,
         measure: bool = False,
-        columnar: bool = False,
     ) -> ScrubJayDataset:
         if tracer is not None and tracer.enabled:
             with tracer.span(
                 node.label(), kind="plan-node", label=node.label()
             ) as span:
                 result = self._execute_node(
-                    node, catalog, dictionary, cache, tracer, measure,
-                    span, columnar,
+                    node, catalog, dictionary, cache, tracer, measure, span
                 )
                 if measure:
                     st = result.stats()
                     span.add("rows_out", st.total_rows)
                     span.add("approx_bytes", st.approx_bytes)
-                    if getattr(result, "batched", False):
-                        # physical batch count behind the logical rows
-                        span.add("batches", result.rdd.count())
                     # the stats() call above materialized the scan, so
                     # its physical read counters are available now
                     scan = getattr(result.rdd, "last_scan", None)
@@ -375,17 +271,8 @@ class DerivationPlan:
                             span.add(f"scan.{key}", value)
                 return result
         return self._execute_node(
-            node, catalog, dictionary, cache, tracer, measure, None,
-            columnar,
+            node, catalog, dictionary, cache, tracer, measure, None
         )
-
-    @staticmethod
-    def _record_kernel(ds, op, choice, reason, span) -> None:
-        report = getattr(ds.ctx, "report", None)
-        if report is not None:
-            report.add(Decision("kernel", op, choice, reason))
-        if span is not None:
-            span.set("kernel", choice)
 
     def _execute_node(
         self,
@@ -396,7 +283,6 @@ class DerivationPlan:
         tracer,
         measure: bool,
         span,
-        columnar: bool = False,
     ) -> ScrubJayDataset:
         if isinstance(node, LoadNode):
             try:
@@ -405,7 +291,7 @@ class DerivationPlan:
                 raise PipelineError(
                     f"plan loads unknown dataset {node.dataset_name!r}"
                 ) from None
-            return _batched_leaf(base) if columnar else base
+            return base
 
         if isinstance(node, ScanNode):
             try:
@@ -414,7 +300,7 @@ class DerivationPlan:
                 raise PipelineError(
                     f"plan scans unknown dataset {node.dataset_name!r}"
                 ) from None
-            return _apply_scan(base, node, batched=columnar)
+            return _apply_scan(base, node)
 
         if cache is not None:
             hit = cache.get(node.fingerprint())
@@ -428,89 +314,22 @@ class DerivationPlan:
 
         if isinstance(node, TransformNode):
             upstream = self._execute(
-                node.input, catalog, dictionary, cache, tracer, measure,
-                columnar,
+                node.input, catalog, dictionary, cache, tracer, measure
             )
-            if columnar:
-                result = self._transform_columnar(
-                    node, upstream, dictionary, span
-                )
-            else:
-                result = node.derivation.apply(upstream, dictionary)
+            result = node.derivation.apply(upstream, dictionary)
         elif isinstance(node, CombineNode):
             left = self._execute(
-                node.left, catalog, dictionary, cache, tracer, measure,
-                columnar,
+                node.left, catalog, dictionary, cache, tracer, measure
             )
             right = self._execute(
-                node.right, catalog, dictionary, cache, tracer, measure,
-                columnar,
+                node.right, catalog, dictionary, cache, tracer, measure
             )
-            if columnar:
-                result = self._combine_columnar(
-                    node, left, right, dictionary, span
-                )
-            else:
-                result = node.derivation.apply(left, right, dictionary)
+            result = node.derivation.apply(left, right, dictionary)
         else:
             raise PipelineError(f"unknown plan node {type(node).__name__}")
 
         if cache is not None:
             cache.put(node.fingerprint(), result)
-        return result
-
-    def _transform_columnar(
-        self, node: TransformNode, upstream, dictionary, span
-    ) -> ScrubJayDataset:
-        """One transformation under columnar execution: try the batch
-        kernel, fall back to explode -> row apply -> re-batch."""
-        derivation = node.derivation
-        kernel = getattr(derivation, "apply_batched", None)
-        if kernel is None:
-            reason = "operator has no batch kernel"
-        elif not getattr(upstream, "batched", False):
-            reason = "upstream is row-shaped"
-        else:
-            result = kernel(upstream, dictionary)
-            if result is not None:
-                self._record_kernel(
-                    result, derivation.op_name, "batch",
-                    "vectorized kernel", span,
-                )
-                return result
-            reason = "kernel declined the input"
-        result = _to_batched(
-            derivation.apply(_explode(upstream), dictionary)
-        )
-        self._record_kernel(
-            result, derivation.op_name, "row-fallback", reason, span
-        )
-        return result
-
-    def _combine_columnar(
-        self, node: CombineNode, left, right, dictionary, span
-    ) -> ScrubJayDataset:
-        """One combination under columnar execution (same contract as
-        :meth:`_transform_columnar`, two inputs)."""
-        derivation = node.derivation
-        kernel = getattr(derivation, "apply_batched", None)
-        if kernel is None:
-            reason = "operator has no batch kernel"
-        else:
-            result = kernel(left, right, dictionary)
-            if result is not None:
-                self._record_kernel(
-                    result, derivation.op_name, "batch",
-                    "vectorized hash join", span,
-                )
-                return result
-            reason = "kernel declined the input"
-        result = _to_batched(
-            derivation.apply(_explode(left), _explode(right), dictionary)
-        )
-        self._record_kernel(
-            result, derivation.op_name, "row-fallback", reason, span
-        )
         return result
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.columnar import ColumnBatch, kernels
 from repro.errors import DerivationError
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import Transformation, register_derivation
@@ -264,36 +263,6 @@ class RenameField(Transformation):
             provenance={"op": self.op_name, "field": field, "to": to,
                         "input": dataset.provenance},
         )
-
-    def apply_batched(
-        self, dataset: ScrubJayDataset, dictionary: SemanticDictionary
-    ) -> Optional[ScrubJayDataset]:
-        """Rename as a column-map key swap (no per-row work at all)."""
-        self._check(dataset, dictionary)
-        field, to = self.field, self.to
-
-        def run(items: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for item in items:
-                if isinstance(item, ColumnBatch):
-                    out.append(kernels.rename_field(item, field, to))
-                elif field in item:
-                    row = {k: v for k, v in item.items() if k != field}
-                    row[to] = item[field]
-                    out.append(row)
-                else:
-                    out.append(item)
-            return out
-
-        result = dataset.with_rdd(
-            dataset.rdd.mapPartitions(run),
-            self.derive_schema(dataset.schema, dictionary),
-            name=f"{dataset.name}|{self.op_name}",
-            provenance={"op": self.op_name, "field": field, "to": to,
-                        "input": dataset.provenance},
-        )
-        result.batched = True
-        return result
 
 
 @register_derivation
@@ -541,38 +510,6 @@ class FilterEquals(Transformation):
                         "value": value, "input": dataset.provenance},
         )
 
-    def apply_batched(
-        self, dataset: ScrubJayDataset, dictionary: SemanticDictionary
-    ) -> Optional[ScrubJayDataset]:
-        """Vectorized filter: one mask per batch, same row semantics
-        (``row.get(field) == value``); stray row elements filter the
-        row way."""
-        self._check(dataset, dictionary)
-        field, value = self.field, self.value
-
-        def run(items: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for item in items:
-                if isinstance(item, ColumnBatch):
-                    kept = item.filter(
-                        kernels.filter_equals_mask(item, field, value)
-                    )
-                    if kept.num_rows:
-                        out.append(kept)
-                elif item.get(field) == value:
-                    out.append(item)
-            return out
-
-        result = dataset.with_rdd(
-            dataset.rdd.mapPartitions(run),
-            dataset.schema,
-            name=f"{dataset.name}|{self.op_name}",
-            provenance={"op": self.op_name, "field": field,
-                        "value": value, "input": dataset.provenance},
-        )
-        result.batched = True
-        return result
-
 
 @register_derivation
 class FilterRange(Transformation):
@@ -633,50 +570,6 @@ class FilterRange(Transformation):
                         "input": dataset.provenance},
         )
 
-    def apply_batched(
-        self, dataset: ScrubJayDataset, dictionary: SemanticDictionary
-    ) -> Optional[ScrubJayDataset]:
-        """Vectorized range filter. The kernel mirrors ``keep`` exactly:
-        missing field fails, datetimes compare by ``.epoch``, NaN passes
-        both bound checks, TypeErrors from unorderable values propagate.
-        """
-        self._check(dataset, dictionary)
-        field, low, high = self.field, self.low, self.high
-
-        def keep(row: Dict[str, Any]) -> bool:
-            if field not in row:
-                return False
-            epoch = getattr(row[field], "epoch", row[field])
-            if low is not None and epoch < low:
-                return False
-            if high is not None and epoch >= high:
-                return False
-            return True
-
-        def run(items: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for item in items:
-                if isinstance(item, ColumnBatch):
-                    kept = item.filter(
-                        kernels.filter_range_mask(item, field, low, high)
-                    )
-                    if kept.num_rows:
-                        out.append(kept)
-                elif keep(item):
-                    out.append(item)
-            return out
-
-        result = dataset.with_rdd(
-            dataset.rdd.mapPartitions(run),
-            dataset.schema,
-            name=f"{dataset.name}|{self.op_name}",
-            provenance={"op": self.op_name, "field": field,
-                        "low": low, "high": high,
-                        "input": dataset.provenance},
-        )
-        result.batched = True
-        return result
-
 
 @register_derivation
 class SelectFields(Transformation):
@@ -720,35 +613,3 @@ class SelectFields(Transformation):
             provenance={"op": self.op_name, "fields": list(self.fields),
                         "input": dataset.provenance},
         )
-
-    def apply_batched(
-        self, dataset: ScrubJayDataset, dictionary: SemanticDictionary
-    ) -> Optional[ScrubJayDataset]:
-        """Projection as column drops (plus the same empty-row drop the
-        row path gets from ``filter(bool)``)."""
-        self._check(dataset, dictionary)
-        fields = list(self.fields)
-        keep = frozenset(fields)
-
-        def run(items: List[Any]) -> List[Any]:
-            out: List[Any] = []
-            for item in items:
-                if isinstance(item, ColumnBatch):
-                    kept = kernels.select_fields(item, fields)
-                    if kept.num_rows:
-                        out.append(kept)
-                else:
-                    row = {k: v for k, v in item.items() if k in keep}
-                    if row:
-                        out.append(row)
-            return out
-
-        result = dataset.with_rdd(
-            dataset.rdd.mapPartitions(run),
-            self.derive_schema(dataset.schema, dictionary),
-            name=f"{dataset.name}|{self.op_name}",
-            provenance={"op": self.op_name, "fields": list(self.fields),
-                        "input": dataset.provenance},
-        )
-        result.batched = True
-        return result

@@ -145,9 +145,7 @@ class Rollup:
                 n: session.feeds[n].watermark for n in self.feed_names
             }
             base = self.delta_plan.execute_full(
-                pinned_catalog(session, marks),
-                session.dictionary,
-                columnar=session.engine.config.columnar,
+                pinned_catalog(session, marks), session.dictionary
             )
             self.state = metric_partials(base, self.query)
             self.watermarks = marks
@@ -326,16 +324,13 @@ class Rollup:
                 result = self.delta_plan.execute_delta(
                     pinned_catalog(session, pinned), deltas,
                     session.dictionary,
-                    columnar=session.engine.config.columnar,
                 )
                 part = metric_partials(result, self.query)
                 merge_metric_partials(self.state, part, self.query)
                 self.delta_refreshes += 1
             else:
                 result = self.delta_plan.execute_full(
-                    pinned_catalog(session, targets),
-                    session.dictionary,
-                    columnar=session.engine.config.columnar,
+                    pinned_catalog(session, targets), session.dictionary
                 )
                 self.state = metric_partials(result, self.query)
             self.watermarks = targets

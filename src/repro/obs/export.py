@@ -149,12 +149,6 @@ def _analyze_line(span: Span) -> str:
     cache = span.attrs.get("cache")
     if cache:
         stats.append(f"cache={cache}")
-    kernel = span.attrs.get("kernel")
-    if kernel:
-        stats.append(f"kernel={kernel}")
-    batches = span.counters.get("batches")
-    if batches is not None:
-        stats.append(f"batches={int(batches)}")
     scan_rows = span.counters.get("scan.rows_read")
     if scan_rows is not None:
         stats.append(f"scan.rows_read={int(scan_rows)}")

@@ -97,7 +97,7 @@ class SJContext:
         self.tracer = tracer or Tracer(enabled=False)
         self.metrics = metrics or MetricsRegistry()
         #: audit trail of the newest decisions (joins, shuffles,
-        #: kernels, delta refreshes, rollup routes)
+        #: delta refreshes, rollup routes)
         self.report = ExecutionReport(metrics=self.metrics)
         self.planner = AdaptivePlanner(self.adaptive, self.report)
         self.scheduler = Scheduler(

@@ -41,7 +41,6 @@ import os
 import time
 from typing import Any, Callable, List, Optional
 
-from repro.columnar.batch import ColumnBatch, count_rows
 from repro.errors import WorkerPoolError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -94,23 +93,14 @@ def _traced_task(
                 "index": index,
                 "t0": t0,
                 "t1": t1,
-                "rows_in": _logical_rows(items),
-                "rows_out": _logical_rows(out),
+                "rows_in": len(items),
+                "rows_out": len(out),
                 "pid": os.getpid(),
             },
             out,
         ]
 
     return traced
-
-
-def _logical_rows(items: List[Any]) -> int:
-    """Row count of a partition payload; partitions carrying columnar
-    batches count the rows *inside* the batches, so stats and spans
-    report data volume, not element counts."""
-    if items and isinstance(items[0], ColumnBatch):
-        return count_rows(items)
-    return len(items)
 
 
 class Scheduler:
@@ -296,7 +286,6 @@ class Scheduler:
         """
         source, columns = rdd.source, rdd.columns
         predicate = rdd.predicate
-        batched = getattr(rdd, "batched", False)
         selection = source.prune(predicate)
         placeholders = [
             Partition(i, [src_index])
@@ -305,16 +294,9 @@ class Scheduler:
 
         def scan_task(index: int, items: List[Any]) -> List[Any]:
             t0 = time.perf_counter()
-            if batched:
-                out, st = source.read_partition_batches_stats(
-                    items[0], columns, predicate
-                )
-                n = count_rows(out)
-            else:
-                out, st = source.read_partition_stats(
-                    items[0], columns, predicate
-                )
-                n = len(out)
+            out, st = source.read_partition_stats(
+                items[0], columns, predicate
+            )
             t1 = time.perf_counter()
             return [
                 _TASK_META,
@@ -323,7 +305,7 @@ class Scheduler:
                     "t0": t0,
                     "t1": t1,
                     "rows_in": 0,
-                    "rows_out": n,
+                    "rows_out": len(out),
                     "pid": os.getpid(),
                     "scan": st,
                 },

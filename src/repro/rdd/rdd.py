@@ -301,16 +301,11 @@ class ScanRDD(RDD):
         source: Any,
         columns: Optional[List[str]] = None,
         predicate: Any = None,
-        batched: bool = False,
     ) -> None:
         super().__init__(ctx)
         self.source = source
         self.columns = list(columns) if columns is not None else None
         self.predicate = predicate
-        #: True = partitions hold ColumnBatch elements (the source is
-        #: read through ``read_partition_batches_stats``); downstream
-        #: row counting goes through the batch-aware helpers
-        self.batched = batched
         #: {"rows_read", "bytes_scanned", "segments_read",
         #:  "segments_skipped", "partitions_total",
         #:  "partitions_scanned"} — set by Scheduler._compute_scan
@@ -322,10 +317,7 @@ class ScanRDD(RDD):
         cols = list(columns)
         if self.columns is not None:
             cols = [c for c in cols if c in self.columns]
-        return ScanRDD(
-            self.ctx, self.source, cols, self.predicate,
-            batched=self.batched,
-        )
+        return ScanRDD(self.ctx, self.source, cols, self.predicate)
 
 
 class MappedPartitionsRDD(RDD):

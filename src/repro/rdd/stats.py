@@ -16,7 +16,7 @@ time, the way Spark's adaptive query execution does:
   skewed-bucket detection;
 - :class:`Decision` and :class:`ExecutionReport` — the audit trail.
   Every physical choice made while answering a query (join strategy,
-  shuffle partitioning, batch kernel, delta refresh, rollup route) is
+  shuffle partitioning, delta refresh, rollup route) is
   one :class:`Decision` record on the context's report, mirrored into
   the metrics registry, so tests, benchmarks and EXPLAIN ANALYZE can
   assert the optimizer actually fired (and why), rather than trusting
@@ -37,8 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
-
-from repro.columnar.batch import ColumnBatch, count_rows
 
 __all__ = [
     "AdaptiveConfig",
@@ -125,8 +123,6 @@ def _approx_size(obj: Any, depth: int = 0) -> int:
     Cheap and rough on purpose — it feeds threshold comparisons, not
     accounting.
     """
-    if isinstance(obj, ColumnBatch):
-        return obj.approx_bytes()
     size = sys.getsizeof(obj, 64)
     if depth >= 5:
         return size
@@ -181,13 +177,6 @@ def collect_stats(
     )
 
     for p in partitions:
-        if p.data and isinstance(p.data[0], ColumnBatch):
-            # Columnar partitions: logical rows and exact byte counts
-            # come straight off the batches — no sampling, no census
-            # (batches are not (key, value) pairs).
-            total_rows += count_rows(p.data)
-            total_bytes += sum(b.approx_bytes() for b in p.data)
-            continue
         rows = len(p.data)
         total_rows += rows
         if rows == 0:
@@ -240,7 +229,6 @@ def collect_stats(
 DECISION_SERIES: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
     "join": ("rdd.join.decisions", "strategy", "rdd.timing.join.{choice}"),
     "shuffle": ("rdd.shuffle.decisions", None, "rdd.timing.shuffle"),
-    "kernel": ("core.kernel.decisions", "choice", None),
     "delta": ("stream.delta.decisions", "choice", None),
     "rollup": ("metrics.rollup.decisions", "route", None),
 }
@@ -260,7 +248,6 @@ class Decision:
     - ``join`` (adaptive planner): ``broadcast`` | ``shuffle``;
     - ``shuffle`` (scheduler), how the partition count was chosen:
       ``explicit`` | ``stats`` | ``default-parallelism``;
-    - ``kernel`` (columnar execution): ``batch`` | ``row-fallback``;
     - ``delta`` (standing-query refresh): ``delta`` | ``replay``;
     - ``rollup`` (metric routing): ``rollup`` | ``raw``.
 
@@ -306,8 +293,8 @@ class Decision:
 class ExecutionReport:
     """Audit trail of the newest decisions taken on a context.
 
-    Appended to by the scheduler, the combination layer, columnar
-    execution, stream refresh and metric routing; read by tests,
+    Appended to by the scheduler, the combination layer, stream
+    refresh and metric routing; read by tests,
     benchmarks and EXPLAIN ANALYZE to prove the optimizer fired (and
     why) rather than trusting it. It holds the newest
     :data:`REPORT_CAPACITY` decisions: a long-lived service records
@@ -443,16 +430,6 @@ class AdaptivePlanner:
 
     # -- joins ---------------------------------------------------------
 
-    def allows_broadcast(self, side: RDDStats) -> bool:
-        """The broadcast rule: adaptive execution is on and ``side``
-        fits under both broadcast thresholds."""
-        cfg = self.config
-        return (
-            cfg.enabled
-            and side.approx_bytes <= cfg.broadcast_threshold_bytes
-            and side.total_rows <= cfg.broadcast_threshold_rows
-        )
-
     def decide_join(
         self,
         op: str,
@@ -461,8 +438,8 @@ class AdaptivePlanner:
     ) -> Decision:
         """Choose broadcast-hash vs shuffle for a join: broadcast the
         smallest of ``sides`` (``(side, stats)`` pairs — both sides of
-        an equi-join, the index side of a windowed one) when
-        :meth:`allows_broadcast` does, else shuffle, and record it.
+        an equi-join, the index side of a windowed one) when it fits
+        under both broadcast thresholds, else shuffle, and record it.
         The evidence is every side's rows and bytes, the thresholds,
         and the ``build_side`` broadcast; ``name`` labels the side in
         the reason (default: the side).
@@ -482,7 +459,10 @@ class AdaptivePlanner:
             sides, key=lambda s: (s[1].approx_bytes, s[1].total_rows)
         )
         name = name or side
-        if self.allows_broadcast(stats):
+        if (
+            stats.approx_bytes <= cfg.broadcast_threshold_bytes
+            and stats.total_rows <= cfg.broadcast_threshold_rows
+        ):
             evidence["build_side"] = side
             choice, reason = "broadcast", (
                 f"{name} side ~{stats.approx_bytes} B"

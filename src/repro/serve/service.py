@@ -816,9 +816,7 @@ class QueryService:
     ) -> ScrubJayDataset:
         """Full execution with every feed input bounded at ``marks``."""
         return dplan.execute_full(
-            self._pinned_catalog(marks),
-            self.session.dictionary,
-            columnar=self.session.engine.config.columnar,
+            self._pinned_catalog(marks), self.session.dictionary
         )
 
     @staticmethod
@@ -890,8 +888,7 @@ class QueryService:
             if n not in changed and n in base
         }
         result = sub.delta_plan.execute_delta(
-            self._pinned_catalog(pinned), deltas,
-            session.dictionary, columnar=session.engine.config.columnar,
+            self._pinned_catalog(pinned), deltas, session.dictionary
         )
         if delta_rows:
             with self._subs_lock:

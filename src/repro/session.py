@@ -79,8 +79,7 @@ class ScrubJaySession:
         retry budgets, and serve-tier defaults::
 
             sj = ScrubJaySession(TuningProfile(
-                executor_kind="processes", columnar=True,
-                cache_dir="/tmp/sj",
+                executor_kind="processes", cache_dir="/tmp/sj",
             ))
 
         Rich objects stay keyword arguments: a ready-made ``ctx``
@@ -412,7 +411,7 @@ class ScrubJaySession:
         enabled tracer, and each node renders with its measured row
         count, approximate size, wall time, and derivation-cache
         outcome, prefixed by one line per decision the run took (join
-        strategy, shuffle partitioning, kernel, rollup route) and a
+        strategy, shuffle partitioning, delta refresh, rollup route) and a
         summary of the engine's search. The
         resulting trace tree is also retained on ``ctx.tracer`` —
         ``ctx.tracer.last_root()`` returns it for programmatic use.
@@ -448,7 +447,6 @@ class ScrubJaySession:
                         self.cache,
                         tracer=tracer,
                         measure=True,
-                        columnar=self.engine.config.columnar,
                     )
                     if self.cache is not None:
                         report.set_cache_stats(self.cache.stats())
@@ -493,8 +491,7 @@ class ScrubJaySession:
         self, plan: DerivationPlan, tracer
     ) -> ScrubJayDataset:
         result = plan.execute(
-            self.snapshot(), self.dictionary, self.cache, tracer=tracer,
-            columnar=self.engine.config.columnar,
+            self.snapshot(), self.dictionary, self.cache, tracer=tracer
         )
         if self.cache is not None:
             self.ctx.report.set_cache_stats(self.cache.stats())
@@ -564,7 +561,6 @@ class ScrubJaySession:
         dataset = plan.execute(
             self.snapshot(), self.dictionary, self.cache,
             tracer=tracer, measure=measure,
-            columnar=self.engine.config.columnar,
         )
         if self.cache is not None and report is not None:
             report.set_cache_stats(self.cache.stats())

@@ -104,27 +104,6 @@ class DataSource(ABC):
         rows = self.read_partition(index, columns, predicate)
         return rows, {"rows_read": len(rows), "bytes_scanned": 0}
 
-    def read_partition_batches_stats(
-        self,
-        index: int,
-        columns: Optional[Sequence[str]] = None,
-        predicate: Optional[ColumnPredicate] = None,
-    ) -> Tuple[List[Any], Dict[str, Any]]:
-        """Columnar read: one partition as
-        :class:`~repro.columnar.batch.ColumnBatch` elements, plus the
-        same stats dict as :meth:`read_partition_stats`.
-
-        The default pivots the row read into a single batch, so every
-        source is batch-capable; sources whose storage is already
-        column-shaped (the wide-column store) override this to decode
-        without the row detour.
-        """
-        from repro.columnar import ColumnBatch
-
-        rows, stats = self.read_partition_stats(index, columns, predicate)
-        batches = [ColumnBatch.from_rows(rows)] if rows else []
-        return batches, stats
-
     # -- append capability (streaming feeds) ---------------------------
     #
     # An *appendable* source exposes a monotonic integer offset over

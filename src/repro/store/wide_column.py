@@ -495,41 +495,9 @@ class Table:
                 if out is not None:
                     yield out
 
-    def scan_batches(
-        self,
-        partition: Optional[Tuple] = None,
-        columns: Optional[Sequence[str]] = None,
-        predicate: Optional[Any] = None,
-    ) -> Tuple[List[Any], Dict[str, Any]]:
-        """Columnar :meth:`scan_stats`: one
-        :class:`~repro.columnar.batch.ColumnBatch` per surviving
-        segment (plus one for the memtable), with the predicate
-        evaluated as a vectorized mask and the projection applied
-        column-wise. Zone-map skipping and the reported statistics are
-        identical to the row scan; the segment rows never become
-        per-row work downstream — they pivot straight into typed
-        column buffers here.
-        """
-        from repro.columnar import ColumnBatch, kernels
-
-        stats: Dict[str, Any] = {}
-        batches: List[Any] = []
-
-        def emit(rows: List[dict]) -> None:
-            stats["rows_read"] += len(rows)
-            if not rows:
-                return
-            batch = ColumnBatch.from_rows(rows)
-            if predicate is not None:
-                batch = kernels.apply_predicate(batch, predicate)
-            if columns is not None:
-                batch = batch.project(columns).drop_all_null_rows()
-            if batch.num_rows:
-                batches.append(batch)
-
-        for rows in self._row_chunks(partition, predicate, stats):
-            emit(rows)
-        return batches, stats
+    # anchor for the WRAP_TABLE row Table.scan_batches
+    def scan_batches(self, *_args, **_kwargs):
+        raise NotImplementedError("columnar scans were removed")
 
     def count(self) -> int:
         return sum(1 for _ in self.scan())

@@ -164,7 +164,6 @@ class DeltaPlan:
         base_catalog: Dict[str, ScrubJayDataset],
         delta_datasets: Dict[str, ScrubJayDataset],
         dictionary,
-        columnar: bool = False,
     ) -> ScrubJayDataset:
         """Execute the plan with changed leaves bound to delta rows.
 
@@ -177,22 +176,17 @@ class DeltaPlan:
         """
         catalog = dict(base_catalog)
         catalog.update(delta_datasets)
-        return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar
-        )
+        return self.plan.execute(catalog, dictionary, None)
 
     def execute_full(
         self,
         catalog: Dict[str, ScrubJayDataset],
         dictionary,
-        columnar: bool = False,
     ) -> ScrubJayDataset:
         """Scoped replay: full execution against a catalog whose feed
         inputs the caller has pinned (bounded) at the target
         watermarks — never against live, still-growing sources."""
-        return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar
-        )
+        return self.plan.execute(catalog, dictionary, None)
 
     def __repr__(self) -> str:
         return f"DeltaPlan({self.plan!r})"

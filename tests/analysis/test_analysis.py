@@ -86,6 +86,21 @@ def test_time_series_sorted_per_group(ds):
     assert series[(2,)] == [(float(t), 3.0) for t in range(5)]
 
 
+@pytest.mark.parametrize("field", ["time", "heat", "rack"])
+def test_time_series_skips_none_cells(ctx, field):
+    # None is absent, as for group_aggregate; the heat=None row ties
+    # another row's time, so it would otherwise be compared with it
+    rows = _rows()
+    rows.append({"rack": 1, "app": "AMG", "time": Timestamp(2.0),
+                 "heat": 99.0, "power": 1.0, field: None})
+    ds = ScrubJayDataset.from_rows(ctx, rows, SCHEMA, "t")
+    series = time_series(ds, ["rack"], "time", "heat")
+    assert series == {
+        (1,): [(float(t), 10.0 + t) for t in range(5)],
+        (2,): [(float(t), 3.0) for t in range(5)],
+    }
+
+
 # ----------------------------------------------------------------------
 # correlate
 # ----------------------------------------------------------------------
@@ -128,6 +143,16 @@ def test_correlate_too_few_rows(ctx):
     )
     with pytest.raises(ValueError):
         correlate(ds, "heat", "power")
+
+
+@pytest.mark.parametrize("method", ["pearson", "spearman"])
+@pytest.mark.parametrize("field", ["heat", "power"])
+def test_correlate_skips_none_cells(ctx, method, field):
+    rows = [{"rack": 1, "heat": float(i), "power": float(2 * i)}
+            for i in range(5)]
+    rows.append({"rack": 1, "heat": 50.0, "power": -50.0, field: None})
+    ds = ScrubJayDataset.from_rows(ctx, rows, SCHEMA, "t")
+    assert correlate(ds, "heat", "power", method) == pytest.approx(1.0)
 
 
 def test_correlate_unknown_method(ds):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.dataset import ScrubJayDataset
-from repro.core.pipeline import _to_batched
 from repro.core.semantics import Schema, domain, value
 from repro.errors import SemanticError
 
@@ -31,14 +30,10 @@ def test_collect_take_count(ds):
 
 
 def test_take_nonpositive_returns_no_rows(ds):
-    # regression: RDD.take appended before checking the count, so the
-    # row path answered take(0) with one row and the batched path
-    # answered take(-1) with all rows but the last
-    batched = _to_batched(ds)
-    for d in (ds, batched):
-        assert d.take(0) == []
-        assert d.take(-1) == []
-    assert batched.take(2) == ROWS[:2]
+    # regression: RDD.take appended before checking the count, so
+    # take(0) answered with one row
+    assert ds.take(0) == []
+    assert ds.take(-1) == []
 
 
 def test_column_skips_sparse_rows(ds):

@@ -11,8 +11,10 @@ from repro.store import WideColumnStore
 from repro.units.temporal import Timestamp
 
 from tests.conftest import (
+    JOBS_SCHEMA,
     LAYOUT_SCHEMA,
     TEMPS_SCHEMA,
+    jobs_rows,
     layout_rows,
     temps_rows,
 )
@@ -166,6 +168,58 @@ def test_pushed_equals_unpushed_through_join():
         sj.close()
     assert answers[0] == answers[1]
     assert answers[0]  # join result is non-empty
+
+
+def sparse_temps_rows():
+    """Temperatures with optional domain fields left out of some rows."""
+    rows = temps_rows()
+    for i, r in enumerate(rows):
+        if i % 3 == 0:
+            r.pop("location")
+        if i % 5 == 0:
+            r.pop("aisle")
+    return rows
+
+
+JOIN_QUESTIONS = {
+    # node_layout ⋈ rack_temperatures on racks
+    "natural": lambda sj: sj.query().across("compute nodes", "time")
+    .value("temperature").where("time", below=Timestamp(600.0)).ask(),
+    # the Figure-5 heat sequence: job nodes ⋈ layout, then the windowed
+    # join against the temperatures
+    "interpolation": lambda sj: sj.ask(
+        domains=["jobs", "racks"], values=["applications", "heat"]
+    ),
+}
+
+
+def answers_pushed_and_unpushed(question, temps):
+    answers = []
+    for pushdown in (True, False):
+        sj = ScrubJaySession(TuningProfile(pushdown=pushdown))
+        try:
+            sj.register_rows(jobs_rows(), JOBS_SCHEMA, "job_queue_log")
+            sj.register_rows(layout_rows(), LAYOUT_SCHEMA, "node_layout")
+            sj.register_rows(temps, TEMPS_SCHEMA, "rack_temperatures")
+            answers.append(rows_of(JOIN_QUESTIONS[question](sj)))
+        finally:
+            sj.close()
+    return answers
+
+
+@pytest.mark.parametrize("question", sorted(JOIN_QUESTIONS))
+def test_sparse_rows_survive_pushed_join(question):
+    pushed, plain = answers_pushed_and_unpushed(
+        question, sparse_temps_rows()
+    )
+    assert pushed and pushed == plain
+    # a left-out field stays absent: it never comes back as None
+    assert all(v is not None for row in pushed for v in row.values())
+
+
+@pytest.mark.parametrize("question", sorted(JOIN_QUESTIONS))
+def test_empty_input_through_pushed_join(question):
+    assert answers_pushed_and_unpushed(question, []) == [[], []]
 
 
 @pytest.mark.parametrize("which", ["thread", "process"])

@@ -2,9 +2,8 @@
 
 ``group_aggregate_partials(..., grain=g)`` must equal the two-step
 route it replaces — group on the raw time, then
-:func:`~repro.metrics.compute.rebucket_partials` — on both the row and
-the columnar branch, and a grained metric must ship per-bucket, not
-per-raw-time, pairs through the shuffle.
+:func:`~repro.metrics.compute.rebucket_partials` — and a grained metric
+must ship per-bucket, not per-raw-time, pairs through the shuffle.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ScrubJayDataset, ScrubJaySession, SJContext
 from repro.analysis.aggregate import group_aggregate_partials
-from repro.columnar import ColumnBatch
 from repro.core.query import Grain
 from repro.metrics.compute import rebucket_partials
 from repro.units.temporal import Timestamp
@@ -60,18 +58,6 @@ _rows = st.lists(
 )
 
 
-def _dataset(ctx, rows, partitions, columnar):
-    ds = ScrubJayDataset.from_rows(
-        ctx, rows, RACK_POWER_SCHEMA, "rp", num_partitions=partitions
-    )
-    if columnar:
-        ds = ds.with_rdd(ds.rdd.mapPartitions(
-            lambda items: [ColumnBatch.from_rows(items)] if items else []
-        ))
-        ds.batched = True
-    return ds
-
-
 def _nan_last(x):
     return (1, 0.0) if x != x else (0, x)
 
@@ -111,20 +97,20 @@ def test_grained_partials_equal_rebucketed_raw_partials(
 ):
     grain = Grain.of(grain_s)
     gf = ["rack", "time"] if per else ["time"]
-    raw = _dataset(gctx, rows, partitions, columnar=False)
+    ds = ScrubJayDataset.from_rows(
+        gctx, rows, RACK_POWER_SCHEMA, "rp", num_partitions=partitions
+    )
 
     def oracle(h):
         return rebucket_partials(
-            group_aggregate_partials(raw, gf, "power", h), grain, h
+            group_aggregate_partials(ds, gf, "power", h), grain, h
         )
 
     want = oracle(how)
     samples = oracle("p50")
-    for columnar in (False, True):
-        ds = _dataset(gctx, rows, partitions, columnar)
-        got = group_aggregate_partials(ds, gf, "power", how, grain)
-        assert all(isinstance(k[-1], Timestamp) for k in got)
-        _assert_same_partials(got, want, how, samples)
+    got = group_aggregate_partials(ds, gf, "power", how, grain)
+    assert all(isinstance(k[-1], Timestamp) for k in got)
+    _assert_same_partials(got, want, how, samples)
 
 
 def _grain_rows():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Query, ScrubJaySession, TuningProfile
+from repro import Query, ScrubJaySession
 from repro.core.query import Grain, Measure, QueryBuilder
 from repro.errors import QueryError, QueryValidationError
 from repro.metrics import MetricAnswer, rows_from_state
@@ -247,14 +247,12 @@ NONE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("columnar", [False, True],
-                         ids=["row", "columnar"])
 @pytest.mark.parametrize(
     "how", ["mean", "sum", "min", "max", "count", "p50", "p95"]
 )
-def test_none_value_or_group_field_is_not_a_sample(how, columnar):
+def test_none_value_or_group_field_is_not_a_sample(how):
     def groups(rows):
-        sj = ScrubJaySession(TuningProfile(columnar=columnar))
+        sj = ScrubJaySession()
         try:
             sj.register_rows(rows, RACK_POWER_SCHEMA, "rack_power")
             return sj.ask(

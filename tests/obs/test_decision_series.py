@@ -1,15 +1,15 @@
 """The registry series every decision kind mirrors into.
 
 The benchmark suite's layer metrics (``rdd.broadcast_join_ratio``,
-``rdd.shuffle_pairs``, ``columnar.batch_ratio``,
-``metrics.rollup_route_ratio``) and the Prometheus dump read these
-exact names and label keys, so they are pinned here: one decision of
-each kind, and the complete set of series it leaves behind.
+``rdd.shuffle_pairs``, ``metrics.rollup_route_ratio``) and the
+Prometheus dump read these exact names and label keys, so they are
+pinned here: one decision of each kind, and the complete set of series
+it leaves behind.
 """
 
 from __future__ import annotations
 
-from repro import ScrubJaySession, TuningProfile
+from repro import ScrubJaySession
 from repro.datagen.synthetic import (
     KEYED_LEFT_SCHEMA,
     KEYED_RIGHT_SCHEMA,
@@ -22,7 +22,7 @@ from tests.conftest import TEMPS_SCHEMA, temps_rows
 from tests.serve.conftest import JOIN_DOMAINS, JOIN_VALUES
 
 #: counter families the decision kinds publish
-FAMILIES = ("rdd.join.", "rdd.shuffle.", "core.kernel.", "stream.delta.",
+FAMILIES = ("rdd.join.", "rdd.shuffle.", "stream.delta.",
             "metrics.rollup.")
 
 
@@ -74,19 +74,6 @@ def test_shuffle_join_series():
         "rdd.shuffle.pairs": 12,
     }
     assert timings == {"rdd.timing.join.shuffle": 1, "rdd.timing.shuffle": 1}
-
-
-def test_kernel_series():
-    sj = ScrubJaySession(TuningProfile(columnar=True, pushdown=False))
-    try:
-        sj.register_rows(temps_rows(), TEMPS_SCHEMA, "rack_temperatures")
-        (sj.query().across("racks", "time").value("temperature")
-         .where("racks", equals=17).ask().collect())
-        counters, timings = _series(sj.ctx.metrics)
-    finally:
-        sj.close()
-    assert counters == {"core.kernel.decisions{choice=batch}": 1}
-    assert timings == {}
 
 
 def test_rollup_series():

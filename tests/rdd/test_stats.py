@@ -232,15 +232,15 @@ def test_report_keeps_the_newest_decisions_and_every_total():
     report = ExecutionReport(metrics)
     extra = 5
     for i in range(REPORT_CAPACITY + extra):
-        report.add(Decision("kernel", f"op{i}", "batch", "vectorized"))
+        report.add(Decision("delta", f"op{i}", "delta", "row-local"))
     assert len(report) == REPORT_CAPACITY
-    assert report.of("kernel")[0].op == f"op{extra}"
-    assert metrics.counter("core.kernel.decisions", {"choice": "batch"}) \
+    assert report.of("delta")[0].op == f"op{extra}"
+    assert metrics.counter("stream.delta.decisions", {"choice": "delta"}) \
         == REPORT_CAPACITY + extra
     # a mark taken after the ring wrapped still selects exactly the
     # decisions added after it
     mark = report.recorded
-    report.add(Decision("delta", "filter_range", "delta", "row-local"))
+    report.add(Decision("join", "filter_range", "shuffle", "-"))
     assert [d.op for d in report.since(mark)] == ["filter_range"]
     assert report.since(report.recorded) == []
 
@@ -249,7 +249,7 @@ def _decision_lines(text):
     # one line per decision; measured times differ from run to run
     return sorted(
         re.sub(r" in [0-9.]+ms", "", line) for line in text.splitlines()
-        if re.match(r"(join|shuffle|kernel|delta|rollup)\[", line)
+        if re.match(r"(join|shuffle|delta|rollup)\[", line)
     )
 
 
@@ -263,7 +263,7 @@ def test_explain_analyze_lists_its_own_decisions_after_the_ring_wraps():
             sj.register_rows(layout_rows(), LAYOUT_SCHEMA, "node_layout")
             sj.register_rows(temps_rows(), TEMPS_SCHEMA, "rack_temperatures")
             for _ in range(fill):
-                sj.ctx.report.add(Decision("kernel", "filler", "batch", "-"))
+                sj.ctx.report.add(Decision("delta", "filler", "replay", "-"))
             return sj.explain(domains=["jobs", "racks"],
                               values=["applications", "heat"], analyze=True)
 

@@ -1,0 +1,40 @@
+"""The benchmark suite's tracer installs against the shipped program.
+
+``benchmarks/suite/tracing.py`` wraps named boundaries of ``repro``
+(its ``WRAP_TABLE``) in every traced benchmark run. A renamed or
+deleted boundary makes ``Recorder.install()`` raise, so this test runs
+install and uninstall in a subprocess — a half-applied patch cannot
+leak into other tests — and checks that one patched boundary is the
+original object again afterwards.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import sys
+sys.path.insert(0, "benchmarks/suite")
+import tracing
+from repro.core.engine import DerivationEngine
+
+original = DerivationEngine.__dict__["solve"]
+r = tracing.Recorder()
+r.install()
+assert DerivationEngine.__dict__["solve"] is not original
+r.uninstall()
+assert DerivationEngine.__dict__["solve"] is original
+print("installed", len(tracing.WRAP_TABLE))
+"""
+
+
+def test_suite_tracer_installs_and_uninstalls():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.startswith("installed ")

@@ -33,12 +33,20 @@ def test_aliases_resolve_dotted_underscored_and_leaf_names():
         "adaptive.broadcast_threshold_bytes"
     assert resolve("adaptive_broadcast_threshold_bytes") == \
         "adaptive.broadcast_threshold_bytes"
-    assert resolve("columnar") == "engine.columnar"  # unique leaf
+    assert resolve("projection") == "engine.projection"  # unique leaf
     # historical spellings from the flat-kwarg era
     assert resolve("broadcast_threshold") == \
         "adaptive.broadcast_threshold_bytes"
     assert resolve("num_workers") == "executor.num_workers"
     assert resolve("executor") == "executor.kind"
+
+
+def test_columnar_knob_is_gone():
+    # plans run on the row path only; the knob is an unknown name now
+    assert len(KNOBS) == 34
+    with pytest.raises(ConfigError) as ei:
+        TuningProfile(columnar=True)
+    assert ei.value.knob == "columnar"
 
 
 def test_unknown_knob_raises_typed_error_with_suggestion():
@@ -56,7 +64,7 @@ def test_out_of_bounds_values_raise_naming_the_knob():
     assert ei.value.knob == "adaptive.broadcast_threshold_bytes"
     assert "lower bound" in str(ei.value)
     with pytest.raises(ConfigError, match="expects"):
-        TuningProfile(columnar="yes")  # bool knob, string value
+        TuningProfile(projection="yes")  # bool knob, string value
     with pytest.raises(ConfigError, match="must be one of"):
         TuningProfile(executor_kind="gpu")
 
@@ -84,30 +92,30 @@ def test_nan_is_rejected_by_every_float_knob(name):
 
 
 def test_provenance_tracks_default_and_user():
-    p = TuningProfile(columnar=True)
-    assert p.provenance("engine.columnar") == "user-pinned"
+    p = TuningProfile(projection=False)
+    assert p.provenance("engine.projection") == "user-pinned"
     assert p.provenance("serve.result_ttl") == "default"
     p.set("serve.result_ttl", 5.0)
     assert p.provenance("serve.result_ttl") == "user-pinned"
     snap = p.snapshot()
-    assert snap["knobs"]["engine.columnar"] == {
-        "value": True, "provenance": "user-pinned",
+    assert snap["knobs"]["engine.projection"] == {
+        "value": False, "provenance": "user-pinned",
     }
     assert snap["version"] == p.version
 
 
 def test_diff_compares_profiles_and_mappings():
     a = TuningProfile()
-    b = TuningProfile(broadcast_threshold=1024, columnar=True)
+    b = TuningProfile(broadcast_threshold=1024, projection=False)
     d = diff(a, b)
     assert d == {
         "adaptive.broadcast_threshold_bytes": (8 << 20, 1024),
-        "engine.columnar": (False, True),
+        "engine.projection": (True, False),
     }
     assert diff(b, b) == {}
     # plain mappings work too, with missing knobs read as defaults
-    assert diff({}, {"engine.columnar": True}) == {
-        "engine.columnar": (False, True),
+    assert diff({}, {"engine.projection": False}) == {
+        "engine.projection": (True, False),
     }
 
 
@@ -120,10 +128,10 @@ def test_engine_config_is_frozen_mutation_goes_through_profile():
     sj = ScrubJaySession()
     try:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sj.engine.config.columnar = True
-        assert sj.engine.config.columnar is False
-        sj.profile.set("engine.columnar", True)
-        assert sj.engine.config.columnar is True
+            sj.engine.config.projection = False
+        assert sj.engine.config.projection is True
+        sj.profile.set("engine.projection", False)
+        assert sj.engine.config.projection is False
         sj.profile.set("adaptive.broadcast_threshold_bytes", 123)
         assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
         assert sj.ctx.planner.config.broadcast_threshold_bytes == 123

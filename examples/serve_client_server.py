@@ -22,7 +22,7 @@ Run: python examples/serve_client_server.py
 import threading
 import time
 
-from repro import ScrubJaySession, TuningProfile
+from repro import ScrubJaySession
 from repro.core.query import FilterTerm
 from repro.datagen.synthetic import (
     KEYED_LEFT_SCHEMA,
@@ -33,8 +33,8 @@ from repro.serve import QueryClient, QueryServer
 
 
 def main() -> None:
-    # one shared session = one catalog + dictionary + executor pool
-    sj = ScrubJaySession(TuningProfile(executor_kind="threads"))
+    # one shared session = one catalog + dictionary + executor
+    sj = ScrubJaySession()
     samples, lookup = keyed_tables(5_000, num_keys=64)
     sj.register_rows(samples, KEYED_LEFT_SCHEMA, name="samples")
     sj.register_rows(lookup, KEYED_RIGHT_SCHEMA, name="lookup")

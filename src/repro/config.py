@@ -59,7 +59,7 @@ __all__ = [
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_USER = "user-pinned"
 
-_EXECUTOR_KINDS = ("serial", "threads", "processes", "simulated")
+_EXECUTOR_KINDS = ("serial", "simulated")
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,11 @@ def _build_knobs() -> Dict[str, Knob]:
              "ready-made ctx/executor object is injected.",
              choices=_EXECUTOR_KINDS),
         Knob("executor.num_workers", "int", None,
-             "Worker count for the data-cluster executor (None = "
-             "executor default).", low=1, high=256, nullable=True),
+             "Simulated node count for the `simulated` executor "
+             "(None = 1).", low=1, high=256, nullable=True),
         Knob("retry.max_task_attempts", "int", 3,
              "Total attempts per task (1 disables per-task retry — "
              "the zero-overhead path).", low=1, high=10),
-        Knob("retry.max_stage_attempts", "int", 4,
-             "Total attempts per stage when the worker pool dies.",
-             low=1, high=10),
         # -- session ---------------------------------------------------
         Knob("session.cache_dir", "str", None,
              "On-disk derivation cache directory; also hosts rollup "
@@ -488,13 +485,11 @@ class TuningProfile:
 
     def retry_policy(self):
         """A :class:`~repro.rdd.RetryPolicy` built from the retry
-        knobs, or None when both are still at their defaults (letting
+        knob, or None while it is still at its default (letting
         downstream layers keep their own defaults)."""
         with self._lock:
             if (
                 self._provenance["retry.max_task_attempts"]
-                == PROVENANCE_DEFAULT
-                and self._provenance["retry.max_stage_attempts"]
                 == PROVENANCE_DEFAULT
             ):
                 return None
@@ -502,7 +497,6 @@ class TuningProfile:
 
         return RetryPolicy(
             max_task_attempts=self.get("retry.max_task_attempts"),
-            max_stage_attempts=self.get("retry.max_stage_attempts"),
         )
 
     # -- introspection -------------------------------------------------

@@ -190,13 +190,6 @@ class FatalTaskError(TaskError):
     retry budget is exhausted. Not retried."""
 
 
-class WorkerPoolError(ExecutorError):
-    """An entire worker pool died mid-stage (as opposed to one task
-    failing). Recoverable one level up: the scheduler replays the whole
-    stage from its lineage inputs, and the process executor degrades to
-    serial execution after repeated consecutive deaths."""
-
-
 class ServiceError(ScrubJayError):
     """Base class for failures of the ``repro.serve`` query service."""
 
@@ -349,11 +342,12 @@ class ShardRoutingError(ServiceError):
 class ShuffleKeyError(ScrubJayError):
     """A shuffle key's type has no process-stable portable hash.
 
-    Raised by multi-process executors instead of silently bucketing by
-    Python's per-interpreter salted ``hash()``, under which equal keys
-    land in different buckets on different workers and joins/groupByKey
-    silently drop matches. Fix: use primitive/tuple/dataclass keys, or
-    give the key type a ``__portable_hash__`` method."""
+    Raised by ``portable_hash(key, strict=True)`` — the shard router's
+    placement — instead of falling back to Python's per-interpreter
+    salted ``hash()``, under which equal keys land on different shards
+    when routed from different processes. Fix: use
+    primitive/tuple/dataclass keys, or give the key type a
+    ``__portable_hash__`` method."""
 
 
 #: the one import surface for the whole stack's typed errors; the
@@ -379,7 +373,6 @@ __all__ = [
     "TaskError",
     "TransientTaskError",
     "FatalTaskError",
-    "WorkerPoolError",
     "ServiceError",
     "ServiceOverloadError",
     "QueryTimeoutError",

@@ -38,9 +38,8 @@ def to_chrome_trace(
     counters and attributes in ``args``. Timestamps are the spans'
     ``perf_counter`` readings converted to integer microseconds —
     relative placement and durations are what a viewer shows, and
-    those are exact. Spans carrying a ``worker`` attribute (executor
-    tasks) are mapped to that thread lane so per-worker concurrency
-    is visible.
+    those are exact. Every span sits on one thread lane: tasks run
+    in the driver, on the thread that submitted their stage.
     """
     if isinstance(spans, Span):
         spans = [spans]
@@ -55,7 +54,6 @@ def to_chrome_trace(
                     k: v for k, v in span.attrs.items()
                     if isinstance(v, (str, int, float, bool, type(None)))
                 }
-            worker = span.attrs.get("worker")
             events.append({
                 "name": span.name,
                 "cat": span.kind or "span",
@@ -63,7 +61,7 @@ def to_chrome_trace(
                 "ts": int(span.start * 1e6),
                 "dur": max(0, int(span.duration * 1e6)),
                 "pid": pid,
-                "tid": int(worker) + 2 if worker is not None else 1,
+                "tid": 1,
                 "args": args,
             })
     return {"traceEvents": events, "displayTimeUnit": "ms"}

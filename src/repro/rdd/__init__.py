@@ -4,14 +4,14 @@ The paper implements ScrubJay on Apache Spark RDDs distributed across a
 10-node data cluster. This package is the substitute substrate: a lazy,
 partitioned, lineage-tracked dataset (:class:`~repro.rdd.rdd.RDD`) whose
 operations pipeline within partitions and split into stages at shuffle
-boundaries, executed by a pluggable executor (serial, thread pool, or a
-process pool standing in for cluster nodes).
+boundaries. Tasks run in the driver, through a pluggable executor:
+serial, or a simulated cluster that models strong scaling.
 
 Public entry points::
 
     from repro.rdd import SJContext
 
-    ctx = SJContext(executor="processes", num_workers=4)
+    ctx = SJContext(executor="simulated", num_workers=4)
     rdd = ctx.parallelize(range(1000), num_partitions=8)
     sums = rdd.keyBy(lambda x: x % 10).aggregateByKey(
         0, lambda acc, x: acc + x, lambda a, b: a + b
@@ -28,7 +28,6 @@ from repro.errors import (
     ShuffleKeyError,
     TaskError,
     TransientTaskError,
-    WorkerPoolError,
 )
 from repro.rdd.context import SJContext
 from repro.rdd.rdd import RDD
@@ -38,8 +37,6 @@ from repro.rdd.executors import (
     FaultInjectingExecutor,
     SerialExecutor,
     SimulatedClusterExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
     make_executor,
 )
 from repro.rdd.fault import DEFAULT_RETRY_POLICY, RetryPolicy, no_retry_policy
@@ -64,8 +61,6 @@ __all__ = [
     "FaultInjectingExecutor",
     "SerialExecutor",
     "SimulatedClusterExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
@@ -75,6 +70,5 @@ __all__ = [
     "TaskError",
     "TransientTaskError",
     "FatalTaskError",
-    "WorkerPoolError",
     "ShuffleKeyError",
 ]

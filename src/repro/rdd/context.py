@@ -26,22 +26,20 @@ class SJContext:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"threads"``, ``"processes"``,
-        ``"simulated"`` — or a ready-built :class:`Executor` instance
-        (e.g. a :class:`~repro.rdd.executors.FaultInjectingExecutor`
-        wrapping another executor). Process workers simulate cluster
-        nodes — use them for the scaling studies; use serial for
-        deterministic unit tests.
+        ``"serial"`` (default) or ``"simulated"`` — or a ready-built
+        :class:`Executor` instance (e.g. a
+        :class:`~repro.rdd.executors.FaultInjectingExecutor` wrapping
+        another executor). Either way tasks run in the driver; the
+        simulated executor models a cluster's strong scaling.
     num_workers:
-        Worker count for thread/process executors (ignored when an
-        executor instance is passed).
+        Simulated node count (ignored by the serial executor and when
+        an executor instance is passed).
     default_parallelism:
         Partition count used when an operation does not specify one
         (and adaptive execution is off or cannot decide).
         Defaults to ``2 * num_workers`` (at least 4).
     retry_policy:
-        Fault-tolerance budgets (per-task retry, stage replay,
-        degradation); defaults to
+        Per-task retry budget and backoff; defaults to
         :data:`repro.rdd.fault.DEFAULT_RETRY_POLICY`. Ignored when an
         executor instance is passed (the instance carries its own).
     adaptive:
@@ -128,10 +126,9 @@ class SJContext:
     # ------------------------------------------------------------------
 
     def stop(self) -> None:
-        """Shut down worker pools. Idempotent."""
-        if not self._stopped:
-            self.executor.shutdown()
-            self._stopped = True
+        """Mark the context stopped. Tasks run in the driver and hold
+        no worker resources, so there is nothing else to release."""
+        self._stopped = True
 
     def __enter__(self) -> "SJContext":
         return self

@@ -1,20 +1,14 @@
 """Fault tolerance for the RDD engine: retry policy and the task runner.
 
-The paper's substrate (Spark) re-executes lost tasks from lineage; this
-module gives the reproduction the same story at two levels:
+The paper's substrate (Spark) re-executes lost tasks from lineage. Here
+every executor runs its tasks through :func:`run_task_with_retry`,
+which replays a task (same partition, same closure — tasks are
+deterministic, so replay is exact) with exponential backoff when it
+fails for a *transient* reason, and gives up immediately on
+deterministic application errors. Tasks run in the driver, so a task's
+inputs are always in hand and there is no worker pool to lose.
 
-- **per-task retry** — every executor runs its tasks through
-  :func:`run_task_with_retry`, which replays a task (same partition,
-  same closure — tasks are deterministic, so replay is exact) with
-  exponential backoff when it fails for a *transient* reason, and
-  gives up immediately on deterministic application errors.
-- **stage replay** — when a whole worker pool dies
-  (:class:`~repro.errors.WorkerPoolError`), the scheduler in
-  :mod:`repro.rdd.plan` re-runs the failed stage from its lineage
-  inputs, which are still materialized driver-side, instead of
-  aborting the job.
-
-Both are governed by one :class:`RetryPolicy`, carried by the executor.
+The budgets live in one :class:`RetryPolicy`, carried by the executor.
 """
 
 from __future__ import annotations
@@ -28,25 +22,17 @@ from repro.errors import FatalTaskError, TransientTaskError
 
 @dataclass
 class RetryPolicy:
-    """Budgets and backoff for task retry, stage replay, and degradation.
+    """Budget and backoff for per-task retry.
 
     Parameters
     ----------
     max_task_attempts:
         Total attempts per task (1 disables per-task retry and its
         wrapper entirely — the zero-overhead path).
-    max_stage_attempts:
-        Total attempts per stage when the worker pool dies; attempts
-        after the first replay the stage from its lineage inputs.
     backoff_base / backoff_factor / max_backoff:
         Exponential backoff: attempt ``k`` (1-based) sleeps
         ``min(base * factor**(k-1), max_backoff)`` seconds before the
         next attempt.
-    degrade_after_pool_deaths:
-        Consecutive pool deaths after which :class:`ProcessExecutor`
-        permanently falls back to in-driver serial execution (logged)
-        instead of raising. Must be < ``max_stage_attempts`` for the
-        degradation ladder to engage before the stage budget runs out.
     transient_exceptions:
         Exception types treated as retryable. Everything else is
         deterministic → fatal on first occurrence.
@@ -55,11 +41,9 @@ class RetryPolicy:
     """
 
     max_task_attempts: int = 3
-    max_stage_attempts: int = 4
     backoff_base: float = 0.01
     backoff_factor: float = 2.0
     max_backoff: float = 1.0
-    degrade_after_pool_deaths: int = 2
     transient_exceptions: Tuple[Type[BaseException], ...] = (
         TransientTaskError,
         ConnectionError,
@@ -70,8 +54,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
-        if self.max_stage_attempts < 1:
-            raise ValueError("max_stage_attempts must be >= 1")
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait after failed attempt ``attempt`` (1-based)."""
@@ -88,9 +70,9 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-#: Retry policy that disables all retry/replay — the raw seed behaviour.
+#: Retry policy that disables retry — the raw seed behaviour.
 def no_retry_policy() -> RetryPolicy:
-    return RetryPolicy(max_task_attempts=1, max_stage_attempts=1)
+    return RetryPolicy(max_task_attempts=1)
 
 
 def _annotate(exc: BaseException, index: int, attempt: int) -> None:

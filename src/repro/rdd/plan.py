@@ -21,31 +21,20 @@ partition count of auto shuffles, and (3) detect skewed shuffle
 buckets and split them at key granularity. Every choice is recorded in
 the context's :class:`~repro.rdd.stats.ExecutionReport`.
 
-Fault tolerance: each stage submission goes through
-:meth:`Scheduler._run_stage`. When the executor reports a whole-pool
-death (:class:`~repro.errors.WorkerPoolError`), the stage is replayed
-from its input partitions — which the scheduler materialized from
-lineage and still holds driver-side — after an exponential backoff,
-up to ``retry_policy.max_stage_attempts`` total attempts. Because
-tasks are deterministic functions of their input partitions, replay
-is exact: a re-run stage sees identical inputs and produces identical
-shuffle buckets (asserted by tests/rdd/test_fault_tolerance.py).
-Per-task retry for single-task faults happens one level down, inside
-the executors (see :mod:`repro.rdd.fault`).
+Fault tolerance: a task runs in the driver, on the calling thread, so
+its input partitions are always in hand. Transient task failures are
+retried in place by the executor (see :mod:`repro.rdd.fault`); there
+is no worker pool that could die, and so no stage replay.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import time
 from typing import Any, Callable, List, Optional
 
-from repro.errors import WorkerPoolError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.rdd.executors import Executor
-from repro.rdd.fault import DEFAULT_RETRY_POLICY
 from repro.rdd.partition import Partition
 from repro.rdd.rdd import (
     RDD,
@@ -59,46 +48,29 @@ from repro.rdd.rdd import (
 from repro.rdd.shuffle import hash_bucket, portable_hash
 from repro.rdd.stats import AdaptivePlanner, Decision, collect_stats
 
-logger = logging.getLogger("repro.rdd.plan")
-
-#: sentinel tag marking a traced task's return value — a plain string
-#: compared by equality, so it survives any pickle round trip through
-#: process executors unchanged
-_TASK_META = "__repro.obs.task_meta__"
-
-
 def _traced_task(
     fn: Callable[[int, List[Any]], List[Any]],
+    tracer: Tracer,
+    stage: Span,
+    origin: str,
 ) -> Callable[[int, List[Any]], List[Any]]:
-    """Wrap a stage function to report per-task timings and row counts
-    back through its *return value* — the result side-channel.
-
-    Executor workers (including forked/spawned processes) cannot
-    mutate driver-side spans; instead each task returns
-    ``[_TASK_META, meta, real_output]`` and the scheduler unwraps the
-    envelope on the driver, turning the meta into task spans. Works
-    identically under every executor because the envelope rides the
-    same path as the data. ``perf_counter`` is CLOCK_MONOTONIC on
-    Linux — system-wide, so worker timestamps land on the driver's
-    time axis.
-    """
+    """Wrap a stage function to record one ``task`` span under
+    ``stage`` per successful run, with its row counts. A failed
+    attempt records nothing, so a retried task counts once."""
 
     def traced(index: int, items: List[Any]) -> List[Any]:
         t0 = time.perf_counter()
         out = fn(index, items)
-        t1 = time.perf_counter()
-        return [
-            _TASK_META,
-            {
-                "index": index,
-                "t0": t0,
-                "t1": t1,
-                "rows_in": len(items),
-                "rows_out": len(out),
-                "pid": os.getpid(),
-            },
-            out,
-        ]
+        task = tracer.record(
+            f"task:{origin}[{index}]", t0, time.perf_counter(),
+            kind="task", parent=stage, index=index,
+        )
+        task.add("rows_in", len(items))
+        task.add("rows_out", len(out))
+        stage.add("tasks")
+        stage.add("rows_in", len(items))
+        stage.add("rows_out", len(out))
+        return out
 
     return traced
 
@@ -112,11 +84,10 @@ class Scheduler:
 
     ``tracer``/``metrics`` instrument stage submissions: every stage
     run while the tracer is enabled produces a ``stage`` span holding
-    one retroactive ``task`` span per partition (timed inside the
-    executor via the result side-channel, see :func:`_traced_task`);
-    the registry counts stages, replays, and rows regardless of the
-    tracer switch — those few increments per *stage* are noise next
-    to per-row work.
+    one retroactive ``task`` span per partition (see
+    :func:`_traced_task`); the registry counts stages and rows
+    regardless of the tracer switch — those few increments per
+    *stage* are noise next to per-row work.
     """
 
     def __init__(
@@ -171,50 +142,9 @@ class Scheduler:
         with tracer.span(
             f"stage:{origin}", kind="stage", origin=origin
         ) as stage:
-            out = self._submit(_traced_task(fn), parts, origin)
-            return self._absorb_task_meta(out, stage, origin)
-
-    def _absorb_task_meta(
-        self, out: List[Partition], stage, origin: str
-    ) -> List[Partition]:
-        """Unwrap ``_traced_task`` envelopes: turn each task's meta
-        into a retroactive ``task`` span under ``stage`` and restore
-        the partitions' real payloads."""
-        tracer = self.tracer
-        rows_in = rows_out = 0
-        tasks = 0
-        unwrapped: List[Partition] = []
-        for p in out:
-            data = p.data
-            if (
-                isinstance(data, list)
-                and len(data) == 3
-                and data[0] == _TASK_META
-            ):
-                meta = data[1]
-                task = tracer.record(
-                    f"task:{origin}[{meta['index']}]",
-                    meta["t0"],
-                    meta["t1"],
-                    kind="task",
-                    parent=stage,
-                    index=meta["index"],
-                    worker=meta["pid"],
-                )
-                task.add("rows_in", meta["rows_in"])
-                task.add("rows_out", meta["rows_out"])
-                rows_in += meta["rows_in"]
-                rows_out += meta["rows_out"]
-                tasks += 1
-                unwrapped.append(Partition(p.index, data[2]))
-            else:
-                # an executor that synthesized a partition without
-                # running the task fn (e.g. an empty stage)
-                unwrapped.append(p)
-        stage.add("tasks", tasks)
-        stage.add("rows_in", rows_in)
-        stage.add("rows_out", rows_out)
-        return unwrapped
+            return self._submit(
+                _traced_task(fn, tracer, stage, origin), parts, origin
+            )
 
     def _submit(
         self,
@@ -222,39 +152,10 @@ class Scheduler:
         parts: List[Partition],
         origin: str,
     ) -> List[Partition]:
-        """Submit one stage, replaying it from lineage on pool death.
-
-        ``parts`` are the stage's lineage inputs, still materialized in
-        the driver, so a replay re-runs the same deterministic tasks on
-        identical inputs — Spark's recompute-from-lineage, with the
-        recompute already in hand.
-        """
+        """Submit one stage to the executor, counting it."""
         if self.metrics is not None:
             self.metrics.inc("rdd.stages", labels={"origin": origin})
-        policy = self.executor.retry_policy or DEFAULT_RETRY_POLICY
-        attempt = 1
-        while True:
-            try:
-                return self.executor.run_partition_tasks(fn, parts)
-            except WorkerPoolError as exc:
-                if attempt >= policy.max_stage_attempts:
-                    logger.error(
-                        "stage %s: worker pool died on final attempt "
-                        "%d/%d: %s",
-                        origin, attempt, policy.max_stage_attempts, exc,
-                    )
-                    raise
-                logger.warning(
-                    "stage %s: worker pool died (attempt %d/%d), "
-                    "replaying stage from lineage inputs: %s",
-                    origin, attempt, policy.max_stage_attempts, exc,
-                )
-                if self.metrics is not None:
-                    self.metrics.inc(
-                        "rdd.stage.replays", labels={"origin": origin}
-                    )
-                policy.sleep(policy.backoff(attempt))
-                attempt += 1
+        return self.executor.run_partition_tasks(fn, parts)
 
     def _compute(self, rdd: RDD) -> List[Partition]:
         if isinstance(rdd, SourceRDD):
@@ -272,16 +173,14 @@ class Scheduler:
         raise TypeError(f"scheduler cannot materialize {type(rdd).__name__}")
 
     def _compute_scan(self, rdd: ScanRDD) -> List[Partition]:
-        """Materialize a ScanRDD: prune driver-side, read worker-side.
+        """Materialize a ScanRDD: prune, then read one task per partition.
 
         The source decides which partitions can possibly match
         (``source.prune``); each surviving partition becomes one task
-        that calls ``source.read_partition_stats`` inside the worker.
-        Scan statistics ride the result side-channel (the same
-        ``_TASK_META`` envelope as traced tasks — always on here,
-        because the ``scan.*`` metrics are cheap and load-bearing) and
-        are aggregated into ``rdd.last_scan`` plus the metrics
-        registry; when the tracer is enabled each task also becomes a
+        that calls ``source.read_partition_stats``. Each task adds its
+        read statistics to ``rdd.last_scan`` and the metrics registry
+        (always on: the ``scan.*`` metrics are cheap and load-bearing);
+        when the tracer is enabled each task also becomes a
         retroactive span carrying its per-partition read stats.
         """
         source, columns = rdd.source, rdd.columns
@@ -291,27 +190,6 @@ class Scheduler:
             Partition(i, [src_index])
             for i, src_index in enumerate(selection.indices)
         ]
-
-        def scan_task(index: int, items: List[Any]) -> List[Any]:
-            t0 = time.perf_counter()
-            out, st = source.read_partition_stats(
-                items[0], columns, predicate
-            )
-            t1 = time.perf_counter()
-            return [
-                _TASK_META,
-                {
-                    "index": index,
-                    "t0": t0,
-                    "t1": t1,
-                    "rows_in": 0,
-                    "rows_out": len(out),
-                    "pid": os.getpid(),
-                    "scan": st,
-                },
-                out,
-            ]
-
         agg = {
             "rows_read": 0,
             "bytes_scanned": 0,
@@ -319,28 +197,43 @@ class Scheduler:
             "segments_skipped": 0,
         }
         tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
-        if placeholders:
-            if traced:
-                with tracer.span(
-                    "stage:scan", kind="stage", origin="scan",
-                    source=source.name,
-                ) as stage:
-                    raw = self._submit(scan_task, placeholders, "scan")
-                    out = self._absorb_scan_meta(raw, stage, agg)
-                    stage.add(
-                        "scan.partitions_total", selection.total
-                    )
-                    stage.add(
-                        "scan.partitions_scanned", len(placeholders)
-                    )
-                    for key, value in agg.items():
-                        stage.add(f"scan.{key}", value)
-            else:
-                raw = self._submit(scan_task, placeholders, "scan")
-                out = self._absorb_scan_meta(raw, None, agg)
-        else:
+        stage: Optional[Span] = None  # the scan's span, when traced
+
+        def scan_task(index: int, items: List[Any]) -> List[Any]:
+            t0 = time.perf_counter()
+            out, st = source.read_partition_stats(
+                items[0], columns, predicate
+            )
+            # counted once the read returns, so a retried attempt
+            # counts once
+            for key in agg:
+                agg[key] += st.get(key, 0)
+            if stage is not None:
+                task = tracer.record(
+                    f"task:scan[{index}]", t0, time.perf_counter(),
+                    kind="task", parent=stage, index=index,
+                )
+                task.add("rows_out", len(out))
+                for key, value in st.items():
+                    task.add(f"scan.{key}", value)
+                stage.add("tasks")
+                stage.add("rows_out", len(out))
+            return out
+
+        if not placeholders:
             out = [Partition(0, [])]
+        elif tracer is not None and tracer.enabled:
+            with tracer.span(
+                "stage:scan", kind="stage", origin="scan",
+                source=source.name,
+            ) as stage:
+                out = self._submit(scan_task, placeholders, "scan")
+                stage.add("scan.partitions_total", selection.total)
+                stage.add("scan.partitions_scanned", len(placeholders))
+                for key, value in agg.items():
+                    stage.add(f"scan.{key}", value)
+        else:
+            out = self._submit(scan_task, placeholders, "scan")
         agg["partitions_total"] = selection.total
         agg["partitions_scanned"] = len(placeholders)
         agg["partitions_pruned"] = selection.skipped
@@ -356,47 +249,6 @@ class Scheduler:
             self.metrics.inc("scan.partitions_pruned", selection.skipped,
                              labels=labels)
         return out
-
-    def _absorb_scan_meta(
-        self, out: List[Partition], stage, agg: dict
-    ) -> List[Partition]:
-        """Unwrap scan-task envelopes, summing per-partition read stats
-        into ``agg`` (and emitting task spans when ``stage`` is set)."""
-        tracer = self.tracer
-        unwrapped: List[Partition] = []
-        rows_out = 0
-        for p in out:
-            data = p.data
-            if (
-                isinstance(data, list)
-                and len(data) == 3
-                and data[0] == _TASK_META
-            ):
-                meta = data[1]
-                st = meta.get("scan") or {}
-                for key in agg:
-                    agg[key] += st.get(key, 0)
-                rows_out += meta["rows_out"]
-                if stage is not None:
-                    task = tracer.record(
-                        f"task:scan[{meta['index']}]",
-                        meta["t0"],
-                        meta["t1"],
-                        kind="task",
-                        parent=stage,
-                        index=meta["index"],
-                        worker=meta["pid"],
-                    )
-                    task.add("rows_out", meta["rows_out"])
-                    for key, value in st.items():
-                        task.add(f"scan.{key}", value)
-                unwrapped.append(Partition(p.index, data[2]))
-            else:
-                unwrapped.append(p)
-        if stage is not None:
-            stage.add("tasks", len(unwrapped))
-            stage.add("rows_out", rows_out)
-        return unwrapped
 
     def _compute_narrow_chain(self, rdd: MappedPartitionsRDD) -> List[Partition]:
         """Pipeline consecutive narrow transformations into one task."""
@@ -462,9 +314,6 @@ class Scheduler:
         create = rdd.create
         merge_value = rdd.merge_value
         merge_combiners = rdd.merge_combiners
-        # multi-process executors need process-stable key hashing; the
-        # salted builtin hash would silently mis-bucket equal keys
-        strict_hash = self.executor.portable_hash_required
 
         def map_task(_index: int, items: List[Any]) -> List[Any]:
             # One dict of partial combiners per output bucket: the
@@ -478,7 +327,7 @@ class Scheduler:
             for k, v in items:
                 b = bucket_of.get(k)
                 if b is None:
-                    b = bucket_of[k] = hash_bucket(k, n, strict_hash)
+                    b = bucket_of[k] = hash_bucket(k, n)
                 d = buckets[b]
                 if k in d:
                     d[k] = merge_value(d[k], v)
@@ -513,7 +362,7 @@ class Scheduler:
                 # spread over m sub-buckets
                 sub: List[List[Any]] = [[] for _ in range(m)]
                 for pair in pairs:
-                    h = portable_hash(pair[0], strict_hash)
+                    h = portable_hash(pair[0])
                     sub[(h // n) % m].append(pair)
                 nonempty = [s for s in sub if s]
                 if len(nonempty) > 1:
@@ -582,7 +431,7 @@ class Scheduler:
         sizes, not estimates — and are cached on the parents. The
         broadcast path builds a driver-side hash map from the small
         side and streams the big side through one narrow stage (no
-        shuffle, no portable-hash requirement); the fallback reuses
+        shuffle); the fallback reuses
         the ordinary :meth:`~repro.rdd.rdd.RDD.join` lineage over the
         materialized inputs.
         """

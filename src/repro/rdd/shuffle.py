@@ -5,22 +5,22 @@ task assigns every record to an output bucket; the driver regroups
 buckets (standing in for the network exchange between cluster nodes);
 the reduce-side task merges each bucket's records.
 
-Bucket assignment must be *consistent across worker processes*.
-Python's builtin ``hash`` is salted per interpreter, so we provide
-:func:`portable_hash`, a deterministic recursive hash over the key
-types that appear in ScrubJay join keys: strings, numbers, bools,
-None, bytes, tuples/frozensets thereof, dataclass instances (hashed
-structurally, which covers ``Timestamp``/``TimeSpan`` join keys), and
-any object providing a ``__portable_hash__() -> int`` method.
+Bucket assignment uses :func:`portable_hash`, a deterministic
+recursive hash over the key types that appear in ScrubJay join keys:
+strings, numbers, bools, None, bytes, tuples/frozensets thereof,
+dataclass instances (hashed structurally, which covers
+``Timestamp``/``TimeSpan`` join keys), and any object providing a
+``__portable_hash__() -> int`` method. Keys that compare equal hash
+equal (``True == 1 == 1.0``), as in a dict, and a key hashes the same
+in every interpreter, so bucket order does not depend on
+``PYTHONHASHSEED``.
 
-For any other type there is no process-stable hash to compute. Under a
-single-process executor the builtin (salted) ``hash`` is still
-consistent within the interpreter, so it is used as a fallback; under
-multi-process executors the same fallback would silently scatter equal
-keys across different buckets — joins and groupByKey would quietly
-drop matches — so ``strict=True`` (set by the scheduler whenever the
-executor crosses process boundaries) raises a typed
-:class:`~repro.errors.ShuffleKeyError` instead.
+For any other type there is no process-stable hash to compute. Tasks
+run in the driver, so the shuffle falls back to the builtin (salted)
+``hash``, which is consistent within one interpreter. The shard router
+(:mod:`repro.serve.sharded`) routes across processes and passes
+``strict=True``, which raises a typed
+:class:`~repro.errors.ShuffleKeyError` for such keys instead.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def portable_hash(key: Any, strict: bool = False) -> int:
     if key is None:
         return 0x3070
     if isinstance(key, bool):
-        return 0x9E37 + int(key)
+        # True == 1 and False == 0 in a dict, so they must co-hash
+        return int(key)
     if isinstance(key, int):
         return key
     if isinstance(key, float):
@@ -81,15 +82,15 @@ def portable_hash(key: Any, strict: bool = False) -> int:
     if strict:
         raise ShuffleKeyError(
             f"shuffle key {key!r} of type {type(key).__qualname__} has no "
-            f"process-stable hash; equal keys would land in different "
-            f"buckets on different worker processes. Use primitive, "
-            f"tuple, or dataclass keys, or define __portable_hash__."
+            f"process-stable hash; two processes would place equal keys "
+            f"differently. Use primitive, tuple, or dataclass keys, or "
+            f"define __portable_hash__."
         )
-    # Fall back to the object's own (possibly salted) hash; only safe
-    # for single-process executors, so prefer primitive keys.
+    # Fall back to the object's own (possibly salted) hash; consistent
+    # within this interpreter only, so prefer primitive keys.
     return hash(key)
 
 
-def hash_bucket(key: Any, num_buckets: int, strict: bool = False) -> int:
+def hash_bucket(key: Any, num_buckets: int) -> int:
     """Map ``key`` to one of ``num_buckets`` output partitions."""
-    return portable_hash(key, strict) % num_buckets
+    return portable_hash(key) % num_buckets

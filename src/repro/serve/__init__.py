@@ -2,14 +2,14 @@
 
 Turns a single-caller :class:`~repro.session.ScrubJaySession` into a
 server: many clients multiplex over one shared catalog, dictionary,
-engine, and executor pool, with repeated logical queries answered from
+engine, and executor, with repeated logical queries answered from
 semantic plan/result caches instead of re-running the §5.2 search and
 the data-parallel execution.
 
 Layers (see DESIGN.md "The serve subsystem")::
 
     admission → per-tenant FIFO → plan cache → engine
-                                → result cache → executor pool
+                                → result cache → executor
 
 Quick start::
 

@@ -7,7 +7,7 @@ The pipeline each admitted query walks::
             → plan cache (memoized §5.2 search, single-flight)
                 → derivation engine (cold search only)
             → result cache (semantic key + TTL/LRU)
-                → shared SJContext executor pool (cold results only)
+                → shared SJContext executor (cold results only)
 
 Design decisions, in the order they bite under load:
 

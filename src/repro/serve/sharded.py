@@ -114,14 +114,13 @@ __all__ = [
 class ShardConfig:
     """Everything a shard process needs to build its service.
 
-    ``fault`` (a kwargs dict for
-    :class:`~repro.rdd.executors.FaultInjectingExecutor`) wraps the
-    shard's executor in deterministic fault injection — the chaos knob
-    the resilience tests turn.
+    A shard's session runs its tasks on a serial executor. ``fault``
+    (a kwargs dict for
+    :class:`~repro.rdd.executors.FaultInjectingExecutor`) wraps it in
+    deterministic task kills — the chaos knob the resilience tests
+    turn.
     """
 
-    executor: str = "serial"
-    num_workers: Optional[int] = None
     fault: Optional[Dict[str, Any]] = None
     service_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: router-session TuningProfile state (engine/adaptive knobs only,
@@ -136,8 +135,8 @@ def _shard_profile_state(session) -> Optional[Dict[str, Any]]:
     Planner-facing knobs (``engine.*``, ``adaptive.*``) travel: a
     shard that broadcast where the router would shuffle gives the
     fleet inconsistent per-shard plans and timings. Everything else
-    stays shard-local — the shard's executor comes from
-    :class:`ShardConfig`, ``session.cache_dir`` must not collide with
+    stays shard-local — a shard's executor is always serial
+    (:class:`ShardConfig`), ``session.cache_dir`` must not collide with
     the router's on-disk cache, and serve knobs arrive via
     ``service_kwargs``. The slice is taken once, at fork time: a knob
     set on the router afterwards stays router-local.
@@ -164,8 +163,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
     # through repro.serve, and a lazy import keeps the fork cheap and
     # cycle-free.
     from repro.config import TuningProfile
-    from repro.rdd.context import SJContext
-    from repro.rdd.executors import FaultInjectingExecutor, make_executor
+    from repro.rdd.executors import FaultInjectingExecutor, SerialExecutor
     from repro.serve.wire import QueryServer
     from repro.session import ScrubJaySession
 
@@ -178,19 +176,12 @@ def _shard_main(conn, config: ShardConfig) -> None:
             if config.profile
             else TuningProfile()
         )
-        if config.fault:
-            inner = make_executor(config.executor, config.num_workers)
-            session = ScrubJaySession(
-                profile,
-                ctx=SJContext(
-                    executor=FaultInjectingExecutor(inner, **config.fault)
-                ),
-            )
-        else:
-            profile.set("executor.kind", config.executor)
-            if config.num_workers is not None:
-                profile.set("executor.num_workers", config.num_workers)
-            session = ScrubJaySession(profile)
+        executor = (
+            FaultInjectingExecutor(SerialExecutor(), **config.fault)
+            if config.fault
+            else None
+        )
+        session = ScrubJaySession(profile, executor=executor)
         service = QueryService(session, **config.service_kwargs)
         server = QueryServer(service).start()
         conn.send(("ready", server.address))
@@ -231,11 +222,12 @@ class ShardHandle(InProcessClient):
         self.replica = replica
         ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe()
-        # Not a daemon: a shard running a process executor must be
-        # allowed children of its own. Orphan safety comes from the
-        # pipe instead — _shard_main parks on conn.recv() and tears
-        # everything down on EOFError the moment the router process
-        # (and with it this parent pipe end) goes away.
+        # Not a daemon: multiprocessing SIGTERMs daemonic children at
+        # router exit, before their service and server close. Orphan
+        # safety comes from the pipe instead — _shard_main parks on
+        # conn.recv() and tears everything down on EOFError the moment
+        # the router process (and with it this parent pipe end) goes
+        # away.
         self.process = ctx.Process(
             target=_shard_main,
             args=(child, config),
@@ -483,10 +475,9 @@ class ShardRouter(QueryService):
     replication:
         Processes per shard index; replicas beyond the first are exact
         mirrors used for transport-level failover.
-    shard_executor / shard_num_workers / shard_fault:
-        Executor spec each shard session is built with (``shard_fault``
-        wraps it in a FaultInjectingExecutor — see
-        :class:`ShardConfig`).
+    shard_fault:
+        Task-kill schedule for each shard's serial executor (kwargs of
+        a FaultInjectingExecutor — see :class:`ShardConfig`).
     shard_service:
         Extra kwargs for each shard-side :class:`QueryService`.
     """
@@ -497,8 +488,6 @@ class ShardRouter(QueryService):
         shards: int,
         shard_on: Optional[Dict[str, Sequence[str]]] = None,
         replication: int = 1,
-        shard_executor: str = "serial",
-        shard_num_workers: Optional[int] = None,
         shard_fault: Optional[Dict[str, Any]] = None,
         shard_service: Optional[Dict[str, Any]] = None,
         start_timeout: float = 60.0,
@@ -512,8 +501,6 @@ class ShardRouter(QueryService):
         self.replication = replication
         self.placement = ShardPlacement(shards, shard_on)
         config = ShardConfig(
-            executor=shard_executor,
-            num_workers=shard_num_workers,
             fault=shard_fault,
             service_kwargs=dict(shard_service or {}),
             profile=_shard_profile_state(session),

@@ -30,6 +30,7 @@ per-node runtime statistics — EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
@@ -79,7 +80,7 @@ class ScrubJaySession:
         retry budgets, and serve-tier defaults::
 
             sj = ScrubJaySession(TuningProfile(
-                executor_kind="processes", cache_dir="/tmp/sj",
+                executor_kind="simulated", cache_dir="/tmp/sj",
             ))
 
         Rich objects stay keyword arguments: a ready-made ``ctx``
@@ -156,22 +157,29 @@ class ScrubJaySession:
         self._rollup_store_obj = None
         self._rollup_dir_owned: Optional[str] = None
         # Knob writes to a live session take effect: the frozen
-        # EngineConfig/AdaptiveConfig objects the hot paths read are
-        # swapped wholesale on every knob change.
+        # EngineConfig/AdaptiveConfig/RetryPolicy objects the hot paths
+        # read are swapped wholesale on every knob change.
         self._profile_listener = self.profile.on_change(
             self._on_profile_change
         )
 
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the
-        engine and context read, so knob writes take effect on the
-        next query."""
+        engine, context and executor read, so knob writes take effect
+        on the next query. ``executor.*`` and ``session.*`` knobs are
+        read once, when the session is built."""
         if name.startswith("adaptive."):
             cfg = self.profile.adaptive_config()
             self.ctx.adaptive = cfg
             self.ctx.planner.config = cfg
         elif name.startswith("engine."):
             self.engine.config = self.profile.engine_config()
+        elif name.startswith("retry."):
+            executor = self.ctx.executor
+            executor.retry_policy = dataclasses.replace(
+                executor.retry_policy,
+                max_task_attempts=self.profile.get("retry.max_task_attempts"),
+            )
 
     # ------------------------------------------------------------------
     # catalog management
@@ -660,8 +668,6 @@ class ScrubJaySession:
         shards: Optional[int] = None,
         shard_on=None,
         replication: Optional[int] = None,
-        shard_executor: Optional[str] = None,
-        shard_num_workers: Optional[int] = None,
         shard_fault=None,
         shard_service=None,
         start_timeout: Optional[float] = None,
@@ -671,7 +677,7 @@ class ScrubJaySession:
     ) -> "QueryService":  # noqa: F821
         """Wrap this session in a concurrent multi-tenant
         :class:`~repro.serve.QueryService` (plan cache → engine →
-        result cache → shared executor pool).
+        result cache → shared executor).
 
         Service settings come from ``config`` (a typed
         :class:`~repro.config.ServeConfig`; defaults to this session's
@@ -707,8 +713,6 @@ class ScrubJaySession:
                 for k, v in {
                     "shard_on": shard_on,
                     "replication": replication,
-                    "shard_executor": shard_executor,
-                    "shard_num_workers": shard_num_workers,
                     "shard_fault": shard_fault,
                     "shard_service": shard_service,
                     "start_timeout": start_timeout,
@@ -721,8 +725,6 @@ class ScrubJaySession:
         for key, value in {
             "shard_on": shard_on,
             "replication": replication,
-            "shard_executor": shard_executor,
-            "shard_num_workers": shard_num_workers,
             "shard_fault": shard_fault,
             "shard_service": shard_service,
             "start_timeout": start_timeout,

@@ -16,9 +16,6 @@ driver-side row list, it exposes
 returns a :class:`ScanSelection` — which partitions can possibly hold
 matching rows. Sources that cannot prune return everything; pruning
 must be conservative (never drop a partition that could match).
-
-Sources must be picklable: ``read_partition`` executes inside worker
-processes under the process executor.
 """
 
 from __future__ import annotations

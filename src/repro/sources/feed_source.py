@@ -9,8 +9,8 @@ length, so plans keep their shape while the data grows monotonically
 underneath them.
 
 Offsets are row counts; every offset is trivially a committed record
-boundary. The source stays picklable (process executors receive a
-frozen copy of the row list; the lock is driver-side only).
+boundary. The source stays picklable: a pickled copy freezes the row
+list and leaves the lock behind.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class FeedSource(DataSource):
         ]
         self._lock = threading.Lock()
 
-    # the lock is a driver-side concern; worker copies are frozen
+    # a pickled copy is a frozen snapshot: the lock stays behind
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_lock", None)

@@ -25,20 +25,6 @@ def ctx():
     c.stop()
 
 
-@pytest.fixture(scope="session")
-def thread_ctx():
-    c = SJContext(executor="threads", num_workers=2, default_parallelism=4)
-    yield c
-    c.stop()
-
-
-@pytest.fixture(scope="session")
-def process_ctx():
-    c = SJContext(executor="processes", num_workers=2, default_parallelism=4)
-    yield c
-    c.stop()
-
-
 @pytest.fixture()
 def dictionary():
     return default_dictionary()

@@ -3,7 +3,7 @@ property — a pushed scan returns exactly what scan-then-filter would."""
 
 import pytest
 
-from repro import ScrubJaySession, TuningProfile
+from repro import ScrubJaySession, SJContext, TuningProfile
 from repro.core.pipeline import DerivationPlan, ScanNode
 from repro.core.semantics import Schema, domain, value
 from repro.errors import QueryError
@@ -222,11 +222,9 @@ def test_empty_input_through_pushed_join(question):
     assert answers_pushed_and_unpushed(question, []) == [[], []]
 
 
-@pytest.mark.parametrize("which", ["thread", "process"])
-def test_pushed_equals_unpushed_across_executors(
-    which, thread_ctx, process_ctx
-):
-    ctx = thread_ctx if which == "thread" else process_ctx
+@pytest.mark.parametrize("which", ["serial", "simulated"])
+def test_pushed_equals_unpushed_across_executors(which):
+    ctx = SJContext(executor=which, num_workers=2, default_parallelism=4)
     shared = make_session(pushdown=True, ctx=ctx)
     serial = make_session(pushdown=False)
     q = lambda sj: rows_of(  # noqa: E731
@@ -240,7 +238,8 @@ def test_pushed_equals_unpushed_across_executors(
     try:
         assert q(shared) == q(serial)
     finally:
-        serial.close()  # shared ctx belongs to the session fixture
+        shared.close()
+        serial.close()
 
 
 def test_projection_disabled_same_results():

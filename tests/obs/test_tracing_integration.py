@@ -3,8 +3,6 @@ ANALYZE row counts, and no-op-tracer result equivalence."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import Query, ScrubJaySession, Tracer, TuningProfile
@@ -40,7 +38,7 @@ def _shape(root, kinds=("query", "solve", "plan-node", "stage")):
     ]
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "simulated"])
 def test_trace_tree_shape_is_executor_independent(executor):
     with _traced_session("serial") as ref, _traced_session(executor) as sj:
         ref.explain(HEAT_QUERY, analyze=True)
@@ -66,19 +64,7 @@ def test_trace_tree_shape_is_executor_independent(executor):
         assert tasks
         for t in tasks:
             assert "rows_out" in t.counters
-            assert "worker" in t.attrs
-
-
-def test_process_tasks_report_worker_pids():
-    with _traced_session("processes") as sj:
-        sj.explain(HEAT_QUERY, analyze=True)
-        root = sj.ctx.tracer.last_root()
-        workers = {
-            t.attrs["worker"]
-            for t in root.walk() if t.kind == "task"
-        }
-        assert workers
-        assert os.getpid() not in workers
+            assert "worker" not in t.attrs
 
 
 def test_explain_analyze_row_counts_match_execution():

@@ -15,11 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.rdd import AdaptiveConfig, SJContext
-from repro.rdd.executors import (
-    FaultInjectingExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.rdd.executors import FaultInjectingExecutor, SerialExecutor
 from repro.rdd.fault import RetryPolicy
 
 FAST = dict(backoff_base=0.0)
@@ -197,21 +193,12 @@ def _join_both_ways(ctx, left, right):
 
 
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
-def test_equivalence_under_thread_executor(dist):
+def test_equivalence_under_simulated_executor(dist):
     left, right = _make_pairs(dist, seed=3)
     oracle = nested_loop_join(left, right)
-    with SJContext(executor="threads", num_workers=3,
+    with SJContext(executor="simulated", num_workers=3,
                    default_parallelism=4) as ctx:
         adaptive, shuffle = _join_both_ways(ctx, left, right)
-    assert adaptive == oracle
-    assert shuffle == oracle
-
-
-@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
-def test_equivalence_under_process_executor(process_ctx, dist):
-    left, right = _make_pairs(dist, seed=4, n_left=120, n_right=30)
-    oracle = nested_loop_join(left, right)
-    adaptive, shuffle = _join_both_ways(process_ctx, left, right)
     assert adaptive == oracle
     assert shuffle == oracle
 
@@ -230,21 +217,6 @@ def test_equivalence_under_task_faults(seed):
     assert adaptive == oracle
     assert shuffle == oracle
     assert inj.injected_task_faults > 0
-
-
-def test_equivalence_under_pool_death_and_threads():
-    left, right = _make_pairs("uniform", seed=9)
-    oracle = nested_loop_join(left, right)
-    inj = FaultInjectingExecutor(
-        ThreadExecutor(2, RetryPolicy(**FAST)),
-        seed=2,
-        pool_death_stages={0, 2},
-    )
-    with SJContext(executor=inj, default_parallelism=4) as ctx:
-        adaptive, shuffle = _join_both_ways(ctx, left, right)
-    assert adaptive == oracle
-    assert shuffle == oracle
-    assert sum(inj._injected_pool_deaths.values()) > 0
 
 
 def test_shuffle_fallback_under_faults():

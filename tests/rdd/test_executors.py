@@ -1,14 +1,9 @@
-"""Executor behaviour: all three kinds, ordering, errors, shutdown."""
+"""Executor behaviour: both kinds, ordering, errors."""
 
 import pytest
 
 from repro.errors import ExecutorError
-from repro.rdd.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.rdd.executors import SerialExecutor, make_executor
 from repro.rdd.partition import Partition
 
 
@@ -17,117 +12,44 @@ def _parts(n=4, size=5):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
 def test_run_partition_tasks_applies_fn_in_order(kind):
     ex = make_executor(kind, 2)
-    try:
-        out = ex.run_partition_tasks(
-            lambda i, items: [x * 10 + i for x in items], _parts()
-        )
-        assert [p.index for p in out] == [0, 1, 2, 3]
-        assert out[1].data == [x * 10 + 1 for x in range(5, 10)]
-    finally:
-        ex.shutdown()
+    out = ex.run_partition_tasks(
+        lambda i, items: [x * 10 + i for x in items], _parts()
+    )
+    assert [p.index for p in out] == [0, 1, 2, 3]
+    assert out[1].data == [x * 10 + 1 for x in range(5, 10)]
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
 def test_closures_over_local_state(kind):
     ex = make_executor(kind, 2)
-    try:
-        offset = 100
-        out = ex.run_partition_tasks(
-            lambda _i, items: [x + offset for x in items], _parts(2, 2)
-        )
-        assert out[0].data == [100, 101]
-    finally:
-        ex.shutdown()
+    offset = 100
+    out = ex.run_partition_tasks(
+        lambda _i, items: [x + offset for x in items], _parts(2, 2)
+    )
+    assert out[0].data == [100, 101]
 
 
 def test_make_executor_rejects_unknown_kind():
     with pytest.raises(ExecutorError):
         make_executor("gpu")
+    with pytest.raises(ExecutorError):
+        make_executor("processes")
 
 
 def test_serial_executor_reports_one_worker():
     assert SerialExecutor().num_workers == 1
 
 
-def test_thread_executor_worker_count():
-    ex = ThreadExecutor(3)
-    try:
-        assert ex.num_workers == 3
-    finally:
-        ex.shutdown()
-
-
-def test_process_executor_worker_count_and_reuse():
-    ex = ProcessExecutor(2)
-    try:
-        assert ex.num_workers == 2
-        # two successive stages reuse the pool
-        for _ in range(2):
-            out = ex.run_partition_tasks(
-                lambda _i, items: [x + 1 for x in items], _parts(2, 3)
-            )
-            assert out[0].data == [1, 2, 3]
-    finally:
-        ex.shutdown()
-
-
-@pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
 def test_task_exception_propagates(kind):
     ex = make_executor(kind, 2)
 
     def boom(_i, _items):
         raise RuntimeError("task failed")
 
-    try:
-        with pytest.raises(RuntimeError, match="task failed"):
-            ex.run_partition_tasks(boom, _parts(2, 2))
-    finally:
-        ex.shutdown()
-
-
-def test_shutdown_is_idempotent():
-    ex = ThreadExecutor(1)
-    ex.shutdown()
-    ex.shutdown()
-
-
-def test_thread_executor_first_failure_wins_and_cancels_rest():
-    # Regression: failures used to surface in submission order only,
-    # and queued tasks kept running after the stage was already dead.
-    import time
-
-    executed = []
-
-    def task(i, items):
-        if i == 0:
-            raise RuntimeError("boom-0")
-        time.sleep(0.05)
-        executed.append(i)
-        return items
-
-    ex = ThreadExecutor(1)
-    try:
-        with pytest.raises(RuntimeError, match="boom-0") as ei:
-            ex.run_partition_tasks(task, _parts(6, 1))
-    finally:
-        ex.shutdown()
+    with pytest.raises(RuntimeError, match="task failed") as ei:
+        ex.run_partition_tasks(boom, _parts(2, 2))
     assert ei.value.partition_index == 0  # failing task identified
-    assert len(executed) < 5  # outstanding queued tasks were cancelled
-
-
-def test_thread_executor_chains_partition_index_into_error():
-    def task(i, items):
-        raise RuntimeError(f"boom-{i}")
-
-    ex = ThreadExecutor(4)
-    try:
-        with pytest.raises(RuntimeError) as ei:
-            ex.run_partition_tasks(task, _parts(4, 1))
-    finally:
-        ex.shutdown()
-    index = ei.value.partition_index
-    assert index in (0, 1, 2, 3)
-    assert str(ei.value) == f"boom-{index}"  # error matches its task

@@ -20,7 +20,7 @@ def _explode_on(value):
     return fn
 
 
-@pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
 def test_narrow_stage_failure_propagates(kind):
     with SJContext(executor=kind, num_workers=2) as ctx:
         r = ctx.parallelize(range(100), 4).map(_explode_on(42))
@@ -28,7 +28,7 @@ def test_narrow_stage_failure_propagates(kind):
             r.collect()
 
 
-@pytest.mark.parametrize("kind", ["serial", "processes"])
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
 def test_shuffle_map_side_failure_propagates(kind):
     with SJContext(executor=kind, num_workers=2) as ctx:
         r = (
@@ -58,13 +58,6 @@ def test_failure_does_not_poison_context(ctx):
         r.collect()
     # the context keeps working for subsequent healthy jobs
     assert sum(ctx.parallelize(range(10), 2).collect()) == 45
-
-
-def test_process_pool_survives_task_failure():
-    with SJContext(executor="processes", num_workers=2) as ctx:
-        with pytest.raises(Exception, match="poisoned"):
-            ctx.parallelize(range(10), 2).map(_explode_on(5)).collect()
-        assert sum(ctx.parallelize(range(10), 2).collect()) == 45
 
 
 def test_failure_in_derivation_pipeline(ctx, dictionary):

@@ -1,17 +1,13 @@
-"""Fault tolerance: task retry, stage replay, degradation, injection.
+"""Fault tolerance: task retry and seeded task kills.
 
-The acceptance contract: with faults injected on a seeded schedule,
-every RDD op still produces results identical to a clean serial run
-(retry replays deterministic tasks exactly), and a worker-pool death
-mid-job recovers via lineage-based stage replay instead of raising.
+The acceptance contract: with task kills injected on a seeded
+schedule, every RDD op still produces results identical to a clean
+serial run (retry replays deterministic tasks exactly).
 """
 
 from __future__ import annotations
 
-import logging
 import operator
-import os
-import time
 
 import pytest
 
@@ -20,14 +16,12 @@ from repro.errors import (
     FatalTaskError,
     TaskError,
     TransientTaskError,
-    WorkerPoolError,
 )
 from repro.rdd import SJContext
 from repro.rdd.executors import (
     FaultInjectingExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
+    SimulatedClusterExecutor,
 )
 from repro.rdd.fault import (
     DEFAULT_RETRY_POLICY,
@@ -51,8 +45,6 @@ def test_backoff_is_exponential_and_capped():
 def test_policy_rejects_zero_budgets():
     with pytest.raises(ValueError):
         RetryPolicy(max_task_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_stage_attempts=0)
 
 
 def test_transient_failure_retried_until_success():
@@ -163,18 +155,17 @@ def test_kill_one_task_per_stage_matches_serial(serial_expected, seed):
     assert inj.injected_task_faults > 0  # the schedule actually fired
 
 
-def test_kill_and_delay_under_threads_matches_serial(serial_expected):
+def test_kill_under_simulated_cluster_matches_serial(serial_expected):
     inj = FaultInjectingExecutor(
-        ThreadExecutor(2, RetryPolicy(**FAST)),
+        SimulatedClusterExecutor(2, RetryPolicy(**FAST)),
         seed=7,
         kill_tasks_per_stage=1,
-        delay_task_probability=0.3,
-        max_delay=0.002,
     )
     with SJContext(executor=inj, default_parallelism=4) as ctx:
         got = _invariant_ops(ctx)
     assert got == serial_expected
     assert inj.injected_task_faults > 0
+    assert inj.inner.simulated_elapsed > 0
 
 
 def test_fault_schedule_is_deterministic():
@@ -203,149 +194,6 @@ def test_injected_faults_outlasting_budget_become_fatal():
             ctx.parallelize(DATA, 4).map(lambda x: x).collect()
     assert ei.value.attempts == 2
     assert ei.value.partition_index is not None
-
-
-# ----------------------------------------------------------------------
-# pool death: lineage-based stage replay in the scheduler
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("dead_stage", [0, 1, 2])
-def test_pool_death_recovers_via_stage_replay(dead_stage):
-    # an aggregateByKey job is three stages: narrow, shuffle-map,
-    # shuffle-reduce; killing any of them must not change the result
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(**FAST)),
-        pool_death_stages={dead_stage},
-    )
-    with SJContext(executor=inj, default_parallelism=4) as ctx:
-        got = sorted(
-            ctx.parallelize(PAIRS, 4)
-            .map(lambda kv: (kv[0], kv[1] * 10))
-            .aggregateByKey(0, operator.add, operator.add)
-            .collect()
-        )
-    with SJContext(executor="serial", default_parallelism=4) as ctx:
-        expected = sorted(
-            ctx.parallelize(PAIRS, 4)
-            .map(lambda kv: (kv[0], kv[1] * 10))
-            .aggregateByKey(0, operator.add, operator.add)
-            .collect()
-        )
-    assert got == expected
-
-
-def test_stage_replay_logged(caplog):
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(**FAST)), pool_death_stages={0}
-    )
-    with SJContext(executor=inj, default_parallelism=2) as ctx:
-        with caplog.at_level(logging.WARNING, logger="repro.rdd.plan"):
-            ctx.parallelize(DATA, 2).map(lambda x: x).collect()
-    assert any("replaying stage" in r.getMessage() for r in caplog.records)
-
-
-def test_pool_deaths_exhausting_stage_budget_raise():
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(max_stage_attempts=2, **FAST)),
-        pool_death_stages={0},
-        pool_deaths_per_stage=99,
-    )
-    with SJContext(executor=inj, default_parallelism=2) as ctx:
-        with pytest.raises(WorkerPoolError):
-            ctx.parallelize(DATA, 2).map(lambda x: x).collect()
-
-
-# ----------------------------------------------------------------------
-# real worker-process death under ProcessExecutor
-# ----------------------------------------------------------------------
-
-def _die_once_then_double(marker_dir):
-    """Kill the hosting worker process the first time element 7 is
-    seen; the marker file makes the stage replay succeed."""
-
-    def fn(x):
-        marker = os.path.join(marker_dir, "died")
-        if x == 7 and not os.path.exists(marker):
-            open(marker, "w").close()
-            os._exit(1)
-        return x * 2
-
-    return fn
-
-
-def test_real_pool_death_recovers_via_lineage_replay(tmp_path):
-    with SJContext(
-        executor="processes", num_workers=2, default_parallelism=4,
-        retry_policy=RetryPolicy(backoff_base=0.001),
-    ) as ctx:
-        out = ctx.parallelize(range(20), 4).map(
-            _die_once_then_double(str(tmp_path))
-        ).collect()
-        assert out == [x * 2 for x in range(20)]
-        assert not ctx.executor.degraded
-        # the pool is healthy again for the next job
-        assert sum(ctx.parallelize(range(10), 2).collect()) == 45
-
-
-def _die_n_times_then_increment(marker_dir, n):
-    def fn(x):
-        if x == 3:
-            count = len(os.listdir(marker_dir))
-            if count < n:
-                open(os.path.join(marker_dir, f"d{count}"), "w").close()
-                os._exit(1)
-        return x + 1
-
-    return fn
-
-
-def test_process_executor_degrades_to_serial_after_repeated_deaths(
-    tmp_path, caplog
-):
-    policy = RetryPolicy(
-        backoff_base=0.001, degrade_after_pool_deaths=2,
-        max_stage_attempts=4,
-    )
-    with SJContext(
-        executor="processes", num_workers=2, default_parallelism=2,
-        retry_policy=policy,
-    ) as ctx:
-        with caplog.at_level(logging.WARNING, logger="repro.rdd"):
-            out = ctx.parallelize(range(10), 2).map(
-                _die_n_times_then_increment(str(tmp_path), 2)
-            ).collect()
-    # degraded serial execution finished the job instead of raising;
-    # by the time the driver runs the task itself, two markers exist
-    # so the fault path is not reached again (os._exit in the driver
-    # would kill pytest outright)
-    assert out == [x + 1 for x in range(10)]
-    assert ctx.executor.degraded
-    assert any(
-        "degrading to serial" in r.getMessage() for r in caplog.records
-    )
-
-
-def test_degraded_executor_keeps_serving_jobs(tmp_path):
-    policy = RetryPolicy(
-        backoff_base=0.001, degrade_after_pool_deaths=1,
-        max_stage_attempts=3,
-    )
-    ex = ProcessExecutor(2, policy)
-    with SJContext(executor=ex, default_parallelism=2) as ctx:
-        out = ctx.parallelize(range(8), 2).map(
-            _die_n_times_then_increment(str(tmp_path), 1)
-        ).collect()
-        assert out == [x + 1 for x in range(8)]
-        assert ex.degraded
-        # subsequent jobs run serially, still correctly
-        assert sum(ctx.parallelize(range(10), 2).collect()) == 45
-        assert sorted(
-            ctx.parallelize(PAIRS, 3)
-            .aggregateByKey(0, operator.add, operator.add).collect()
-        ) == sorted(
-            SJContext(executor="serial").parallelize(PAIRS, 3)
-            .aggregateByKey(0, operator.add, operator.add).collect()
-        )
 
 
 # ----------------------------------------------------------------------
@@ -406,14 +254,3 @@ def test_default_policy_adds_retry_wrapper_and_noop_otherwise():
 
     assert make_retrying_task(fn, no_retry_policy()) is fn
     assert make_retrying_task(fn, DEFAULT_RETRY_POLICY) is not fn
-
-
-def test_delays_do_not_change_results(serial_expected):
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(**FAST)),
-        seed=11,
-        delay_task_probability=0.5,
-        max_delay=0.001,
-    )
-    with SJContext(executor=inj, default_parallelism=4) as ctx:
-        assert _invariant_ops(ctx) == serial_expected

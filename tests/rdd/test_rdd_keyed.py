@@ -5,6 +5,8 @@ from collections import defaultdict
 
 import pytest
 
+from repro.rdd import SJContext
+
 
 def _kv(ctx, n=100, k=7, parts=5):
     return ctx.parallelize([(i % k, i) for i in range(n)], parts)
@@ -119,9 +121,9 @@ def test_shuffle_num_partitions_respected(ctx):
     assert len(r._materialize()) == 3
 
 
-@pytest.mark.parametrize("executor_fixture", ["thread_ctx", "process_ctx"])
-def test_keyed_ops_consistent_across_executors(request, executor_fixture):
-    cx = request.getfixturevalue(executor_fixture)
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
+def test_keyed_ops_consistent_across_executors(kind):
+    cx = SJContext(executor=kind, num_workers=2, default_parallelism=4)
     r = cx.parallelize([(i % 5, i) for i in range(200)], 8)
     got = dict(r.aggregateByKey(0, operator.add, operator.add).collect())
     want = defaultdict(int)

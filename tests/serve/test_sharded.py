@@ -78,12 +78,8 @@ def fleet():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shard_executor", ["serial", "threads", "processes"])
-def test_sharded_answers_match_single_process(reference, shard_executor):
-    sj, router = make_router(
-        shard_executor=shard_executor,
-        shard_num_workers=2 if shard_executor != "serial" else None,
-    )
+def test_sharded_answers_match_single_process(reference):
+    sj, router = make_router()
     try:
         for domains, values in ((JOIN_DOMAINS, JOIN_VALUES),
                                 (HOT_DOMAINS, HOT_VALUES)):

@@ -166,7 +166,7 @@ def test_streams_snapshot_reports_feed_state(feed_service):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "simulated"])
 def test_subscription_answers_equivalent_across_executors(executor):
     kwargs = {"num_workers": 2} if executor != "serial" else {}
     sj = make_feed_session(executor=executor, **kwargs)

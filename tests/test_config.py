@@ -10,7 +10,8 @@ import pytest
 
 from repro import KNOBS, ScrubJaySession, ServeConfig, TuningProfile
 from repro.config import diff, knob_table, resolve
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TransientTaskError
+from repro.rdd.executors import FaultInjectingExecutor, SerialExecutor
 
 
 # ----------------------------------------------------------------------
@@ -43,10 +44,21 @@ def test_aliases_resolve_dotted_underscored_and_leaf_names():
 
 def test_columnar_knob_is_gone():
     # plans run on the row path only; the knob is an unknown name now
-    assert len(KNOBS) == 34
     with pytest.raises(ConfigError) as ei:
         TuningProfile(columnar=True)
     assert ei.value.knob == "columnar"
+
+
+def test_real_executors_and_stage_replay_knob_are_gone():
+    # tasks run in the driver: no thread/process executor to pick, and
+    # no worker pool whose death a stage replay would recover from
+    assert len(KNOBS) == 33
+    for kind in ("threads", "processes"):
+        with pytest.raises(ConfigError, match="must be one of"):
+            TuningProfile(executor_kind=kind)
+    with pytest.raises(ConfigError) as ei:
+        TuningProfile(max_stage_attempts=2)
+    assert ei.value.knob == "max_stage_attempts"
 
 
 def test_unknown_knob_raises_typed_error_with_suggestion():
@@ -135,6 +147,35 @@ def test_engine_config_is_frozen_mutation_goes_through_profile():
         sj.profile.set("adaptive.broadcast_threshold_bytes", 123)
         assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
         assert sj.ctx.planner.config.broadcast_threshold_bytes == 123
+    finally:
+        sj.close()
+
+
+def test_retry_knob_written_on_a_live_session_takes_effect():
+    sj = ScrubJaySession()
+    try:
+        policy = sj.ctx.executor.retry_policy
+        assert policy.max_task_attempts == 3
+        sj.profile.set("retry.max_task_attempts", 1)
+        assert sj.profile.provenance("retry.max_task_attempts") == \
+            "user-pinned"
+        assert sj.ctx.executor.retry_policy.max_task_attempts == 1
+        # the rest of the policy (backoff, transient classes) is kept
+        assert sj.ctx.executor.retry_policy.backoff_base == \
+            policy.backoff_base
+    finally:
+        sj.close()
+
+
+def test_retry_knob_reaches_a_wrapped_executor():
+    inj = FaultInjectingExecutor(SerialExecutor(), kill_tasks_per_stage=1)
+    sj = ScrubJaySession(executor=inj)
+    try:
+        sj.profile.set("retry.max_task_attempts", 1)
+        assert inj.inner.retry_policy.max_task_attempts == 1
+        # one attempt: the injected kill is no longer retried away
+        with pytest.raises(TransientTaskError):
+            sj.ctx.parallelize(range(8), 2).map(lambda x: x).collect()
     finally:
         sj.close()
 

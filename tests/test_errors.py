@@ -12,7 +12,6 @@ def test_rdd_errors_are_reexports():
     assert rdd.TransientTaskError is errors.TransientTaskError
     assert rdd.FatalTaskError is errors.FatalTaskError
     assert rdd.ExecutorError is errors.ExecutorError
-    assert rdd.WorkerPoolError is errors.WorkerPoolError
     assert rdd.ShuffleKeyError is errors.ShuffleKeyError
 
 

@@ -55,8 +55,6 @@ from repro.obs import (
 from repro.rdd import (
     AdaptiveConfig,
     ExecutionReport,
-    FaultInjectingExecutor,
-    RetryPolicy,
     SJContext,
 )
 from repro.serve import (
@@ -77,7 +75,6 @@ from repro.errors import (
     ScrubJayError,
     ServiceOverloadError,
     SourceError,
-    TaskError,
     UnsupportedOpError,
     WrapperError,
 )
@@ -125,8 +122,6 @@ __all__ = [
     "EngineConfig",
     "DerivationPlan",
     "SJContext",
-    "RetryPolicy",
-    "FaultInjectingExecutor",
     "AdaptiveConfig",
     "ExecutionReport",
     "QueryService",
@@ -144,7 +139,6 @@ __all__ = [
     "ServiceOverloadError",
     "QueryTimeoutError",
     "QueryValidationError",
-    "TaskError",
     "WrapperError",
     "SourceError",
     "Quantity",

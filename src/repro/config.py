@@ -162,7 +162,7 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("adaptive.stats_key_budget", "int", a.stats_key_budget,
              "Total keys sampled across partitions for the distinct "
              "estimate.", low=64, high=65536),
-        # -- executor / retry -----------------------------------------
+        # -- executor -------------------------------------------------
         Knob("executor.kind", "str", "serial",
              "Data-cluster executor the session builds when no "
              "ready-made ctx/executor object is injected.",
@@ -170,9 +170,6 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("executor.num_workers", "int", None,
              "Simulated node count for the `simulated` executor "
              "(None = 1).", low=1, high=256, nullable=True),
-        Knob("retry.max_task_attempts", "int", 3,
-             "Total attempts per task (1 disables per-task retry — "
-             "the zero-overhead path).", low=1, high=10),
         # -- session ---------------------------------------------------
         Knob("session.cache_dir", "str", None,
              "On-disk derivation cache directory; also hosts rollup "
@@ -204,9 +201,6 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("serve.use_disk_cache", "bool", True,
              "Write results through to the session's disk cache and "
              "warm-start from it."),
-        Knob("serve.max_query_attempts", "int", 2,
-             "End-to-end attempts per query on transient executor "
-             "errors.", low=1, high=8),
         Knob("serve.metrics_window_s", "float", 30.0,
              "Sliding window (seconds) for recent-QPS and latency "
              "percentiles.", low=1, high=600),
@@ -345,7 +339,6 @@ class ServeConfig:
     result_cache_entries: int = 128
     result_ttl: Optional[float] = None
     use_disk_cache: bool = True
-    max_query_attempts: int = 2
     metrics_window_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -482,22 +475,6 @@ class TuningProfile:
             f.name: v[f"serve.{f.name}"]
             for f in dataclasses.fields(ServeConfig)
         })
-
-    def retry_policy(self):
-        """A :class:`~repro.rdd.RetryPolicy` built from the retry
-        knob, or None while it is still at its default (letting
-        downstream layers keep their own defaults)."""
-        with self._lock:
-            if (
-                self._provenance["retry.max_task_attempts"]
-                == PROVENANCE_DEFAULT
-            ):
-                return None
-        from repro.rdd.fault import RetryPolicy
-
-        return RetryPolicy(
-            max_task_attempts=self.get("retry.max_task_attempts"),
-        )
 
     # -- introspection -------------------------------------------------
 

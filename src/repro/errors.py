@@ -135,59 +135,13 @@ class ConfigError(ScrubJayError):
 
 class StoreError(ScrubJayError):
     """The wide-column store was used inconsistently (unknown table,
-    missing partition key, schema mismatch on insert)."""
+    missing partition key, schema mismatch on insert), or its disk
+    failed it: a write or rename that did not complete, or a torn
+    segment or metadata file."""
 
 
 class ExecutorError(ScrubJayError):
-    """A parallel executor failed to run tasks."""
-
-
-class TaskError(ExecutorError):
-    """A single task (one partition of one stage) failed.
-
-    Carries the task's position so callers and logs can identify the
-    failing unit of work: in this engine a stage runs exactly one task
-    per partition, so ``task_index`` and ``partition_index`` usually
-    coincide, but both are kept because a re-bucketed stage (shuffle
-    reduce) numbers its tasks by output bucket.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        task_index: "int | None" = None,
-        partition_index: "int | None" = None,
-        attempts: "int | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.task_index = task_index
-        self.partition_index = partition_index
-        self.attempts = attempts
-
-    def __reduce__(self):  # preserve attributes across process pickling
-        return (
-            type(self),
-            (
-                self.args[0] if self.args else "",
-                self.task_index,
-                self.partition_index,
-                self.attempts,
-            ),
-        )
-
-
-class TransientTaskError(TaskError):
-    """A task failed for an environmental, retryable reason — a killed
-    worker, a dropped connection, an injected fault. The retry machinery
-    re-runs the task (same partition, same closure) up to the policy's
-    attempt budget; determinism of the task function makes the retry
-    exact replay."""
-
-
-class FatalTaskError(TaskError):
-    """A task failed for good: either its error was deterministic (an
-    application exception would recur on every attempt) or its transient
-    retry budget is exhausted. Not retried."""
+    """No executor of the requested kind exists."""
 
 
 class ServiceError(ScrubJayError):
@@ -370,9 +324,6 @@ __all__ = [
     "FeedRewoundError",
     "StoreError",
     "ExecutorError",
-    "TaskError",
-    "TransientTaskError",
-    "FatalTaskError",
     "ServiceError",
     "ServiceOverloadError",
     "QueryTimeoutError",

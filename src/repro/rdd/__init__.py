@@ -22,24 +22,16 @@ Public entry points::
 # best imported from) repro.errors, the one import surface for the whole
 # stack's typed errors; these names stay importable from here for code
 # that learned them as rdd-level concepts.
-from repro.errors import (
-    ExecutorError,
-    FatalTaskError,
-    ShuffleKeyError,
-    TaskError,
-    TransientTaskError,
-)
+from repro.errors import ExecutorError, ShuffleKeyError
 from repro.rdd.context import SJContext
 from repro.rdd.rdd import RDD
 from repro.rdd.partition import Partition
 from repro.rdd.executors import (
     Executor,
-    FaultInjectingExecutor,
     SerialExecutor,
     SimulatedClusterExecutor,
     make_executor,
 )
-from repro.rdd.fault import DEFAULT_RETRY_POLICY, RetryPolicy, no_retry_policy
 from repro.rdd.stats import (
     AdaptiveConfig,
     AdaptivePlanner,
@@ -58,17 +50,10 @@ __all__ = [
     "ExecutionReport",
     "RDDStats",
     "Executor",
-    "FaultInjectingExecutor",
     "SerialExecutor",
     "SimulatedClusterExecutor",
     "make_executor",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "no_retry_policy",
     # deprecated aliases of the repro.errors classes
     "ExecutorError",
-    "TaskError",
-    "TransientTaskError",
-    "FatalTaskError",
     "ShuffleKeyError",
 ]

@@ -12,7 +12,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Union
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.rdd.executors import Executor, make_executor
-from repro.rdd.fault import RetryPolicy
 from repro.rdd.partition import split_into_partitions
 from repro.rdd.plan import Scheduler
 from repro.rdd.rdd import RDD, SourceRDD, UnionRDD
@@ -27,10 +26,8 @@ class SJContext:
     ----------
     executor:
         ``"serial"`` (default) or ``"simulated"`` — or a ready-built
-        :class:`Executor` instance (e.g. a
-        :class:`~repro.rdd.executors.FaultInjectingExecutor` wrapping
-        another executor). Either way tasks run in the driver; the
-        simulated executor models a cluster's strong scaling.
+        :class:`Executor` instance. Either way tasks run in the driver;
+        the simulated executor models a cluster's strong scaling.
     num_workers:
         Simulated node count (ignored by the serial executor and when
         an executor instance is passed).
@@ -38,10 +35,6 @@ class SJContext:
         Partition count used when an operation does not specify one
         (and adaptive execution is off or cannot decide).
         Defaults to ``2 * num_workers`` (at least 4).
-    retry_policy:
-        Per-task retry budget and backoff; defaults to
-        :data:`repro.rdd.fault.DEFAULT_RETRY_POLICY`. Ignored when an
-        executor instance is passed (the instance carries its own).
     adaptive:
         An :class:`~repro.rdd.stats.AdaptiveConfig` controlling
         statistics-driven execution (broadcast joins, shuffle
@@ -71,7 +64,6 @@ class SJContext:
         executor: Union[str, Executor] = "serial",
         num_workers: Optional[int] = None,
         default_parallelism: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         adaptive: Optional[AdaptiveConfig] = None,
         broadcast_threshold: Optional[int] = None,
         tracer: Optional[Tracer] = None,
@@ -80,7 +72,7 @@ class SJContext:
         if isinstance(executor, Executor):
             self.executor: Executor = executor
         else:
-            self.executor = make_executor(executor, num_workers, retry_policy)
+            self.executor = make_executor(executor, num_workers)
         self.default_parallelism = default_parallelism or max(
             4, 2 * self.executor.num_workers
         )

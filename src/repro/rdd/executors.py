@@ -9,37 +9,47 @@ the executors differ only in what they record around it:
 - :class:`SimulatedClusterExecutor` — serial execution with a
   deterministic cluster-timing model for the strong-scaling studies
   (Fig 3b/3d).
-- :class:`FaultInjectingExecutor` — wraps either of the above and
-  kills tasks on a seeded deterministic schedule, so the per-task
-  retry path is testable in CI.
 
 Real thread and process pools were measured on ``paper_derive`` at two
 workers and gave no gain over serial (EXPERIMENTS.md), so none exists.
 
 All executors implement one method, :meth:`Executor.run_partition_tasks`,
 which applies ``fn(index, items) -> items`` to every partition and
-returns the transformed partitions in input order. Every executor runs
-its tasks through the retry runner in :mod:`repro.rdd.fault`, so
-transient task failures are retried in place with exponential backoff
-(see DESIGN.md, "Failure semantics").
+returns the transformed partitions in input order. A task runs once:
+its exception is the stage's answer, re-raised with its class
+unchanged and its partition index attached (see DESIGN.md, "Failure
+semantics").
 """
 
 from __future__ import annotations
 
-import random
 import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Optional
 
-from repro.errors import ExecutorError, TransientTaskError
-from repro.rdd.fault import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    make_retrying_task,
-)
+from repro.errors import ExecutorError
 from repro.rdd.partition import Partition
 
 PartitionFunc = Callable[[int, List[Any]], List[Any]]
+
+
+def _annotate(exc: BaseException, index: int) -> None:
+    """Chain the task's partition index into an exception in place,
+    without changing its type (callers match on the original class)."""
+    try:
+        exc.partition_index = index  # type: ignore[attr-defined]
+        exc.add_note(f"[repro.rdd] task for partition {index} failed")
+    except Exception:  # pragma: no cover - exotic exception classes
+        pass
+
+
+def _run_task(fn: PartitionFunc, index: int, items: List[Any]) -> List[Any]:
+    """Run one partition task, once; its exception is the answer."""
+    try:
+        return fn(index, items)
+    except Exception as exc:
+        _annotate(exc, index)
+        raise
 
 
 class Executor(ABC):
@@ -47,9 +57,6 @@ class Executor(ABC):
 
     #: number of simulated cluster nodes (1 for the serial executor)
     num_workers: int = 1
-
-    #: per-task retry budget and backoff
-    retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
 
     @abstractmethod
     def run_partition_tasks(
@@ -71,14 +78,13 @@ class SerialExecutor(Executor):
 
     num_workers = 1
 
-    def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
-
     def run_partition_tasks(
         self, fn: PartitionFunc, partitions: List[Partition]
     ) -> List[Partition]:
-        task = make_retrying_task(fn, self.retry_policy)
-        return [Partition(p.index, task(p.index, p.data)) for p in partitions]
+        return [
+            Partition(p.index, _run_task(fn, p.index, p.data))
+            for p in partitions
+        ]
 
 
 class SimulatedClusterExecutor(Executor):
@@ -99,13 +105,8 @@ class SimulatedClusterExecutor(Executor):
     before starting a measurement.
     """
 
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, num_workers: Optional[int] = None) -> None:
         self.num_workers = num_workers or 1
-        self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.simulated_elapsed = 0.0
         self._last_return: Optional[float] = None
 
@@ -120,7 +121,6 @@ class SimulatedClusterExecutor(Executor):
     def run_partition_tasks(
         self, fn: PartitionFunc, partitions: List[Partition]
     ) -> List[Partition]:
-        task = make_retrying_task(fn, self.retry_policy)
         now = time.perf_counter()
         if self._last_return is not None:
             # driver-side (serial) time since the previous stage ended:
@@ -130,7 +130,7 @@ class SimulatedClusterExecutor(Executor):
         out: List[Partition] = []
         for p in partitions:
             t0 = time.perf_counter()
-            data = task(p.index, p.data)
+            data = _run_task(fn, p.index, p.data)
             durations.append(time.perf_counter() - t0)
             out.append(Partition(p.index, data))
         # LPT list scheduling onto the simulated workers
@@ -142,115 +142,13 @@ class SimulatedClusterExecutor(Executor):
         return out
 
 
-class FaultInjectingExecutor(Executor):
-    """Deterministic task kills around any executor, for testing.
-
-    Wraps an inner executor and, on a schedule derived purely from
-    ``seed`` and the logical stage number, picks
-    ``kill_tasks_per_stage`` victim tasks per stage. A victim raises
-    :class:`~repro.errors.TransientTaskError` on its first
-    ``faults_per_task`` attempts (simulating a worker killed mid-task
-    and the task being re-queued), then succeeds, which exercises the
-    per-task retry path end to end.
-
-    The schedule is deterministic: the same seed and the same sequence
-    of stages produce the same faults, so failing runs replay exactly.
-    Per-(stage, task) attempt counts live in a closure created per
-    stage, so retries within one stage see them.
-    """
-
-    def __init__(
-        self,
-        inner: Executor,
-        seed: int = 0,
-        kill_tasks_per_stage: int = 0,
-        faults_per_task: int = 1,
-    ) -> None:
-        self.inner = inner
-        self.seed = seed
-        self.kill_tasks_per_stage = kill_tasks_per_stage
-        self.faults_per_task = faults_per_task
-        self._completed_stages = 0
-        self.injected_task_faults = 0
-
-    # -- delegation ----------------------------------------------------
-
-    @property
-    def num_workers(self) -> int:  # type: ignore[override]
-        return self.inner.num_workers
-
-    @property
-    def retry_policy(self) -> RetryPolicy:  # type: ignore[override]
-        return self.inner.retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, policy: RetryPolicy) -> None:
-        self.inner.retry_policy = policy
-
-    def job_boundary(self) -> None:
-        self.inner.job_boundary()
-
-    def reset(self) -> None:
-        """Restart the fault schedule (e.g. between test cases)."""
-        self._completed_stages = 0
-        self.injected_task_faults = 0
-
-    # -- injection -----------------------------------------------------
-
-    def run_partition_tasks(
-        self, fn: PartitionFunc, partitions: List[Partition]
-    ) -> List[Partition]:
-        stage = self._completed_stages
-        out = self.inner.run_partition_tasks(
-            self._wrap(fn, stage, len(partitions)), partitions
-        )
-        self._completed_stages += 1
-        return out
-
-    def _wrap(
-        self, fn: PartitionFunc, stage: int, num_tasks: int
-    ) -> PartitionFunc:
-        if not (self.kill_tasks_per_stage and num_tasks):
-            return fn
-        rng = random.Random(self.seed * 1_000_003 + stage)
-        victims = frozenset(
-            rng.sample(
-                range(num_tasks), min(self.kill_tasks_per_stage, num_tasks)
-            )
-        )
-        attempts: dict = {}
-        faults_per_task = self.faults_per_task
-        injector = self
-
-        def faulty(index: int, items: List[Any]) -> List[Any]:
-            if index in victims:
-                attempt = attempts.get(index, 0) + 1
-                attempts[index] = attempt
-                if attempt <= faults_per_task:
-                    injector.injected_task_faults += 1
-                    raise TransientTaskError(
-                        f"injected task kill: stage {stage}, task {index},"
-                        f" attempt {attempt}",
-                        task_index=index,
-                        partition_index=index,
-                        attempts=attempt,
-                    )
-            return fn(index, items)
-
-        return faulty
-
-
 _EXECUTOR_KINDS = {
     "serial": SerialExecutor,
     "simulated": SimulatedClusterExecutor,
 }
 
 
-def make_executor(
-    kind: str,
-    num_workers: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Executor:
+def make_executor(kind: str, num_workers: Optional[int] = None) -> Executor:
     """Build an executor by name: ``serial`` or ``simulated``."""
     try:
         cls = _EXECUTOR_KINDS[kind]
@@ -260,5 +158,5 @@ def make_executor(
             f"{sorted(_EXECUTOR_KINDS)}"
         ) from None
     if cls is SerialExecutor:
-        return cls(retry_policy)
-    return cls(num_workers, retry_policy)
+        return cls()
+    return cls(num_workers)

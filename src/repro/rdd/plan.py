@@ -21,10 +21,10 @@ partition count of auto shuffles, and (3) detect skewed shuffle
 buckets and split them at key granularity. Every choice is recorded in
 the context's :class:`~repro.rdd.stats.ExecutionReport`.
 
-Fault tolerance: a task runs in the driver, on the calling thread, so
-its input partitions are always in hand. Transient task failures are
-retried in place by the executor (see :mod:`repro.rdd.fault`); there
-is no worker pool that could die, and so no stage replay.
+Failure semantics: a task runs once, in the driver, on the calling
+thread. There is no worker that could die, so nothing is retried or
+replayed: a task's exception is the job's answer (see
+:mod:`repro.rdd.executors`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _traced_task(
 ) -> Callable[[int, List[Any]], List[Any]]:
     """Wrap a stage function to record one ``task`` span under
     ``stage`` per successful run, with its row counts. A failed
-    attempt records nothing, so a retried task counts once."""
+    task records nothing."""
 
     def traced(index: int, items: List[Any]) -> List[Any]:
         t0 = time.perf_counter()

@@ -24,12 +24,12 @@ Design decisions, in the order they bite under load:
   execution. Expired-in-queue tickets are never dispatched;
   cancellation is cooperative (a running query finishes its current
   stage but its late result is discarded in favor of the typed
-  error). This mirrors the PR-1 taxonomy's stance: the executor owns
-  intra-task retries, the layer above owns end-to-end budgets.
-- **Retries.** Transient executor failures (worker pool death,
-  injected faults that exhausted the task budget) are retried whole —
-  classification reuses :meth:`repro.rdd.fault.RetryPolicy.is_transient`,
-  so the service and the executor agree on what "transient" means.
+  error).
+- **Retries.** Only a sharded scatter that straddled replicated
+  catalog churn (:class:`~repro.errors.ShardStaleReadError`) is
+  re-planned and re-scattered, up to a fixed budget. Anything else a
+  query raises is its answer: tasks run once, in the driver, and have
+  no worker to lose.
 - **One engine, many clients.** The schema-level search is serialized
   by the engine's own lock and de-duplicated by the plan cache's
   single-flight, so a thundering herd on a cold key pays exactly one
@@ -53,7 +53,6 @@ from repro.config import ServeConfig
 from repro.core.dataset import ScrubJayDataset
 from repro.core.query import Query, QueryBuilder, ValueSpec
 from repro.errors import (
-    ExecutorError,
     QueryCancelledError,
     QueryTimeoutError,
     ScrubJayError,
@@ -64,7 +63,6 @@ from repro.errors import (
     StaleRefreshError,
     SubscriptionError,
 )
-from repro.rdd.fault import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.rdd.rdd import ScanRDD
 from repro.serve.keys import normalize_query, plan_key, result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
@@ -72,6 +70,10 @@ from repro.serve.plan_cache import PlanCache
 from repro.serve.result_cache import ResultCache, ResultEntry
 from repro.serve.subscribe import Subscription
 from repro.stream import DeltaPlan
+
+#: tries a query gets when its sharded scatter keeps straddling
+#: replicated catalog churn
+_STALE_READ_ATTEMPTS = 8
 
 _QUEUED = "queued"
 _RUNNING = "running"
@@ -326,11 +328,6 @@ class QueryService:
         When True (default) and the session has a
         :class:`~repro.core.cache.DerivationCache`, the result cache
         writes through to it and warm-starts from it.
-    max_query_attempts:
-        End-to-end attempts per query on *transient* executor errors.
-    retry_policy:
-        Transient/fatal classifier; defaults to the session executor's
-        policy.
     """
 
     def __init__(
@@ -344,8 +341,6 @@ class QueryService:
         result_cache_entries: Optional[int] = None,
         result_ttl: Optional[float] = _UNSET,
         use_disk_cache: Optional[bool] = None,
-        max_query_attempts: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         metrics_window_s: Optional[float] = None,
         clock=time.monotonic,
     ) -> None:
@@ -369,7 +364,6 @@ class QueryService:
                 "plan_cache_entries": plan_cache_entries,
                 "result_cache_entries": result_cache_entries,
                 "use_disk_cache": use_disk_cache,
-                "max_query_attempts": max_query_attempts,
                 "metrics_window_s": metrics_window_s,
             }.items()
             if v is not None
@@ -387,13 +381,6 @@ class QueryService:
         self.session = session
         self.default_timeout = cfg.default_timeout
         self.max_queue = cfg.max_queue
-        self.max_query_attempts = max(1, cfg.max_query_attempts)
-        self.retry_policy = (
-            retry_policy
-            or getattr(
-                session.ctx.executor, "retry_policy", DEFAULT_RETRY_POLICY
-            )
-        )
         self._clock = clock
         self.plan_cache = PlanCache(cfg.plan_cache_entries)
         backing = session.cache if cfg.use_disk_cache else None
@@ -1183,19 +1170,13 @@ class QueryService:
             except ShardStaleReadError:
                 # A scatter straddled replicated catalog churn; the
                 # fleet settles as soon as the mutation finishes, so
-                # re-plan and re-fan-out (its own budget — churn is
-                # expected, executor faults are not). The ramping
-                # backoff lets a multi-shard replication complete
-                # instead of burning the budget inside its window.
-                if attempts >= max(self.max_query_attempts, 8):
+                # re-plan and re-fan-out. The ramping backoff lets a
+                # multi-shard replication complete instead of burning
+                # the budget inside its window.
+                if attempts >= _STALE_READ_ATTEMPTS:
                     raise
                 self.metrics.record_retry()
                 time.sleep(min(0.02 * attempts, 0.2))
-            except ExecutorError as exc:
-                transient = self.retry_policy.is_transient(exc)
-                if not transient or attempts >= self.max_query_attempts:
-                    raise
-                self.metrics.record_retry()
 
     def _answer_once(self, ticket: QueryTicket) -> Any:
         session = self.session

@@ -112,16 +112,9 @@ __all__ = [
 
 @dataclass
 class ShardConfig:
-    """Everything a shard process needs to build its service.
+    """Everything a shard process needs to build its service. A
+    shard's session runs its tasks on a serial executor."""
 
-    A shard's session runs its tasks on a serial executor. ``fault``
-    (a kwargs dict for
-    :class:`~repro.rdd.executors.FaultInjectingExecutor`) wraps it in
-    deterministic task kills — the chaos knob the resilience tests
-    turn.
-    """
-
-    fault: Optional[Dict[str, Any]] = None
     service_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: router-session TuningProfile state (engine/adaptive knobs only,
     #: as a :meth:`~repro.config.TuningProfile.to_json_dict` dict) the
@@ -163,7 +156,6 @@ def _shard_main(conn, config: ShardConfig) -> None:
     # through repro.serve, and a lazy import keeps the fork cheap and
     # cycle-free.
     from repro.config import TuningProfile
-    from repro.rdd.executors import FaultInjectingExecutor, SerialExecutor
     from repro.serve.wire import QueryServer
     from repro.session import ScrubJaySession
 
@@ -176,12 +168,7 @@ def _shard_main(conn, config: ShardConfig) -> None:
             if config.profile
             else TuningProfile()
         )
-        executor = (
-            FaultInjectingExecutor(SerialExecutor(), **config.fault)
-            if config.fault
-            else None
-        )
-        session = ScrubJaySession(profile, executor=executor)
+        session = ScrubJaySession(profile)
         service = QueryService(session, **config.service_kwargs)
         server = QueryServer(service).start()
         conn.send(("ready", server.address))
@@ -475,9 +462,6 @@ class ShardRouter(QueryService):
     replication:
         Processes per shard index; replicas beyond the first are exact
         mirrors used for transport-level failover.
-    shard_fault:
-        Task-kill schedule for each shard's serial executor (kwargs of
-        a FaultInjectingExecutor — see :class:`ShardConfig`).
     shard_service:
         Extra kwargs for each shard-side :class:`QueryService`.
     """
@@ -488,7 +472,6 @@ class ShardRouter(QueryService):
         shards: int,
         shard_on: Optional[Dict[str, Sequence[str]]] = None,
         replication: int = 1,
-        shard_fault: Optional[Dict[str, Any]] = None,
         shard_service: Optional[Dict[str, Any]] = None,
         start_timeout: float = 60.0,
         **kwargs: Any,
@@ -501,7 +484,6 @@ class ShardRouter(QueryService):
         self.replication = replication
         self.placement = ShardPlacement(shards, shard_on)
         config = ShardConfig(
-            fault=shard_fault,
             service_kwargs=dict(shard_service or {}),
             profile=_shard_profile_state(session),
         )

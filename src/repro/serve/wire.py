@@ -1091,8 +1091,10 @@ class QueryServer:
 
     def start(self) -> "QueryServer":
         if self._thread is None:
+            # close() waits out one poll: 0.05 s, not the default 0.5
             self._thread = threading.Thread(
                 target=self._server.serve_forever,
+                kwargs={"poll_interval": 0.05},
                 name="sj-serve-wire",
                 daemon=True,
             )

@@ -30,7 +30,6 @@ per-node runtime statistics — EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
@@ -71,13 +70,12 @@ class ScrubJaySession:
         dictionary: Optional[SemanticDictionary] = None,
         registry: Optional[DerivationRegistry] = None,
         executor=None,
-        retry_policy=None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         """All scalar knobs live on the ``profile`` (a
         :class:`~repro.config.TuningProfile`) — engine search depths,
         adaptive-execution thresholds, cache sizing, executor kind,
-        retry budgets, and serve-tier defaults::
+        and serve-tier defaults::
 
             sj = ScrubJaySession(TuningProfile(
                 executor_kind="simulated", cache_dir="/tmp/sj",
@@ -86,9 +84,8 @@ class ScrubJaySession:
         Rich objects stay keyword arguments: a ready-made ``ctx``
         (:class:`~repro.rdd.context.SJContext`), ``dictionary``,
         ``registry``, an :class:`~repro.rdd.Executor` *instance* as
-        ``executor``, a :class:`~repro.rdd.RetryPolicy` as
-        ``retry_policy``, and an enabled :class:`~repro.obs.Tracer`
-        as ``tracer``."""
+        ``executor``, and an enabled :class:`~repro.obs.Tracer` as
+        ``tracer``."""
         from repro.rdd.context import SJContext
 
         if profile is not None and not isinstance(profile, TuningProfile):
@@ -109,7 +106,6 @@ class ScrubJaySession:
         self.ctx = ctx or SJContext(
             executor=executor or self.profile.get("executor.kind"),
             num_workers=self.profile.get("executor.num_workers"),
-            retry_policy=retry_policy or self.profile.retry_policy(),
             adaptive=self.profile.adaptive_config(),
             tracer=tracer,
         )
@@ -157,7 +153,7 @@ class ScrubJaySession:
         self._rollup_store_obj = None
         self._rollup_dir_owned: Optional[str] = None
         # Knob writes to a live session take effect: the frozen
-        # EngineConfig/AdaptiveConfig/RetryPolicy objects the hot paths
+        # EngineConfig/AdaptiveConfig objects the hot paths
         # read are swapped wholesale on every knob change.
         self._profile_listener = self.profile.on_change(
             self._on_profile_change
@@ -165,7 +161,7 @@ class ScrubJaySession:
 
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the
-        engine, context and executor read, so knob writes take effect
+        engine and context read, so knob writes take effect
         on the next query. ``executor.*`` and ``session.*`` knobs are
         read once, when the session is built."""
         if name.startswith("adaptive."):
@@ -174,12 +170,6 @@ class ScrubJaySession:
             self.ctx.planner.config = cfg
         elif name.startswith("engine."):
             self.engine.config = self.profile.engine_config()
-        elif name.startswith("retry."):
-            executor = self.ctx.executor
-            executor.retry_policy = dataclasses.replace(
-                executor.retry_policy,
-                max_task_attempts=self.profile.get("retry.max_task_attempts"),
-            )
 
     # ------------------------------------------------------------------
     # catalog management
@@ -668,10 +658,8 @@ class ScrubJaySession:
         shards: Optional[int] = None,
         shard_on=None,
         replication: Optional[int] = None,
-        shard_fault=None,
         shard_service=None,
         start_timeout: Optional[float] = None,
-        retry_policy=None,
         clock=None,
         **knobs: Any,
     ) -> "QueryService":  # noqa: F821
@@ -685,8 +673,8 @@ class ScrubJaySession:
         per-knob keywords — ``num_workers=``, ``result_ttl=``, ... —
         each validated at this call: an unknown or out-of-bounds knob
         raises :class:`~repro.errors.ConfigError` naming it, instead
-        of failing deep inside the service. ``retry_policy`` and
-        ``clock`` remain object-valued keywords.
+        of failing deep inside the service. ``clock`` remains an
+        object-valued keyword.
 
         ``shards=N`` scales the serve tier *out* instead: the session
         is fronted by a :class:`~repro.serve.sharded.ShardRouter` over
@@ -701,8 +689,6 @@ class ScrubJaySession:
             **knobs
         )
         service_kwargs: Dict[str, Any] = {"config": cfg}
-        if retry_policy is not None:
-            service_kwargs["retry_policy"] = retry_policy
         if clock is not None:
             service_kwargs["clock"] = clock
         if shards is not None:
@@ -713,7 +699,6 @@ class ScrubJaySession:
                 for k, v in {
                     "shard_on": shard_on,
                     "replication": replication,
-                    "shard_fault": shard_fault,
                     "shard_service": shard_service,
                     "start_timeout": start_timeout,
                 }.items()
@@ -725,7 +710,6 @@ class ScrubJaySession:
         for key, value in {
             "shard_on": shard_on,
             "replication": replication,
-            "shard_fault": shard_fault,
             "shard_service": shard_service,
             "start_timeout": start_timeout,
         }.items():

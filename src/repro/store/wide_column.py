@@ -26,13 +26,14 @@ Values must be picklable; rows are plain dicts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import shutil
 import struct
-from typing import (Any, BinaryIO, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, BinaryIO, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import StoreError
 
@@ -47,14 +48,31 @@ ZONE_PKEY_CAP = 1024
 _SEGMENT_HEADER = struct.Struct("<8sQ")
 _SEGMENT_MAGIC = b"SJSEG01\n"
 
+#: what decoding a torn, vanished or foreign store file raises
+_UNREADABLE = (OSError, EOFError, ValueError, struct.error,
+               pickle.UnpicklingError)
 
-def _replace_into(path: str, chunks: Sequence[bytes]) -> None:
+
+def _replace_into(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` beside ``path`` and rename them into place, so
-    a reader sees the old file or the whole new one, never a part."""
+    a reader sees the old file or the whole new one, never a part.
+
+    The store's one write path: a failed write or rename removes the
+    partial file and raises :class:`StoreError`, leaving ``path`` as
+    it was."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise StoreError(f"cannot write {path}: {exc}") from exc
+
+
+def _unreadable(path: str, exc: BaseException) -> StoreError:
+    return StoreError(f"store file {path} is torn or unreadable: {exc}")
 
 
 def _read_index(
@@ -198,7 +216,13 @@ class Table:
         stamped with the segment's mtime/length so staleness is
         detectable. Each file is written beside its name and renamed
         into place, so the sealed-segment count never includes a
-        half-written segment."""
+        half-written segment.
+
+        The segment's rename is the commit point. A failed segment
+        write raises :class:`StoreError` and keeps the memtable, so a
+        retried flush seals each row once. A failed sidecar write
+        leaves a committed segment that is read on every scan until
+        :meth:`ensure_zone_maps` backfills its sidecar."""
         if not self._memtable:
             return None
         seg_rows: List[dict] = []
@@ -220,9 +244,10 @@ class Table:
             *blocks,
             pickle.dumps(index),
         ])
-        self._write_zone(path, zone)
         self._memtable.clear()
         self._memtable_rows = 0
+        with contextlib.suppress(StoreError):
+            self._write_zone(path, zone)
         return path
 
     def append_rows(
@@ -291,24 +316,28 @@ class Table:
         holds no block for ``partition``: nothing was decoded.
 
         A file without the header is a pre-index segment, one pickled
-        row list: read whole and filtered by key.
+        row list: read whole and filtered by key. A torn segment raises
+        :class:`StoreError` naming it.
         """
-        with open(path, "rb") as f:
-            index, nbytes = _read_index(f)
-            if index is None:
-                spans = [(0, -1)]
-            elif partition is None:
-                spans = list(index.values())
-            elif partition in index:
-                spans = [index[partition]]
-            else:
-                return None, 0
-            rows: List[Dict[str, Any]] = []
-            for offset, length in spans:
-                f.seek(offset)
-                block = f.read(length)
-                nbytes += len(block)
-                rows.extend(pickle.loads(block))
+        try:
+            with open(path, "rb") as f:
+                index, nbytes = _read_index(f)
+                if index is None:
+                    spans = [(0, -1)]
+                elif partition is None:
+                    spans = list(index.values())
+                elif partition in index:
+                    spans = [index[partition]]
+                else:
+                    return None, 0
+                rows: List[Dict[str, Any]] = []
+                for offset, length in spans:
+                    f.seek(offset)
+                    block = f.read(length)
+                    nbytes += len(block)
+                    rows.extend(pickle.loads(block))
+        except _UNREADABLE as exc:
+            raise _unreadable(path, exc) from exc
         if index is None and partition is not None:
             rows = [r for r in rows if self._pkey(r) == partition]
         return rows, nbytes
@@ -348,7 +377,7 @@ class Table:
         try:
             with open(self._zone_path(segment_path), "rb") as f:
                 zone = pickle.load(f)
-        except (OSError, pickle.PickleError, EOFError):
+        except _UNREADABLE:
             return None  # no (readable) sidecar: never prune it
         # a sidecar surviving a segment rewrite must not be believed:
         # only trust it when its stamp matches the live segment file
@@ -371,7 +400,7 @@ class Table:
                 continue
             try:
                 seg_rows, _ = self._read_segment(path)
-            except (OSError, pickle.PickleError, EOFError, struct.error):
+            except StoreError:
                 continue  # unreadable segment: leave unpruned
             pkeys = {self._pkey(row) for row in seg_rows}
             self._write_zone(path, build_zone_map(seg_rows, sorted(
@@ -514,8 +543,11 @@ class Table:
             if zone is not None and zone.get("pkeys") is not None:
                 seen.update(zone["pkeys"])
                 continue
-            with open(path, "rb") as f:
-                keys, _ = _read_index(f)
+            try:
+                with open(path, "rb") as f:
+                    keys, _ = _read_index(f)
+            except _UNREADABLE as exc:
+                raise _unreadable(path, exc) from exc
             if keys is None:  # pre-index segment: the keys are in the rows
                 keys = map(self._pkey, self._read_segment(path)[0])
             seen.update(keys)
@@ -555,14 +587,10 @@ class WideColumnStore:
             clustering,
             memtable_limit,
         )
-        with open(meta_path, "wb") as f:
-            pickle.dump(
-                {
-                    "partition_key": tuple(partition_key),
-                    "clustering": tuple(clustering),
-                },
-                f,
-            )
+        _replace_into(meta_path, [pickle.dumps({
+            "partition_key": tuple(partition_key),
+            "clustering": tuple(clustering),
+        })])
         self._tables[key] = table
         return table
 
@@ -574,8 +602,11 @@ class WideColumnStore:
         meta_path = os.path.join(self._table_dir(keyspace, name), "meta.pkl")
         if not os.path.exists(meta_path):
             raise StoreError(f"no table {keyspace}.{name} in this store")
-        with open(meta_path, "rb") as f:
-            meta = pickle.load(f)
+        try:
+            with open(meta_path, "rb") as f:
+                meta = pickle.load(f)
+        except _UNREADABLE as exc:
+            raise _unreadable(meta_path, exc) from exc
         table = Table(
             self._table_dir(keyspace, name),
             name,
@@ -594,7 +625,12 @@ class WideColumnStore:
         if not os.path.isdir(directory):
             raise StoreError(f"no table {keyspace}.{name} in this store")
         self._tables.pop((keyspace, name), None)
-        shutil.rmtree(directory)
+        try:
+            shutil.rmtree(directory)
+        except OSError as exc:
+            raise StoreError(
+                f"cannot drop table {keyspace}.{name}: {exc}"
+            ) from exc
 
     def keyspaces(self) -> List[str]:
         return sorted(

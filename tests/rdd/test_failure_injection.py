@@ -1,4 +1,5 @@
-"""Failure propagation through the lazy pipeline, on every executor."""
+"""Failure propagation through the lazy pipeline, on every executor:
+a task runs once, and its exception is the answer."""
 
 import operator
 
@@ -86,3 +87,30 @@ def test_cached_rdd_not_poisoned_by_downstream_failure(ctx):
         bad.collect()
     assert base._cached is not None
     assert sum(base.collect()) == 90
+
+
+@pytest.mark.parametrize("kind", ["serial", "simulated"])
+def test_task_value_error_surfaces_once_with_partition_index(kind):
+    calls = []
+
+    def bad(x):
+        calls.append(x)
+        raise ValueError("deterministic application bug")
+
+    with SJContext(executor=kind, num_workers=2) as ctx:
+        with pytest.raises(ValueError) as ei:
+            ctx.parallelize([7], 1).map(bad).collect()
+    assert calls == [7]  # a task runs once
+    assert ei.value.partition_index == 0
+    assert "[repro.rdd] task for partition 0" in "".join(ei.value.__notes__)
+
+
+def test_executor_instance_accepted_by_context_and_session():
+    from repro import ScrubJaySession
+    from repro.rdd.executors import SimulatedClusterExecutor
+
+    executor = SimulatedClusterExecutor(2)
+    with ScrubJaySession(executor=executor) as sj:
+        assert sj.ctx.executor is executor
+    with pytest.raises(Exception, match="ctx or executor"):
+        ScrubJaySession(ctx=SJContext(), executor="serial")

@@ -339,33 +339,6 @@ def test_total_shard_loss_is_a_hard_error():
         sj.close()
 
 
-def test_fault_injecting_shard_executor_still_correct(reference):
-    sj, router = make_router(
-        shard_fault={"seed": 7, "kill_tasks_per_stage": 1},
-    )
-    try:
-        for k in range(0, KEYS, 2):
-            want = row_multiset(
-                reference.query(
-                    JOIN_DOMAINS, JOIN_VALUES, filters=_eq(k)
-                ).collect()
-            )
-            got = row_multiset(
-                router.query(
-                    JOIN_DOMAINS, JOIN_VALUES, filters=_eq(k)
-                ).collect()
-            )
-            assert got == want
-    finally:
-        router.close()
-        sj.close()
-
-
-# ----------------------------------------------------------------------
-# observability and entry points
-# ----------------------------------------------------------------------
-
-
 def test_snapshot_has_per_shard_and_fleet_blocks(fleet):
     fleet.query(JOIN_DOMAINS, JOIN_VALUES)
     snap = fleet.snapshot()

@@ -8,9 +8,6 @@ import repro.serve as serve
 
 
 def test_rdd_errors_are_reexports():
-    assert rdd.TaskError is errors.TaskError
-    assert rdd.TransientTaskError is errors.TransientTaskError
-    assert rdd.FatalTaskError is errors.FatalTaskError
     assert rdd.ExecutorError is errors.ExecutorError
     assert rdd.ShuffleKeyError is errors.ShuffleKeyError
 
@@ -24,7 +21,6 @@ def test_serve_errors_are_reexports():
 
 
 def test_top_level_exports():
-    assert repro.TaskError is errors.TaskError
     assert repro.QueryTimeoutError is errors.QueryTimeoutError
     assert repro.ServiceOverloadError is errors.ServiceOverloadError
     assert repro.SourceError is errors.SourceError
@@ -34,7 +30,6 @@ def test_top_level_exports():
 def test_hierarchy():
     assert issubclass(errors.SourceError, errors.WrapperError)
     assert issubclass(errors.WrapperError, errors.ScrubJayError)
-    assert issubclass(errors.TransientTaskError, errors.TaskError)
     assert issubclass(errors.ServiceOverloadError, errors.ServiceError)
 
 

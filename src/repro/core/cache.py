@@ -1,11 +1,13 @@
 """Opt-in, on-disk memoization of derivation results (paper §5.4).
 
 Expensive derivation steps are cached in non-volatile storage keyed by
-the *content fingerprint* of the plan subtree that produced them, so
-two derivation sequences sharing an expensive prefix compute it only
-once — even across sessions and analysts. Because the cache can grow
-to deplete storage, it is opt-in, bounded, and evicts entries with a
-least-recently-used (LRU) policy.
+the *content fingerprint* of the plan subtree that produced them and
+of the rows it read (:func:`data_key`), so two derivation sequences
+sharing an expensive prefix over the same data compute it only once —
+even across sessions and analysts — and changed data never hits a
+stale entry. Because the cache can grow to deplete storage, it is
+opt-in, bounded, and evicts entries with a least-recently-used (LRU)
+policy.
 
 Entries store the collected rows plus the dataset's schema and name;
 on a hit the rows are re-parallelized into the live context.
@@ -13,19 +15,53 @@ on a hit the rows are re-parallelized into the live context.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 logger = logging.getLogger("repro.core.cache")
 
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema
 from repro.rdd.context import SJContext
+from repro.util.hashing import content_hash, stable_json
+
+
+def data_key(
+    fingerprint: str,
+    catalog: Mapping[str, ScrubJayDataset],
+    names: Iterable[str],
+) -> str:
+    """The disk-cache key of a result that ``fingerprint`` (a plan
+    subtree's, or a serve result's) computed from the ``catalog``
+    datasets ``names``: the fingerprint plus a digest of each input's
+    schema and rows. An entry is found again exactly when the same
+    computation meets the same data, in this session or a later one.
+
+    Each dataset's digest is memoized on it for its current
+    ``_data_version``, which a feed advance bumps after growing the
+    dataset in place, so a warm hit does not re-read unchanged rows.
+    """
+    return content_hash({
+        "key": fingerprint,
+        "data": {n: _digest(catalog[n]) for n in names if n in catalog},
+    })
+
+
+def _digest(dataset: ScrubJayDataset) -> str:
+    version = dataset._data_version
+    memo = dataset._digest
+    if memo is None or memo[0] != version:
+        h = hashlib.sha256(stable_json(dataset.schema).encode("utf-8"))
+        for row in dataset.collect():
+            h.update(stable_json(row).encode("utf-8"))
+        memo = dataset._digest = (version, h.hexdigest())
+    return memo[1]
 
 
 @dataclass

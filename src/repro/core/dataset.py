@@ -38,6 +38,11 @@ class ScrubJayDataset:
         #: dataset, when it was ingested through ``session.ingest()`` —
         #: lets the pushdown rewrite collapse predicates into the scan.
         self.source = None
+        #: bumped by each feed advance that grows this dataset in place;
+        #: ``_digest`` memoizes :func:`repro.core.cache.data_key`'s row
+        #: digest as ``(_data_version, hexdigest)``
+        self._data_version = 0
+        self._digest = None
 
     # ------------------------------------------------------------------
     # constructors

@@ -20,6 +20,7 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import PipelineError
+from repro.core.cache import data_key
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import (
     Combination,
@@ -91,9 +92,11 @@ class PlanNode:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
-        """Content hash — the key for the on-disk derivation cache, so
-        identical sub-derivations issued by different analysts hit the
-        same cache entry."""
+        """Content hash of the sub-derivation — with a digest of the
+        rows it reads (:func:`~repro.core.cache.data_key`), the key for
+        the on-disk derivation cache, so identical sub-derivations
+        issued by different analysts over the same data hit the same
+        cache entry."""
         return content_hash(self.to_json_dict())
 
     def num_steps(self) -> int:
@@ -303,7 +306,11 @@ class DerivationPlan:
             return _apply_scan(base, node)
 
         if cache is not None:
-            hit = cache.get(node.fingerprint())
+            key = data_key(
+                node.fingerprint(), catalog,
+                DerivationPlan(node).dataset_names(),
+            )
+            hit = cache.get(key)
             if hit is not None:
                 if span is not None:
                     span.set("cache", "hit")
@@ -329,7 +336,7 @@ class DerivationPlan:
             raise PipelineError(f"unknown plan node {type(node).__name__}")
 
         if cache is not None:
-            cache.put(node.fingerprint(), result)
+            cache.put(key, result)
         return result
 
     # ------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.analysis.aggregate import (
     group_aggregate_partials,
 )
 from repro.config import ServeConfig
+from repro.core.cache import data_key
 from repro.core.dataset import ScrubJayDataset
 from repro.core.query import Query, QueryBuilder, ValueSpec
 from repro.errors import (
@@ -108,14 +109,6 @@ class AggregateSpec:
     value_field: str
     how: str = "mean"
     partial: bool = False
-
-    def as_partial(self) -> "AggregateSpec":
-        """This spec in partial (unfinalized, mergeable) mode."""
-        if self.partial:
-            return self
-        return AggregateSpec(
-            self.group_by, self.value_field, self.how, True
-        )
 
     def to_wire(self) -> Dict[str, Any]:
         """The request fields every aggregate-carrying wire op uses."""
@@ -615,11 +608,13 @@ class QueryService:
         O(delta) regardless of history size. A metric ``query``
         (single non-windowed measure) derives its spec from the
         measures — the grain buckets inside the plan, so updates
-        arrive keyed by ``(per-dims..., bucket)``.
+        arrive keyed by ``(per-dims..., bucket)``. ``partial=True``
+        keeps a metric subscription's groups as unfinalized mergeable
+        partials.
 
-        This method owns every step the single-process service and a
-        sharded fleet share; where the answer comes from is the
-        :meth:`_initial_answer` hook.
+        A :class:`~repro.serve.sharded.ShardRouter` runs this method
+        unchanged: its session holds every row, so standing queries
+        never reach its shards.
         """
         session = self.session
         query = as_query(query, values, filters)
@@ -638,8 +633,6 @@ class QueryService:
             n for n in dplan.dataset_names() if n in session.feeds
         )
         if query.is_metric:
-            # ``partial=True`` is the sharded fleet's mode: the shard
-            # keeps mergeable partials and the router finalizes
             aggregate = AggregateSpec.for_metric_query(
                 plan.derive_schema(
                     session.schemas(), session.dictionary
@@ -650,18 +643,16 @@ class QueryService:
         marks = {
             n: session.feeds[n].watermark for n in feed_names
         }
+        dataset = self._replay(dplan, marks)
+        rows, partials = self._rows_or_partials(dataset, aggregate)
         with self._subs_lock:
             self._sub_counter += 1
             sub_id = f"sub-{self._sub_counter}"
-        schema, rows, partials = self._initial_answer(
-            sub_id, tenant, query, dplan, aggregate, marks
-        )
-        sub = Subscription(
-            sub_id, tenant, query, plan, dplan, aggregate,
-            feed_names, marks, schema,
-            rows=rows, partials=partials,
-        )
-        with self._subs_lock:
+            sub = Subscription(
+                sub_id, tenant, query, plan, dplan, aggregate,
+                feed_names, marks, dataset.schema,
+                rows=rows, partials=partials,
+            )
             self._subs[sub_id] = sub
         reg = self.metrics.registry
         if reg is not None:
@@ -687,7 +678,6 @@ class QueryService:
         if sub is None:
             return False
         sub._close()
-        self._release_subscription(sub)
         reg = self.metrics.registry
         if reg is not None:
             reg.inc("stream.unsubscribe")
@@ -743,8 +733,7 @@ class QueryService:
         watermarks, so the race costs a retry, never a mixed-
         watermark answer. A writer that outruns the refresher for 16
         straight rounds raises :class:`StaleRefreshError` rather than
-        looping forever. What one round does is the
-        :meth:`_refresh_round` hook.
+        looping forever.
         """
         session = self.session
         reg = self.metrics.registry
@@ -765,7 +754,13 @@ class QueryService:
                         changed.add(n)
                 if not changed:
                     return committed
-                mode = self._refresh_round(sub, base, targets, changed)
+                mode, _ = sub.delta_plan.classify(
+                    changed, getattr(session.ctx, "report", None)
+                )
+                if mode == "delta":
+                    self._refresh_delta(sub, base, targets, changed)
+                else:
+                    self._refresh_replay(sub, targets)
                 committed = True
                 with self._subs_lock:
                     self._stream_stats["refresh_" + mode] += 1
@@ -775,28 +770,6 @@ class QueryService:
                 f"subscription {sub.sub_id!r} cannot catch up: its "
                 "feeds kept advancing across 16 refresh rounds"
             )
-
-    # ------------------------------------------------------------------
-    # streaming hooks — a ShardRouter overrides these to subscribe on,
-    # append to and gather from its shard fleet instead
-    # ------------------------------------------------------------------
-
-    def _initial_answer(
-        self,
-        sub_id: str,
-        tenant: str,
-        query: Query,
-        dplan: DeltaPlan,
-        aggregate: Optional[AggregateSpec],
-        marks: Dict[str, int],
-    ) -> Tuple[Any, Optional[List[Dict[str, Any]]], Optional[Dict]]:
-        """A new subscription's ``(schema, rows, partials)`` with every
-        feed input pinned at ``marks`` (rows or partials, by whether it
-        aggregates)."""
-        dataset = self._replay(dplan, marks)
-        return (
-            dataset.schema, *self._rows_or_partials(dataset, aggregate)
-        )
 
     def _replay(
         self, dplan: DeltaPlan, marks: Dict[str, int]
@@ -821,31 +794,9 @@ class QueryService:
     def _fan_out_append(
         self, name: str, rows: List[Dict[str, Any]]
     ) -> None:
-        """Feed ``name`` just committed ``rows``; one process has
-        nowhere to send them."""
-
-    def _release_subscription(self, sub: Subscription) -> None:
-        """``sub`` was just closed; one process holds nothing else for
-        it."""
-
-    def _refresh_round(
-        self,
-        sub: Subscription,
-        base: Dict[str, int],
-        targets: Dict[str, int],
-        changed,
-    ) -> str:
-        """Commit one refresh of ``sub`` from watermarks ``base`` to
-        ``targets`` (``changed`` names the feeds that moved) and say
-        how: ``"delta"`` or ``"replay"``."""
-        mode, _ = sub.delta_plan.classify(
-            changed, getattr(self.session.ctx, "report", None)
-        )
-        if mode == "delta":
-            self._refresh_delta(sub, base, targets, changed)
-        else:
-            self._refresh_replay(sub, targets)
-        return mode
+        """Streaming hook: feed ``name`` just committed ``rows``. One
+        process has nowhere to send them; a ShardRouter routes them to
+        its shards."""
 
     def _refresh_delta(
         self,
@@ -1286,7 +1237,15 @@ class QueryService:
             for n in names
             if session.data_version(n)
         }
-        rkey = result_key(plan.fingerprint(), state, version, dv)
+        if self.result_cache.backing is None:
+            rkey = result_key(plan.fingerprint(), state, version, dv)
+        else:
+            # The disk tier outlives this session's version counters:
+            # key the entry by the rows its plan reads instead.
+            rkey = data_key(
+                result_key(plan.fingerprint(), state, 0),
+                session.snapshot(), names,
+            )
         if traced:
             with tracer.span("result-cache", kind="cache") as rs:
                 hit = self.result_cache.get(rkey)

@@ -61,13 +61,21 @@ reset connection) fails over to the next replica of the same index
 before surfacing :class:`~repro.errors.ShardError`; per-shard deadline
 budgets shrink as a sequential scatter progresses so one slow shard
 cannot spend another's time.
+
+Standing queries
+----------------
+The router answers ``subscribe``/``updates``/``unsubscribe`` exactly as
+a single-process :class:`~repro.serve.QueryService` does, from its own
+session: it holds every feed row before it splits them, so its
+subscriptions refresh locally (delta where the plan allows). ``advance``
+grows the router's feed and routes the appended rows to their shards;
+shards answer one-shot queries and receive appended rows, nothing else.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -83,12 +91,10 @@ from repro.errors import (
     ShardRoutingError,
     ShardStaleReadError,
     ShardStateError,
-    StaleRefreshError,
 )
 from repro.rdd.shuffle import portable_hash
 from repro.serve.result_cache import ResultEntry
-from repro.serve.service import AggregateSpec, QueryService, QueryTicket
-from repro.serve.subscribe import Subscription
+from repro.serve.service import QueryService, QueryTicket
 from repro.serve.wire import (
     InProcessClient,
     QueryClient,
@@ -201,8 +207,9 @@ class ShardHandle(InProcessClient):
     dropped on transport failure so the next use reconnects).
 
     It is a wire client — the router drives a shard through the typed
-    method per op it inherits (``query``, ``register_rows``,
-    ``subscribe``, ...); only :meth:`request` is its own."""
+    method per op it inherits (``query``, ``aggregate``,
+    ``register_rows``, ``advance``, ...); only :meth:`request` is its
+    own."""
 
     def __init__(self, index: int, replica: int, config: ShardConfig) -> None:
         self.index = index
@@ -356,29 +363,11 @@ class ShardPlacement:
         self, name: str, rows: Sequence[Dict[str, Any]]
     ) -> List[List[Dict[str, Any]]]:
         """Partition ``rows`` into per-shard lists (strict portable
-        hashing) and record the routing table for ``name``."""
-        cols = self.shard_on[name]
-        parts: List[List[Dict[str, Any]]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        keys: List[Set[Tuple[Any, ...]]] = [
-            set() for _ in range(self.num_shards)
-        ]
-        for row in rows:
-            key = tuple(row.get(c) for c in cols)
-            j = portable_hash(key, strict=True) % self.num_shards
-            parts[j].append(row)
-            keys[j].add(key)
-        self.keys[name] = keys
-        return parts
-
-    def append(
-        self, name: str, rows: Sequence[Dict[str, Any]]
-    ) -> List[List[Dict[str, Any]]]:
-        """Split *appended* rows per shard and extend ``name``'s
-        routing table in place — sealed placements never rewrite, new
-        key tuples just join their shard's key set (so the predicate
-        oracle keeps pruning correctly as a feed grows)."""
+        hashing) and extend ``name``'s routing table in place. A
+        registration starts from an empty table (re-registering a name
+        drops it first, which :meth:`forget`s it); a feed append only
+        adds key tuples to their shard's set, so the predicate oracle
+        keeps pruning correctly as the feed grows."""
         cols = self.shard_on[name]
         parts: List[List[Dict[str, Any]]] = [
             [] for _ in range(self.num_shards)
@@ -436,9 +425,8 @@ class ShardRouter(QueryService):
 
     Everything north of execution is inherited unchanged: admission
     control, per-tenant round-robin fairness, deadlines, the plan
-    cache (the §5.2 search runs once, router-side) and the result
-    cache (keyed on the router session's fingerprints) — and, for
-    standing queries, the whole subscribe/advance/refresh skeleton.
+    cache (the §5.2 search runs once, router-side), the result cache
+    (keyed on the router session's fingerprints) and standing queries.
     Only the hooks differ, each written as wire-client calls on the
     shards (a :class:`ShardHandle` is a client). ``_execute_plan`` /
     ``_aggregate_plan``: the solved plan's scan predicates pick the
@@ -447,9 +435,10 @@ class ShardRouter(QueryService):
     concatenation for datasets, partial-aggregate merge
     (:func:`~repro.analysis.aggregate.merge_group_partials`) for
     grouped aggregates, so rows never cross the wire for aggregate
-    tickets. ``_initial_answer`` / ``_fan_out_append`` /
-    ``_refresh_round`` / ``_release_subscription``: subscribe on,
-    append to, re-gather from and unsubscribe from every shard.
+    tickets. ``_fan_out_append``: route a feed's appended rows to the
+    shards that own them. Standing queries need no hook: the router
+    session holds every row, so a subscription is answered and
+    refreshed there, exactly as in a single process.
 
     Parameters (beyond :class:`QueryService`'s)
     -------------------------------------------
@@ -500,12 +489,6 @@ class ShardRouter(QueryService):
         self._fleet_lock = threading.RLock()
         self._fleet_stamp: Optional[Tuple[int, str]] = None
         self._rr_cursor = 0  # round-robin cursor for unprunable dispatch
-        #: (feed name, shard index) -> the shard's feed watermark after
-        #: the router's last fan-out; the updates-gather verifies shard
-        #: answers against this bookkeeping
-        self._feed_marks: Dict[Tuple[str, int], int] = {}
-        #: router sub_id -> per-shard subscription bookkeeping
-        self._router_subs: Dict[str, Dict[str, Any]] = {}
         self._routing = {
             "scattered": 0,       # queries fanned out
             "shard_requests": 0,  # per-shard query/aggregate requests
@@ -607,17 +590,16 @@ class ShardRouter(QueryService):
             self._refresh_fleet_stamp()
 
     def _wire_slices(
-        self, name: str, rows: List[Dict[str, Any]], schema: Schema, split
+        self, name: str, rows: List[Dict[str, Any]], schema: Schema
     ) -> List[List[Dict[str, str]]]:
         """``rows`` as codec text, one list per shard index: a sharded
-        dataset's go through ``split`` (the placement's ``split`` or
-        ``append``), a replicated dataset's are encoded once and sent
-        whole to every shard."""
+        dataset's are split by the placement, a replicated dataset's
+        are encoded once and sent whole to every shard."""
         dictionary = self.session.dictionary
         if self.placement.is_sharded(name):
             return [
                 encode_rows(part, schema, dictionary)
-                for part in split(name, rows)
+                for part in self.placement.split(name, rows)
             ]
         return [encode_rows(rows, schema, dictionary)] * self.num_shards
 
@@ -626,18 +608,14 @@ class ShardRouter(QueryService):
         # Live dataset: the shard backs it with a push feed so the
         # router's advance fan-out can grow it in place.
         feed = name in self.session.feeds
-        slices = self._wire_slices(
-            name, dataset.collect(), schema, self.placement.split
-        )
+        slices = self._wire_slices(name, dataset.collect(), schema)
         for j, wire_rows in enumerate(slices):
-            for _, out in self._mutate(
+            self._mutate(
                 lambda shard: shard.register_rows(
                     wire_rows, schema, name, None, feed=feed
                 ),
                 j,
-            ):
-                if "watermark" in out:
-                    self._feed_marks[(name, j)] = out["watermark"]
+            )
 
     def _refresh_fleet_stamp(self) -> None:
         """Sync every process and require one agreed-on stamp whose
@@ -888,33 +866,9 @@ class ShardRouter(QueryService):
         return finalize_group_partials(merged, spec.how)
 
     # ------------------------------------------------------------------
-    # streaming hooks: feed fan-out and scatter-gather subscriptions.
-    # The fleet lock serializes subscribe, advance and refresh, so they
-    # can never interleave into a mixed-watermark answer.
+    # streaming hook: feed fan-out. The fleet lock serializes advances,
+    # so every shard feed receives its batches in commit order.
     # ------------------------------------------------------------------
-
-    def subscribe(
-        self,
-        query,
-        values: Sequence[Any] = (),
-        tenant: str = "default",
-        filters: Sequence = (),
-        aggregate: Optional[AggregateSpec] = None,
-        partial: bool = False,
-    ) -> Subscription:
-        """Standing query over the fleet: subscribe on *every* shard
-        (future appends may hash new key tuples anywhere, so routing
-        cannot prune standing queries) and keep the merged answer
-        router-side — row concatenation for datasets, partial-
-        aggregate merge for grouped aggregates. Shard refreshes run
-        shard-local (delta where their plans allow); the router only
-        re-gathers and re-merges. A metric ``query`` ships its full
-        JSON to the shards, so each buckets its own plan and derives
-        the same spec."""
-        with self._fleet_lock:
-            return super().subscribe(
-                query, values, tenant, filters, aggregate, partial
-            )
 
     def advance(
         self,
@@ -923,69 +877,19 @@ class ShardRouter(QueryService):
     ) -> Dict[str, Any]:
         """Advance feed ``name`` fleet-wide: grow the router session's
         feed, route the appended rows to their owning shards (hash
-        placement for sharded datasets — extending the routing table
-        in place — whole-row replication otherwise), then refresh
-        dependent standing subscriptions by re-gathering shard
-        answers."""
+        placement for sharded datasets, extending the routing table in
+        place; whole-row replication otherwise), then refresh dependent
+        standing subscriptions from the router's own session."""
         with self._fleet_lock:
             return super().advance(name, rows)
-
-    def _merged(
-        self, book: Dict[str, Any], aggregate: Optional[AggregateSpec]
-    ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[Dict]]:
-        """``(rows, partials)`` of a fleet subscription, merged from
-        the per-shard answers its book holds."""
-        parts = book["parts"]
-        if aggregate is None:
-            return [r for j in sorted(parts) for r in parts[j]], None
-        merged: Dict[Tuple, Any] = {}
-        for part in parts.values():
-            merge_group_partials(merged, part, aggregate.how)
-        return None, merged
-
-    def _initial_answer(
-        self, sub_id, tenant, query, dplan, aggregate, marks
-    ):
-        # shards keep mergeable partials; the router keeps the
-        # finalizing spec (a metric query's shards derive theirs)
-        spec = {} if aggregate is None else aggregate.as_partial().to_wire()
-        book: Dict[str, Any] = {
-            "shard_subs": {}, "versions": {}, "parts": {},
-        }
-        schema = None
-        for j in range(self.num_shards):
-            # Primary only: a subscription is stateful server-side,
-            # so its updates must keep hitting the same process.
-            first = self._fleet[j][0].subscribe(
-                query=query, tenant=tenant,
-                dictionary=self.session.dictionary, **spec,
-            )
-            book["shard_subs"][j] = first["sub_id"]
-            book["versions"][j] = first["version"]
-            book["parts"][j] = first[
-                "rows" if aggregate is None else "groups"
-            ]
-            schema = schema or first["schema"]
-        self._router_subs[sub_id] = book
-        return (schema, *self._merged(book, aggregate))
-
-    def _release_subscription(self, sub: Subscription) -> None:
-        with self._fleet_lock:
-            book = self._router_subs.pop(sub.sub_id)
-            for j, shard_sub in book["shard_subs"].items():
-                try:
-                    self._fleet[j][0].unsubscribe(shard_sub)
-                except (ShardError, WireError):
-                    pass  # best-effort: the shard GCs on close
 
     def _fan_out_append(
         self, name: str, rows: List[Dict[str, Any]]
     ) -> None:
-        """Route appended feed rows to the fleet and record each
-        shard's post-append watermark."""
+        """Route appended feed rows to the fleet; every replica of a
+        shard must land on one feed watermark."""
         slices = self._wire_slices(
-            name, rows, self.session.dataset(name).schema,
-            self.placement.append,
+            name, rows, self.session.dataset(name).schema
         )
         for j, wire_rows in enumerate(slices):
             marks = {
@@ -999,57 +903,6 @@ class ShardRouter(QueryService):
                     f"replicas of shard {j} disagree on the feed "
                     f"watermark of {name!r}: {sorted(marks)}"
                 )
-            self._feed_marks[(name, j)] = marks.pop()
-
-    def _refresh_round(
-        self, sub: Subscription, base, targets, changed
-    ) -> str:
-        """Scatter-gather refresh: pull each shard's standing answer
-        forward (``updates`` since the version the router last saw)
-        and re-merge. Every shard answer's watermarks must match the
-        router's fan-out bookkeeping — a shard that advanced outside
-        the router (or hasn't settled) is retried briefly, then
-        surfaces :class:`StaleRefreshError`, mirroring the
-        ShardStaleReadError contract of the query path."""
-        book = self._router_subs[sub.sub_id]
-        modes: List[str] = []
-        for j, shard_sub in book["shard_subs"].items():
-            for attempt in range(4):
-                upd = self._fleet[j][0].updates(
-                    shard_sub, book["versions"][j],
-                    dictionary=self.session.dictionary,
-                )
-                settled = all(
-                    upd["watermarks"].get(n)
-                    == self._feed_marks.get((n, j))
-                    for n in sub.feed_names
-                    if (n, j) in self._feed_marks
-                )
-                if settled:
-                    break
-                self._routing["stale_retries"] += 1
-                time.sleep(0.01 * (attempt + 1))
-            else:
-                raise StaleRefreshError(
-                    f"shard {j} never settled at the router's "
-                    f"watermarks for subscription {sub.sub_id!r}"
-                )
-            book["versions"][j] = upd["version"]
-            if upd["changed"]:
-                modes.append(str(upd["refresh_mode"]))
-                book["parts"][j] = upd[
-                    "rows" if sub.aggregate is None else "groups"
-                ]
-        mode = (
-            "delta"
-            if modes and all(m == "delta" for m in modes)
-            else "replay"
-        )
-        rows, partials = self._merged(book, sub.aggregate)
-        sub._commit_replace(
-            targets, rows=rows, partials=partials, mode=mode
-        )
-        return mode
 
     # ------------------------------------------------------------------
     # observability

@@ -179,7 +179,6 @@ class Subscription:
         watermarks: Dict[str, int],
         rows: Optional[List[Dict[str, Any]]] = None,
         partials: Optional[Dict[Tuple, Any]] = None,
-        mode: str = "replay",
     ) -> None:
         with self._cond:
             if rows is not None:
@@ -188,14 +187,8 @@ class Subscription:
                 self._partials = dict(partials)
             self.watermarks = dict(watermarks)
             self.version += 1
-            if mode == "replay":
-                self.replay_refreshes += 1
-            elif mode == "delta":
-                # A gathered refresh (sharded serve tier) replaces the
-                # merged answer wholesale even when every shard
-                # refreshed incrementally; count it as delta.
-                self.delta_refreshes += 1
-            self.last_refresh_mode = mode
+            self.replay_refreshes += 1
+            self.last_refresh_mode = "replay"
             self._cond.notify_all()
 
     def _close(self) -> None:

@@ -450,8 +450,8 @@ def _op_subscribe(service: QueryService, request: _Msg) -> _Msg:
     if request.get("query"):
         # full-Query form (metric subscriptions): the server
         # rebuilds the bucketed plan and derives the spec
-        # from the measures; ``partial`` keeps shard-mode
-        # subscriptions mergeable
+        # from the measures; ``partial`` keeps its groups
+        # mergeable
         query, spec = Query.from_json_dict(request["query"]), None
     else:
         query = _request_query(request)

@@ -134,7 +134,10 @@ class Feed:
                 self.source.refresh()
                 self.watermark = new
                 self.rows_ingested += len(rows)
-                self.session._bump_data_version(self.name)
+                # after refresh(): a digest read at the new version
+                # already sees the new rows
+                self.dataset._data_version = \
+                    self.session._bump_data_version(self.name)
                 # materialized rollups reading this feed fold the
                 # delta in (repro.metrics.rollup); shard sessions
                 # and other hosts without the hook skip it

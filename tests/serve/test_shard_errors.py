@@ -7,9 +7,8 @@ happily and only the shard's reply is bad:
 
 - replication (``drop``/``register``/``define_*``/``sync``/the feed
   fan-out of ``advance``) -> :class:`ShardStateError`
-- scatter (``query``/``aggregate``) and streaming (``subscribe``/
-  ``updates``) -> :class:`WireError` carrying the remote class name,
-  its message prefixed ``shard N:``
+- scatter (``query``/``aggregate``) -> :class:`WireError` carrying the
+  remote class name, its message prefixed ``shard N:``
 - an ok reply at another stamp than the fleet's ->
   :class:`ShardStaleReadError`
 """
@@ -78,24 +77,6 @@ def test_scatter_failure_is_prefixed_wire_error(fleet, how):
     # shard it was
     assert err.value.error not in ("", "UnknownError", "InternalError")
     assert err.value.remote_message.startswith("shard 0: ")
-
-
-def test_subscribe_failure_is_prefixed_wire_error(fleet):
-    _raw(fleet, 0, {"op": "drop", "name": "lookup"})
-    with pytest.raises(WireError) as err:
-        fleet.subscribe(JOIN_DOMAINS, JOIN_VALUES)
-    assert err.value.remote_message.startswith("shard 0: ")
-    assert not fleet._router_subs  # nothing half-installed
-
-
-def test_refresh_failure_is_prefixed_wire_error(fleet):
-    sub = fleet.subscribe(JOIN_DOMAINS, JOIN_VALUES)
-    shard_sub = fleet._router_subs[sub.sub_id]["shard_subs"][1]
-    _raw(fleet, 1, {"op": "unsubscribe", "sub_id": shard_sub})
-    with pytest.raises(WireError) as err:
-        fleet.advance("samples", rows=delta_rows(0, 8))
-    assert err.value.error == "SubscriptionError"
-    assert err.value.remote_message.startswith("shard 1: ")
 
 
 def test_stamp_mismatch_is_stale_read(fleet):

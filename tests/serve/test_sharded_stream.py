@@ -1,7 +1,8 @@
-"""Sharded streaming: feed fan-out, routed appends, and scatter-gather
-subscription refreshes must be indistinguishable from the
-single-process answer — 1 shard or 4, sharded or replicated feeds,
-with appends landing mid-stream."""
+"""Sharded streaming: feed fan-out, routed appends, and the router's
+standing queries must be indistinguishable from the single-process
+answer — 1 shard or 4, sharded or replicated feeds, with appends
+landing mid-stream. Standing queries live in the router's session;
+shards only ever receive the appended rows."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.datagen.synthetic import (
     keyed_tables,
 )
 from repro.serve import AggregateSpec, QueryService, ShardRouter
+from repro.serve.sharded import ShardHandle
 
 from tests.serve.conftest import (
     JOIN_DOMAINS,
@@ -213,14 +215,55 @@ def test_unsubscribe_tears_down_shard_subscriptions(reference):
     sj, router = make_stream_router(2)
     try:
         sub = router.subscribe(JOIN_DOMAINS, JOIN_VALUES)
-        assert router._router_subs  # shard-side bookkeeping exists
+        assert router.subscriptions() == [sub]
         assert router.unsubscribe(sub.sub_id) is True
-        assert not router._router_subs
+        assert router.subscriptions() == [] and sub.closed
+        assert router.unsubscribe(sub.sub_id) is False
         # advancing afterwards refreshes nothing and loses nothing
         out = router.advance("samples", rows=delta_rows(0, 3))
         assert out["subscriptions_refreshed"] == 0
         got = router.query(JOIN_DOMAINS, JOIN_VALUES).collect()
         assert len(got) == ROWS + 3
+    finally:
+        router.close()
+        sj.close()
+
+
+def test_router_never_subscribes_on_its_shards(monkeypatch):
+    """Row, aggregate and metric subscriptions send the shards no
+    ``subscribe``/``updates``/``unsubscribe`` op; each router advance
+    sends exactly one ``advance`` op per live shard process."""
+    sj, router = make_stream_router(2)
+    sent = []
+    request = ShardHandle.request
+
+    def spy(handle, req):
+        sent.append((handle.name, req["op"]))
+        return request(handle, req)
+
+    monkeypatch.setattr(ShardHandle, "request", spy)
+    try:
+        spec = AggregateSpec(("node",), "metric_b", "mean")
+        metric = (sj.query().measure("power", "sum")
+                  .per("compute nodes").build())
+        subs = [
+            router.subscribe(JOIN_DOMAINS, JOIN_VALUES),
+            router.subscribe(JOIN_DOMAINS, JOIN_VALUES, aggregate=spec),
+            router.subscribe(metric),
+        ]
+        assert sent == []
+        per_process = sorted(
+            (h.name, "advance") for h in router._each_handle()
+        )
+        for start in (0, 5):
+            out = router.advance("samples", rows=delta_rows(start, 5))
+            assert out["subscriptions_refreshed"] == len(subs)
+            assert sorted(sent) == per_process
+            sent.clear()
+        for sub in subs:
+            assert router.unsubscribe(sub.sub_id) is True
+        assert sent == []
+        assert all(sub.current().refresh_mode == "delta" for sub in subs)
     finally:
         router.close()
         sj.close()

@@ -23,6 +23,7 @@ FAST_EXAMPLES = [
     "reproducible_pipeline.py",
     "nosql_ingestion.py",
     "dashboard_metrics.py",
+    "serve_client_server.py",
 ]
 
 

@@ -53,9 +53,12 @@ def test_fig5_sequence_structure(benchmark, engine):
     assert loads == {"load:job_queue_log", "load:node_layout",
                      "load:rack_temperatures"}
 
-    # the interpolation join must consume the natural-join result on
-    # one side and the exploded job log on the other (Figure 5's two
-    # branches), with explode_discrete before explode_continuous
+    # the natural join (job nodes -> racks) must come before the
+    # interpolation join, with explode_discrete before
+    # explode_continuous. A bare engine has no leaf facts, so it keeps
+    # the first-seen sequence, which joins the layout to the rack
+    # temperatures; a session with its rows in memory joins it to the
+    # exploded job log instead (fewer estimated rows, same answer)
     order = [op for op in plan.operations() if not op.startswith("load")]
     assert order.index("explode_discrete") < order.index("explode_continuous")
     assert order.index("natural_join") < order.index("interpolation_join")

@@ -4,12 +4,15 @@
 Simulates the first dedicated-access-time session — SLURM job-queue
 log, administrator-provided node/rack layout, and the 2-minute OSIsoft
 PI rack temperature feed — then asks ScrubJay for *application names
-over jobs* and *heat over racks*. The engine derives the Figure 5
-pipeline (explode the job log, join the layout, derive heat from the
-hot/cold aisle differential, interpolation-join in time); the analysis
-then reproduces Figure 4: rank (application, rack) pairs by heat, spot
-the AMG outlier on rack 17, and render its top/middle/bottom heat
-profiles over time.
+over jobs* and *heat over racks*. The engine derives Figure 5's
+operations (explode the job log, join the layout, interpolation-join
+in time, derive heat from the hot/cold aisle differential); of the
+equally short sequences it keeps the one with the fewest estimated
+rows, which joins the layout to the exploded job log before the time
+join rather than fanning every rack reading out over the layout. The
+analysis then reproduces Figure 4: rank (application, rack) pairs by
+heat, spot the AMG outlier on rack 17, and render its top/middle/bottom
+heat profiles over time.
 
 Run: python examples/rack_heat.py
 """
@@ -52,7 +55,8 @@ def main() -> None:
 
         plan = (sj.query().across("jobs", "racks")
                 .values("applications", "heat").plan())
-        print("derivation sequence (the paper's Figure 5):")
+        print("derivation sequence (Figure 5's operations, the layout "
+              "joined to the job log before the time join):")
         print(plan.describe())
 
         result = sj.execute(plan).persist()

@@ -27,23 +27,46 @@ The search mirrors Algorithm 1:
    subset with ``CombineSet`` — pairwise combinations through a
    sequence of transformations and a single combination per pair —
    and return the first (shortest) satisfying plan.
+
+Both dedupe points (the closure and ``CombineSet``) keep one candidate
+per schema fingerprint under one rule (:meth:`DerivationEngine._keep`):
+fewer steps wins; on equal steps, the candidate with fewer estimated
+rows wins, but only where the choice cannot change the answer: both
+anchor their interpolation joins on the same datasets (a leaf may
+change sides only when that cannot change the rows, see ``_anchors``)
+and every leaf is *keyed* (no two rows share a domain tuple, see
+:class:`Estimate`); otherwise the first one seen stays. The estimate
+propagates from *leaf facts* — row counts, distinct values per domain
+dimension and explode spreads — which the session computes on the
+first tie that needs them, only for datasets whose rows are already
+in memory. Without facts (a store- or CSV-backed leaf, or no
+``leaf_facts`` hook) the first candidate seen stays, as before.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 from repro.errors import NoSolutionError, QueryError
-from repro.core.combinations import InterpolationJoin, NaturalJoin
+from repro.core.combinations import (
+    InterpolationJoin,
+    NaturalJoin,
+    _match_plan,
+    _merge_rename,
+)
 from repro.core.derivation import (
     DerivationRegistry,
     GLOBAL_REGISTRY,
     Transformation,
 )
 from repro.core.dictionary import SemanticDictionary
+from repro.core.dataset import ScrubJayDataset
 from repro.core.pipeline import (
     CombineNode,
     DerivationPlan,
@@ -57,9 +80,12 @@ from repro.core.semantics import DOMAIN, VALUE, Schema
 from repro.core.transformations import (
     ConvertUnits,
     ExplodeContinuous,
+    ExplodeDiscrete,
     FilterEquals,
     FilterRange,
 )
+from repro.rdd.rdd import SourceRDD
+from repro.rdd.stats import Decision
 
 
 @dataclass(frozen=True)
@@ -90,13 +116,138 @@ class EngineConfig:
     projection: bool = True
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """Estimated output size of a plan, propagated from leaf facts.
+
+    ``ndv`` maps each domain dimension to its number of distinct
+    values; ``spread`` maps each list field to its mean length and each
+    timespan field to its mean duration in seconds (what an explode
+    multiplies rows by); ``cost`` is the rows produced by every node of
+    the plan, leaves included — the number the keep-rule compares.
+    ``keyed`` is set on a leaf's facts only: no two of its rows share
+    a domain tuple. Reordering a plan is only answer-preserving over
+    keyed leaves — a duplicated row joined in before a grouping
+    transform (``derive_heat``) merges into one group, joined in after
+    it stays two rows — so an unkeyed leaf costs as unknown.
+    """
+
+    rows: float
+    ndv: Mapping[str, float]
+    spread: Mapping[str, float]
+    cost: float
+    keyed: bool = False
+
+
+#: the facts of one leaf dataset, by name; None when unknown
+LeafFacts = Callable[[str], Optional[Estimate]]
+
+#: an estimate not yet derived (None means *unknown*)
+_UNSET: Any = object()
+
+
 @dataclass
 class Candidate:
-    """A reachable (schema, plan) pair during the search."""
+    """A reachable (schema, plan) pair during the search.
+
+    ``inputs`` are the candidates the plan's root was built from (in
+    plan order), so the estimate derives from theirs on first use and
+    is memoized in ``est``; ``rejected`` holds the estimated costs of
+    the same-schema candidates this one beat on cost.
+    """
 
     schema: Schema
     plan: PlanNode
     steps: int
+    inputs: Tuple["Candidate", ...] = field(
+        default=(), repr=False, compare=False
+    )
+    est: Any = field(default=_UNSET, repr=False, compare=False)
+    rejected: Tuple[float, ...] = field(default=(), compare=False)
+
+
+def leaf_facts(
+    dataset: ScrubJayDataset, dictionary: SemanticDictionary
+) -> Optional[Estimate]:
+    """``dataset``'s rows, ndv per domain dimension and explode
+    spreads, or None (unknown) when its rows are not in memory.
+
+    Memoized on the dataset for its ``_data_version``, as
+    :func:`repro.core.cache.data_key`'s digest is, so a feed advance
+    makes the next call recount.
+    """
+    version = dataset._data_version
+    memo = dataset._facts
+    if memo is None or memo[0] != version:
+        rows = _rows_in_memory(dataset)
+        facts = (
+            None if rows is None
+            else _count_facts(rows, dataset.schema, dictionary)
+        )
+        memo = dataset._facts = (version, facts)
+    return memo[1]
+
+
+def _rows_in_memory(
+    dataset: ScrubJayDataset,
+) -> Optional[Sequence[Dict[str, Any]]]:
+    """The rows, when they already live in this process, read without
+    a scan or a copy (no source counter moves); else None."""
+    source, rdd = dataset.source, dataset.rdd
+    if source is not None:
+        return source.in_memory_rows()
+    parts = rdd._cached
+    if parts is None and isinstance(rdd, SourceRDD):
+        parts = rdd.partitions
+    return None if parts is None else [r for p in parts for r in p.data]
+
+
+def _count_facts(
+    rows: Sequence[Dict[str, Any]],
+    schema: Schema,
+    dictionary: SemanticDictionary,
+) -> Estimate:
+    n = len(rows)
+    ndv: Dict[str, float] = {}
+    spread: Dict[str, float] = {}
+    for f, sem in schema.items():
+        kind = (
+            dictionary.unit(sem.units).kind
+            if dictionary.has_unit(sem.units) else None
+        )
+        if not sem.is_domain and kind not in ("list", "timespan"):
+            continue
+        values = [r[f] for r in rows if r.get(f) is not None]
+        if kind == "list":
+            spread[f] = sum(map(len, values)) / n if n else 0.0
+            values = [e for v in values for e in v]
+        elif kind == "timespan":
+            spread[f] = (
+                sum(v.duration for v in values) / n if n else 0.0
+            )
+        if sem.is_domain:
+            try:
+                distinct = len(set(values))
+            except TypeError:  # unhashable values: ndv unknown
+                continue
+            ndv[sem.dimension] = max(ndv.get(sem.dimension, 0), distinct)
+    return Estimate(n, ndv, spread, n, _keyed(rows, schema))
+
+
+def _keyed(rows: Sequence[Dict[str, Any]], schema: Schema) -> bool:
+    """True when no two of ``rows`` share a domain tuple."""
+    fields = list(schema.domain_fields())
+
+    def key(row: Dict[str, Any]) -> Tuple[Any, ...]:
+        return tuple(
+            tuple(v) if isinstance(v, list) else v
+            for v in map(row.get, fields)
+        )
+
+    try:
+        return len({key(r) for r in rows}) == len(rows)
+    except TypeError:  # unhashable values: duplicates unknown
+        return False
 
 
 #: counter taxonomy for one solve (see DESIGN.md "Observability")
@@ -108,6 +259,7 @@ _ZERO_SOLVE_STATS: Dict[str, int] = {
     "pair_memo_misses": 0,
     "subsets_examined": 0,     # dataset subsets walked by CombineSet
     "max_subset_size": 0,      # largest subset size reached
+    "cost_ties": 0,            # same-schema ties decided by estimate
 }
 
 
@@ -143,6 +295,19 @@ class DerivationEngine:
         #: counters from the most recent solve (explored, pruned,
         #: memo hits, subsets, ...) — read by EXPLAIN ANALYZE
         self.last_solve_stats: Dict[str, int] = {}
+        #: leaf dataset name -> its facts (:func:`leaf_facts`), or None
+        #: when unknown; the session wires it. Unset, ties keep the
+        #: first candidate seen.
+        self.leaf_facts: Optional[LeafFacts] = None
+        #: where a tie decided by cost lands as a ``plan``
+        #: :class:`~repro.rdd.stats.Decision` (the session wires the
+        #: context's report)
+        self.report = None
+        # per solve: catalog datasets with an interpolatable domain
+        # dimension or a value field (never movable across an
+        # interpolation join), and the leaf facts asked for so far
+        self._fixed: FrozenSet[str] = frozenset()
+        self._facts: Dict[str, Optional[Estimate]] = {}
 
     def _bump(self, key: str, n: int = 1) -> None:
         self._stats[key] += n
@@ -155,6 +320,13 @@ class DerivationEngine:
         self, catalog: Mapping[str, Schema], query: Query
     ) -> DerivationPlan:
         """Find the shortest derivation sequence satisfying ``query``.
+
+        Among same-schema sequences of equal length that anchor their
+        interpolation joins alike, the one with the fewest estimated
+        rows is kept (see the module docstring); for each such tie in
+        the answer's plan — at its root or in a sub-plan — a ``plan``
+        decision with the winner's and each rejected candidate's
+        estimate lands on ``self.report``.
 
         Raises :class:`~repro.errors.NoSolutionError` when no sequence
         exists within the configured search bounds.
@@ -208,6 +380,15 @@ class DerivationEngine:
                 f"dimensions"
             )
 
+        self._fixed = frozenset(
+            name for name, schema in catalog.items()
+            if schema.value_fields() or any(
+                self.dictionary.has_dimension(d)
+                and self.dictionary.interpolatable(d)
+                for d in schema.domain_dimensions()
+            )
+        )
+        self._facts = {}
         closures = {
             name: self._closure(
                 Candidate(schema, LoadNode(name), 0),
@@ -276,7 +457,9 @@ class DerivationEngine:
         seen: Dict[str, Candidate] = {seed.schema.fingerprint(): seed}
         frontier = [seed]
         for _level in range(depth):
-            new_frontier: List[Candidate] = []
+            # a tie has equal steps, so it is always with a candidate
+            # of this level: still in new_frontier, where it is replaced
+            new_frontier: Dict[str, Candidate] = {}
             for cand in frontier:
                 for inst in self._instantiations(cand.schema):
                     if not inst.applies(cand.schema, self.dictionary):
@@ -285,16 +468,18 @@ class DerivationEngine:
                         cand.schema, self.dictionary
                     )
                     fp = out_schema.fingerprint()
-                    if fp in seen:
-                        continue
                     nxt = Candidate(
                         out_schema,
                         TransformNode(inst, cand.plan),
                         cand.steps + 1,
+                        (cand,),
                     )
-                    seen[fp] = nxt
-                    new_frontier.append(nxt)
-            frontier = new_frontier
+                    if fp in seen:
+                        nxt = self._keep(seen[fp], nxt)
+                        if nxt is seen[fp]:
+                            continue
+                    seen[fp] = new_frontier[fp] = nxt
+            frontier = list(new_frontier.values())
             if not frontier:
                 break
         self._bump("candidates_explored", len(seen))
@@ -345,8 +530,10 @@ class DerivationEngine:
                 for cb in single_cands:
                     for cand in self._combine_pair(ca, cb):
                         fp = cand.schema.fingerprint()
-                        if fp not in results or cand.steps < results[fp].steps:
-                            results[fp] = cand
+                        kept = results.get(fp)
+                        results[fp] = (
+                            cand if kept is None else self._keep(kept, cand)
+                        )
         out = sorted(results.values(), key=lambda c: c.steps)
         out = out[: self.config.max_candidates]
         memo[names] = out
@@ -385,18 +572,147 @@ class DerivationEngine:
 
         out: List[Candidate] = []
         for order, comb, out_schema in recipes:
-            lp, rp = (
-                (ca.plan, cb.plan) if order == "ab" else (cb.plan, ca.plan)
-            )
+            left, right = (ca, cb) if order == "ab" else (cb, ca)
             combined = Candidate(
                 out_schema,
-                CombineNode(comb, lp, rp),
+                CombineNode(comb, left.plan, right.plan),
                 ca.steps + cb.steps + 1,
+                (left, right),
             )
             out.extend(
                 self._closure(combined, self.config.post_combine_depth)
             )
         return out
+
+    # ------------------------------------------------------------------
+    # the keep-rule and its estimate
+    # ------------------------------------------------------------------
+
+    def _keep(self, kept: Candidate, new: Candidate) -> Candidate:
+        """Of two candidates with one schema fingerprint, the one to
+        keep: fewer steps wins; on equal steps and equal anchor
+        signatures, fewer estimated rows wins; otherwise (including an
+        equal estimate, or an unknown one: a leaf not in memory or not
+        keyed) ``kept``, the first one seen. Plans of one
+        :func:`_shape` estimate alike, so they count no leaf facts."""
+        if new.steps != kept.steps:
+            return new if new.steps < kept.steps else kept
+        if self.leaf_facts is None or \
+                _shape(kept.plan) == _shape(new.plan) or \
+                self._anchors(kept.plan) != self._anchors(new.plan):
+            return kept
+        a, b = self._estimate(kept), self._estimate(new)
+        if a is None or b is None or a.cost == b.cost:
+            return kept
+        self._bump("cost_ties")
+        win, lose, lose_cost = (
+            (new, kept, a.cost) if b.cost < a.cost else (kept, new, b.cost)
+        )
+        return replace(
+            win, rejected=win.rejected + lose.rejected + (lose_cost,)
+        )
+
+    def _anchors(self, node: PlanNode) -> Tuple[Tuple[str, ...], ...]:
+        """The anchor signature: for each interpolation join under
+        ``node``, the datasets under its left (anchor) side, less the
+        movable ones. Two plans with one schema but different
+        signatures may answer with different rows, so cost never
+        decides between them.
+
+        The two sides of an interpolation join treat rows differently:
+        each anchor row is answered, duplicates and None values
+        included, while right rows tied on one (key, time) merge into
+        one reading and a None value is no reading. Only a keyed leaf
+        (:attr:`Estimate.keyed`) without a timed dimension and without
+        value fields answers alike on either side; any other leaf, or
+        one whose facts are unknown, stays in the signature."""
+        out = []
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, CombineNode) and \
+                    isinstance(n.derivation, InterpolationJoin):
+                out.append(tuple(sorted(
+                    name
+                    for name in DerivationPlan(n.left).dataset_names()
+                    if not self._movable(name)
+                )))
+            stack.extend(n.children())
+        return tuple(sorted(out))
+
+    def _movable(self, name: str) -> bool:
+        if name in self._fixed:
+            return False
+        facts = self._leaf_facts(name)
+        return facts is not None and facts.keyed
+
+    def _leaf_facts(self, name: str) -> Optional[Estimate]:
+        """``leaf_facts(name)``, asked once per solve."""
+        if name not in self._facts:
+            assert self.leaf_facts is not None
+            self._facts[name] = self.leaf_facts(name)
+        return self._facts[name]
+
+    def _estimate(self, cand: Candidate) -> Optional[Estimate]:
+        """``cand``'s estimate, derived from its inputs' on first use
+        and memoized on it; None when any leaf's facts are unknown."""
+        if cand.est is _UNSET:
+            cand.est = self._derive_estimate(cand)
+        return cand.est
+
+    def _derive_estimate(self, cand: Candidate) -> Optional[Estimate]:
+        plan = cand.plan
+        if isinstance(plan, LoadNode):
+            facts = self._leaf_facts(plan.dataset_name)
+            return facts if facts is not None and facts.keyed else None
+        ins = [self._estimate(c) for c in cand.inputs]
+        if any(e is None for e in ins):
+            return None
+        if isinstance(plan, TransformNode):
+            est = ins[0]
+            rows = est.rows
+            spread = dict(est.spread)
+            inst = plan.derivation
+            if isinstance(inst, (ExplodeDiscrete, ExplodeContinuous)):
+                k = spread.pop(inst.field, None)
+                if k is None:
+                    return None
+                if isinstance(inst, ExplodeContinuous):
+                    k /= inst.period
+                rows *= k
+            return Estimate(
+                rows,
+                {d: min(v, rows) for d, v in est.ndv.items()},
+                {f: v for f, v in spread.items() if f in cand.schema},
+                est.cost + rows,
+            )
+        (ls, rs), (le, re) = cand.inputs, ins
+        match = _match_plan(ls.schema, rs.schema, self.dictionary)
+        assert match is not None
+        if isinstance(plan.derivation, InterpolationJoin):
+            rows = le.rows  # one output row per anchor row
+        else:
+            rows = le.rows * re.rows
+            for dim in match:
+                if dim not in le.ndv or dim not in re.ndv:
+                    return None
+                rows /= max(le.ndv[dim], re.ndv[dim], 1)
+        ndv = dict(re.ndv)
+        for d, v in le.ndv.items():
+            ndv[d] = min(v, ndv.get(d, v))
+        rename = _merge_rename(
+            ls.schema, rs.schema, [rf for _, rf, _ in match.values()]
+        )
+        spread = dict(le.spread)
+        spread.update(
+            (rename[f], v) for f, v in re.spread.items() if f in rename
+        )
+        return Estimate(
+            rows,
+            {d: min(v, rows) for d, v in ndv.items()},
+            spread,
+            le.cost + re.cost + rows,
+        )
 
     # ------------------------------------------------------------------
     # satisfaction
@@ -449,7 +765,13 @@ class DerivationEngine:
         """Append unit conversions for value terms whose units were
         requested explicitly but differ (yet convert), resolve the
         query's dimension-level filters into field-level filter nodes,
-        and run the pushdown rewrite so they collapse into the scans."""
+        and run the pushdown rewrite so they collapse into the scans.
+        Each tie cost decided in the chosen plan's lineage — at its
+        root or in a sub-plan — is recorded as a ``plan`` decision."""
+        if self.report is not None:
+            for tied in _lineage(cand):
+                if tied.rejected:
+                    self.report.add(_plan_decision(tied, self._estimate(tied)))
         plan = cand.plan
         schema = cand.schema
         for term in query.values:
@@ -503,3 +825,43 @@ class DerivationEngine:
             f"filter dimension {dimension!r} does not appear in the "
             f"answer's schema"
         )
+
+
+def _shape(node: PlanNode) -> str:
+    """``node``'s operations with each natural join's inputs unordered.
+    The estimate of a natural join is symmetric, so two plans of one
+    shape estimate alike and their tie needs no leaf facts."""
+    kids = [_shape(c) for c in node.children()]
+    if isinstance(node, CombineNode) and \
+            isinstance(node.derivation, NaturalJoin):
+        kids.sort()
+    return f"{node.label()}({','.join(kids)})"
+
+
+def _lineage(cand: Candidate) -> List[Candidate]:
+    """``cand`` and every candidate its plan was built from, root
+    first."""
+    out: List[Candidate] = []
+    stack = [cand]
+    while stack:
+        c = stack.pop()
+        out.append(c)
+        stack.extend(reversed(c.inputs))
+    return out
+
+
+def _plan_decision(cand: Candidate, est: Estimate) -> Decision:
+    return Decision(
+        kind="plan",
+        op="solve",
+        choice="fewest-rows",
+        reason=(
+            f"{len(cand.rejected) + 1} same-schema {cand.steps}-step"
+            " sequences anchored alike; kept the fewest estimated rows"
+            f" for {cand.plan.label()}"
+        ),
+        evidence={
+            "est_rows": round(est.cost),
+            "rejected_est_rows": [round(c) for c in cand.rejected],
+        },
+    )

@@ -231,6 +231,7 @@ DECISION_SERIES: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
     "shuffle": ("rdd.shuffle.decisions", None, "rdd.timing.shuffle"),
     "delta": ("stream.delta.decisions", "choice", None),
     "rollup": ("metrics.rollup.decisions", "route", None),
+    "plan": ("engine.plan.decisions", None, None),
 }
 
 #: decisions an :class:`ExecutionReport` holds; older ones drop off
@@ -249,7 +250,9 @@ class Decision:
     - ``shuffle`` (scheduler), how the partition count was chosen:
       ``explicit`` | ``stats`` | ``default-parallelism``;
     - ``delta`` (standing-query refresh): ``delta`` | ``replay``;
-    - ``rollup`` (metric routing): ``rollup`` | ``raw``.
+    - ``rollup`` (metric routing): ``rollup`` | ``raw``;
+    - ``plan`` (derivation engine, when estimated rows decided between
+      same-schema sequences): ``fewest-rows``.
 
     ``op`` is the operator it was taken for and ``reason`` says why.
     ``evidence`` holds only the numbers the choice was made on (empty

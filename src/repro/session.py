@@ -45,7 +45,7 @@ from repro.core.derivation import (
     GLOBAL_REGISTRY,
 )
 from repro.core.dictionary import SemanticDictionary, default_dictionary
-from repro.core.engine import DerivationEngine
+from repro.core.engine import DerivationEngine, Estimate, leaf_facts
 from repro.core.pipeline import DerivationPlan
 from repro.core.query import Query, QueryBuilder, ValueSpec
 from repro.core.semantics import Schema
@@ -121,6 +121,10 @@ class ScrubJaySession:
         # the same trace tree as the stages it leads to.
         self.engine.tracer = self.ctx.tracer
         self.engine.metrics = self.ctx.metrics
+        # ties between same-schema sequences are costed from the facts
+        # of in-memory catalog datasets, and land on the report
+        self.engine.leaf_facts = self._leaf_facts
+        self.engine.report = self.ctx.report
         self.catalog: Dict[str, ScrubJayDataset] = {}
         # Catalog mutation (register/drop) may race with in-flight
         # queries when the session backs a QueryService: the lock makes
@@ -243,6 +247,12 @@ class ScrubJaySession:
             except KeyError:
                 raise ScrubJayError(f"no dataset named {name!r}") from None
 
+    def _leaf_facts(self, name: str) -> Optional[Estimate]:
+        """The engine's leaf-facts hook (see :func:`leaf_facts`)."""
+        with self._catalog_lock:
+            ds = self.catalog.get(name)
+        return None if ds is None else leaf_facts(ds, self.dictionary)
+
     def schemas(self) -> Dict[str, Schema]:
         with self._catalog_lock:
             return {
@@ -307,11 +317,13 @@ class ScrubJaySession:
         """Content hash of everything a *plan* depends on: the catalog
         schemas, the dictionary version, and the registered derivation
         ops. Two sessions (or the same session at two instants) with
-        equal fingerprints produce identical plans for identical
-        queries — the serve-layer PlanCache keys on this.
+        equal fingerprints produce plans with the same answer for
+        identical queries — the serve-layer PlanCache keys on this.
 
         Note this deliberately excludes row contents: plans are
-        schema-level. Result caching additionally keys on
+        schema-level. Rows only cost ties between same-schema
+        sequences that answer alike, so a plan cached under older rows
+        stays correct. Result caching additionally keys on
         :attr:`catalog_version` to track data changes.
         """
         with self._catalog_lock:
@@ -402,7 +414,9 @@ class ScrubJaySession:
         domains: Optional[Sequence[str]] = None,
         analyze: bool = False,
     ) -> str:
-        """The Figure 5/7-style rendering of the plan for a query.
+        """The Figure 5/7-style rendering of the plan for a query,
+        followed by a ``plan`` decision for each part of it that
+        estimated rows chose among same-schema sequences.
 
         With ``analyze=True`` this is EXPLAIN ANALYZE: the plan is
         *executed* (with per-node materialization) under a temporarily
@@ -417,13 +431,18 @@ class ScrubJaySession:
         q = self._as_query(query, values, domains)
         if analyze:
             return self._explain_analyze(q)
+        report = self.ctx.report
+        mark = report.recorded
+        tail = []
         if q.is_metric:
             from repro.metrics.rollup import choose_rollup
 
             _, decision = choose_rollup(self.rollups, q)
-            plan = self.plan(q.base())
-            return "\n".join([plan.describe(), str(decision)])
-        return self.plan(q).describe()
+            tail.append(str(decision))
+            q = q.base()
+        plan = self.plan(q)
+        costed = [str(d) for d in report.since(mark) if d.kind == "plan"]
+        return "\n".join([plan.describe(), *costed, *tail])
 
     def _explain_analyze(self, q: Query) -> str:
         tracer = self.ctx.tracer
@@ -463,7 +482,8 @@ class ScrubJaySession:
                 f" pruned);"
                 f" {int(c.get('subsets_examined', 0))} subsets;"
                 f" pair-memo {int(c.get('pair_memo_hits', 0))} hits /"
-                f" {int(c.get('pair_memo_misses', 0))} misses"
+                f" {int(c.get('pair_memo_misses', 0))} misses;"
+                f" {int(c.get('cost_ties', 0))} cost ties"
             )
         lines.append(render_analyze(root))
         return "\n".join(lines)

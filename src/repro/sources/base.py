@@ -75,6 +75,12 @@ class DataSource(ABC):
 
     # -- optional refinements ------------------------------------------
 
+    def in_memory_rows(self) -> Optional[Sequence[Dict[str, Any]]]:
+        """The committed rows, when they already live in this process,
+        without a copy of each row (the engine counts them for its
+        estimates, see ``engine.leaf_facts``); None otherwise."""
+        return None
+
     def num_partitions(self) -> int:
         return len(self.partitions())
 

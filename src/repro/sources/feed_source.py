@@ -67,6 +67,11 @@ class FeedSource(DataSource):
 
     # -- scan side -----------------------------------------------------
 
+    def in_memory_rows(self) -> Sequence[Dict[str, Any]]:
+        # pushed rows are copies nobody mutates: a shallow snapshot
+        with self._lock:
+            return list(self._rows)
+
     def partitions(self) -> Sequence[Tuple[int, int]]:
         with self._lock:
             n = len(self._rows)

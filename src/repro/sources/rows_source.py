@@ -42,6 +42,9 @@ class RowsSource(DataSource):
     def partitions(self) -> Sequence[Tuple[int, int]]:
         return self._slices
 
+    def in_memory_rows(self) -> Sequence[Dict[str, Any]]:
+        return self._rows
+
     def read_partition(
         self,
         index: int,

@@ -237,3 +237,27 @@ def test_interactive_rates(engine):
         ["cpus"], ["active frequency", "instructions per time"]
     ))
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_cost_never_swaps_the_interpolation_anchor():
+    """Same schema, same steps, fewer estimated rows — but anchored on
+    the other timed table, which answers with other rows: the anchor
+    signature keeps the first-seen plan, anchored on ``right``."""
+    from repro import ScrubJaySession, TuningProfile
+    from repro.datagen.synthetic import (
+        TIMED_LEFT_SCHEMA,
+        TIMED_RIGHT_SCHEMA,
+        timed_tables,
+    )
+
+    left, right = timed_tables(6000, 16, seed=3)
+    left = left[::9]
+    assert (len(left), len(right)) == (667, 2416)
+    sj = ScrubJaySession(TuningProfile(interpolation_window=2.0))
+    sj.register_rows(left, TIMED_LEFT_SCHEMA, "left")
+    sj.register_rows(right, TIMED_RIGHT_SCHEMA, "right")
+    answer = (sj.query().across("compute nodes", "time")
+              .values("power", "temperature").ask())
+    anchor = answer.plan.root.left
+    assert anchor.label() == "Load[right]"
+    assert len(answer.to_rows()) == 1066

@@ -25,7 +25,7 @@ from repro import SJContext
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import GLOBAL_REGISTRY
 from repro.core.dictionary import default_dictionary
-from repro.core.engine import DerivationEngine
+from repro.core.engine import DerivationEngine, leaf_facts
 from repro.core.pipeline import DerivationPlan
 from repro.core.query import Query
 from repro.core.semantics import Schema, domain, value
@@ -45,14 +45,21 @@ def _dictionary():
         d.define_unit(f"metric{i} units", "quantity", f"metric{i}",
                       scale=float(i + 1))
     d.define_dimension("group", continuous=False, ordered=False)
+    d.define_dimension("weight", continuous=True, ordered=True)
+    d.define_unit("weight units", "quantity", "weight")
     return d
 
 
 _DICT = _dictionary()
 
 
-def _build_catalog(num_entities, with_log, rng_seed):
-    """Schemas + generated rows for an entity chain."""
+def _build_catalog(num_entities, with_log, rng_seed, layout="plain"):
+    """Schemas + generated rows for an entity chain.
+
+    ``layout`` shapes the layout tables: ``plain`` (one row per child,
+    no values), ``dup`` (one row listed twice) or ``valued`` (a
+    ``weight`` value, None on one row).
+    """
     import random
 
     rng = random.Random(rng_seed)
@@ -79,6 +86,16 @@ def _build_catalog(num_entities, with_log, rng_seed):
             data[lname] = [
                 {"child": e, "parent": rng.choice(ids)} for e in ids
             ]
+            if layout == "dup":
+                data[lname].append(dict(rng.choice(data[lname])))
+            elif layout == "valued":
+                schemas[lname] = Schema(dict(
+                    schemas[lname].items(),
+                    weight=value("weight", "weight units"),
+                ))
+                for row in data[lname]:
+                    row["weight"] = rng.choice([None, rng.random()])
+                data[lname][0]["weight"] = None
     if with_log:
         schemas["log"] = Schema({
             "gid": domain("group", "identifier"),
@@ -176,3 +193,52 @@ def test_plans_are_deterministic(num_entities, seed):
     a = DerivationEngine(_DICT).solve(schemas, query).to_json()
     b = DerivationEngine(_DICT).solve(schemas, query).to_json()
     assert a == b
+
+
+def _multiset(rows):
+    return sorted(repr(sorted(r.items())) for r in rows)
+
+
+def test_costed_ties_keep_the_answer():
+    """Costing same-schema ties with leaf facts changes at most the
+    plan, never the rows it answers with — also when a layout lists a
+    row twice or carries a value (None on one row), which answer
+    differently on the two sides of an interpolation join."""
+    ties = []
+
+    @given(
+        num_entities=st.integers(2, MAX_ENTITIES),
+        with_log=st.booleans(),
+        layout=st.sampled_from(["plain", "dup", "valued"]),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def check(num_entities, with_log, layout, seed, data):
+        schemas, rows = _build_catalog(num_entities, with_log, seed, layout)
+        datasets = _datasets(schemas, rows)
+        domains = [f"entity{data.draw(st.integers(0, num_entities - 1))}"]
+        if with_log and data.draw(st.booleans()):
+            domains.append("group")
+        query = Query.of(
+            domains=domains,
+            values=[f"metric{data.draw(st.integers(0, num_entities - 1))}"],
+        )
+        costed = DerivationEngine(_DICT)
+        costed.leaf_facts = lambda name: leaf_facts(datasets[name], _DICT)
+        try:
+            first_seen = DerivationEngine(_DICT).solve(schemas, query)
+        except NoSolutionError:
+            with pytest.raises(NoSolutionError):
+                costed.solve(schemas, query)
+            return
+        plan = costed.solve(schemas, query)
+        ties.append(costed.last_solve_stats["cost_ties"])
+        assert plan.derive_schema(schemas, _DICT) == \
+            first_seen.derive_schema(schemas, _DICT)
+        assert _multiset(plan.execute(datasets, _DICT).collect()) == \
+            _multiset(first_seen.execute(datasets, _DICT).collect())
+
+    check()
+    # the property is only tested where cost decided something
+    assert any(ties)

@@ -18,12 +18,19 @@ from repro.datagen.synthetic import (
 from repro.rdd import AdaptiveConfig, SJContext
 from repro.serve import QueryService
 
-from tests.conftest import TEMPS_SCHEMA, temps_rows
+from tests.conftest import (
+    JOBS_SCHEMA,
+    LAYOUT_SCHEMA,
+    TEMPS_SCHEMA,
+    jobs_rows,
+    layout_rows,
+    temps_rows,
+)
 from tests.serve.conftest import JOIN_DOMAINS, JOIN_VALUES
 
 #: counter families the decision kinds publish
 FAMILIES = ("rdd.join.", "rdd.shuffle.", "stream.delta.",
-            "metrics.rollup.")
+            "metrics.rollup.", "engine.plan.")
 
 
 def _series(registry):
@@ -116,3 +123,20 @@ def test_delta_series():
         "stream.delta.decisions{choice=delta}": 1,
         "rdd.join.decisions{strategy=broadcast}": 1,
     }
+
+
+def test_plan_series():
+    sj = ScrubJaySession()
+    try:
+        sj.register_rows(jobs_rows(), JOBS_SCHEMA, "job_queue_log")
+        sj.register_rows(layout_rows(), LAYOUT_SCHEMA, "node_layout")
+        sj.register_rows(temps_rows(), TEMPS_SCHEMA, "rack_temperatures")
+        # planning only: the heat question's same-schema sequences tie
+        # on steps and are decided by estimated rows, once at the root
+        # and once for the order of the job log's explodes
+        sj.plan(sj.query().across("jobs", "racks")
+                .values("applications", "heat").build())
+        counters, timings = _series(sj.ctx.metrics)
+    finally:
+        sj.close()
+    assert (counters, timings) == ({"engine.plan.decisions": 2}, {})

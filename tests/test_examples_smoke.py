@@ -2,8 +2,10 @@
 
 Each example is executed as a subprocess, exactly as the README tells
 users to run it; a non-zero exit (import error, API drift, assertion
-inside the example) fails the suite. The two heavyweight case-study
-examples are covered by the integration tests and the Figure 4/6
+inside the example) fails the suite. ``rack_heat.py`` runs the Figure
+4 finding through the engine's costed heat plan in about a second; the
+heavier examples (``cpu_throttling.py``, ``network_interference.py``,
+``scaling_study.py``) are covered by the integration tests and the
 benchmarks instead.
 """
 
@@ -24,6 +26,7 @@ FAST_EXAMPLES = [
     "nosql_ingestion.py",
     "dashboard_metrics.py",
     "serve_client_server.py",
+    "rack_heat.py",
 ]
 
 

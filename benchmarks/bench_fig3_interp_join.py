@@ -70,14 +70,14 @@ def _frozen_heap():
 
 
 def _run_join(workers, left_rows, right_rows, adaptive=True):
-    # broadcast_threshold=0 pins the exact-key shuffle path these panels
+    # broadcast_threshold_rows=0 pins the exact-key shuffle path these panels
     # measure; the adaptive broadcast is covered by its own tests.
     # adaptive=False also fixes the reduce side at PARTITIONS tasks.
-    planner = {"broadcast_threshold": 0} if adaptive else \
-        {"adaptive": AdaptiveConfig(enabled=False)}
+    planner = AdaptiveConfig(broadcast_threshold_rows=0) if adaptive else \
+        AdaptiveConfig(enabled=False)
     with _frozen_heap(), SJContext(
         executor="simulated", num_workers=workers,
-        default_parallelism=PARTITIONS, **planner,
+        default_parallelism=PARTITIONS, adaptive=planner,
     ) as ctx:
         left = ScrubJayDataset.from_rows(
             ctx, left_rows, TIMED_LEFT_SCHEMA, "left", PARTITIONS
@@ -144,7 +144,8 @@ def test_fig3c_costlier_than_natural_join(benchmark, tables,
         # same execution strategy for both joins: broadcast off, so the
         # comparison measures the algorithms, not the optimizer
         with _frozen_heap(), \
-                SJContext(executor="serial", broadcast_threshold=0) as ctx:
+                SJContext(executor="serial", adaptive=AdaptiveConfig(
+                    broadcast_threshold_rows=0)) as ctx:
             left = ScrubJayDataset.from_rows(ctx, kl, KEYED_LEFT_SCHEMA, "l")
             right = ScrubJayDataset.from_rows(ctx, kr, KEYED_RIGHT_SCHEMA, "r")
             tl, tr = tables[n]

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import SJContext, ScrubJayDataset, default_dictionary
+from repro import (
+    AdaptiveConfig,
+    SJContext,
+    ScrubJayDataset,
+    default_dictionary,
+)
 from repro.core.combinations import NaturalJoin
 from repro.datagen.synthetic import (
     KEYED_LEFT_SCHEMA,
@@ -56,13 +61,14 @@ def scaling_recorder(recorder_factory):
 
 def _run_join(workers, left_rows, right_rows):
     """Run the join on a simulated cluster; returns (sim_seconds, count)."""
-    # broadcast_threshold=0 pins the shuffle path: these panels
+    # broadcast_threshold_rows=0 pins the shuffle path: these panels
     # reproduce the paper's *shuffle-bound* scaling shapes, which the
     # adaptive broadcast join (benchmarked separately below and in
     # harness.py) would otherwise optimize away.
     with SJContext(
         executor="simulated", num_workers=workers,
-        default_parallelism=PARTITIONS, broadcast_threshold=0,
+        default_parallelism=PARTITIONS,
+        adaptive=AdaptiveConfig(broadcast_threshold_rows=0),
     ) as ctx:
         left = ScrubJayDataset.from_rows(
             ctx, left_rows, KEYED_LEFT_SCHEMA, "left", PARTITIONS

@@ -38,7 +38,13 @@ _SRC = os.path.join(
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro import ScrubJayDataset, SJContext, Tracer, default_dictionary  # noqa: E402
+from repro import (  # noqa: E402
+    AdaptiveConfig,
+    ScrubJayDataset,
+    SJContext,
+    Tracer,
+    default_dictionary,
+)
 from repro.core.combinations import NaturalJoin  # noqa: E402
 from repro.datagen.synthetic import (  # noqa: E402
     KEYED_LEFT_SCHEMA,
@@ -70,12 +76,12 @@ def run_natural_join(
     num_rows: int,
     num_keys: int = NUM_KEYS,
     partitions: int = PARTITIONS,
-    broadcast_threshold: Optional[int] = None,
+    broadcast_threshold_rows: Optional[int] = None,
     repeats: int = 1,
 ) -> Dict[str, Any]:
     """One measured run; returns the record that lands in the JSON.
 
-    ``broadcast_threshold=None`` leaves the adaptive defaults in place
+    ``broadcast_threshold_rows=None`` leaves the adaptive defaults in place
     (mode ``"adaptive"``); ``0`` disables the broadcast path so the
     join must shuffle (mode ``"forced-shuffle"``). ``repeats`` caps
     the adaptive stopping rule; ``wall_seconds`` is the best sample
@@ -88,11 +94,14 @@ def run_natural_join(
         "joins": [], "shuffled": 0,
     }
 
+    adaptive = None if broadcast_threshold_rows is None else \
+        AdaptiveConfig(broadcast_threshold_rows=broadcast_threshold_rows)
+
     def sample() -> float:
         with SJContext(
             executor="serial",
             default_parallelism=partitions,
-            broadcast_threshold=broadcast_threshold,
+            adaptive=adaptive,
         ) as ctx:
             left = ScrubJayDataset.from_rows(
                 ctx, left_rows, KEYED_LEFT_SCHEMA, "left", partitions
@@ -116,7 +125,7 @@ def run_natural_join(
     joins = state["joins"]
     decision = joins[-1] if joins else None
     return {
-        "mode": "adaptive" if broadcast_threshold is None
+        "mode": "adaptive" if broadcast_threshold_rows is None
                 else "forced-shuffle",
         "rows": num_rows,
         "num_keys": num_keys,
@@ -125,7 +134,7 @@ def run_natural_join(
         "timing": timing.as_dict(),
         "output_rows": state["count"],
         "join_strategy": decision.choice if decision else None,
-        # adaptive: the planner weighed the sides' sizes (a disabled
+        # adaptive: the planner weighed the sides' rows (a disabled
         # planner records its forced shuffle with no evidence)
         "strategy_adaptive": bool(decision.evidence) if decision else None,
         "strategy_reason": decision.reason if decision else None,
@@ -213,7 +222,7 @@ def run_comparison(
     for n in row_counts:
         adaptive = run_natural_join(n, repeats=repeats)
         forced = run_natural_join(
-            n, broadcast_threshold=0, repeats=repeats
+            n, broadcast_threshold_rows=0, repeats=repeats
         )
         runs.extend([adaptive, forced])
         if adaptive["wall_seconds"] > 0:

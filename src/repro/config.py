@@ -125,16 +125,13 @@ def _build_knobs() -> Dict[str, Knob]:
              "Let the pushdown rewrite also prune scanned columns."),
         # -- adaptive execution ---------------------------------------
         Knob("adaptive.enabled", "bool", a.enabled,
-             "Master switch for statistics-driven execution; off "
+             "Master switch for row-count-driven execution; off "
              "forces classic always-shuffle plans."),
-        Knob("adaptive.broadcast_threshold_bytes", "int",
-             a.broadcast_threshold_bytes,
-             "Broadcast a join side whose estimated size is at most "
-             "this many bytes.", low=0, high=1 << 31),
         Knob("adaptive.broadcast_threshold_rows", "int",
              a.broadcast_threshold_rows,
-             "... and whose row count is at most this (guards bad "
-             "size samples).", low=0, high=10_000_000),
+             "Broadcast the join side with fewer rows when it has at "
+             "most this many rows; else shuffle.",
+             low=0, high=10_000_000),
         Knob("adaptive.target_partition_rows", "int",
              a.target_partition_rows,
              "Auto-chosen reduce partitions aim for this many rows "
@@ -147,21 +144,6 @@ def _build_knobs() -> Dict[str, Knob]:
              a.max_reduce_partitions,
              "Upper bound for the auto-chosen reduce partition "
              "count.", low=1, high=4096),
-        Knob("adaptive.skew_factor", "float", a.skew_factor,
-             "A shuffle bucket is skewed when it exceeds this many "
-             "times the mean bucket size.", low=1.5, high=64),
-        Knob("adaptive.skew_min_pairs", "int", a.skew_min_pairs,
-             "... and holds at least this many pairs.",
-             low=1, high=1_000_000),
-        Knob("adaptive.skew_max_splits", "int", a.skew_max_splits,
-             "Cap on how many sub-buckets one skewed bucket splits "
-             "into.", low=2, high=256),
-        Knob("adaptive.stats_sample_rows", "int", a.stats_sample_rows,
-             "Rows sampled per partition for the size estimate.",
-             low=8, high=4096),
-        Knob("adaptive.stats_key_budget", "int", a.stats_key_budget,
-             "Total keys sampled across partitions for the distinct "
-             "estimate.", low=64, high=65536),
         # -- executor -------------------------------------------------
         Knob("executor.kind", "str", "serial",
              "Data-cluster executor the session builds when no "
@@ -225,7 +207,6 @@ def _build_aliases() -> Dict[str, str]:
             aliases[leaf] = owner
     # historical spellings from the flat-kwargs era
     aliases["executor"] = "executor.kind"
-    aliases["broadcast_threshold"] = "adaptive.broadcast_threshold_bytes"
     aliases["num_workers"] = "executor.num_workers"
     return aliases
 
@@ -381,9 +362,9 @@ class TuningProfile:
     read.
 
     Keyword arguments accept canonical dotted names spelled with
-    underscores (``adaptive_broadcast_threshold_bytes``), unique leaf
+    underscores (``adaptive_broadcast_threshold_rows``), unique leaf
     names (``pushdown``, ``cache_dir``), and the historical flat-kwarg
-    spellings (``executor``, ``broadcast_threshold``, ``num_workers``).
+    spellings (``executor``, ``num_workers``).
     """
 
     def __init__(self, **overrides: Any) -> None:

@@ -380,7 +380,7 @@ class InterpolationJoin(Combination):
         # probes it in one narrow stage; else both shuffle by exact key.
         ctx = left.rdd.ctx
         decision = ctx.planner.decide_join(
-            self.op_name, (("right", rkeyed.persist().stats()),), "index"
+            self.op_name, (("right", rkeyed.persist().count()),), "index"
         )
         if decision.choice == "broadcast":
             # 4a. broadcast path: driver-built index of the right side

@@ -147,14 +147,6 @@ class ScrubJayDataset:
     # adaptive-execution observability
     # ------------------------------------------------------------------
 
-    def stats(self):
-        """Sampled statistics (rows, approximate bytes) for the data.
-
-        Materializes the RDD; the result is cached on it and feeds the
-        adaptive planner's join/shuffle decisions.
-        """
-        return self.rdd.stats()
-
     @property
     def execution_report(self):
         """The context's :class:`~repro.rdd.stats.ExecutionReport` —

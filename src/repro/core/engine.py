@@ -32,8 +32,9 @@ Both dedupe points (the closure and ``CombineSet``) keep one candidate
 per schema fingerprint under one rule (:meth:`DerivationEngine._keep`):
 fewer steps wins; on equal steps, the candidate with fewer estimated
 rows wins, but only where the choice cannot change the answer: both
-anchor their interpolation joins on the same datasets (a leaf may
-change sides only when that cannot change the rows, see ``_anchors``)
+put the same datasets on each side of their interpolation joins (a
+leaf may change sides only when that cannot change the rows, see
+``_anchors``)
 and every leaf is *keyed* (no two rows share a domain tuple, see
 :class:`Estimate`); otherwise the first one seen stays. The estimate
 propagates from *leaf facts* — row counts, distinct values per domain
@@ -612,12 +613,14 @@ class DerivationEngine:
             win, rejected=win.rejected + lose.rejected + (lose_cost,)
         )
 
-    def _anchors(self, node: PlanNode) -> Tuple[Tuple[str, ...], ...]:
+    def _anchors(
+        self, node: PlanNode
+    ) -> Tuple[Tuple[Tuple[str, ...], ...], ...]:
         """The anchor signature: for each interpolation join under
-        ``node``, the datasets under its left (anchor) side, less the
-        movable ones. Two plans with one schema but different
-        signatures may answer with different rows, so cost never
-        decides between them.
+        ``node``, the datasets under its left (anchor) side and those
+        under its right side, less the movable ones. Two plans with one
+        schema but different signatures may answer with different rows,
+        so cost never decides between them.
 
         The two sides of an interpolation join treat rows differently:
         each anchor row is answered, duplicates and None values
@@ -625,18 +628,23 @@ class DerivationEngine:
         one reading and a None value is no reading. Only a keyed leaf
         (:attr:`Estimate.keyed`) without a timed dimension and without
         value fields answers alike on either side; any other leaf, or
-        one whose facts are unknown, stays in the signature."""
+        one whose facts are unknown, stays in the signature — on its
+        side: moving such a leaf into the right side, even from outside
+        every interpolation join, changes the signature too."""
         out = []
         stack = [node]
         while stack:
             n = stack.pop()
             if isinstance(n, CombineNode) and \
                     isinstance(n.derivation, InterpolationJoin):
-                out.append(tuple(sorted(
-                    name
-                    for name in DerivationPlan(n.left).dataset_names()
-                    if not self._movable(name)
-                )))
+                out.append(tuple(
+                    tuple(sorted(
+                        name
+                        for name in DerivationPlan(side).dataset_names()
+                        if not self._movable(name)
+                    ))
+                    for side in (n.left, n.right)
+                ))
             stack.extend(n.children())
         return tuple(sorted(out))
 

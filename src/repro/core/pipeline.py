@@ -238,7 +238,7 @@ class DerivationPlan:
         the cache outcome attached; stage/task spans from the RDD
         scheduler nest under the node whose action materialized them.
         ``measure`` additionally forces per-node materialization and
-        attaches measured ``rows_out``/``approx_bytes`` counters —
+        attaches a measured ``rows_out`` counter —
         EXPLAIN ANALYZE mode. Ordinary runs must leave it off: it
         defeats lazy whole-plan pipelining.
         """
@@ -263,10 +263,8 @@ class DerivationPlan:
                     node, catalog, dictionary, cache, tracer, measure, span
                 )
                 if measure:
-                    st = result.stats()
-                    span.add("rows_out", st.total_rows)
-                    span.add("approx_bytes", st.approx_bytes)
-                    # the stats() call above materialized the scan, so
+                    span.add("rows_out", result.rdd.count())
+                    # the count() call above materialized the scan, so
                     # its physical read counters are available now
                     scan = getattr(result.rdd, "last_scan", None)
                     if scan:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Labels, MetricsRegistry
 from repro.obs.trace import Span
 
 
@@ -88,38 +88,39 @@ def _prom_name(name: str) -> str:
     return s
 
 
-def _prom_labels(series: str) -> str:
-    """``name{k=v,...}`` (registry snapshot form) → prometheus form."""
-    if "{" not in series:
-        return _prom_name(series)
-    name, _, rest = series.partition("{")
-    inner = rest.rstrip("}")
-    pairs = []
-    for item in inner.split(","):
-        if not item:
-            continue
-        k, _, v = item.partition("=")
-        pairs.append(f'{_prom_name(k)}="{v}"')
-    return f"{_prom_name(name)}{{{','.join(pairs)}}}"
+def _prom_series(name: str, labels: Labels) -> str:
+    """One series in exposition form; label values are escaped
+    (backslash, double quote, newline) as the format requires."""
+    if not labels:
+        return _prom_name(name)
+    inner = ",".join(
+        f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in labels
+    )
+    return f"{_prom_name(name)}{{{inner}}}"
+
+
+def _prom_escape(value: str) -> str:
+    return (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
 
 
 def to_prometheus(registry: MetricsRegistry) -> str:
     """The registry as Prometheus text exposition format."""
-    snap = registry.snapshot()
+    series = registry.series()
     lines: List[str] = []
-    for series, value in snap["counters"].items():
-        lines.append(f"{_prom_labels(series)} {value}")
-    for series, value in snap["gauges"].items():
-        lines.append(f"{_prom_labels(series)} {value}")
-    for series, summary in snap["histograms"].items():
-        base = series.partition("{")[0]
-        labels = series[len(base):]
+    for kind in ("counters", "gauges"):
+        for (name, labels), value in series[kind]:
+            lines.append(f"{_prom_series(name, labels)} {value}")
+    for (name, labels), summary in series["histograms"]:
         for suffix in ("count", "sum", "min", "max"):
             v = summary.get(suffix)
             if v is None:
                 continue
             lines.append(
-                f"{_prom_labels(base + '_' + suffix + labels)} {v}"
+                f"{_prom_series(f'{name}_{suffix}', labels)} {v}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -140,9 +141,6 @@ def _analyze_line(span: Span) -> str:
     rows = span.counters.get("rows_out")
     if rows is not None:
         stats.append(f"rows={int(rows)}")
-    approx = span.counters.get("approx_bytes")
-    if approx:
-        stats.append(f"~bytes={_fmt_bytes(approx)}")
     stats.append(f"time={span.duration * 1e3:.1f}ms")
     cache = span.attrs.get("cache")
     if cache:
@@ -169,7 +167,7 @@ def render_analyze(root: Span) -> str:
     ``root`` is the ``"plan"`` span produced by
     ``DerivationPlan.execute(..., tracer=..., measure=True)``; each
     descendant of kind ``"plan-node"`` renders as one line, indented
-    by depth, carrying its measured rows/bytes/time and cache
+    by depth, carrying its measured rows/time and cache
     outcome.
     """
     lines: List[str] = []

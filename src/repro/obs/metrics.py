@@ -12,11 +12,9 @@ labels are a frozen tuple of ``(key, value)`` pairs so a metric can be
 split by e.g. operation or tenant without unbounded key invention at
 call sites.
 
-"Process-safe" here means what it means for the executors: worker
-processes never mutate driver-side state directly — per-task numbers
-ride the result side-channel back to the scheduler, which accounts
-them on the driver under this registry's lock. The registry itself is
-thread-safe for the service's worker threads.
+Tasks run in the driver, so every count lands in the driver's
+registry directly; the registry is thread-safe for the service's
+worker threads.
 """
 
 from __future__ import annotations
@@ -34,18 +32,15 @@ def _labelkey(labels: Optional[Dict[str, str]]) -> Labels:
 
 
 class Histogram:
-    """Streaming summary: count/sum/min/max plus a bounded reservoir
-    of recent observations for percentile estimates."""
+    """Streaming summary: count/sum/min/max."""
 
-    __slots__ = ("count", "total", "min", "max", "_recent", "_cap")
+    __slots__ = ("count", "total", "min", "max")
 
-    def __init__(self, reservoir: int = 512) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._recent: List[float] = []
-        self._cap = reservoir
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -54,11 +49,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if len(self._recent) >= self._cap:
-            # Overwrite round-robin: cheap, keeps a recent window.
-            self._recent[self.count % self._cap] = value
-        else:
-            self._recent.append(value)
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -134,6 +124,20 @@ class MetricsRegistry:
             hist = self._histograms.get((name, _labelkey(labels)))
             return hist.summary() if hist is not None else None
 
+    def series(self) -> Dict[str, List[Tuple[Tuple[str, Labels], Any]]]:
+        """Everything, structured: per kind (``counters``, ``gauges``,
+        ``histograms``) a sorted list of ``((name, labels), value)``,
+        a histogram's value being its summary."""
+        with self._lock:
+            return {
+                "counters": sorted(self._counters.items()),
+                "gauges": sorted(self._gauges.items()),
+                "histograms": [
+                    (k, h.summary())
+                    for k, h in sorted(self._histograms.items())
+                ],
+            }
+
     def snapshot(self) -> Dict[str, Any]:
         """Everything, as one nested plain dict (for JSON dumps and
         test assertions). Labelled series render their labels inline
@@ -146,19 +150,10 @@ class MetricsRegistry:
             inner = ",".join(f"{k}={v}" for k, v in labels)
             return f"{name}{{{inner}}}"
 
-        with self._lock:
-            return {
-                "counters": {
-                    fmt(k): v for k, v in sorted(self._counters.items())
-                },
-                "gauges": {
-                    fmt(k): v for k, v in sorted(self._gauges.items())
-                },
-                "histograms": {
-                    fmt(k): h.summary()
-                    for k, h in sorted(self._histograms.items())
-                },
-            }
+        return {
+            kind: {fmt(k): v for k, v in items}
+            for kind, items in self.series().items()
+        }
 
     def merge_counts(
         self,

@@ -13,9 +13,9 @@ Design constraints, in order of importance:
    lock-guarded deque.
 3. **Cross-process comparable.** Timestamps are ``time.perf_counter()``
    readings; on Linux that is CLOCK_MONOTONIC, which is system-wide,
-   so task timings reported back from forked/spawned executor workers
-   (via the scheduler's result side-channel) land on the same axis as
-   driver-side spans.
+   so spans recorded in a shard process and merged into the router's
+   fleet trace (``ShardRouter.chrome_trace``) land on the same axis as
+   the router's own spans.
 
 Spans may also be recorded retroactively with explicit start/end
 times — the serve layer uses this for queue-wait, which is over

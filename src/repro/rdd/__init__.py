@@ -37,7 +37,6 @@ from repro.rdd.stats import (
     AdaptivePlanner,
     Decision,
     ExecutionReport,
-    RDDStats,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "AdaptivePlanner",
     "Decision",
     "ExecutionReport",
-    "RDDStats",
     "Executor",
     "SerialExecutor",
     "SimulatedClusterExecutor",

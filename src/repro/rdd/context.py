@@ -37,15 +37,12 @@ class SJContext:
         Defaults to ``2 * num_workers`` (at least 4).
     adaptive:
         An :class:`~repro.rdd.stats.AdaptiveConfig` controlling
-        statistics-driven execution (broadcast joins, shuffle
-        partition sizing, skew splitting). Defaults to enabled with
-        Spark-like thresholds.
-    broadcast_threshold:
-        Convenience override for
-        ``adaptive.broadcast_threshold_bytes``: a join side whose
-        estimated size is at most this many bytes is broadcast instead
-        of shuffled. Set ``0`` to effectively disable broadcast joins
-        while keeping the rest of the adaptive machinery on.
+        row-count-driven execution: broadcast joins and shuffle
+        partition sizing. Defaults to enabled. A join side of at most
+        ``broadcast_threshold_rows`` rows is broadcast instead of
+        shuffled; ``AdaptiveConfig(broadcast_threshold_rows=0)`` turns
+        broadcast joins of non-empty sides off while keeping the rest
+        of the adaptive machinery on.
     tracer:
         A :class:`~repro.obs.Tracer` shared by every layer touching
         this context (scheduler stages/tasks, derivation engine,
@@ -65,7 +62,6 @@ class SJContext:
         num_workers: Optional[int] = None,
         default_parallelism: Optional[int] = None,
         adaptive: Optional[AdaptiveConfig] = None,
-        broadcast_threshold: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -77,10 +73,6 @@ class SJContext:
             4, 2 * self.executor.num_workers
         )
         self.adaptive = adaptive or AdaptiveConfig()
-        if broadcast_threshold is not None:
-            self.adaptive = self.adaptive.with_broadcast_threshold(
-                broadcast_threshold
-            )
         # One tracer/registry object per context, shared (never copied)
         # by the scheduler, engine, and serve layers — flipping
         # tracer.enabled is observed everywhere at once.

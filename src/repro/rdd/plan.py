@@ -13,13 +13,11 @@ cheap and embarrassingly parallel, combinations pay for the shuffle.
 
 Adaptive execution: materialization happens bottom-up, so by the time
 a shuffle or join node is computed its inputs already exist driver-side
-— statistics collected from them (see :mod:`repro.rdd.stats`) are
-*actual* sizes, not estimates from a static plan. The scheduler uses
-them to (1) pick broadcast-hash vs shuffle for
-:class:`~repro.rdd.rdd.AdaptiveJoinRDD` nodes, (2) size the reduce
-partition count of auto shuffles, and (3) detect skewed shuffle
-buckets and split them at key granularity. Every choice is recorded in
-the context's :class:`~repro.rdd.stats.ExecutionReport`.
+as lists, and their exact row counts are free to read. The scheduler
+uses them (see :mod:`repro.rdd.stats`) to (1) pick broadcast-hash vs
+shuffle for :class:`~repro.rdd.rdd.AdaptiveJoinRDD` nodes and (2) size
+the reduce partition count of auto shuffles. Every choice is recorded
+in the context's :class:`~repro.rdd.stats.ExecutionReport`.
 
 Failure semantics: a task runs once, in the driver, on the calling
 thread. There is no worker that could die, so nothing is retried or
@@ -45,8 +43,9 @@ from repro.rdd.rdd import (
     SourceRDD,
     UnionRDD,
 )
-from repro.rdd.shuffle import hash_bucket, portable_hash
-from repro.rdd.stats import AdaptivePlanner, Decision, collect_stats
+from repro.rdd.shuffle import hash_bucket
+from repro.rdd.stats import AdaptivePlanner, Decision
+
 
 def _traced_task(
     fn: Callable[[int, List[Any]], List[Any]],
@@ -79,7 +78,7 @@ class Scheduler:
     """Materializes RDDs by executing their lineage on an executor.
 
     ``planner`` (an :class:`~repro.rdd.stats.AdaptivePlanner`) drives
-    the statistics-based choices; without one the scheduler falls back
+    the row-count-based choices; without one the scheduler falls back
     to fixed partition counts and shuffle joins, recording nothing.
 
     ``tracer``/``metrics`` instrument stage submissions: every stage
@@ -115,10 +114,6 @@ class Scheduler:
             parts = self._compute(rdd)
             if rdd._persist:
                 rdd._cached = parts
-                # persisted partitions will be reused: collect their
-                # statistics now so later planning decisions are free
-                if rdd._stats is None and self.planner is not None:
-                    rdd._stats = collect_stats(parts, self.planner.config)
             return parts
         finally:
             self._depth -= 1
@@ -283,7 +278,7 @@ class Scheduler:
         return parts
 
     def _choose_shuffle_partitions(
-        self, rdd: ShuffledRDD, parent_parts: List[Partition]
+        self, rdd: ShuffledRDD, input_rows: int
     ) -> tuple:
         """Pick the reduce partition count: (count, how it was chosen —
         ``explicit``, ``stats`` or ``default-parallelism`` —, reason)."""
@@ -291,15 +286,9 @@ class Scheduler:
             return rdd._n, "explicit", "explicit"
         planner = self.planner
         if planner is not None and planner.config.enabled:
-            stats = collect_stats(
-                parent_parts, planner.config, keyed=True
-            )
-            n = planner.choose_reduce_partitions(
-                stats.total_rows, stats.distinct_keys
-            )
+            n = planner.choose_reduce_partitions(input_rows)
             return n, "stats", (
-                f"stats: {stats.total_rows} rows,"
-                f" ~{stats.distinct_keys} distinct keys,"
+                f"stats: {input_rows} rows,"
                 f" target {planner.config.target_partition_rows} rows/part"
             )
         default = "default-parallelism"
@@ -308,8 +297,9 @@ class Scheduler:
     def _compute_shuffle(self, rdd: ShuffledRDD) -> List[Partition]:
         parent_parts = self.materialize(rdd.parent)
         shuffle_t0 = time.perf_counter()
+        input_rows = sum(len(p.data) for p in parent_parts)
         n, n_choice, n_reason = self._choose_shuffle_partitions(
-            rdd, parent_parts
+            rdd, input_rows
         )
         create = rdd.create
         merge_value = rdd.merge_value
@@ -338,51 +328,20 @@ class Scheduler:
         map_out = self._run_stage(map_task, parent_parts, "shuffle-map")
         exchange_t0 = time.perf_counter()
 
-        # Driver-side exchange: regroup bucket b from every map task,
-        # splitting skewed buckets at key granularity so one hot bucket
-        # does not serialize the whole reduce stage.
-        bucket_sizes = [
-            sum(len(mp.data[b]) for mp in map_out) for b in range(n)
+        # Driver-side exchange: regroup bucket b from every map task
+        shuffle_parts = [
+            Partition(b, [pair for mp in map_out for pair in mp.data[b]])
+            for b in range(n)
         ]
-        total_pairs = sum(bucket_sizes)
+        total_pairs = sum(len(p.data) for p in shuffle_parts)
+
         planner = self.planner
-        skewed: List[int] = []
-        if planner is not None and planner.config.enabled:
-            skewed = planner.detect_skew(bucket_sizes)
-        skewed_set = frozenset(skewed)
-
-        shuffle_parts: List[Partition] = []
-        mean = total_pairs / n if n else 0.0
-        for b in range(n):
-            pairs = [pair for mp in map_out for pair in mp.data[b]]
-            if b in skewed_set:
-                m = planner.skew_splits(len(pairs), mean)
-                # secondary hash on the high bits: equal keys stay
-                # together (reduce merges whole keys), distinct keys
-                # spread over m sub-buckets
-                sub: List[List[Any]] = [[] for _ in range(m)]
-                for pair in pairs:
-                    h = portable_hash(pair[0])
-                    sub[(h // n) % m].append(pair)
-                nonempty = [s for s in sub if s]
-                if len(nonempty) > 1:
-                    for s in nonempty:
-                        shuffle_parts.append(
-                            Partition(len(shuffle_parts), s)
-                        )
-                    continue
-                # a single hot key cannot be split without breaking
-                # reduce-side merge; fall through to one partition
-            shuffle_parts.append(Partition(len(shuffle_parts), pairs))
-
         if planner is not None:
             decision = planner.report.add(Decision(
                 "shuffle", "shuffle", n_choice, n_reason, {
                     "chosen_partitions": n,
-                    "output_partitions": len(shuffle_parts),
-                    "input_rows": sum(len(p.data) for p in parent_parts),
+                    "input_rows": input_rows,
                     "shuffled_pairs": total_pairs,
-                    "skewed_buckets": skewed,
                 },
             ))
 
@@ -399,14 +358,6 @@ class Scheduler:
             )
             exchange.add("shuffled_pairs", total_pairs)
             exchange.add("buckets", n)
-            exchange.add("output_partitions", len(shuffle_parts))
-            if skewed:
-                exchange.add("skewed_buckets", len(skewed))
-            cfg = planner.config if planner is not None else None
-            exchange.add(
-                "approx_bytes",
-                collect_stats(shuffle_parts, cfg).approx_bytes,
-            )
 
         def reduce_task(_index: int, items: List[Any]) -> List[Any]:
             merged: dict = {}
@@ -427,9 +378,8 @@ class Scheduler:
     def _compute_adaptive_join(self, rdd: AdaptiveJoinRDD) -> List[Partition]:
         """Materialize inputs, then pick broadcast-hash vs shuffle.
 
-        Statistics come from the just-materialized partitions — actual
-        sizes, not estimates — and are cached on the parents. The
-        broadcast path builds a driver-side hash map from the small
+        The decision reads the exact row counts of the
+        just-materialized partitions. The broadcast path builds a driver-side hash map from the small
         side and streams the big side through one narrow stage (no
         shuffle); the fallback reuses
         the ordinary :meth:`~repro.rdd.rdd.RDD.join` lineage over the
@@ -438,14 +388,10 @@ class Scheduler:
         left_parts = self.materialize(rdd.left)
         right_parts = self.materialize(rdd.right)
         planner = self.planner or AdaptivePlanner()
-        cfg = planner.config
-        if rdd.left._stats is None or rdd.left._stats.distinct_keys is None:
-            rdd.left._stats = collect_stats(left_parts, cfg, keyed=True)
-        if rdd.right._stats is None or rdd.right._stats.distinct_keys is None:
-            rdd.right._stats = collect_stats(right_parts, cfg, keyed=True)
-        decision = planner.decide_join(
-            "join", (("left", rdd.left._stats), ("right", rdd.right._stats))
-        )
+        decision = planner.decide_join("join", (
+            ("left", sum(len(p.data) for p in left_parts)),
+            ("right", sum(len(p.data) for p in right_parts)),
+        ))
         join_t0 = time.perf_counter()
         if decision.choice == "broadcast":
             if decision.evidence["build_side"] == "right":

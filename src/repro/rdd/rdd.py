@@ -34,7 +34,6 @@ from repro.rdd.partition import Partition
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.context import SJContext
-    from repro.rdd.stats import RDDStats
 
 
 class RDD:
@@ -48,9 +47,6 @@ class RDD:
         self.ctx = ctx
         self._persist = False
         self._cached: Optional[List[Partition]] = None
-        #: sampled statistics, cached once collected (see RDD.stats);
-        #: safe to cache because lineage is immutable and deterministic
-        self._stats: Optional["RDDStats"] = None
 
     # ------------------------------------------------------------------
     # persistence
@@ -65,7 +61,6 @@ class RDD:
         """Drop any cached partitions and stop caching."""
         self._persist = False
         self._cached = None
-        self._stats = None
         return self
 
     # ------------------------------------------------------------------
@@ -112,9 +107,9 @@ class RDD:
         pairs.
 
         With ``num_partitions=None`` the reduce partition count is
-        chosen at run time from input statistics (rows per partition
-        target, capped by the distinct-key estimate) when the context
-        has adaptive execution enabled; otherwise it falls back to
+        chosen at run time from the exact input rows (rows per
+        partition target) when the context has adaptive execution
+        enabled; otherwise it falls back to
         ``ctx.default_parallelism``.
         """
         return ShuffledRDD(
@@ -162,7 +157,7 @@ class RDD:
         Always the shuffle plan: both sides' values are tagged with
         their side, grouped per key in one shuffle, and each key's two
         value lists are crossed. Use :meth:`adaptiveJoin` to let
-        run-time statistics pick broadcast-hash instead.
+        run-time row counts pick broadcast-hash instead.
         """
         tagged = UnionRDD(self.ctx, [
             self.map(lambda kv: (kv[0], (0, kv[1]))),
@@ -196,8 +191,8 @@ class RDD:
     ) -> "RDD":
         """Inner equi-join whose physical plan is chosen at run time.
 
-        The scheduler materializes both inputs, collects sampled
-        statistics, and picks broadcast-hash (small side shipped whole
+        The scheduler materializes both inputs, counts their rows,
+        and picks broadcast-hash (small side shipped whole
         to every task, no shuffle) or the shuffle plan of :meth:`join`
         — recording the decision in the context's
         :class:`~repro.rdd.stats.ExecutionReport`. Output is identical
@@ -248,31 +243,6 @@ class RDD:
         for partial in partials:
             acc = comb_fn(acc, partial)
         return acc
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-
-    def stats(self, keyed: bool = False) -> "RDDStats":
-        """Sampled statistics for this RDD (materializes it).
-
-        Collected driver-side from the materialized partitions (no
-        extra stages) and cached on the RDD; the scheduler also fills
-        the cache when a persisted RDD first materializes. With
-        ``keyed=True`` the elements are treated as ``(key, value)``
-        pairs and a sampled key census adds a distinct-key estimate.
-        """
-        from repro.rdd.stats import collect_stats
-
-        if self._stats is None or (
-            keyed and self._stats.distinct_keys is None
-        ):
-            self._stats = collect_stats(
-                self._materialize(),
-                getattr(self.ctx, "adaptive", None),
-                keyed=keyed,
-            )
-        return self._stats
 
 
 class SourceRDD(RDD):
@@ -343,7 +313,7 @@ class ShuffledRDD(RDD):
     """Key-based shuffle with map-side combine (``combineByKey``).
 
     ``num_partitions=None`` defers the reduce partition count to the
-    scheduler, which sizes it from input statistics at run time.
+    scheduler, which sizes it from the exact input rows at run time.
     """
 
     def __init__(
@@ -368,11 +338,10 @@ class AdaptiveJoinRDD(RDD):
     """Inner equi-join whose physical strategy is decided at run time.
 
     Lineage stays lazy: the node only records its two keyed parents.
-    When the scheduler materializes it, both parents are computed,
-    sampled statistics are collected (and cached on the parents), and
-    the context's planner picks broadcast-hash or shuffle — after the
-    inputs exist, so the decision sees actual sizes, the way Spark AQE
-    re-plans between stages.
+    When the scheduler materializes it, both parents are computed and
+    the context's planner picks broadcast-hash or shuffle from their
+    row counts — after the inputs exist, so the decision sees actual
+    rows, the way Spark AQE re-plans between stages.
     """
 
     def __init__(

@@ -11,7 +11,7 @@ from repro.core.combinations import (
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema, domain, value
 from repro.errors import DerivationError
-from repro.rdd import SJContext
+from repro.rdd import AdaptiveConfig, SJContext
 from repro.units.temporal import Timestamp
 
 LEFT = Schema({
@@ -297,9 +297,10 @@ APPS = Schema({
 
 @pytest.fixture(params=["broadcast", "shuffle"])
 def strategy_ctx(request):
-    threshold = None if request.param == "broadcast" else 0
+    adaptive = None if request.param == "broadcast" else \
+        AdaptiveConfig(broadcast_threshold_rows=0)
     with SJContext(executor="serial", default_parallelism=4,
-                   broadcast_threshold=threshold) as c:
+                   adaptive=adaptive) as c:
         yield c
         assert c.report.of("join")[-1].choice == request.param
 

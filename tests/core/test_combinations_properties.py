@@ -21,11 +21,13 @@ from repro.core.combinations import InterpolationJoin, NaturalJoin
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema, domain, value
 from repro.core.dictionary import default_dictionary
-from repro.rdd import SJContext
+from repro.rdd import AdaptiveConfig, SJContext
 from repro.units.temporal import Timestamp
 
 _CTX = SJContext(executor="serial")
-_SHUFFLE_CTX = SJContext(executor="serial", broadcast_threshold=0)
+_SHUFFLE_CTX = SJContext(
+    executor="serial", adaptive=AdaptiveConfig(broadcast_threshold_rows=0)
+)
 _DICT = default_dictionary()
 
 LEFT = Schema({

@@ -199,6 +199,22 @@ def _multiset(rows):
     return sorted(repr(sorted(r.items())) for r in rows)
 
 
+def test_a_valued_layout_stays_out_of_the_interpolation_join():
+    """A layout with a None value answers differently inside an
+    interpolation join's right side (None is no sample) than in a
+    natural join after it (None is kept), so cost must not move it
+    there from outside."""
+    schemas, rows = _build_catalog(2, True, 0, "valued")
+    datasets = _datasets(schemas, rows)
+    query = Query.of(domains=["entity1", "group"], values=["metric0"])
+    costed = DerivationEngine(_DICT)
+    costed.leaf_facts = lambda name: leaf_facts(datasets[name], _DICT)
+    plan = costed.solve(schemas, query)
+    first_seen = DerivationEngine(_DICT).solve(schemas, query)
+    assert _multiset(plan.execute(datasets, _DICT).collect()) == \
+        _multiset(first_seen.execute(datasets, _DICT).collect())
+
+
 def test_costed_ties_keep_the_answer():
     """Costing same-schema ties with leaf facts changes at most the
     plan, never the rows it answers with — also when a layout lists a

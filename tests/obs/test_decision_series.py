@@ -47,22 +47,19 @@ def _series(registry):
 
 def test_join_and_shuffle_series():
     # 300 keys that all hash to bucket 0 of a 4-way shuffle plus 90
-    # spread over the others: one skewed bucket
-    skewed = [(4 * i, i) for i in range(300)] + \
+    # spread over the others: a hot bucket is one more bucket
+    hot = [(4 * i, i) for i in range(300)] + \
         [(4 * i + r, i) for r in (1, 2, 3) for i in range(30)]
-    cfg = AdaptiveConfig(skew_min_pairs=50, skew_factor=2.0)
-    with SJContext(executor="serial", default_parallelism=4,
-                   adaptive=cfg) as ctx:
+    with SJContext(executor="serial", default_parallelism=4) as ctx:
         big = ctx.parallelize([(i % 8, i) for i in range(64)], 2)
         small = ctx.parallelize([(k, -k) for k in range(8)], 1)
         big.adaptiveJoin(small).collect()
-        ctx.parallelize(skewed, 4).groupByKey(4).collect()
+        ctx.parallelize(hot, 4).groupByKey(4).collect()
         assert _series(ctx.metrics) == (
             {
                 "rdd.join.decisions{strategy=broadcast}": 1,
                 "rdd.shuffle.decisions": 1,
                 "rdd.shuffle.pairs": 390,
-                "rdd.shuffle.skewed_buckets": 1,
             },
             {"rdd.timing.join.broadcast": 1, "rdd.timing.shuffle": 1},
         )

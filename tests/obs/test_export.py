@@ -88,6 +88,23 @@ def test_prometheus_text_format():
     assert text.endswith("\n")
 
 
+def test_prometheus_escapes_label_values():
+    # dataset and feed names become label values: separators inside a
+    # value must not split it, and quotes, backslashes and newlines are
+    # escaped as the exposition format requires
+    m = MetricsRegistry()
+    m.inc("scan.rows_read", 5, labels={"source": "cab,site=llnl"})
+    m.inc("feed.rows", 2, labels={"feed": 'rack "A"'})
+    m.set_gauge("feed.lag_s", 1, labels={"feed": "a\\b\nc"})
+    m.observe("scan.time_s", 0.5, labels={"source": "x}y"})
+    lines = to_prometheus(m).splitlines()
+    assert 'scan_rows_read{source="cab,site=llnl"} 5' in lines
+    assert 'feed_rows{feed="rack \\"A\\""} 2' in lines
+    assert 'feed_lag_s{feed="a\\\\b\\nc"} 1' in lines
+    assert 'scan_time_s_count{source="x}y"} 1' in lines
+    assert len(lines) == 3 + 4  # a newline in a value opens no line
+
+
 def test_prometheus_empty_registry():
     assert to_prometheus(MetricsRegistry()) == ""
 
@@ -98,7 +115,8 @@ def test_render_analyze_tree():
                      attrs={"label": "interpolation_join(a, b)"})
     top.start, top.end = 0.0, 0.01
     top.add("rows_out", 42)
-    top.add("approx_bytes", 2048)
+    top.add("scan.rows_read", 100)
+    top.add("scan.bytes_scanned", 2048)
     top.set("cache", "miss")
     leaf = top.child("load", kind="plan-node",
                      attrs={"label": "load(rack_temperatures)"})
@@ -109,8 +127,9 @@ def test_render_analyze_tree():
 
     text = render_analyze(root)
     lines = text.splitlines()
-    assert lines[0].startswith("interpolation_join(a, b)  [rows=42")
-    assert "~bytes=2.0KB" in lines[0]
-    assert "cache=miss" in lines[0]
+    assert lines[0] == (
+        "interpolation_join(a, b)  [rows=42; time=10.0ms; cache=miss;"
+        " scan.rows_read=100; scan.bytes_scanned=2.0KB]"
+    )
     assert lines[1] == "  load(rack_temperatures)  [rows=7; time=2.0ms]"
     assert "stage:map" not in text

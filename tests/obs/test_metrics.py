@@ -45,7 +45,7 @@ def test_histogram_summary():
     assert m.histogram_summary("missing") is None
 
 
-def test_histogram_reservoir_is_bounded():
+def test_histogram_counts_every_observation_and_keeps_the_max():
     m = MetricsRegistry()
     for i in range(5000):
         m.observe("lat", float(i))

@@ -3,8 +3,7 @@
 The acceptance contract for adaptive execution: every physical
 strategy (broadcast-hash building either side, shuffle, and the
 nested-loop oracle) must produce the same multiset of joined pairs, on
-every executor kind. A bad
-statistic may cost time, never correctness.
+every executor kind. A poor choice may cost time, never correctness.
 """
 
 from __future__ import annotations
@@ -45,6 +44,10 @@ DISTRIBUTIONS = {
     "skewed": _skewed,
     "disjoint": _disjoint_heavy,
 }
+
+
+#: forces the shuffle plan for any non-empty side
+_SHUFFLE = AdaptiveConfig(broadcast_threshold_rows=0)
 
 
 def nested_loop_join(left, right):
@@ -90,7 +93,7 @@ def test_all_strategies_match_nested_loop_oracle(dist):
     cases = [
         (big, small, {}, ("broadcast", "right")),
         (small, big, {}, ("broadcast", "left")),
-        (big, small, {"broadcast_threshold": 0}, ("shuffle", None)),
+        (big, small, {"adaptive": _SHUFFLE}, ("shuffle", None)),
     ]
     for left, right, ctx_args, chosen in cases:
         got, d = _auto_join(left, right, **ctx_args)
@@ -109,13 +112,13 @@ def test_adaptive_join_prefers_broadcast_for_small_side():
     d = joins[-1]
     assert d.choice == "broadcast"
     assert d.evidence["build_side"] == "right"  # the smaller side
-    assert d.evidence["right_bytes"] < d.evidence["left_bytes"]
+    assert d.evidence["right_rows"] < d.evidence["left_rows"]
 
 
 def test_adaptive_join_falls_back_to_shuffle_over_threshold():
     left, right = _make_pairs("uniform")
     with SJContext(
-        executor="serial", default_parallelism=4, broadcast_threshold=0
+        executor="serial", default_parallelism=4, adaptive=_SHUFFLE
     ) as ctx:
         l = ctx.parallelize(left, 5)
         r = ctx.parallelize(right, 3)
@@ -123,6 +126,23 @@ def test_adaptive_join_falls_back_to_shuffle_over_threshold():
         d = ctx.report.of("join")[-1]
     assert d.choice == "shuffle"
     assert got == nested_loop_join(left, right)
+
+
+def test_broadcast_threshold_is_inclusive_and_counts_exact_rows():
+    # a side of exactly the threshold broadcasts, one more row shuffles;
+    # the evidence is exact row counts, never a size estimate
+    threshold = 40
+    cfg = AdaptiveConfig(broadcast_threshold_rows=threshold)
+    big = [(i % 25, i) for i in range(300)]
+    for n, chosen in ((threshold, "broadcast"), (threshold + 1, "shuffle")):
+        small = [(i % 25, -i) for i in range(n)]
+        got, d = _auto_join(big, small, adaptive=cfg)
+        assert d.choice == chosen
+        assert d.evidence["right_rows"] == n
+        assert d.evidence["left_rows"] == len(big)
+        assert d.evidence["threshold_rows"] == threshold
+        assert not any(k.endswith("_bytes") for k in d.evidence)
+        assert got == nested_loop_join(big, small)
 
 
 def test_adaptive_join_builds_left_when_left_is_smaller():

@@ -1,5 +1,5 @@
-"""Shuffle tuning: auto partition counts, skew splitting, hash
-memoization, and the union defensive copy."""
+"""Shuffle tuning: auto partition counts, hot keys, hash memoization,
+and the union defensive copy."""
 
 from __future__ import annotations
 
@@ -47,19 +47,6 @@ def test_auto_partition_count_from_stats():
     assert "stats" in d.reason
 
 
-def test_auto_partition_count_capped_by_distinct_keys():
-    cfg = AdaptiveConfig(target_partition_rows=10)
-    with SJContext(executor="serial", default_parallelism=4,
-                   adaptive=cfg) as ctx:
-        pairs = [(i % 3, 1) for i in range(300)]  # only 3 keys
-        got = dict(ctx.parallelize(pairs, 4)
-                   .aggregateByKey(0, operator.add, operator.add)
-                   .collect())
-        d = ctx.report.of("shuffle")[-1].evidence
-    assert got == {0: 100, 1: 100, 2: 100}
-    assert d["chosen_partitions"] <= 3
-
-
 def test_disabled_adaptive_uses_default_parallelism():
     with SJContext(executor="serial", default_parallelism=6,
                    adaptive=AdaptiveConfig(enabled=False)) as ctx:
@@ -85,73 +72,32 @@ def test_shuffle_volume_reflects_map_side_combine(ctx):
 
 
 # ----------------------------------------------------------------------
-# skew splitting
+# hot keys
 # ----------------------------------------------------------------------
 
-def _skew_ctx(**over):
-    kw = dict(skew_min_pairs=50, skew_factor=2.0,
-              target_partition_rows=100)
-    kw.update(over)
-    return SJContext(executor="serial", default_parallelism=4,
-                     adaptive=AdaptiveConfig(**kw))
-
-
-def test_skewed_bucket_is_split_and_result_correct():
-    # skew is measured on post-combine pairs, so the realistic shape
-    # is many distinct keys hash-colliding into one bucket: int keys
-    # portable-hash to themselves, so multiples of 4 all hit bucket 0
-    # of a 4-way shuffle
-    pairs = [(4 * i, i) for i in range(300)] + \
-        [(4 * i + r, i) for r in (1, 2, 3) for i in range(30)]
-    with _skew_ctx() as ctx:
-        r = ctx.parallelize(pairs, 4).groupByKey(4)
-        got = {k: sorted(vs) for k, vs in r.collect()}
-        d = ctx.report.of("shuffle")[-1].evidence
-    want: dict = {}
-    for k, v in pairs:
-        want.setdefault(k, []).append(v)
-    want = {k: sorted(vs) for k, vs in want.items()}
-    assert got == want
-    assert d["skewed_buckets"] == [0], "the hot bucket must be detected"
-    assert d["output_partitions"] > d["chosen_partitions"]
-
-
-def test_single_hot_key_is_not_split():
-    # one key = one combiner per map task; all land in one sub-bucket,
-    # so the scheduler must detect the skew but fall through cleanly
-    # (splitting one key would break the reduce-side merge)
+def test_single_hot_key_is_not_split(ctx):
+    # one key = one combiner per map task; every one lands in the
+    # key's bucket, so the reduce merges the whole key at once
     pairs = [("only", i) for i in range(500)]
-    with _skew_ctx(skew_min_pairs=2) as ctx:
-        got = ctx.parallelize(pairs, 4).groupByKey(3).collect()
-        d = ctx.report.of("shuffle")[-1].evidence
+    parts = ctx.parallelize(pairs, 4).groupByKey(3)._materialize()
+    d = ctx.report.of("shuffle")[-1].evidence
+    got = [kv for p in parts for kv in p.data]
     assert len(got) == 1
     assert sorted(got[0][1]) == list(range(500))
-    assert d["skewed_buckets"], "the hot bucket is detected..."
-    assert d["output_partitions"] == d["chosen_partitions"]  # ...not split
+    assert len(parts) == d["chosen_partitions"] == 3
 
 
-def test_skew_split_keeps_equal_keys_together():
-    # a keyed sum over a split bucket only merges correctly if equal
-    # keys land in the same sub-bucket: 16 hot keys, all multiples of
-    # 4, each repeated 125 times
+def test_hot_bucket_keeps_every_key_whole(ctx):
+    # 16 hot keys that all hash to bucket 0 of a 4-way shuffle, each
+    # repeated 125 times: each key's sum is complete and every key
+    # lives in exactly one reduce partition
     pairs = [(4 * (i % 16), 1) for i in range(2000)]
-    with _skew_ctx() as ctx:
-        got = dict(ctx.parallelize(pairs, 5)
-                   .aggregateByKey(0, operator.add, operator.add, 4)
-                   .collect())
-        d = ctx.report.of("shuffle")[-1].evidence
-    assert got == {4 * k: 125 for k in range(16)}
-    assert d["skewed_buckets"] == [0]
-    assert d["output_partitions"] > d["chosen_partitions"]
-
-
-def test_no_split_below_min_pairs():
-    pairs = [(1, 1)] * 30 + [(2, 2)]  # lopsided but tiny
-    with _skew_ctx(skew_min_pairs=1000) as ctx:
-        ctx.parallelize(pairs, 2).groupByKey(2).collect()
-        d = ctx.report.of("shuffle")[-1].evidence
-    assert d["skewed_buckets"] == []
-    assert d["output_partitions"] == d["chosen_partitions"]
+    parts = ctx.parallelize(pairs, 5) \
+        .aggregateByKey(0, operator.add, operator.add, 4)._materialize()
+    got = [kv for p in parts for kv in p.data]
+    assert dict(got) == {4 * k: 125 for k in range(16)}
+    assert len(got) == 16
+    assert len(parts) == 4
 
 
 # ----------------------------------------------------------------------

@@ -400,14 +400,14 @@ def test_shards_inherit_router_planner_knobs_at_fork():
     a shard plans like the router from its very first query; a knob
     set on the router afterwards stays router-local."""
     sj = make_session(rows=48, keys=4, projection=False,
-                      broadcast_threshold=1 << 10)
+                      broadcast_threshold_rows=1 << 10)
     router = sj.serve(shards=2, num_workers=1)
     try:
-        sj.profile.set("adaptive.broadcast_threshold_bytes", 1 << 12)
+        sj.profile.set("adaptive.broadcast_threshold_rows", 1 << 12)
         for handle in router._each_handle():
             knobs = handle.metrics()["profile"]["knobs"]
             assert knobs["engine.projection"]["value"] is False
-            assert knobs["adaptive.broadcast_threshold_bytes"] == {
+            assert knobs["adaptive.broadcast_threshold_rows"] == {
                 "value": 1 << 10, "provenance": "user-pinned",
             }
     finally:

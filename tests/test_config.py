@@ -11,6 +11,7 @@ import pytest
 from repro import KNOBS, ScrubJaySession, ServeConfig, TuningProfile
 from repro.config import diff, knob_table, resolve
 from repro.errors import ConfigError
+from repro.rdd import AdaptiveConfig, SJContext
 
 
 # ----------------------------------------------------------------------
@@ -29,14 +30,12 @@ def test_every_knob_is_typed_bounded_and_documented():
 
 
 def test_aliases_resolve_dotted_underscored_and_leaf_names():
-    assert resolve("adaptive.broadcast_threshold_bytes") == \
-        "adaptive.broadcast_threshold_bytes"
-    assert resolve("adaptive_broadcast_threshold_bytes") == \
-        "adaptive.broadcast_threshold_bytes"
+    assert resolve("adaptive.broadcast_threshold_rows") == \
+        "adaptive.broadcast_threshold_rows"
+    assert resolve("adaptive_broadcast_threshold_rows") == \
+        "adaptive.broadcast_threshold_rows"
     assert resolve("projection") == "engine.projection"  # unique leaf
     # historical spellings from the flat-kwarg era
-    assert resolve("broadcast_threshold") == \
-        "adaptive.broadcast_threshold_bytes"
     assert resolve("num_workers") == "executor.num_workers"
     assert resolve("executor") == "executor.kind"
 
@@ -51,7 +50,6 @@ def test_columnar_knob_is_gone():
 def test_real_executors_and_stage_replay_knob_are_gone():
     # tasks run in the driver: no thread/process executor to pick, and
     # no worker pool whose death a stage replay would recover from
-    assert len(KNOBS) == 31
     for kind in ("threads", "processes"):
         with pytest.raises(ConfigError, match="must be one of"):
             TuningProfile(executor_kind=kind)
@@ -70,6 +68,30 @@ def test_task_and_query_retry_knobs_are_gone(name):
     assert ei.value.knob == name
 
 
+GONE_ADAPTIVE_KNOBS = [
+    "adaptive.broadcast_threshold_bytes", "adaptive.stats_sample_rows",
+    "adaptive.stats_key_budget", "adaptive.skew_factor",
+    "adaptive.skew_min_pairs", "adaptive.skew_max_splits",
+]
+
+
+def test_sampled_statistics_and_skew_knobs_are_gone():
+    # joins and shuffles decide on exact row counts: nothing is sampled,
+    # no bucket is split, and the byte-valued threshold spellings fail
+    # loudly instead of turning 8 << 20 bytes into 8 M rows
+    assert len(KNOBS) == 25
+    for name in GONE_ADAPTIVE_KNOBS:
+        with pytest.raises(ConfigError) as ei:
+            TuningProfile().set(name, 1)
+        assert ei.value.knob == name
+    with pytest.raises(ConfigError) as ei:
+        TuningProfile(broadcast_threshold=0)
+    assert ei.value.knob == "broadcast_threshold"
+    with pytest.raises(TypeError):
+        SJContext(broadcast_threshold=0)
+    assert not hasattr(AdaptiveConfig(), "with_broadcast_threshold")
+
+
 def test_unknown_knob_raises_typed_error_with_suggestion():
     with pytest.raises(ConfigError) as ei:
         resolve("broadcast_treshold")  # typo
@@ -81,8 +103,8 @@ def test_unknown_knob_raises_typed_error_with_suggestion():
 
 def test_out_of_bounds_values_raise_naming_the_knob():
     with pytest.raises(ConfigError) as ei:
-        TuningProfile(broadcast_threshold=-1)
-    assert ei.value.knob == "adaptive.broadcast_threshold_bytes"
+        TuningProfile(broadcast_threshold_rows=-1)
+    assert ei.value.knob == "adaptive.broadcast_threshold_rows"
     assert "lower bound" in str(ei.value)
     with pytest.raises(ConfigError, match="expects"):
         TuningProfile(projection="yes")  # bool knob, string value
@@ -127,10 +149,10 @@ def test_provenance_tracks_default_and_user():
 
 def test_diff_compares_profiles_and_mappings():
     a = TuningProfile()
-    b = TuningProfile(broadcast_threshold=1024, projection=False)
+    b = TuningProfile(broadcast_threshold_rows=1024, projection=False)
     d = diff(a, b)
     assert d == {
-        "adaptive.broadcast_threshold_bytes": (8 << 20, 1024),
+        "adaptive.broadcast_threshold_rows": (16_384, 1024),
         "engine.projection": (True, False),
     }
     assert diff(b, b) == {}
@@ -153,9 +175,9 @@ def test_engine_config_is_frozen_mutation_goes_through_profile():
         assert sj.engine.config.projection is True
         sj.profile.set("engine.projection", False)
         assert sj.engine.config.projection is False
-        sj.profile.set("adaptive.broadcast_threshold_bytes", 123)
-        assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
-        assert sj.ctx.planner.config.broadcast_threshold_bytes == 123
+        sj.profile.set("adaptive.broadcast_threshold_rows", 123)
+        assert sj.ctx.adaptive.broadcast_threshold_rows == 123
+        assert sj.ctx.planner.config.broadcast_threshold_rows == 123
     finally:
         sj.close()
 

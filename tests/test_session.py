@@ -111,15 +111,15 @@ def test_explain_renders_plan(fig5_session):
 def test_session_forwards_adaptive_knobs():
     from repro import TuningProfile
 
-    profile = TuningProfile(broadcast_threshold=0)
+    profile = TuningProfile(broadcast_threshold_rows=0)
     with ScrubJaySession(profile).ctx as ctx:
-        assert ctx.adaptive.broadcast_threshold_bytes == 0
+        assert ctx.adaptive.broadcast_threshold_rows == 0
     profile = TuningProfile(
-        target_partition_rows=99, broadcast_threshold=123
+        target_partition_rows=99, broadcast_threshold_rows=123
     )
     sj = ScrubJaySession(profile)
     assert sj.ctx.adaptive.target_partition_rows == 99
-    assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
+    assert sj.ctx.adaptive.broadcast_threshold_rows == 123
     sj.ctx.stop()
 
 

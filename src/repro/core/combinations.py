@@ -12,26 +12,30 @@ relation. The comparison per shared dimension follows its semantics:
   → :class:`InterpolationJoin`, the paper's novel data-parallel
   algorithm.
 
-Both combinations execute adaptively: the natural join goes through
-:meth:`~repro.rdd.rdd.RDD.adaptiveJoin`, so the scheduler picks a
-broadcast-hash plan when run-time statistics say one side fits under
-the broadcast threshold (skipping the shuffle entirely) and falls back
-to the shuffle cogroup plan otherwise; the interpolation join likewise
+Both combinations execute adaptively and build each output row straight
+from its inputs. The natural join goes through
+:meth:`~repro.rdd.rdd.RDD.adaptiveJoin` with its key and merge
+functions: when one side has at most the broadcast threshold's rows
+(exact counts of the materialized inputs) it is keyed into a hash map
+that the other side probes row by row, merging each match on the spot;
+otherwise both shuffle by key. The interpolation join likewise
 broadcasts its right ("sensor") side when it is small instead of
-shuffling both sides by exact key. Every choice lands in
-the context's :class:`~repro.rdd.stats.ExecutionReport`, and all
-strategies are result-equivalent (asserted by the property tests).
+shuffling both sides by exact key. Every choice lands in the context's
+:class:`~repro.rdd.stats.ExecutionReport`, and all strategies are
+result-equivalent (asserted by the property tests).
 
 The interpolation join avoids the unscalable all-pairs distance
 computation with a per-key time index: the right rows of one exact key
-(every shared dimension but time) are sorted by time once, a left row
-selects its matches with ``bisect`` (the distance predicate still
-decides membership), and they are aggregated on the spot according to
-the value semantics — interpolate continuous ordered values, pick the
-nearest otherwise. This deviates from §5.3, which bins time so that
-the time comparison runs in parallel: a time-only relation is refused,
-so an exact key always exists and parallelism comes from the exact
-keys (one hot key is one reduce task; skew splitting works per key).
+(every shared dimension but time) are sorted by time and split by the
+extra right-side domains once, each attached field keeping its own
+``None``-free samples; a left row selects each group's matches with
+``bisect`` (the distance predicate still decides membership) and
+aggregates them on the spot according to the value semantics —
+interpolate continuous ordered values, pick the nearest otherwise. This
+deviates from §5.3, which bins time so that the time comparison runs in
+parallel: a time-only relation is refused, so an exact key always
+exists and parallelism comes from the exact keys (one hot key is one
+reduce task).
 """
 
 from __future__ import annotations
@@ -156,25 +160,18 @@ class NaturalJoin(Combination):
         lfields = [lf for lf, _, _ in plan.values()]
         rfields = [rf for _, rf, _ in plan.values()]
         rename = _merge_rename(left.schema, right.schema, drop=rfields)
+        attach = list(rename.items())  # (right field, output name)
 
-        def lkey(row: Dict[str, Any]):
-            return tuple(row.get(f) for f in lfields)
-
-        def rkey(row: Dict[str, Any]):
-            return tuple(row.get(f) for f in rfields)
-
-        def merge(kv) -> Dict[str, Any]:
-            _key, (lrow, rrow) = kv
+        def merge(lrow: Dict[str, Any], rrow: Dict[str, Any]):
             out = dict(lrow)
-            for f, v in rrow.items():
-                if f in rename:
-                    out[rename[f]] = v
+            for f, name in attach:
+                if f in rrow:
+                    out[name] = rrow[f]
             return out
 
-        joined = (
-            left.rdd.keyBy(lkey)
-            .adaptiveJoin(right.rdd.keyBy(rkey))
-            .map(merge)
+        joined = left.rdd.adaptiveJoin(
+            right.rdd, lkey=_exact_key(lfields), rkey=_exact_key(rfields),
+            combine=merge,
         )
         return ScrubJayDataset(
             joined,
@@ -294,97 +291,88 @@ class InterpolationJoin(Combination):
 
         # Right-side fields partitioning the matches (non-shared domains)
         # vs. fields to attach (values).
-        r_extra_domains = [
-            f for f, sem in right.schema.domain_fields().items()
-            if f not in drop
-        ]
-        r_values = [
-            f for f, sem in right.schema.value_fields().items()
-            if f not in drop
-        ]
+        r_extra_domains = [f for f in right.schema.domain_fields()
+                           if f not in drop]
         extra_names = [rename[f] for f in r_extra_domains]
         #: (right field, output name, interpolate?) per attached value
         attached = [
-            (f, rename[f],
-             dictionary.has_dimension(right.schema[f].dimension)
-             and dictionary.dimension(
-                 right.schema[f].dimension).interpolatable)
-            for f in r_values
+            (f, rename[f], dictionary.has_dimension(sem.dimension)
+             and dictionary.dimension(sem.dimension).interpolatable)
+            for f, sem in right.schema.value_fields().items() if f not in drop
         ]
 
-        # ------------------------------------------------------------------
         # 1. key the right side once as (epoch, row); a row without a
         #    time coordinate can match nothing
-        # ------------------------------------------------------------------
         def key_right(row):
             t = row.get(rdt)
             return [] if t is None else [(t.epoch, row)]
 
         rkeyed = right.rdd.flatMap(key_right)
 
-        def by_time(pairs) -> Tuple[List[float], List[Dict[str, Any]]]:
+        # 2. one exact key's time index, split by the extra right-side
+        #    domains: per group its columns, the times of all its rows
+        #    (they decide membership) and per attached field the None-free
+        #    (times, values), sharing the times when every row samples it
+        def by_time(pairs) -> List[Tuple[Dict[str, Any], List[float], List]]:
             pairs.sort(key=itemgetter(0))
-            return [t for t, _ in pairs], [r for _, r in pairs]
-
-        # ------------------------------------------------------------------
-        # 2. one window reading of one exact key's time index at a left
-        #    time: select the window, split the matches by the extra
-        #    right-side domains, attach each value at its coordinate —
-        #    one update dict per extra-domain group
-        # ------------------------------------------------------------------
-        def reading(times, rrows, lt) -> List[Dict[str, Any]]:
-            # The predicate decides membership; bisect only narrows
-            # where it is evaluated. lt -/+ W as rounded bound every
-            # time within W, and the times within W are contiguous.
-            lo = bisect_left(times, lt - window)
-            hi = bisect_right(times, lt + window, lo)
-            while lo < hi and not abs(lt - times[lo]) < window:
-                lo += 1
-            while lo < hi and not abs(lt - times[hi - 1]) < window:
-                hi -= 1
-            groups: Dict[Tuple, Tuple[List[float], List[Dict]]] = {}
-            for i in range(lo, hi):
-                rrow = rrows[i]
-                gkey = tuple([rrow.get(f) for f in r_extra_domains])
-                group = groups.get(gkey)
-                if group is None:
-                    group = groups[gkey] = ([], [])
-                group[0].append(times[i])
-                group[1].append(rrow)
-            updates = []
-            for gkey, (ts, rs) in groups.items():
-                update = dict(zip(extra_names, gkey))
+            groups: Dict[Tuple, List[Tuple[float, Dict[str, Any]]]] = {}
+            for pair in pairs:
+                groups.setdefault(
+                    tuple([pair[1].get(f) for f in r_extra_domains]), []
+                ).append(pair)
+            index = []
+            for gkey, group in groups.items():
+                times = [t for t, _ in group]
+                rrows = [r for _, r in group]
+                fields = []
                 for f, name, interpolate in attached:
-                    fts, vs = ts, [r.get(f) for r in rs]
+                    vs = [r.get(f) for r in rrows]
+                    fts = times
                     if None in vs:  # a missing or None field is no sample
-                        fts = [t for t, v in zip(ts, vs) if v is not None]
+                        fts = [t for t, v in zip(times, vs) if v is not None]
                         vs = [v for v in vs if v is not None]
                     if vs:
-                        update[name] = _attach_value(fts, vs, lt, interpolate)
+                        fields.append((name, interpolate, fts, vs))
+                index.append((dict(zip(extra_names, gkey)), times, fields))
+            return index
+
+        # 3. one window reading of an index at a left time: an update
+        #    per group with rows in the window, its values attached at lt
+        def reading(index, lt) -> List[Dict[str, Any]]:
+            updates = []
+            for extra, times, fields in index:
+                lo, hi = _open_window(times, lt, window)
+                if lo == hi:
+                    continue
+                update = dict(extra)
+                for name, interpolate, fts, vs in fields:
+                    flo, fhi = (lo, hi) if fts is times \
+                        else _open_window(fts, lt, window)
+                    if flo < fhi:
+                        update[name] = _attach_value(
+                            fts, vs, flo, fhi, lt, interpolate)
                 updates.append(update)
             return updates
 
-        # 3. the one matcher: timed left rows of exact key ``ex`` share a
+        # 4. the one matcher: timed left rows of exact key ``ex`` share a
         #    reading per time via ``memo``; each output row is a new dict
         def match(ex, lrows, index, memo, out) -> None:
             for lrow in lrows:
                 lt = lrow[ldt].epoch
                 updates = memo.get((ex, lt))
                 if updates is None:
-                    updates = memo[ex, lt] = reading(*index, lt)
+                    updates = memo[ex, lt] = reading(index, lt)
                 out.extend([{**lrow, **update} for update in updates])
 
-        # Adaptive strategy choice, taken on the pairs that would be
-        # shipped (persisted, so neither path computes them again): a
-        # small right side goes whole to every task and the left side
-        # probes it in one narrow stage; else both shuffle by exact key.
+        # Adaptive strategy choice, on the pairs that would be shipped
+        # (persisted, so neither path computes them again): a small right
+        # side goes whole to every task; else both shuffle by exact key.
         ctx = left.rdd.ctx
         decision = ctx.planner.decide_join(
             self.op_name, (("right", rkeyed.persist().count()),), "index"
         )
         if decision.choice == "broadcast":
-            # 4a. broadcast path: driver-built index of the right side
-            #     by exact key, probed once per left row
+            # 5a. broadcast path: a driver-built index per exact key
             by_key: Dict[Any, List[Tuple[float, Dict[str, Any]]]] = {}
             for pair in rkeyed.collect():
                 by_key.setdefault(rkey(pair[1]), []).append(pair)
@@ -403,9 +391,8 @@ class InterpolationJoin(Combination):
 
             joined = left.rdd.mapPartitions(probe)
         else:
-            # 4b. shuffle path: a timed left row ships once as (ex, row),
-            #     a right pair once as (ex, pair); each exact key's group
-            #     becomes its time index where it lands
+            # 5b. shuffle path: timed left rows and right pairs ship once
+            #     by exact key; each key's index is built where it lands
             def match_key(kv) -> List[Dict[str, Any]]:
                 # right elements are (epoch, row) pairs, left ones rows; a
                 # key lands in one task, so a memo per key is the task's
@@ -444,31 +431,44 @@ def _reading(tied: List[Any], interpolate: bool) -> Any:
     return base + math.fsum(v - base for v in tied) / len(tied)
 
 
-def _attach_value(
-    times: List[float], values: List[Any], at: float, interpolate: bool
-) -> Any:
-    """Collapse time-sorted samples to one value at ``at``.
+def _open_window(times: List[float], at: float, window: float):
+    """Bounds ``(lo, hi)`` of the sorted ``times`` strictly within
+    ``window`` of ``at``. The predicate decides membership; bisect only
+    narrows where it is evaluated (the times within W are contiguous)."""
+    lo = bisect_left(times, at - window)
+    hi = bisect_right(times, at + window, lo)
+    while lo < hi and not abs(at - times[lo]) < window:
+        lo += 1
+    while lo < hi and not abs(at - times[hi - 1]) < window:
+        hi -= 1
+    return lo, hi
+
+
+def _attach_value(times: List[float], values: List[Any], lo: int, hi: int,
+                  at: float, interpolate: bool) -> Any:
+    """Collapse the time-sorted samples ``[lo, hi)`` to one value at ``at``.
 
     Continuous ordered values are linearly interpolated between the
     nearest readings below and above ``at`` (averaging readings that
     bracket the target, per the paper's temperature example); anything
     else — and one-sided matches — takes the nearest reading, the
-    earlier one when two are equally near.
+    earlier one when two are equally near. One sample is its own value.
     """
-    n = len(times)
-    i = bisect_left(times, at)
-    j = bisect_right(times, at, i)
+    if hi - lo == 1:
+        return values[lo]
+    i = bisect_left(times, at, lo, hi)
+    j = bisect_right(times, at, i, hi)
     if i < j:  # sampled at the coordinate itself
         return _reading(values[i:j], interpolate)
-    if i > 0:
+    if i > lo:
         t0 = times[i - 1]
-        below = _reading(values[bisect_left(times, t0, 0, i):i], interpolate)
-    if i < n:
+        below = _reading(values[bisect_left(times, t0, lo, i):i], interpolate)
+    if i < hi:
         t1 = times[i]
-        above = _reading(values[i:bisect_right(times, t1, i)], interpolate)
-    if i == 0:
+        above = _reading(values[i:bisect_right(times, t1, i, hi)], interpolate)
+    if i == lo:
         return above
-    if i == n:
+    if i == hi:
         return below
     if interpolate:
         return below + (above - below) * ((at - t0) / (t1 - t0))

@@ -24,15 +24,27 @@ are gathered by code reflection, as in the paper.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import threading
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import DerivationError, PipelineError
 from repro.core.dataset import ScrubJayDataset
 from repro.core.dictionary import SemanticDictionary
 from repro.core.semantics import Schema
+
+
+@functools.lru_cache(maxsize=None)
+def _init_params(cls: type) -> Tuple[str, ...]:
+    """The named constructor parameters of ``cls``, reflected once."""
+    return tuple(
+        name
+        for name, p in inspect.signature(cls.__init__).parameters.items()
+        if name != "self"
+        and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    )
 
 
 class Derivation(ABC):
@@ -50,14 +62,8 @@ class Derivation(ABC):
         same-named attributes (the convention throughout this package)
         need not override anything to be serializable.
         """
-        sig = inspect.signature(type(self).__init__)
         out = {}
-        for name, p in sig.parameters.items():
-            if name == "self" or p.kind in (
-                p.VAR_POSITIONAL,
-                p.VAR_KEYWORD,
-            ):
-                continue
+        for name in _init_params(type(self)):
             if not hasattr(self, name):
                 raise DerivationError(
                     f"{type(self).__name__} stores no attribute for "

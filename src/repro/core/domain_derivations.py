@@ -18,11 +18,15 @@ them.
   :class:`~repro.core.transformations.DeriveRate`, and the rated
   frequency from the static CPU-specification dataset — a relation the
   engine must infer (Figure 7).
+
+Each derivation computes in the units its output is defined in: it
+applies only to inputs whose units convert to those, and converts any
+other unit through the dictionary before computing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import Transformation, register_derivation
@@ -32,6 +36,30 @@ from repro.core.semantics import DOMAIN, VALUE, Schema, SemanticType
 #: Conventional labels for the two rack aisles.
 HOT_AISLE = "hot"
 COLD_AISLE = "cold"
+
+#: The units the derivations compute in.
+CELSIUS = "degrees Celsius"
+RATED_GIGAHERTZ = "rated gigahertz"
+
+
+def _converts_to(
+    dictionary: SemanticDictionary, units: str, target: str
+) -> bool:
+    """Can a value in ``units`` be converted to ``target``?"""
+    if not dictionary.has_unit(units):
+        return False
+    u, t = dictionary.unit(units), dictionary.unit(target)
+    return u.kind == t.kind == "quantity" and u.dimension == t.dimension
+
+
+def _converter(
+    dictionary: SemanticDictionary, units: str, target: str
+) -> Optional[Callable[[float], float]]:
+    """A function taking a value in ``units`` to ``target``, or None
+    when they are the same unit (no conversion path at all)."""
+    if units == target:
+        return None
+    return lambda v: dictionary.convert(v, units, target)
 
 
 @register_derivation
@@ -43,7 +71,8 @@ class DeriveHeat(Transformation):
     grouped by every *other* domain field (rack, rack location, time);
     each group with both aisles present yields one row where the aisle
     field and raw temperature are replaced by a ``heat`` value in
-    delta-degrees-Celsius.
+    delta-degrees-Celsius. Temperatures in any other unit convertible
+    to degrees Celsius are converted before the difference is taken.
     """
 
     op_name = "derive_heat"
@@ -64,9 +93,11 @@ class DeriveHeat(Transformation):
         return fields[0] if len(fields) == 1 else None
 
     def applies(self, schema: Schema, dictionary: SemanticDictionary) -> bool:
+        temp = self._temp_field(schema)
         return (
             self._aisle_field(schema) is not None
-            and self._temp_field(schema) is not None
+            and temp is not None
+            and _converts_to(dictionary, schema[temp].units, CELSIUS)
             and self.OUT_FIELD not in schema
             and any(
                 dictionary.has_unit(sem.units)
@@ -102,9 +133,10 @@ class DeriveHeat(Transformation):
             f for f in schema.domain_fields() if f != aisle
         ]
         out_field = self.OUT_FIELD
+        to_celsius = _converter(dictionary, schema[temp].units, CELSIUS)
 
         def key(row: Dict[str, Any]):
-            return tuple(row.get(f) for f in group_fields)
+            return tuple([row.get(f) for f in group_fields])
 
         def heat(kv) -> List[Dict[str, Any]]:
             _k, rows = kv
@@ -114,6 +146,9 @@ class DeriveHeat(Transformation):
             cold = [r[temp] for r in rows if r.get(aisle) == COLD_AISLE]
             if not hot or not cold:
                 return []
+            if to_celsius is not None:
+                hot = [to_celsius(v) for v in hot]
+                cold = [to_celsius(v) for v in cold]
             base = rows[0]
             new = {
                 k: v for k, v in base.items() if k not in (aisle, temp)
@@ -145,7 +180,9 @@ class DeriveActiveFrequency(Transformation):
     ``mperf events per time`` (produced by ``derive_rate``) and
     ``rated frequency`` (from the CPU-specification dataset, reached
     via a natural join the engine infers). Adds an
-    ``active_frequency`` value on the ``active frequency`` dimension.
+    ``active_frequency`` value on the ``active frequency`` dimension,
+    in active gigahertz: a rated frequency in another unit is converted
+    to rated gigahertz first.
     """
 
     op_name = "derive_active_frequency"
@@ -160,10 +197,12 @@ class DeriveActiveFrequency(Transformation):
         return fields[0] if len(fields) == 1 else None
 
     def applies(self, schema: Schema, dictionary: SemanticDictionary) -> bool:
+        rated = self._field_on(schema, "rated frequency")
         return (
             self._field_on(schema, "aperf events per time") is not None
             and self._field_on(schema, "mperf events per time") is not None
-            and self._field_on(schema, "rated frequency") is not None
+            and rated is not None
+            and _converts_to(dictionary, schema[rated].units, RATED_GIGAHERTZ)
             and self.OUT_FIELD not in schema
         )
 
@@ -185,6 +224,7 @@ class DeriveActiveFrequency(Transformation):
         rated = self._field_on(schema, "rated frequency")
         assert aperf and mperf and rated
         out_field = self.OUT_FIELD
+        to_ghz = _converter(dictionary, schema[rated].units, RATED_GIGAHERTZ)
 
         def derive(row: Dict[str, Any]) -> List[Dict[str, Any]]:
             # a missing or None input is no sample; nor is a zero mperf
@@ -192,7 +232,8 @@ class DeriveActiveFrequency(Transformation):
                     or not row.get(mperf):
                 return []
             new = dict(row)
-            new[out_field] = row[aperf] / row[mperf] * row[rated]
+            ghz = row[rated] if to_ghz is None else to_ghz(row[rated])
+            new[out_field] = row[aperf] / row[mperf] * ghz
             return [new]
 
         return dataset.with_rdd(

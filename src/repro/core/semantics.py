@@ -83,11 +83,13 @@ class Schema:
     """An ordered mapping of field name → :class:`SemanticType`.
 
     Immutable in spirit: all mutators return new schemas. The engine
-    memoizes on :meth:`fingerprint`, a stable content hash.
+    memoizes on :meth:`fingerprint`, a stable content hash computed once
+    per schema.
     """
 
     def __init__(self, fields: Mapping[str, SemanticType]) -> None:
         self._fields: Dict[str, SemanticType] = dict(fields)
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # mapping interface
@@ -220,7 +222,9 @@ class Schema:
 
     def fingerprint(self) -> str:
         """Stable content hash, used as the engine's memoization key."""
-        return content_hash(self.to_json_dict())
+        if self._fingerprint is None:
+            self._fingerprint = content_hash(self.to_json_dict())
+        return self._fingerprint
 
     def to_json_dict(self) -> dict:
         return {f: s.to_json_dict() for f, s in self._fields.items()}

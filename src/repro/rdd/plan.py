@@ -379,11 +379,12 @@ class Scheduler:
         """Materialize inputs, then pick broadcast-hash vs shuffle.
 
         The decision reads the exact row counts of the
-        just-materialized partitions. The broadcast path builds a driver-side hash map from the small
-        side and streams the big side through one narrow stage (no
-        shuffle); the fallback reuses
-        the ordinary :meth:`~repro.rdd.rdd.RDD.join` lineage over the
-        materialized inputs.
+        just-materialized partitions. The broadcast path keys the small
+        side once into a driver-side hash map and streams the big
+        side's raw elements through one narrow stage that probes it and
+        combines each match on the spot (no shuffle, no keyed pairs);
+        the fallback keys the materialized inputs into the ordinary
+        :meth:`~repro.rdd.rdd.RDD.join` lineage, then combines.
         """
         left_parts = self.materialize(rdd.left)
         right_parts = self.materialize(rdd.right)
@@ -393,37 +394,34 @@ class Scheduler:
             ("right", sum(len(p.data) for p in right_parts)),
         ))
         join_t0 = time.perf_counter()
+        combine = rdd.combine
         if decision.choice == "broadcast":
-            if decision.evidence["build_side"] == "right":
-                build_parts, stream_parts = right_parts, left_parts
-            else:
-                build_parts, stream_parts = left_parts, right_parts
+            build_right = decision.evidence["build_side"] == "right"
+            build_parts, build_key, stream_parts, stream_key = (
+                (right_parts, rdd.rkey, left_parts, rdd.lkey) if build_right
+                else (left_parts, rdd.lkey, right_parts, rdd.rkey)
+            )
             build: dict = {}
             for p in build_parts:
-                for k, v in p.data:
-                    build.setdefault(k, []).append(v)
-            if decision.evidence["build_side"] == "right":
+                for x in p.data:
+                    build.setdefault(build_key(x), []).append(x)
+            if build_right:
                 def probe(_index: int, items: List[Any]) -> List[Any]:
-                    return [
-                        (k, (v, w))
-                        for k, v in items
-                        for w in build.get(k, ())
-                    ]
+                    return [combine(x, y) for x in items
+                            for y in build.get(stream_key(x), ())]
             else:
                 def probe(_index: int, items: List[Any]) -> List[Any]:
-                    return [
-                        (k, (w, v))
-                        for k, v in items
-                        for w in build.get(k, ())
-                    ]
+                    return [combine(y, x) for x in items
+                            for y in build.get(stream_key(x), ())]
             out = self._run_stage(probe, stream_parts, "broadcast-join")
         else:
-            # shuffle fallback: the plain join plan over the inputs
-            # we already hold (SourceRDD wrappers make them
-            # lineage roots)
-            lsrc = SourceRDD(rdd.ctx, left_parts)
-            rsrc = SourceRDD(rdd.ctx, right_parts)
-            out = self.materialize(lsrc.join(rsrc, rdd._n))
+            # shuffle fallback: the plain join plan over the inputs we
+            # already hold (SourceRDD wrappers make them lineage roots)
+            lsrc = SourceRDD(rdd.ctx, left_parts).keyBy(rdd.lkey)
+            rsrc = SourceRDD(rdd.ctx, right_parts).keyBy(rdd.rkey)
+            out = self.materialize(
+                lsrc.join(rsrc, rdd._n).map(lambda kv: combine(*kv[1]))
+            )
         # the measured strategy cost lands on the decision
         planner.report.measured(decision, time.perf_counter() - join_t0)
         return out

@@ -19,6 +19,7 @@ plain dicts; the RDD itself is agnostic to element type.
 from __future__ import annotations
 
 import copy
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -34,6 +35,11 @@ from repro.rdd.partition import Partition
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.context import SJContext
+
+
+def _pair(l: Tuple[Any, Any], r: Tuple[Any, Any]) -> Tuple[Any, Any]:
+    """The default join output: ``(k, (v, w))`` of two keyed pairs."""
+    return l[0], (l[1], r[1])
 
 
 class RDD:
@@ -187,18 +193,26 @@ class RDD:
         )
 
     def adaptiveJoin(
-        self, other: "RDD", num_partitions: Optional[int] = None
+        self,
+        other: "RDD",
+        num_partitions: Optional[int] = None,
+        lkey: Callable[[Any], Any] = itemgetter(0),
+        rkey: Callable[[Any], Any] = itemgetter(0),
+        combine: Callable[[Any, Any], Any] = _pair,
     ) -> "RDD":
         """Inner equi-join whose physical plan is chosen at run time.
 
-        The scheduler materializes both inputs, counts their rows,
-        and picks broadcast-hash (small side shipped whole
-        to every task, no shuffle) or the shuffle plan of :meth:`join`
-        — recording the decision in the context's
-        :class:`~repro.rdd.stats.ExecutionReport`. Output is identical
-        to :meth:`join` up to element order within partitions.
+        Element ``l`` meets element ``r`` of ``other`` when ``lkey(l)
+        == rkey(r)``, and the pair becomes ``combine(l, r)``; the
+        defaults join keyed pairs into ``(k, (v, w))`` as :meth:`join`
+        does. The scheduler materializes both inputs, counts their
+        rows, and picks broadcast-hash (the small side keyed once and
+        shipped whole to every task, no shuffle) or the shuffle plan of
+        :meth:`join` — recording the decision in the context's
+        :class:`~repro.rdd.stats.ExecutionReport`. Both plans emit the
+        same multiset.
         """
-        return AdaptiveJoinRDD(self, other, num_partitions)
+        return AdaptiveJoinRDD(self, other, num_partitions, lkey, rkey, combine)
 
     # ------------------------------------------------------------------
     # actions
@@ -337,20 +351,19 @@ class ShuffledRDD(RDD):
 class AdaptiveJoinRDD(RDD):
     """Inner equi-join whose physical strategy is decided at run time.
 
-    Lineage stays lazy: the node only records its two keyed parents.
-    When the scheduler materializes it, both parents are computed and
-    the context's planner picks broadcast-hash or shuffle from their
-    row counts — after the inputs exist, so the decision sees actual
-    rows, the way Spark AQE re-plans between stages.
+    Lineage stays lazy: the node only records its two parents, their
+    key functions and the ``combine`` that builds an output element
+    from a matching pair. When the scheduler materializes it, both
+    parents are computed and the context's planner picks broadcast-hash
+    or shuffle from their row counts — after the inputs exist, so the
+    decision sees actual rows, the way Spark AQE re-plans between stages.
     """
 
     def __init__(
-        self,
-        left: RDD,
-        right: RDD,
-        num_partitions: Optional[int] = None,
+        self, left: RDD, right: RDD, num_partitions: Optional[int],
+        lkey: Callable[[Any], Any], rkey: Callable[[Any], Any],
+        combine: Callable[[Any, Any], Any],
     ) -> None:
         super().__init__(left.ctx)
-        self.left = left
-        self.right = right
-        self._n = num_partitions
+        self.left, self.right, self._n = left, right, num_partitions
+        self.lkey, self.rkey, self.combine = lkey, rkey, combine

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     DOMAIN,
@@ -16,6 +17,11 @@ from repro import (
     Timestamp,
     default_dictionary,
 )
+
+
+#: ``--hypothesis-profile=ci``: the join property tests of
+#: tests/core/test_combinations_properties.py read their budget from it
+settings.register_profile("ci", max_examples=400)
 
 
 @pytest.fixture()

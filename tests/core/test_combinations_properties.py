@@ -30,6 +30,16 @@ _SHUFFLE_CTX = SJContext(
 )
 _DICT = default_dictionary()
 
+
+def _budget(tier1: int) -> int:
+    """``tier1`` examples, or the loaded hypothesis profile's budget
+    when it asks for more than the default profile does (the ``ci``
+    profile of tests/conftest.py: ``--hypothesis-profile=ci``)."""
+    loaded = settings.default.max_examples
+    if loaded > settings.get_profile("default").max_examples:
+        return loaded
+    return tier1
+
 LEFT = Schema({
     "node": domain("compute nodes", "identifier"),
     "time": domain("time", "datetime"),
@@ -173,10 +183,9 @@ def _oracle_rows(left_rows, right_rows, window):
     return out
 
 
-@given(join_cases(), st.integers(1, 4), st.integers(1, 4), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_interp_join_matches_brute_force(case, lparts, rparts, shuffle):
-    left_rows, right_rows, window = case
+def _interp_join(left_rows, right_rows, window, shuffle, lparts=1, rparts=1):
+    """The interpolation join's rows on the strategy asked for, checked
+    against the brute-force oracle."""
     ctx = _SHUFFLE_CTX if shuffle else _CTX
     lds = ScrubJayDataset.from_rows(ctx, left_rows, WIDE_LEFT, "l", lparts)
     rds = ScrubJayDataset.from_rows(ctx, right_rows, WIDE_RIGHT, "r", rparts)
@@ -196,6 +205,83 @@ def test_interp_join_matches_brute_force(case, lparts, rparts, shuffle):
         if "temp" in exp:  # the oracle's arithmetic is the naive one
             exp["temp"] = pytest.approx(exp["temp"])
         assert row == exp
+    return {key(r): r for r in got}
+
+
+@given(join_cases(), st.integers(1, 4), st.integers(1, 4), st.booleans())
+@settings(max_examples=_budget(150), deadline=None)
+def test_interp_join_matches_brute_force(case, lparts, rparts, shuffle):
+    left_rows, right_rows, window = case
+    _interp_join(left_rows, right_rows, window, shuffle, lparts, rparts)
+
+
+def _r(t, loc="top", node=0, **values):
+    return {"node": node, "loc": loc, "time": Timestamp(t), **values}
+
+
+def _l(t, power, node=0):
+    return {"node": node, "time": Timestamp(t), "power": power}
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_interp_join_group_without_samples_keeps_its_columns(shuffle):
+    right = [
+        _r(10.0, "top", temp=None, app=None), _r(11.0, "top"),
+        _r(10.0, "bottom", temp=5.0, app="amg"),
+        _r(1.0, "middle", temp=7.0),  # rows, but none in the window
+    ]
+    got = _interp_join([_l(12.0, 1.0)], right, 5.0, shuffle)
+    assert got[1.0, "top"] == {**_l(12.0, 1.0), "loc": "top"}
+    assert got[1.0, "bottom"]["temp"] == 5.0
+    assert (1.0, "middle") not in got
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_interp_join_dense_and_sparse_fields_in_one_group(shuffle):
+    # temp is sampled on every row (the group's own bounds), app on two
+    # (its own arrays, bisected apart)
+    right = [_r(t, temp=10.0 * t) for t in (0.0, 1.0, 2.0, 3.0, 4.0)]
+    right[3]["app"], right[4]["app"] = "lulesh", "amg"
+    got = _interp_join([_l(2.5, 1.0), _l(0.25, 2.0), _l(5.5, 3.0)],
+                       right, 2.0, shuffle)
+    assert got[1.0, "top"]["temp"] == pytest.approx(25.0)
+    assert got[1.0, "top"]["app"] == "lulesh"  # 3.0 is nearer than 4.0
+    assert "app" not in got[2.0, "top"]  # temp at 0.0-2.0 only
+    assert got[3.0, "top"] == {**_l(5.5, 3.0), "loc": "top",
+                               "temp": 40.0, "app": "amg"}
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_interp_join_one_sample_window(shuffle):
+    right = [_r(5.0, temp=1.0, app="a"), _r(10.0, temp=2.0, app="b"),
+             _r(20.0, temp=3.0, app="c")]
+    got = _interp_join([_l(11.0, 1.0)], right, 2.0, shuffle)
+    assert got[1.0, "top"]["temp"] == 2.0 and got[1.0, "top"]["app"] == "b"
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_interp_join_tied_times_at_the_window_edge(shuffle):
+    # ties exactly W away are outside the open window, so each group
+    # reads one side only; ties a quarter inside it are one reading
+    # each (the mean, or the first by repr)
+    edge = lambda t, loc: [  # noqa: E731
+        _r(t, loc, temp=100.0, app="x"), _r(t, loc, temp=200.0, app="y")]
+    right = (
+        edge(8.0, "top") + edge(12.0, "top")
+        + [_r(8.25, "top", temp=1.0, app="q"),
+           _r(8.25, "top", temp=3.0, app="p")]
+        + edge(8.0, "bottom")
+        + [_r(11.75, "bottom", temp=5.0, app="s"),
+           _r(11.75, "bottom", temp=7.0, app="r")]
+        + edge(12.0, "middle")
+    )
+    got = _interp_join([_l(10.0, 1.0), _l(10.0, 2.0)], right, 2.0, shuffle)
+    for power in (1.0, 2.0):
+        assert got[power, "top"]["temp"] == pytest.approx(2.0)
+        assert got[power, "top"]["app"] == "p"
+        assert got[power, "bottom"]["temp"] == pytest.approx(6.0)
+        assert got[power, "bottom"]["app"] == "r"
+        assert (power, "middle") not in got
 
 
 @given(
@@ -221,33 +307,88 @@ def test_attached_value_is_within_window(lspec, window):
         assert "temp" in row
 
 
+#: a join key cell: absent from the row, None, or one of a few values
+key_cells = st.one_of(st.just("absent"), st.none(), st.integers(0, 2))
+#: a value cell: absent from the row, None, or a value
+sparse_cells = st.one_of(st.just("absent"), st.none(), st.integers(-9, 9))
+NAT_LEFT = Schema({
+    "node": domain("compute nodes", "identifier"),
+    "job": domain("jobs", "identifier"),
+    "a": value("power", "watts"),
+    "b": value("energy", "joules"),
+})
+#: "b" clashes with a left value (it comes out as "b_r"); "c" is new
+NAT_RIGHT = Schema({
+    "node": domain("compute nodes", "identifier"),
+    "job": domain("jobs", "identifier"),
+    "b": value("energy", "joules"),
+    "c": value("temperature", "degrees Celsius"),
+})
+#: the right schema's non-key fields and the names they come out under
+NAT_KEPT = (("b", "b_r"), ("c", "c"))
+
+
+def _natural_oracle(left_rows, right_rows, keys):
+    """The natural join as a nested loop: a left row meets every right
+    row equal on ``keys`` (a missing key reads as None), and takes each
+    kept right field the right row has, None included; nothing else of
+    the right row reaches the output."""
+    out = []
+    for lr in left_rows:
+        for rr in right_rows:
+            if all(lr.get(k) == rr.get(k) for k in keys):
+                row = dict(lr)
+                row.update((name, rr[f]) for f, name in NAT_KEPT if f in rr)
+                out.append(row)
+    return Counter(tuple(sorted(r.items())) for r in out)
+
+
+def _cells(**cells):
+    return {f: v for f, v in cells.items() if v != "absent"}
+
+
+def _pad(rows, n, node):
+    """``n`` rows on a key value the other side never has."""
+    return rows + [{"node": node, "job": 0, "a": 0, "b": 0, "c": 0}] * n
+
+
 @given(
-    st.lists(st.tuples(nodes, st.integers(-100, 100)), max_size=30),
-    st.lists(st.tuples(nodes, st.integers(-100, 100)), max_size=30),
+    st.lists(st.tuples(key_cells, key_cells, sparse_cells), max_size=20),
+    st.lists(st.tuples(key_cells, key_cells, sparse_cells, sparse_cells,
+                       st.booleans()), max_size=20),
+    st.booleans(), st.integers(1, 4), st.integers(1, 4),
 )
-@settings(max_examples=40, deadline=None)
-def test_natural_join_multiset_equals_nested_loop(lspec, rspec):
-    lschema = Schema({
-        "node": domain("compute nodes", "identifier"),
-        "a": value("power", "watts"),
-    })
-    rschema = Schema({
-        "node": domain("compute nodes", "identifier"),
-        "b": value("energy", "joules"),
-    })
-    left_rows = [{"node": n, "a": float(v)} for n, v in lspec]
-    right_rows = [{"node": n, "b": float(v)} for n, v in rspec]
-    got = Counter(
-        tuple(sorted(r.items()))
-        for r in NaturalJoin().apply(
-            ScrubJayDataset.from_rows(_CTX, left_rows, lschema, "l"),
-            ScrubJayDataset.from_rows(_CTX, right_rows, rschema, "r"),
+@settings(max_examples=_budget(40), deadline=None)
+def test_natural_join_multiset_equals_nested_loop(
+    lspec, rspec, two_keys, lparts, rparts
+):
+    """Every strategy — broadcast building either side, and shuffle —
+    keys, probes and merges each row like the nested loop, on one-field
+    (scalar) and two-field (tuple) keys."""
+    keys = ["node", "job"] if two_keys else ["node"]
+    lschema, rschema = NAT_LEFT, NAT_RIGHT
+    if not two_keys:  # "job" is a left value; outside the right schema
+        lschema = NAT_LEFT.replace_field("job", value("jobs", "identifier"))
+        rschema = NAT_RIGHT.without_field("job")
+    left_rows = [_cells(node=node, job=job, a=i, b=b)
+                 for i, (node, job, b) in enumerate(lspec)]
+    # "zz" is outside the right schema: it must not leak
+    right_rows = [_cells(node=node, job=job, b=b, c=c,
+                         zz="leak" if extra else "absent")
+                  for node, job, b, c, extra in rspec]
+    nl, nr = len(left_rows), len(right_rows)
+    for strategy, ctx, lpad, rpad in (
+        (("broadcast", "right"), _CTX, nr + 1, 0),
+        (("broadcast", "left"), _CTX, 0, nl + 1),
+        (("shuffle", None), _SHUFFLE_CTX, 1, 1),
+    ):
+        lrows, rrows = _pad(left_rows, lpad, -1), _pad(right_rows, rpad, -2)
+        got = NaturalJoin().apply(
+            ScrubJayDataset.from_rows(ctx, lrows, lschema, "l", lparts),
+            ScrubJayDataset.from_rows(ctx, rrows, rschema, "r", rparts),
             _DICT,
         ).collect()
-    )
-    want = Counter(
-        tuple(sorted({**lr, "b": rr["b"]}.items()))
-        for lr in left_rows for rr in right_rows
-        if lr["node"] == rr["node"]
-    )
-    assert got == want
+        d = ctx.report.of("join")[-1]
+        assert (d.choice, d.evidence.get("build_side")) == strategy
+        assert Counter(tuple(sorted(r.items())) for r in got) == \
+            _natural_oracle(lrows, rrows, keys)

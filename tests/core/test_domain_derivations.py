@@ -100,6 +100,25 @@ def test_derive_heat_none_temperature_is_not_a_sample(ctx, dictionary):
     ]
 
 
+def test_derive_heat_converts_to_the_unit_it_labels(ctx, dictionary):
+    fahrenheit = TEMPS.replace_field(
+        "temp", value("temperature", "degrees Fahrenheit"))
+    rows = [dict(r, temp=r["temp"] * 9.0 / 5.0 + 32.0)
+            for r in _temp_rows()]
+    ds = ScrubJayDataset.from_rows(ctx, rows, fahrenheit, "t")
+    out = sorted(
+        DeriveHeat().apply(ds, dictionary).collect(),
+        key=lambda r: r["location"],
+    )
+    assert [(r["location"], r["heat"]) for r in out] == [
+        ("bottom", pytest.approx(6.0)),
+        ("top", pytest.approx(12.0)),
+    ]
+    # a temperature in a unit with no path to °C is not a heat input
+    unitless = TEMPS.replace_field("temp", value("temperature", "label"))
+    assert not DeriveHeat().applies(unitless, dictionary)
+
+
 # ----------------------------------------------------------------------
 # active frequency
 # ----------------------------------------------------------------------
@@ -169,3 +188,19 @@ def test_instantiations_only_when_applicable(dictionary):
     assert not DeriveHeat.instantiations(
         TEMPS.without_field("aisle"), dictionary
     )
+
+
+def test_active_frequency_converts_rated_to_rated_gigahertz(ctx, dictionary):
+    dictionary.define_unit("rated megahertz", "quantity", "rated frequency",
+                           scale=1e-3)
+    mhz = FREQ.replace_field(
+        "base_frequency", value("rated frequency", "rated megahertz"))
+    rows = [{"nodeid": 0, "cpuid": 0, "time": Timestamp(0.0),
+             "aperf_rate": 2.4e9, "mperf_rate": 3.2e9,
+             "base_frequency": 3200.0}]
+    ds = ScrubJayDataset.from_rows(ctx, rows, mhz, "f")
+    out = DeriveActiveFrequency().apply(ds, dictionary).collect()
+    assert out[0]["active_frequency"] == pytest.approx(2.4)
+    unitless = FREQ.replace_field(
+        "base_frequency", value("rated frequency", "label"))
+    assert not DeriveActiveFrequency().applies(unitless, dictionary)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -57,6 +58,26 @@ def nested_loop_join(left, right):
     )
 
 
+def _combine(l, r):
+    return l["k"], l["v"], r[1]
+
+
+#: the key/combine form: dict rows on the left, raw pairs on the
+#: right, each keyed by its own function, every match built by combine
+ROW_JOIN = dict(lkey=itemgetter("k"), rkey=itemgetter(0), combine=_combine)
+
+
+def _rows(pairs):
+    return [{"k": k, "v": v} for k, v in pairs]
+
+
+def nested_loop_combine(left_rows, right):
+    """The key/combine form's oracle: combine every matching pair."""
+    return Counter(
+        _combine(l, r) for l in left_rows for r in right if l["k"] == r[0]
+    )
+
+
 def _make_pairs(dist, seed=0, n_left=300, n_right=40, n_keys=25):
     rng = random.Random(seed)
     fn = DISTRIBUTIONS[dist]
@@ -67,13 +88,13 @@ def _make_pairs(dist, seed=0, n_left=300, n_right=40, n_keys=25):
 # strategy x strategy equivalence on the serial executor
 # ----------------------------------------------------------------------
 
-def _auto_join(left, right, **ctx_args):
+def _auto_join(left, right, join_args=None, **ctx_args):
     """Run one auto-decided adaptive join: (result multiset, decision)."""
     with SJContext(executor="serial", default_parallelism=4,
                    **ctx_args) as ctx:
         got = Counter(
             ctx.parallelize(left, 5)
-            .adaptiveJoin(ctx.parallelize(right, 3))
+            .adaptiveJoin(ctx.parallelize(right, 3), **(join_args or {}))
             .collect()
         )
         return got, ctx.report.of("join")[-1]
@@ -99,6 +120,10 @@ def test_all_strategies_match_nested_loop_oracle(dist):
         got, d = _auto_join(left, right, **ctx_args)
         assert (d.choice, d.evidence.get("build_side")) == chosen
         assert got == nested_loop_join(left, right)
+        # the key/combine form takes the same decision, same matches
+        got, d = _auto_join(_rows(left), right, ROW_JOIN, **ctx_args)
+        assert (d.choice, d.evidence.get("build_side")) == chosen
+        assert got == nested_loop_combine(_rows(left), right)
 
 
 def test_adaptive_join_prefers_broadcast_for_small_side():
@@ -154,12 +179,18 @@ def test_adaptive_join_builds_left_when_left_is_smaller():
 
 
 def test_adaptive_join_with_empty_sides():
-    with SJContext(executor="serial", default_parallelism=4) as ctx:
-        l = ctx.parallelize([(1, "a"), (2, "b")], 2)
-        e = ctx.parallelize([])
-        assert l.adaptiveJoin(e).collect() == []
-        assert e.adaptiveJoin(l).collect() == []
-        assert e.adaptiveJoin(e).collect() == []
+    for adaptive in (None, _SHUFFLE):
+        with SJContext(executor="serial", default_parallelism=4,
+                       adaptive=adaptive) as ctx:
+            l = ctx.parallelize([(1, "a"), (2, "b")], 2)
+            rows = ctx.parallelize(_rows([(1, "a"), (2, "b")]), 2)
+            e = ctx.parallelize([])
+            assert l.adaptiveJoin(e).collect() == []
+            assert e.adaptiveJoin(l).collect() == []
+            assert e.adaptiveJoin(e).collect() == []
+            assert rows.adaptiveJoin(e, **ROW_JOIN).collect() == []
+            assert e.adaptiveJoin(l, **ROW_JOIN).collect() == []
+            assert e.adaptiveJoin(e, **ROW_JOIN).collect() == []
 
 
 def test_broadcast_preserves_duplicate_pairs():
@@ -167,10 +198,19 @@ def test_broadcast_preserves_duplicate_pairs():
     right = [(1, "x"), (1, "x")]
     oracle = nested_loop_join(left, right)
     assert sum(oracle.values()) == 4
-    with SJContext(executor="serial", default_parallelism=4) as ctx:
-        l = ctx.parallelize(left, 2)
-        r = ctx.parallelize(right, 2)
-        assert Counter(l.adaptiveJoin(r).collect()) == oracle
+    row_oracle = nested_loop_combine(_rows(left), right)
+    assert sum(row_oracle.values()) == 4
+    for adaptive in (None, _SHUFFLE):  # the shuffle plan keeps them too
+        with SJContext(executor="serial", default_parallelism=4,
+                       adaptive=adaptive) as ctx:
+            l = ctx.parallelize(left, 2)
+            r = ctx.parallelize(right, 2)
+            assert Counter(l.adaptiveJoin(r).collect()) == oracle
+            rows = ctx.parallelize(_rows(left), 2)
+            assert Counter(rows.adaptiveJoin(r, **ROW_JOIN).collect()) \
+                == row_oracle
+            assert ctx.report.of("join")[-1].choice == \
+                ("broadcast" if adaptive is None else "shuffle")
 
 
 def test_adaptive_join_is_lazy():
@@ -180,6 +220,29 @@ def test_adaptive_join_is_lazy():
         assert len(ctx.report) == 0  # nothing decided before the action
         j.collect()
         assert ctx.report.of("join")
+
+
+def test_adaptive_join_key_and_combine_run_only_on_action():
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with SJContext(executor="serial", default_parallelism=4) as ctx:
+        rows = ctx.parallelize(_rows([(1, "a"), (1, "b")]))
+        r = ctx.parallelize([(1, "x")])
+        j = rows.adaptiveJoin(r, **{
+            name: counted(name, fn) for name, fn in ROW_JOIN.items()
+        })
+        assert len(ctx.report) == 0 and not calls
+        assert Counter(j.collect()) == Counter([(1, "a", "x"),
+                                                (1, "b", "x")])
+    # the build side is keyed once, each probing element once, and
+    # combine runs once per match
+    assert calls == Counter(lkey=2, rkey=1, combine=2)
 
 
 def test_adaptive_join_composes_with_downstream_ops():

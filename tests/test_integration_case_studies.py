@@ -9,6 +9,7 @@ import pytest
 
 from repro import ScrubJaySession, TuningProfile
 from repro.analysis import rank_groups, time_series
+from repro.core.semantics import value
 from repro.datagen import generate_dat1, generate_dat2
 from repro.datagen.facility import FacilityConfig
 
@@ -157,3 +158,45 @@ def test_dat2_every_run_covered(dat2_result):
         n = sum(1 for r in rows
                 if job.start + 30 <= r["time"].epoch < job.end)
         assert n > 0, f"no derived samples during {job.workload.name}"
+
+
+def _dat1_heat_rows(fahrenheit):
+    """The heat question's answer on DAT 1 with AMG on rack 17, its
+    rack temperatures registered in °C or, converted, in °F."""
+    dat = generate_dat1(
+        facility_config=FacilityConfig(num_racks=18, nodes_per_rack=2),
+        duration=3600.0, amg_start=600.0, amg_duration=2400.0,
+        include_aux_feeds=False,
+    )
+    if fahrenheit:
+        rows, schema = dat.datasets["rack_temperatures"]
+        dat.datasets["rack_temperatures"] = (
+            [dict(r, temp=r["temp"] * 9.0 / 5.0 + 32.0) for r in rows],
+            schema.replace_field(
+                "temp", value("temperature", "degrees Fahrenheit")),
+        )
+    with ScrubJaySession() as sj:
+        dat.register(sj)
+        answer = (sj.query().across("jobs", "racks")
+                  .values("applications", "heat").ask())
+        assert answer.schema["heat"].units == "delta degrees Celsius"
+        return answer.to_rows()
+
+
+def test_dat1_heat_in_fahrenheit_equals_heat_in_celsius():
+    """A domain derivation computes in the unit it labels its output
+    with: °F rack temperatures give the same delta-°C heat as °C ones."""
+    def keyed(rows):
+        return sorted(
+            (sorted((k, repr(v)) for k, v in r.items() if k != "heat"),
+             r["heat"])
+            for r in rows
+        )
+
+    celsius = keyed(_dat1_heat_rows(fahrenheit=False))
+    fahrenheit = keyed(_dat1_heat_rows(fahrenheit=True))
+    assert celsius and [k for k, _ in fahrenheit] == [k for k, _ in celsius]
+    assert [h for _, h in fahrenheit] == \
+        pytest.approx([h for _, h in celsius], rel=1e-9, abs=1e-9)
+    hottest = dict(max(fahrenheit, key=lambda kh: kh[1])[0])
+    assert (hottest["job_name"], hottest["rack"]) == ("'AMG'", "17")

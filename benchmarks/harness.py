@@ -16,7 +16,9 @@ Usage::
 ``--smoke`` runs the smallest size only and exits non-zero if the
 adaptive path errors, produces wrong results, or the execution report
 is missing its strategy decisions — the cheap CI check that the
-optimizer is alive, decoupled from timing noise.
+optimizer is alive, decoupled from timing noise. Without ``--output``
+it writes its JSON to a fresh temporary file and prints the path, so
+the committed full-series results stay untouched.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -333,9 +336,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "rule may finish earlier once the CI is tight)",
     )
     parser.add_argument(
-        "--output", default=JSON_PATH, help="JSON output path"
+        "--output", default=None,
+        help="JSON output path (default: the committed results file, "
+             "or a temporary file with --smoke)",
     )
     args = parser.parse_args(argv)
+    output = args.output
+    if output is None and args.smoke:
+        fd, output = tempfile.mkstemp(prefix="BENCH_fig3-", suffix=".json")
+        os.close(fd)
 
     if args.smoke:
         row_counts = [5_000]
@@ -349,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload["tracer_overhead"] = run_tracer_overhead(
         row_counts[0], repeats=max(5, repeats)
     )
-    path = write_json(payload, args.output)
+    path = write_json(payload, output or JSON_PATH)
 
     for r in payload["runs"]:
         print(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproducible derivation sequences and the derivation cache (§5.4).
+"""Reproducible derivation sequences (§5.4).
 
 Demonstrates the three destinations of a derivation result in the
 paper's Figure 2:
@@ -11,10 +11,7 @@ paper's Figure 2:
    explode period and interpolation window directly in the JSON and
    re-runs the modified pipeline;
 3. **unwrap the result** — dump the derived relation to CSV and to a
-   SQL table for analysis with other tools;
-
-plus the opt-in on-disk derivation cache: re-executing a sequence (or
-one sharing an expensive prefix) reuses cached intermediates.
+   SQL table for analysis with other tools.
 
 Run: python examples/reproducible_pipeline.py
 """
@@ -22,16 +19,15 @@ Run: python examples/reproducible_pipeline.py
 import json
 import os
 import tempfile
-import time
 
-from repro import ScrubJaySession, TuningProfile
+from repro import ScrubJaySession
 from repro.datagen import generate_dat1
 from repro.datagen.facility import FacilityConfig
 from repro.wrappers import CSVUnwrapper, SQLUnwrapper
 
 
-def fresh_session(dat, cache_dir=None) -> ScrubJaySession:
-    sj = ScrubJaySession(TuningProfile(cache_dir=cache_dir))
+def fresh_session(dat) -> ScrubJaySession:
+    sj = ScrubJaySession()
     dat.register(sj)
     return sj
 
@@ -105,21 +101,6 @@ def main() -> None:
                 .load("derived_heat"))
         assert back.count() == count_c
         print(f"unwrapped to {csv_path} and sqlite table 'derived_heat' ✓")
-
-    # ------------------------------------------------------------------
-    # 5. the opt-in derivation cache
-    # ------------------------------------------------------------------
-    cache_dir = os.path.join(workdir, "cache")
-    with fresh_session(dat, cache_dir=cache_dir) as sj_d:
-        plan = sj_d.load_plan(plan_path)
-        t0 = time.perf_counter()
-        sj_d.execute(plan).count()
-        cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sj_d.execute(plan).count()
-        warm = time.perf_counter() - t0
-        print(f"derivation cache: cold {cold:.2f}s → warm {warm:.2f}s "
-              f"({sj_d.cache.hits} hits, {len(sj_d.cache)} entries)")
 
 
 if __name__ == "__main__":

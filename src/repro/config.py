@@ -152,14 +152,6 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("executor.num_workers", "int", None,
              "Simulated node count for the `simulated` executor "
              "(None = 1).", low=1, high=256, nullable=True),
-        # -- session ---------------------------------------------------
-        Knob("session.cache_dir", "str", None,
-             "On-disk derivation cache directory; also hosts rollup "
-             "tables.",
-             nullable=True),
-        Knob("session.cache_max_entries", "int", 64,
-             "Derivation-cache capacity (entries).",
-             low=1, high=100_000),
         # -- serve tier ------------------------------------------------
         Knob("serve.num_workers", "int", 4,
              "Service worker threads (concurrent queries in "
@@ -180,9 +172,6 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("serve.result_ttl", "float", None,
              "Result-cache time-to-live in seconds; None = no TTL.",
              low=0.05, high=86_400, nullable=True),
-        Knob("serve.use_disk_cache", "bool", True,
-             "Write results through to the session's disk cache and "
-             "warm-start from it."),
         Knob("serve.metrics_window_s", "float", 30.0,
              "Sliding window (seconds) for recent-QPS and latency "
              "percentiles.", low=1, high=600),
@@ -319,7 +308,6 @@ class ServeConfig:
     plan_cache_entries: int = 256
     result_cache_entries: int = 128
     result_ttl: Optional[float] = None
-    use_disk_cache: bool = True
     metrics_window_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -363,7 +351,7 @@ class TuningProfile:
 
     Keyword arguments accept canonical dotted names spelled with
     underscores (``adaptive_broadcast_threshold_rows``), unique leaf
-    names (``pushdown``, ``cache_dir``), and the historical flat-kwarg
+    names (``pushdown``, ``projection``), and the historical flat-kwarg
     spellings (``executor``, ``num_workers``).
     """
 

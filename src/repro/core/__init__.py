@@ -14,9 +14,7 @@ This package is the paper's primary contribution:
 - :mod:`repro.core.engine` — the derivation engine (Algorithm 1):
   schema-level backward-chaining search with memoization;
 - :mod:`repro.core.query` — the analyst-facing query type;
-- :mod:`repro.core.pipeline` — reproducible JSON derivation sequences;
-- :mod:`repro.core.cache` — opt-in on-disk memoization of intermediate
-  derivation results with LRU eviction.
+- :mod:`repro.core.pipeline` — reproducible JSON derivation sequences.
 """
 
 from repro.core.semantics import DOMAIN, VALUE, SemanticType, Schema

@@ -39,11 +39,10 @@ class ScrubJayDataset:
         #: lets the pushdown rewrite collapse predicates into the scan.
         self.source = None
         #: bumped by each feed advance that grows this dataset in place;
-        #: ``_digest`` memoizes :func:`repro.core.cache.data_key`'s row
-        #: digest as ``(_data_version, hexdigest)``, ``_facts`` the
-        #: engine's :func:`~repro.core.engine.leaf_facts` the same way
+        #: ``_facts`` memoizes the engine's
+        #: :func:`~repro.core.engine.leaf_facts` as
+        #: ``(_data_version, facts)``
         self._data_version = 0
-        self._digest = None
         self._facts = None
 
     # ------------------------------------------------------------------

@@ -173,9 +173,8 @@ def leaf_facts(
     """``dataset``'s rows, ndv per domain dimension and explode
     spreads, or None (unknown) when its rows are not in memory.
 
-    Memoized on the dataset for its ``_data_version``, as
-    :func:`repro.core.cache.data_key`'s digest is, so a feed advance
-    makes the next call recount.
+    Memoized on the dataset for its ``_data_version``, so a feed
+    advance makes the next call recount.
     """
     version = dataset._data_version
     memo = dataset._facts

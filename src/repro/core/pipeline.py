@@ -20,7 +20,6 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import PipelineError
-from repro.core.cache import data_key
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import (
     Combination,
@@ -92,11 +91,8 @@ class PlanNode:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
-        """Content hash of the sub-derivation — with a digest of the
-        rows it reads (:func:`~repro.core.cache.data_key`), the key for
-        the on-disk derivation cache, so identical sub-derivations
-        issued by different analysts over the same data hit the same
-        cache entry."""
+        """Content hash of the sub-derivation: identical
+        sub-derivations issued by different analysts share it."""
         return content_hash(self.to_json_dict())
 
     def num_steps(self) -> int:
@@ -126,10 +122,9 @@ class ScanNode(PlanNode):
     absorbed, executed inside the storage layer when the dataset is
     backed by a :class:`~repro.sources.base.DataSource` (zone-map and
     partition-key pruning apply), or as a plain filtered load when it
-    is not. Like :class:`LoadNode` it is never entered into the
-    derivation cache — it is the leaf read, and its output identity is
-    carried by its fingerprint (dataset + predicate + columns), which
-    keeps serve-layer result keys predicate-aware for free.
+    is not. Its output identity is carried by its fingerprint
+    (dataset + predicate + columns), which keeps serve-layer result
+    keys predicate-aware for free.
     """
 
     def __init__(
@@ -223,35 +218,29 @@ class DerivationPlan:
         self,
         catalog: Dict[str, ScrubJayDataset],
         dictionary: SemanticDictionary,
-        cache: Optional["DerivationCache"] = None,  # noqa: F821
         tracer=None,
         measure: bool = False,
     ) -> ScrubJayDataset:
         """Run the pipeline against actual data.
 
-        ``catalog`` maps dataset names to loaded datasets. When a
-        :class:`~repro.core.cache.DerivationCache` is supplied,
-        intermediate results are reused/stored by plan fingerprint.
+        ``catalog`` maps dataset names to loaded datasets.
 
         ``tracer`` (an enabled :class:`~repro.obs.Tracer`) produces
-        one ``plan-node`` span per node, mirroring the plan tree, with
-        the cache outcome attached; stage/task spans from the RDD
-        scheduler nest under the node whose action materialized them.
+        one ``plan-node`` span per node, mirroring the plan tree;
+        stage/task spans from the RDD scheduler nest under the node
+        whose action materialized them.
         ``measure`` additionally forces per-node materialization and
         attaches a measured ``rows_out`` counter —
         EXPLAIN ANALYZE mode. Ordinary runs must leave it off: it
         defeats lazy whole-plan pipelining.
         """
-        return self._execute(
-            self.root, catalog, dictionary, cache, tracer, measure
-        )
+        return self._execute(self.root, catalog, dictionary, tracer, measure)
 
     def _execute(
         self,
         node: PlanNode,
         catalog: Dict[str, ScrubJayDataset],
         dictionary: SemanticDictionary,
-        cache,
         tracer=None,
         measure: bool = False,
     ) -> ScrubJayDataset:
@@ -260,7 +249,7 @@ class DerivationPlan:
                 node.label(), kind="plan-node", label=node.label()
             ) as span:
                 result = self._execute_node(
-                    node, catalog, dictionary, cache, tracer, measure, span
+                    node, catalog, dictionary, tracer, measure
                 )
                 if measure:
                     span.add("rows_out", result.rdd.count())
@@ -271,19 +260,15 @@ class DerivationPlan:
                         for key, value in scan.items():
                             span.add(f"scan.{key}", value)
                 return result
-        return self._execute_node(
-            node, catalog, dictionary, cache, tracer, measure, None
-        )
+        return self._execute_node(node, catalog, dictionary, tracer, measure)
 
     def _execute_node(
         self,
         node: PlanNode,
         catalog: Dict[str, ScrubJayDataset],
         dictionary: SemanticDictionary,
-        cache,
         tracer,
         measure: bool,
-        span,
     ) -> ScrubJayDataset:
         if isinstance(node, LoadNode):
             try:
@@ -303,39 +288,20 @@ class DerivationPlan:
                 ) from None
             return _apply_scan(base, node)
 
-        if cache is not None:
-            key = data_key(
-                node.fingerprint(), catalog,
-                DerivationPlan(node).dataset_names(),
-            )
-            hit = cache.get(key)
-            if hit is not None:
-                if span is not None:
-                    span.set("cache", "hit")
-                ctx = next(iter(catalog.values())).ctx
-                return hit.to_dataset(ctx)
-            if span is not None:
-                span.set("cache", "miss")
-
         if isinstance(node, TransformNode):
             upstream = self._execute(
-                node.input, catalog, dictionary, cache, tracer, measure
+                node.input, catalog, dictionary, tracer, measure
             )
-            result = node.derivation.apply(upstream, dictionary)
-        elif isinstance(node, CombineNode):
+            return node.derivation.apply(upstream, dictionary)
+        if isinstance(node, CombineNode):
             left = self._execute(
-                node.left, catalog, dictionary, cache, tracer, measure
+                node.left, catalog, dictionary, tracer, measure
             )
             right = self._execute(
-                node.right, catalog, dictionary, cache, tracer, measure
+                node.right, catalog, dictionary, tracer, measure
             )
-            result = node.derivation.apply(left, right, dictionary)
-        else:
-            raise PipelineError(f"unknown plan node {type(node).__name__}")
-
-        if cache is not None:
-            cache.put(key, result)
-        return result
+            return node.derivation.apply(left, right, dictionary)
+        raise PipelineError(f"unknown plan node {type(node).__name__}")
 
     # ------------------------------------------------------------------
     # introspection

@@ -10,8 +10,7 @@ the how observable without giving the abstraction up. It provides:
   instrumentation point.
 - :class:`MetricsRegistry` — process-safe counters, gauges, and
   histograms absorbing the ad-hoc counters previously scattered over
-  ``DerivationCache.stats()``, ``ExecutionReport``, and
-  ``ServiceMetrics``.
+  ``ExecutionReport`` and ``ServiceMetrics``.
 - exporters — span trees as JSON (:func:`to_json_tree`), as
   ``chrome://tracing`` event JSON (:func:`to_chrome_trace`), and the
   registry as a Prometheus-style text dump (:func:`to_prometheus`).

@@ -142,9 +142,6 @@ def _analyze_line(span: Span) -> str:
     if rows is not None:
         stats.append(f"rows={int(rows)}")
     stats.append(f"time={span.duration * 1e3:.1f}ms")
-    cache = span.attrs.get("cache")
-    if cache:
-        stats.append(f"cache={cache}")
     scan_rows = span.counters.get("scan.rows_read")
     if scan_rows is not None:
         stats.append(f"scan.rows_read={int(scan_rows)}")
@@ -167,8 +164,7 @@ def render_analyze(root: Span) -> str:
     ``root`` is the ``"plan"`` span produced by
     ``DerivationPlan.execute(..., tracer=..., measure=True)``; each
     descendant of kind ``"plan-node"`` renders as one line, indented
-    by depth, carrying its measured rows/time and cache
-    outcome.
+    by depth, carrying its measured rows/time and scan counters.
     """
     lines: List[str] = []
 

@@ -2,8 +2,8 @@
 
 One registry per :class:`~repro.rdd.context.SJContext` absorbs what
 used to be ad-hoc counter dicts scattered across the codebase
-(``DerivationCache.stats()``, ``ExecutionReport``, the serve layer's
-``ServiceMetrics``): those structures keep their APIs but mirror into
+(``ExecutionReport``, the serve layer's ``ServiceMetrics``): those
+structures keep their APIs but mirror into
 the registry, so one ``to_prometheus(registry)`` dump shows the whole
 system.
 
@@ -168,20 +168,6 @@ class MetricsRegistry:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 continue
             self.inc(f"{prefix}{k}" if prefix else k, v, labels)
-
-    def set_gauges_from(
-        self,
-        values: Dict[str, float],
-        prefix: str = "",
-        labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Bulk-set gauges from a snapshot dict — for legacy counter
-        snapshots that are cumulative (re-setting them as gauges avoids
-        double counting on repeated publication)."""
-        for k, v in values.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                continue
-            self.set_gauge(f"{prefix}{k}" if prefix else k, v, labels)
 
     def clear(self) -> None:
         with self._lock:

@@ -174,12 +174,6 @@ class ExecutionReport:
         #: has wrapped
         self.recorded = 0
         self.metrics = metrics
-        #: latest derivation-cache counter snapshot (hits, misses,
-        #: evictions, ...) — set by ScrubJaySession.execute after each
-        #: cached plan run, so cache effectiveness lands in the same
-        #: audit trail as the join/shuffle decisions instead of only
-        #: in log lines.
-        self.cache_stats: Dict[str, Any] = {}
         self._lock = threading.Lock()
 
     def add(self, decision: Decision) -> Decision:
@@ -207,13 +201,6 @@ class ExecutionReport:
                 timing.format(choice=decision.choice), seconds
             )
 
-    def set_cache_stats(self, stats: Dict[str, Any]) -> None:
-        self.cache_stats = dict(stats)
-        if self.metrics is not None:
-            # cumulative snapshot → gauges (re-publication must not
-            # double count)
-            self.metrics.set_gauges_from(stats, prefix="core.cache.")
-
     def _held(self) -> List[Decision]:
         with self._lock:
             return list(self.decisions)
@@ -231,23 +218,11 @@ class ExecutionReport:
         return held[max(0, len(held) - n):]
 
     def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "decisions": [d.as_dict() for d in self._held()]
-        }
-        if self.cache_stats:
-            out["cache_stats"] = dict(self.cache_stats)
-        return out
+        return {"decisions": [d.as_dict() for d in self._held()]}
 
     def summary(self) -> str:
         held = self._held()
         lines = [f"ExecutionReport: {len(held)} decisions"]
-        if self.cache_stats:
-            cs = self.cache_stats
-            lines.append(
-                f"  derivation cache: {cs.get('hits', 0)} hits /"
-                f" {cs.get('misses', 0)} misses,"
-                f" {cs.get('evictions', 0)} evictions"
-            )
         lines.extend(f"  {d}" for d in held)
         return "\n".join(lines)
 

@@ -6,7 +6,7 @@ latency distribution are what capacity planning reads. ``ServiceMetrics``
 is the single thread-safe sink the :class:`~repro.serve.QueryService`
 writes into; :meth:`ServiceMetrics.snapshot` returns an immutable,
 JSON-able :class:`ServiceSnapshot` combining its own counters with the
-plan/result/derivation-cache stats.
+plan- and result-cache stats.
 
 Latencies are kept in a bounded reservoir (newest-wins ring) so a
 long-running service's percentile cost stays O(reservoir), and qps is
@@ -68,7 +68,6 @@ class ServiceSnapshot:
     latency_s: Dict[str, Optional[float]] = field(default_factory=dict)
     plan_cache: Dict[str, Any] = field(default_factory=dict)
     result_cache: Dict[str, Any] = field(default_factory=dict)
-    derivation_cache: Dict[str, Any] = field(default_factory=dict)
     #: per-shard snapshots plus fleet totals, populated only by a
     #: :class:`~repro.serve.sharded.ShardRouter` (empty otherwise)
     shards: Dict[str, Any] = field(default_factory=dict)
@@ -200,7 +199,6 @@ class ServiceMetrics:
         tenants: int = 0,
         plan_cache: Optional[Dict[str, Any]] = None,
         result_cache: Optional[Dict[str, Any]] = None,
-        derivation_cache: Optional[Dict[str, Any]] = None,
         streams: Optional[Dict[str, Any]] = None,
         profile: Optional[Dict[str, Any]] = None,
     ) -> ServiceSnapshot:
@@ -233,7 +231,6 @@ class ServiceMetrics:
                 },
                 plan_cache=dict(plan_cache or {}),
                 result_cache=dict(result_cache or {}),
-                derivation_cache=dict(derivation_cache or {}),
                 streams=dict(streams or {}),
                 profile=dict(profile or {}),
             )

@@ -1,11 +1,8 @@
-"""ResultCache: a bounded, TTL'd in-memory tier over the §5.4 cache.
+"""ResultCache: a bounded, TTL'd in-memory cache of query results.
 
-The on-disk :class:`~repro.core.cache.DerivationCache` memoizes plan
-*subtrees* by content fingerprint so expensive prefixes are shared
-across sessions. Serving adds a hotter, stricter need: a repeated
-logical query should return without touching the executor at all, and
-the entry must die the moment it can be stale. This tier provides
-that:
+A repeated logical query should return without touching the executor
+at all, and the entry must die the moment it can be stale. This cache
+provides that:
 
 - keyed **semantically** (:func:`repro.serve.keys.result_key`:
   plan fingerprint + session state fingerprint + catalog data
@@ -16,9 +13,7 @@ that:
   counters cannot see (e.g. an analyst re-running against wall-clock
   data feeds);
 - **LRU-bounded** with hit/miss/eviction/expiration counters exposed
-  through :meth:`stats` and the service's ``ServiceMetrics``;
-- optionally **write-through** to a shared ``DerivationCache`` so a
-  restarted service warms from disk.
+  through :meth:`stats` and the service's ``ServiceMetrics``.
 
 All operations run under one lock: a read copies the entry reference
 out before releasing it, so an eviction racing with that read can
@@ -33,7 +28,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.cache import CachedResult, DerivationCache
 from repro.core.dataset import ScrubJayDataset
 from repro.core.semantics import Schema
 
@@ -43,12 +37,12 @@ class ResultEntry:
     """One materialized result plus its bookkeeping.
 
     The rows are kept only in the form the entry was born with: typed
-    ``rows`` (a local plan, a disk-tier promotion; replies encode
-    them) or codec text ``wire`` (a router's shard gather; typed uses
-    decode it). The other form is derived per call, never stored: a
-    local plan's rows are mostly the catalog's own row dicts, so text
-    would allocate the answer again, and a router keeping both would
-    double every entry."""
+    ``rows`` (a local plan; replies encode them) or codec text
+    ``wire`` (a router's shard gather; typed uses decode it). The
+    other form is derived per call, never stored: a local plan's rows
+    are mostly the catalog's own row dicts, so text would allocate the
+    answer again, and a router keeping both would double every
+    entry."""
 
     schema: Schema
     name: str
@@ -85,7 +79,7 @@ class ResultEntry:
 
 
 class ResultCache:
-    """Semantic LRU+TTL result cache with an optional disk tier.
+    """Semantic LRU+TTL result cache.
 
     Parameters
     ----------
@@ -93,29 +87,15 @@ class ResultCache:
         In-memory bound; least recently used entries evict first.
     ttl:
         Seconds an entry stays servable; ``None`` disables expiry.
-    backing:
-        Optional :class:`DerivationCache`: misses fall through to it
-        (promoting hits into memory) and puts write through to it.
-        The TTL survives the round trip: write-throughs are stamped
-        with a wall-clock creation time, promotion re-checks the
-        entry's true age (stampless legacy entries are treated as
-        expired when a TTL is set), and a memory expiration also
-        invalidates the disk copy — the backing tier can never
-        resurrect a stale result past the TTL ceiling.
     clock:
         Injectable monotonic clock for tests.
-    wall_clock:
-        Injectable wall clock (``time.time``) for the backing-entry
-        age stamps, which must stay meaningful across restarts.
     """
 
     def __init__(
         self,
         max_entries: int = 128,
         ttl: Optional[float] = None,
-        backing: Optional[DerivationCache] = None,
         clock: Callable[[], float] = time.monotonic,
-        wall_clock: Callable[[], float] = time.time,
     ) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
@@ -123,9 +103,7 @@ class ResultCache:
             raise ValueError("ttl must be positive (or None)")
         self.max_entries = max_entries
         self.ttl = ttl
-        self.backing = backing
         self._clock = clock
-        self._wall = wall_clock
         self._entries: "OrderedDict[str, ResultEntry]" = OrderedDict()
         #: dataset name -> keys of entries whose plan read it
         self._deps: Dict[str, set] = {}
@@ -134,7 +112,6 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
-        self.backing_hits = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -148,68 +125,19 @@ class ResultCache:
     def get(self, key: str) -> Optional[ResultEntry]:
         """The live entry for ``key``, or None. Recency refresh is
         atomic with the read."""
-        entry: Optional[ResultEntry] = None
-        expired_here = False
         with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                if self._expired(found):
-                    del self._entries[key]
-                    self._unindex(key, found)
-                    self.expirations += 1
-                    expired_here = True
-                else:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    entry = found
-        if entry is not None:
-            return entry
-        if expired_here:
-            # Kill the write-through copy too, or the fallthrough
-            # below would re-promote the stale entry with a fresh TTL.
-            if self.backing is not None:
-                self.backing.invalidate(key)
-            with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and self._expired(entry):
+                del self._entries[key]
+                self._unindex(key, entry)
+                self.expirations += 1
+                entry = None
+            if entry is None:
                 self.misses += 1
-            return None
-
-        # Fall through to the shared on-disk tier, if any.
-        if self.backing is not None:
-            cold = self.backing.get(key)
-            if cold is not None:
-                age = self._backing_age(cold)
-                if self.ttl is not None and (age is None or age > self.ttl):
-                    # Expired (or unknown-age legacy entry) on disk:
-                    # the TTL ceiling holds across restarts too.
-                    self.backing.invalidate(key)
-                    with self._lock:
-                        self.expirations += 1
-                        self.misses += 1
-                    return None
-                promoted = ResultEntry(
-                    Schema.from_json_dict(cold.schema_json),
-                    cold.name,
-                    rows=cold.rows,
-                    # Back-date so the remaining TTL reflects the
-                    # entry's true age, not the promotion instant.
-                    created_at=self._clock() - (age or 0.0),
-                )
-                with self._lock:
-                    self.hits += 1
-                    self.backing_hits += 1
-                    self._insert(key, promoted)
-                return promoted
-        with self._lock:
-            self.misses += 1
-        return None
-
-    def _backing_age(self, cold: CachedResult) -> Optional[float]:
-        """Seconds since the backing entry was written, or None when
-        the entry predates creation stamps."""
-        stamp = getattr(cold, "created_at_wall", None)
-        if stamp is None:
-            return None
-        return max(0.0, self._wall() - stamp)
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
 
     def pin(
         self,
@@ -236,8 +164,7 @@ class ResultCache:
         dataset: Union[ScrubJayDataset, ResultEntry],
         datasets: Optional[List[str]] = None,
     ) -> ResultEntry:
-        """Publish a result under ``key`` (and write through to the
-        disk tier when configured) and return its pinned entry.
+        """Publish a result under ``key`` and return its pinned entry.
         ``dataset`` is a :class:`ResultEntry` from :meth:`pin`, stored
         as is, or a dataset, pinned here first; either way the rows
         are collected once and the entry serves them without
@@ -248,16 +175,6 @@ class ResultCache:
         )
         with self._lock:
             self._insert(key, entry)
-        if self.backing is not None:
-            self.backing.put_entry(
-                key,
-                CachedResult(
-                    rows=entry.typed_rows(),
-                    schema_json=entry.schema.to_json_dict(),
-                    name=entry.name,
-                    created_at_wall=self._wall(),
-                ),
-            )
         return entry
 
     def _insert(self, key: str, entry: ResultEntry) -> None:
@@ -285,13 +202,12 @@ class ResultCache:
 
     def invalidate_dataset(self, name: str) -> int:
         """Evict every entry whose producing plan read dataset
-        ``name`` (and its write-through copies); unrelated entries
-        survive. The fix for the append story: before this, growing a
-        dataset meant drop + re-register, which bumps
-        ``catalog_version`` and orphans *every* tenant's cached
-        results fleet-wide. A feed advance calls this instead —
-        eviction scoped to actual dependents. Returns how many
-        entries were dropped.
+        ``name``; unrelated entries survive. The fix for the append
+        story: before this, growing a dataset meant drop +
+        re-register, which bumps ``catalog_version`` and orphans
+        *every* tenant's cached results fleet-wide. A feed advance
+        calls this instead — eviction scoped to actual dependents.
+        Returns how many entries were dropped.
         """
         with self._lock:
             keys = list(self._deps.get(name, ()))
@@ -300,9 +216,6 @@ class ResultCache:
                 if entry is not None:
                     self._unindex(key, entry)
             self.invalidations += len(keys)
-        if self.backing is not None:
-            for key in keys:
-                self.backing.invalidate(key)
         return len(keys)
 
     # ------------------------------------------------------------------
@@ -322,7 +235,6 @@ class ResultCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "backing_hits": self.backing_hits,
                 "evictions": self.evictions,
                 "expirations": self.expirations,
                 "invalidations": self.invalidations,

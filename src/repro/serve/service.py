@@ -50,7 +50,6 @@ from repro.analysis.aggregate import (
     group_aggregate_partials,
 )
 from repro.config import ServeConfig
-from repro.core.cache import data_key
 from repro.core.dataset import ScrubJayDataset
 from repro.core.query import Query, QueryBuilder, ValueSpec
 from repro.errors import (
@@ -317,10 +316,6 @@ class QueryService:
         when ``submit`` gets none. ``None`` = no deadline.
     plan_cache_entries / result_cache_entries / result_ttl:
         Cache bounds; see :class:`PlanCache` / :class:`ResultCache`.
-    use_disk_cache:
-        When True (default) and the session has a
-        :class:`~repro.core.cache.DerivationCache`, the result cache
-        writes through to it and warm-starts from it.
     """
 
     def __init__(
@@ -333,7 +328,6 @@ class QueryService:
         plan_cache_entries: Optional[int] = None,
         result_cache_entries: Optional[int] = None,
         result_ttl: Optional[float] = _UNSET,
-        use_disk_cache: Optional[bool] = None,
         metrics_window_s: Optional[float] = None,
         clock=time.monotonic,
     ) -> None:
@@ -356,7 +350,6 @@ class QueryService:
                 "max_queue": max_queue,
                 "plan_cache_entries": plan_cache_entries,
                 "result_cache_entries": result_cache_entries,
-                "use_disk_cache": use_disk_cache,
                 "metrics_window_s": metrics_window_s,
             }.items()
             if v is not None
@@ -376,10 +369,8 @@ class QueryService:
         self.max_queue = cfg.max_queue
         self._clock = clock
         self.plan_cache = PlanCache(cfg.plan_cache_entries)
-        backing = session.cache if cfg.use_disk_cache else None
         self.result_cache = ResultCache(
-            cfg.result_cache_entries, cfg.result_ttl, backing=backing,
-            clock=clock,
+            cfg.result_cache_entries, cfg.result_ttl, clock=clock
         )
         self.metrics = ServiceMetrics(
             window_s=cfg.metrics_window_s,
@@ -929,23 +920,17 @@ class QueryService:
 
     def snapshot(self) -> ServiceSnapshot:
         """Current :class:`ServiceSnapshot` (counters, gauges, qps,
-        latency percentiles, all three cache stat blocks)."""
+        latency percentiles, both cache stat blocks)."""
         with self._cond:
             queued = self._queued
             in_flight = self._in_flight
             tenants = len(self._queues)
-        derivation = (
-            self.session.cache.stats()
-            if self.session.cache is not None
-            else {}
-        )
         return self.metrics.snapshot(
             in_flight=in_flight,
             queue_depth=queued,
             tenants=tenants,
             plan_cache=self.plan_cache.stats(),
             result_cache=self.result_cache.stats(),
-            derivation_cache=derivation,
             streams=self._streams_snapshot(),
             profile=(
                 self._profile.snapshot()
@@ -1237,15 +1222,7 @@ class QueryService:
             for n in names
             if session.data_version(n)
         }
-        if self.result_cache.backing is None:
-            rkey = result_key(plan.fingerprint(), state, version, dv)
-        else:
-            # The disk tier outlives this session's version counters:
-            # key the entry by the rows its plan reads instead.
-            rkey = data_key(
-                result_key(plan.fingerprint(), state, 0),
-                session.snapshot(), names,
-            )
+        rkey = result_key(plan.fingerprint(), state, version, dv)
         if traced:
             with tracer.span("result-cache", kind="cache") as rs:
                 hit = self.result_cache.get(rkey)

@@ -135,8 +135,7 @@ def _shard_profile_state(session) -> Optional[Dict[str, Any]]:
     shard that broadcast where the router would shuffle gives the
     fleet inconsistent per-shard plans and timings. Everything else
     stays shard-local — a shard's executor is always serial
-    (:class:`ShardConfig`), ``session.cache_dir`` must not collide with
-    the router's on-disk cache, and serve knobs arrive via
+    (:class:`ShardConfig`) and serve knobs arrive via
     ``service_kwargs``. The slice is taken once, at fork time: a knob
     set on the router afterwards stays router-local.
     """

@@ -4,8 +4,8 @@ A session ties together everything the paper's Figure 2 shows around
 the query API: the simulated data cluster (an
 :class:`~repro.rdd.context.SJContext`), the active semantic
 dictionary, the derivation registry (built-ins plus expert-provided
-extensions), the catalog of registered datasets, the derivation
-engine, and optionally an on-disk derivation cache.
+extensions), the catalog of registered datasets, and the derivation
+engine.
 
 Typical use::
 
@@ -30,14 +30,12 @@ per-node runtime statistics — EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from repro.config import ServeConfig, TuningProfile
 from repro.errors import ConfigError, ScrubJayError
 from repro.core.answer import Answer
-from repro.core.cache import DerivationCache
 from repro.core.dataset import ScrubJayDataset
 from repro.core.derivation import (
     Derivation,
@@ -60,7 +58,7 @@ import repro.core.domain_derivations  # noqa: F401
 
 
 class ScrubJaySession:
-    """Catalog + dictionary + engine + (optional) cache, in one handle."""
+    """Catalog + dictionary + engine, in one handle."""
 
     def __init__(
         self,
@@ -74,11 +72,11 @@ class ScrubJaySession:
     ) -> None:
         """All scalar knobs live on the ``profile`` (a
         :class:`~repro.config.TuningProfile`) — engine search depths,
-        adaptive-execution thresholds, cache sizing, executor kind,
-        and serve-tier defaults::
+        adaptive-execution thresholds, executor kind, and serve-tier
+        defaults::
 
             sj = ScrubJaySession(TuningProfile(
-                executor_kind="simulated", cache_dir="/tmp/sj",
+                executor_kind="simulated", num_workers=4,
             ))
 
         Rich objects stay keyword arguments: a ready-made ``ctx``
@@ -94,7 +92,6 @@ class ScrubJaySession:
                 f"not {type(profile).__name__}; pass a context as ctx="
             )
         self.profile = profile if profile is not None else TuningProfile()
-        cache_dir = self.profile.get("session.cache_dir")
 
         if ctx is not None and executor is not None:
             raise ScrubJayError("pass either ctx or executor, not both")
@@ -141,21 +138,12 @@ class ScrubJaySession:
         # should churn (see repro.stream).
         self.feeds: Dict[str, Any] = {}
         self._data_versions: Dict[str, int] = {}
-        self.cache: Optional[DerivationCache] = (
-            DerivationCache(
-                cache_dir, self.profile.get("session.cache_max_entries")
-            )
-            if cache_dir
-            else None
-        )
-        self._cache_dir = cache_dir
         # Materialized rollups (repro.metrics): name -> Rollup handle.
         # The backing wide-column store is created lazily on first
-        # session.rollup() — under cache_dir when one was given, else
-        # in an owned temp dir removed on close().
+        # session.rollup(), in a temp dir this session owns and
+        # removes on close().
         self.rollups: Dict[str, Any] = {}
         self._rollup_store_obj = None
-        self._rollup_dir_owned: Optional[str] = None
         # Knob writes to a live session take effect: the frozen
         # EngineConfig/AdaptiveConfig objects the hot paths
         # read are swapped wholesale on every knob change.
@@ -166,8 +154,8 @@ class ScrubJaySession:
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the
         engine and context read, so knob writes take effect
-        on the next query. ``executor.*`` and ``session.*`` knobs are
-        read once, when the session is built."""
+        on the next query. ``executor.*`` knobs are read once, when
+        the session is built."""
         if name.startswith("adaptive."):
             cfg = self.profile.adaptive_config()
             self.ctx.adaptive = cfg
@@ -421,8 +409,8 @@ class ScrubJaySession:
         With ``analyze=True`` this is EXPLAIN ANALYZE: the plan is
         *executed* (with per-node materialization) under a temporarily
         enabled tracer, and each node renders with its measured row
-        count, approximate size, wall time, and derivation-cache
-        outcome, prefixed by one line per decision the run took (join
+        count, approximate size and wall time, prefixed by one line
+        per decision the run took (join
         strategy, shuffle partitioning, delta refresh, rollup route) and a
         summary of the engine's search. The
         resulting trace tree is also retained on ``ctx.tracer`` —
@@ -461,12 +449,9 @@ class ScrubJaySession:
                     plan.execute(
                         self.snapshot(),
                         self.dictionary,
-                        self.cache,
                         tracer=tracer,
                         measure=True,
                     )
-                    if self.cache is not None:
-                        report.set_cache_stats(self.cache.stats())
         finally:
             tracer.enabled = was_enabled
         lines = [f"EXPLAIN ANALYZE {q}"]
@@ -492,11 +477,9 @@ class ScrubJaySession:
         """Execute a plan against the registered data.
 
         Runs against a point-in-time catalog snapshot, so concurrent
-        ``register``/``drop`` calls cannot mutate the mapping mid-walk;
-        afterwards the derivation-cache counters are published into
-        ``ctx.report`` for machine-readable inspection. Returns an
-        :class:`Answer` (its unknown attributes delegate to the result
-        dataset, so dataset-shaped call sites keep working).
+        ``register``/``drop`` calls cannot mutate the mapping mid-walk.
+        Returns an :class:`Answer` (its unknown attributes delegate to
+        the result dataset, so dataset-shaped call sites keep working).
         """
         tracer = self.ctx.tracer
         if tracer.enabled:
@@ -508,12 +491,7 @@ class ScrubJaySession:
     def _run_plan(
         self, plan: DerivationPlan, tracer
     ) -> ScrubJayDataset:
-        result = plan.execute(
-            self.snapshot(), self.dictionary, self.cache, tracer=tracer
-        )
-        if self.cache is not None:
-            self.ctx.report.set_cache_stats(self.cache.stats())
-        return result
+        return plan.execute(self.snapshot(), self.dictionary, tracer=tracer)
 
     def ask(
         self,
@@ -577,11 +555,9 @@ class ScrubJaySession:
             return MetricAnswer(q, groups, decision=decision)
         plan = self.engine.solve(self.schemas(), q.base())
         dataset = plan.execute(
-            self.snapshot(), self.dictionary, self.cache,
+            self.snapshot(), self.dictionary,
             tracer=tracer, measure=measure,
         )
-        if self.cache is not None and report is not None:
-            report.set_cache_stats(self.cache.stats())
         parts = metric_partials(dataset, q)
         return MetricAnswer(
             q, finalize_metric(parts, q), decision=decision
@@ -632,18 +608,15 @@ class ScrubJaySession:
 
     def _rollup_store(self):
         """The lazily created wide-column store backing materialized
-        rollup tables."""
+        rollup tables, in a temp dir only this session reads."""
         if self._rollup_store_obj is None:
+            import tempfile
+
             from repro.store import WideColumnStore
 
-            if self._cache_dir:
-                path = os.path.join(self._cache_dir, "rollups")
-            else:
-                import tempfile
-
-                path = tempfile.mkdtemp(prefix="scrubjay-rollups-")
-                self._rollup_dir_owned = path
-            self._rollup_store_obj = WideColumnStore(path)
+            self._rollup_store_obj = WideColumnStore(
+                tempfile.mkdtemp(prefix="scrubjay-rollups-")
+            )
         return self._rollup_store_obj
 
     def _refresh_rollups(self, name: str) -> None:
@@ -747,11 +720,11 @@ class ScrubJaySession:
     def close(self) -> None:
         self.profile.remove_listener(self._profile_listener)
         self.ctx.stop()
-        if self._rollup_dir_owned:
+        if self._rollup_store_obj is not None:
             import shutil
 
-            shutil.rmtree(self._rollup_dir_owned, ignore_errors=True)
-            self._rollup_dir_owned = None
+            shutil.rmtree(self._rollup_store_obj.root, ignore_errors=True)
+            self._rollup_store_obj = None
 
     def __enter__(self) -> "ScrubJaySession":
         return self

@@ -170,13 +170,11 @@ class DeltaPlan:
         ``base_catalog`` supplies the *unchanged* inputs (for a join's
         static side — pinned at their own watermarks by the caller);
         ``delta_datasets`` maps each changed name to a dataset holding
-        only the rows appended in the refresh interval. No derivation
-        cache is used: delta bindings share plan fingerprints with the
-        full bindings, so caching here would poison full executions.
+        only the rows appended in the refresh interval.
         """
         catalog = dict(base_catalog)
         catalog.update(delta_datasets)
-        return self.plan.execute(catalog, dictionary, None)
+        return self.plan.execute(catalog, dictionary)
 
     def execute_full(
         self,
@@ -186,7 +184,7 @@ class DeltaPlan:
         """Scoped replay: full execution against a catalog whose feed
         inputs the caller has pinned (bounded) at the target
         watermarks — never against live, still-growing sources."""
-        return self.plan.execute(catalog, dictionary, None)
+        return self.plan.execute(catalog, dictionary)
 
     def __repr__(self) -> str:
         return f"DeltaPlan({self.plan!r})"

@@ -1,11 +1,11 @@
 """Deterministic content hashing.
 
-The derivation cache (paper §5.4) keys intermediate results by the
-*content* of the derivation subtree that produced them, so two analysts
-issuing derivation sequences that share an expensive prefix reuse the
-same cached result. That requires a hash that is stable across
-processes and sessions — Python's builtin ``hash`` is salted per
-process, so we canonicalise to JSON and hash with SHA-256 instead.
+Plan fingerprints, schema fingerprints and the serve tier's cache
+keys name a derivation by its *content*, so two analysts issuing the
+same derivation sequence get the same key. That requires a hash that
+is stable across processes and sessions — Python's builtin ``hash`` is
+salted per process, so we canonicalise to JSON and hash with SHA-256
+instead.
 """
 
 from __future__ import annotations

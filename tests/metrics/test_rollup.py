@@ -315,3 +315,30 @@ def test_refresh_drops_superseded_rollup_tables():
             )
     finally:
         sj.close()
+
+
+def test_sessions_keep_their_rollup_stores_apart():
+    # two sessions over different data each materialize a rollup of
+    # the same name: each table holds only its own groups, in a store
+    # directory of its own that close() removes
+    import os
+
+    everything = power_rows()
+    subsets = [everything, [r for r in everything if r["rack"] == 0]]
+    sessions, roots = [], []
+    try:
+        for rows in subsets:
+            sj = ScrubJaySession()
+            sessions.append(sj)
+            sj.register_rows(rows, RACK_POWER_SCHEMA, "rack_power")
+            sj.rollup("power_1h", metric_q(sj))
+            roots.append(sj._rollup_store().root)
+        for sj, rows in zip(sessions, subsets):
+            want = manual_groups(rows, 3600.0, "mean")
+            assert sj.dataset("power_1h").count() == len(want)
+        assert roots[0] != roots[1]
+        assert all(os.path.isdir(root) for root in roots)
+    finally:
+        for sj in sessions:
+            sj.close()
+    assert not any(os.path.exists(root) for root in roots)

@@ -77,12 +77,12 @@ def test_chrome_trace_filters_non_primitive_attrs():
 def test_prometheus_text_format():
     m = MetricsRegistry()
     m.inc("rdd.stages", 3, labels={"origin": "map"})
-    m.set_gauge("core.cache.entries", 2)
+    m.set_gauge("feed.lag_rows", 2)
     m.observe("serve.latency_s", 0.25)
     text = to_prometheus(m)
     lines = text.strip().splitlines()
     assert 'rdd_stages{origin="map"} 3' in lines
-    assert "core_cache_entries 2" in lines
+    assert "feed_lag_rows 2" in lines
     assert "serve_latency_s_count 1" in lines
     assert "serve_latency_s_sum 0.25" in lines
     assert text.endswith("\n")
@@ -117,7 +117,6 @@ def test_render_analyze_tree():
     top.add("rows_out", 42)
     top.add("scan.rows_read", 100)
     top.add("scan.bytes_scanned", 2048)
-    top.set("cache", "miss")
     leaf = top.child("load", kind="plan-node",
                      attrs={"label": "load(rack_temperatures)"})
     leaf.start, leaf.end = 0.0, 0.002
@@ -128,7 +127,7 @@ def test_render_analyze_tree():
     text = render_analyze(root)
     lines = text.splitlines()
     assert lines[0] == (
-        "interpolation_join(a, b)  [rows=42; time=10.0ms; cache=miss;"
+        "interpolation_join(a, b)  [rows=42; time=10.0ms;"
         " scan.rows_read=100; scan.bytes_scanned=2.0KB]"
     )
     assert lines[1] == "  load(rack_temperatures)  [rows=7; time=2.0ms]"

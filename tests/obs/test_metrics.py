@@ -77,14 +77,6 @@ def test_merge_counts_skips_non_numeric_and_bools():
     assert m.counter("cache.flag") == 0
 
 
-def test_set_gauges_from_is_idempotent():
-    m = MetricsRegistry()
-    stats = {"hits": 10, "misses": 2}
-    m.set_gauges_from(stats, prefix="core.cache.")
-    m.set_gauges_from(stats, prefix="core.cache.")  # re-publish snapshot
-    assert m.gauge("core.cache.hits") == 10  # not doubled
-
-
 def test_clear():
     m = MetricsRegistry()
     m.inc("a")

@@ -110,3 +110,85 @@ def test_advance_evicts_dependents_and_spares_the_rest(feed_service):
     assert row_multiset(recomputed.collect()) == row_multiset(
         sj.ask(JOIN_DOMAINS, JOIN_VALUES).collect()
     )
+
+
+# ----------------------------------------------------------------------
+# staleness: an answer counts the rows registered when it is asked
+# ----------------------------------------------------------------------
+
+EXTRA = {"node": 1, "sample": 99_999, "metric_a": 7.0}
+
+
+def samples(n):
+    return keyed_tables(n, num_keys=8)[0]
+
+
+def feed_session(n=40):
+    """``n`` samples as a push feed plus a ``lookup`` table that every
+    sample joins."""
+    sj = ScrubJaySession()
+    _, right = keyed_tables(n, num_keys=8)
+    sj.ingest().feed(KEYED_LEFT_SCHEMA, rows=samples(n)).tail("samples")
+    sj.register_rows(right, KEYED_RIGHT_SCHEMA, name="lookup")
+    return sj
+
+
+def session_ask(sj, svc):
+    return sj.ask(JOIN_DOMAINS, JOIN_VALUES).count()
+
+
+def service_query(sj, svc):
+    return svc.query(JOIN_DOMAINS, JOIN_VALUES).count()
+
+
+def push(sj, svc):
+    sj.feed("samples").push([dict(EXTRA)])
+
+
+def advance(sj, svc):
+    svc.advance("samples", rows=[dict(EXTRA)])
+
+
+def reregister(sj, svc):
+    # same name, same schema, other rows
+    sj.drop("samples")
+    sj.register_rows(samples(10), KEYED_LEFT_SCHEMA, name="samples")
+
+
+@pytest.mark.parametrize("ask, change, after", [
+    pytest.param(session_ask, push, 41, id="ask-after-feed-push"),
+    pytest.param(session_ask, reregister, 10,
+                 id="ask-after-drop-and-reregister"),
+    pytest.param(service_query, advance, 41, id="service-after-advance"),
+    pytest.param(service_query, reregister, 10,
+                 id="service-after-drop-and-reregister"),
+])
+def test_answers_count_the_current_rows(ask, change, after):
+    sj = feed_session()
+    svc = QueryService(sj, num_workers=1)
+    try:
+        assert ask(sj, svc) == 40
+        assert ask(sj, svc) == 40  # a repeat (a service cache hit) too
+        change(sj, svc)
+        assert ask(sj, svc) == after
+    finally:
+        svc.close()
+        sj.close()
+
+
+@pytest.mark.parametrize("ask", [
+    pytest.param(session_ask, id="new-session"),
+    pytest.param(service_query, id="restarted-service"),
+])
+def test_fresh_session_and_service_see_their_own_rows(ask):
+    def serve_once(n):
+        with feed_session(n) as sj:
+            svc = QueryService(sj, num_workers=1)
+            try:
+                return ask(sj, svc), ask(sj, svc)
+            finally:
+                svc.close()
+
+    assert serve_once(40) == (40, 40)
+    assert serve_once(5) == (5, 5)
+    assert serve_once(40) == (40, 40)

@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro import QueryClient, QueryServer, ScrubJaySession
-from repro.core.cache import DerivationCache
 from repro.core.query import FilterTerm
 from repro.datagen.synthetic import (
     KEYED_RIGHT_SCHEMA,
@@ -22,7 +21,7 @@ from repro.datagen.synthetic import (
     keyed_tables,
     timed_tables,
 )
-from repro.serve import ResultCache, ShardRouter, sharded, wire
+from repro.serve import ShardRouter, sharded, wire
 
 from tests.serve.conftest import row_multiset
 
@@ -163,23 +162,3 @@ def test_router_does_no_row_codec_work(fleets, codec_calls):
         assert cache.stats()["hits"] == hits + 1
         assert hot[0] == cold[0]
     assert codec_calls == {"encode_rows": 0, "decode_rows": 0}
-
-
-def test_disk_tier_round_trip_behind_router(fleets, tmp_path):
-    """A router entry born as shard text is written through as typed
-    rows, promoted back by a restarted memory tier and served with
-    the same bytes, without asking a shard again."""
-    router, _ = fleets
-    disk = DerivationCache(str(tmp_path / "results"), max_entries=16)
-    router.svc.result_cache = ResultCache(backing=disk)
-    first = router.ask("range_join")
-    assert len(disk) == 1
-
-    router.svc.result_cache = restarted = ResultCache(backing=disk)
-    asked = router.svc.snapshot().shards["routing"]["shard_requests"]
-    again = router.ask("range_join")
-    assert restarted.stats()["backing_hits"] == 1
-    assert (
-        router.svc.snapshot().shards["routing"]["shard_requests"] == asked
-    )
-    assert again[0] == first[0] and again[1] == first[1]

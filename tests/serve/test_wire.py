@@ -85,6 +85,7 @@ def test_explain_and_ping_and_metrics(service, server):
         m = client.metrics()
         assert m["completed"] >= 1
         assert "plan_cache" in m and "latency_s" in m
+        assert "derivation_cache" not in m
 
 
 def test_error_mapping_no_solution(service, server):

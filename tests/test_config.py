@@ -79,7 +79,6 @@ def test_sampled_statistics_and_skew_knobs_are_gone():
     # joins and shuffles decide on exact row counts: nothing is sampled,
     # no bucket is split, and the byte-valued threshold spellings fail
     # loudly instead of turning 8 << 20 bytes into 8 M rows
-    assert len(KNOBS) == 25
     for name in GONE_ADAPTIVE_KNOBS:
         with pytest.raises(ConfigError) as ei:
             TuningProfile().set(name, 1)
@@ -90,6 +89,37 @@ def test_sampled_statistics_and_skew_knobs_are_gone():
     with pytest.raises(TypeError):
         SJContext(broadcast_threshold=0)
     assert not hasattr(AdaptiveConfig(), "with_broadcast_threshold")
+
+
+GONE_DISK_CACHE_KNOBS = [
+    "session.cache_dir", "session.cache_max_entries",
+    "serve.use_disk_cache",
+]
+
+
+def test_disk_cache_knobs_are_gone():
+    # results live in memory only: there is no directory to name, no
+    # disk tier to size and no write-through to switch off
+    assert len(KNOBS) == 22
+    for name in GONE_DISK_CACHE_KNOBS:
+        leaf = name.split(".")[-1]
+        for spelling in (name, leaf):
+            with pytest.raises(ConfigError) as ei:
+                TuningProfile(**{spelling: 1})
+            assert ei.value.knob == spelling
+            with pytest.raises(ConfigError) as ei:
+                ServeConfig().with_overrides(**{spelling: True})
+            assert ei.value.knob == spelling
+    from repro.serve import QueryService, ResultCache
+
+    sj = ScrubJaySession()
+    try:
+        with pytest.raises(TypeError, match="use_disk_cache"):
+            QueryService(sj, use_disk_cache=True)
+    finally:
+        sj.close()
+    with pytest.raises(TypeError, match="backing"):
+        ResultCache(backing=None)
 
 
 def test_unknown_knob_raises_typed_error_with_suggestion():

@@ -69,15 +69,14 @@ def _frozen_heap():
         gc.unfreeze()
 
 
-def _run_join(workers, left_rows, right_rows, adaptive=True):
+def _run_join(workers, left_rows, right_rows):
     # broadcast_threshold_rows=0 pins the exact-key shuffle path these panels
-    # measure; the adaptive broadcast is covered by its own tests.
-    # adaptive=False also fixes the reduce side at PARTITIONS tasks.
-    planner = AdaptiveConfig(broadcast_threshold_rows=0) if adaptive else \
-        AdaptiveConfig(enabled=False)
+    # measure; the adaptive broadcast is covered by its own tests. The
+    # simulated cluster reduces in default_parallelism = PARTITIONS tasks.
     with _frozen_heap(), SJContext(
         executor="simulated", num_workers=workers,
-        default_parallelism=PARTITIONS, adaptive=planner,
+        default_parallelism=PARTITIONS,
+        adaptive=AdaptiveConfig(broadcast_threshold_rows=0),
     ) as ctx:
         left = ScrubJayDataset.from_rows(
             ctx, left_rows, TIMED_LEFT_SCHEMA, "left", PARTITIONS
@@ -94,13 +93,12 @@ def _run_join(workers, left_rows, right_rows, adaptive=True):
 def test_fig3c_time_vs_rows(benchmark, tables, rows_recorder, num_rows):
     left, right = tables[num_rows]
     # The paper's Spark ran a fixed partition count, so each node's
-    # share grew with the rows. The adaptive count (rows / 8192) keeps
-    # every reduce task near one size instead: on 10 workers this sweep
-    # would measure the fixed costs, not the rows (EXPERIMENTS.md).
+    # share grew with the rows; the simulated cluster's reduce side is
+    # PARTITIONS tasks at every row count, the same decomposition.
     # A warm-up round: the smallest point's join takes a few ms, so
     # its first run's cold start would decide the linearity check.
     sim_s, count = benchmark.pedantic(
-        _run_join, args=(10, left, right, False), rounds=1, iterations=1,
+        _run_join, args=(10, left, right), rounds=1, iterations=1,
         warmup_rounds=1,
     )
     # the generator guarantees every left row a right sample in-window

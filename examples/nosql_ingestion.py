@@ -35,7 +35,7 @@ from repro.datagen.scheduler import JobScheduler
 from repro.store import WideColumnStore
 
 
-def main() -> None:
+def run(store_dir: str) -> None:
     facility = Facility(FacilityConfig(num_racks=1, nodes_per_rack=4))
     sched = JobScheduler(facility)
     sched.pin("Kripke", [0, 1], 300.0, 2300.0)
@@ -45,7 +45,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. the first hour of ingestion into the wide-column store
     # ------------------------------------------------------------------
-    store = WideColumnStore(tempfile.mkdtemp(prefix="scrubjay-store-"))
+    store = WideColumnStore(store_dir)
     table = store.create_table(
         "perf", "ldms", partition_key=["nodeid"], clustering=["time"],
         memtable_limit=2000,
@@ -120,6 +120,11 @@ def main() -> None:
                 "busy nodes should show high utilization"
             print("\n(idle node 3 never appears: no job-instant "
                   "relates to it)")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="scrubjay-store-") as d:
+        run(d)
 
 
 if __name__ == "__main__":

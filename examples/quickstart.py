@@ -54,8 +54,7 @@ SENSOR_SCHEMA = Schema({
 })
 
 
-def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="scrubjay-quickstart-")
+def run(workdir: str) -> None:
     jobs_path = os.path.join(workdir, "job_log.csv")
     sensors_path = os.path.join(workdir, "node_temps.csv")
     with open(jobs_path, "w") as f:
@@ -103,6 +102,11 @@ def main() -> None:
         reloaded = sj.load_plan(plan_path)
         assert sj.execute(reloaded).count() == result.count()
         print("reloaded plan re-executes identically ✓")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="scrubjay-quickstart-") as d:
+        run(d)
 
 
 if __name__ == "__main__":

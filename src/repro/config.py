@@ -124,26 +124,11 @@ def _build_knobs() -> Dict[str, Knob]:
         Knob("engine.projection", "bool", e.projection,
              "Let the pushdown rewrite also prune scanned columns."),
         # -- adaptive execution ---------------------------------------
-        Knob("adaptive.enabled", "bool", a.enabled,
-             "Master switch for row-count-driven execution; off "
-             "forces classic always-shuffle plans."),
         Knob("adaptive.broadcast_threshold_rows", "int",
              a.broadcast_threshold_rows,
              "Broadcast the join side with fewer rows when it has at "
              "most this many rows; else shuffle.",
              low=0, high=10_000_000),
-        Knob("adaptive.target_partition_rows", "int",
-             a.target_partition_rows,
-             "Auto-chosen reduce partitions aim for this many rows "
-             "each.", low=1, high=1_000_000),
-        Knob("adaptive.min_reduce_partitions", "int",
-             a.min_reduce_partitions,
-             "Lower bound for the auto-chosen reduce partition "
-             "count.", low=1, high=1024),
-        Knob("adaptive.max_reduce_partitions", "int",
-             a.max_reduce_partitions,
-             "Upper bound for the auto-chosen reduce partition "
-             "count.", low=1, high=4096),
         # -- executor -------------------------------------------------
         Knob("executor.kind", "str", "serial",
              "Data-cluster executor the session builds when no "

@@ -32,17 +32,16 @@ class SJContext:
         Simulated node count (ignored by the serial executor and when
         an executor instance is passed).
     default_parallelism:
-        Partition count used when an operation does not specify one
-        (and adaptive execution is off or cannot decide).
-        Defaults to ``2 * num_workers`` (at least 4).
+        Partition count of :meth:`parallelize` when the call names
+        none, and the simulated cluster's reduce partitions per
+        shuffle (the serial executor reduces in one). Defaults to
+        ``2 * num_workers`` (at least 4).
     adaptive:
         An :class:`~repro.rdd.stats.AdaptiveConfig` controlling
-        row-count-driven execution: broadcast joins and shuffle
-        partition sizing. Defaults to enabled. A join side of at most
+        row-count-driven join choice: a join side of at most
         ``broadcast_threshold_rows`` rows is broadcast instead of
         shuffled; ``AdaptiveConfig(broadcast_threshold_rows=0)`` turns
-        broadcast joins of non-empty sides off while keeping the rest
-        of the adaptive machinery on.
+        broadcast joins of non-empty sides off.
     tracer:
         A :class:`~repro.obs.Tracer` shared by every layer touching
         this context (scheduler stages/tasks, derivation engine,

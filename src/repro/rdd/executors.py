@@ -2,13 +2,14 @@
 
 The paper runs Spark over 10 worker nodes with 32 cores each. Here a
 task always runs in the driver's interpreter, on the calling thread;
-the executors differ only in what they record around it:
+the executors differ only in what they record around it and in how
+many reduce buckets a shuffle gets (:meth:`Executor.reduce_partitions`):
 
-- :class:`SerialExecutor` — runs tasks in order. The default:
-  deterministic, zero overhead.
+- :class:`SerialExecutor` — runs tasks in order, one reduce bucket per
+  shuffle. The default: deterministic, zero overhead.
 - :class:`SimulatedClusterExecutor` — serial execution with a
   deterministic cluster-timing model for the strong-scaling studies
-  (Fig 3b/3d).
+  (Fig 3b/3d); a shuffle has ``default_parallelism`` buckets.
 
 Real thread and process pools were measured on ``paper_derive`` at two
 workers and gave no gain over serial (EXPERIMENTS.md), so none exists.
@@ -57,6 +58,8 @@ class Executor(ABC):
 
     #: number of simulated cluster nodes (1 for the serial executor)
     num_workers: int = 1
+    #: the reduce-partition rule, named on every shuffle decision
+    reduce_rule: str = "one-bucket"
 
     @abstractmethod
     def run_partition_tasks(
@@ -71,6 +74,12 @@ class Executor(ABC):
         simulated-cluster executor stops charging driver think-time
         between two separate actions as shuffle-exchange time.
         """
+
+    def reduce_partitions(self, default_parallelism: int) -> int:
+        """Reduce buckets per shuffle. Tasks run one after another in
+        the driver, so more than one bucket buys no parallelism: a
+        shuffle is one dict group-by that hashes nothing."""
+        return 1
 
 
 class SerialExecutor(Executor):
@@ -101,9 +110,14 @@ class SimulatedClusterExecutor(Executor):
     scheduler calls :meth:`job_boundary` when an action starts, which
     drops the previous stage's end mark.
 
+    A shuffle has ``default_parallelism`` reduce buckets, the tasks
+    the model spreads over the workers.
+
     Read :attr:`simulated_elapsed` after the job; call :meth:`reset`
     before starting a measurement.
     """
+
+    reduce_rule = "cluster-parallelism"
 
     def __init__(self, num_workers: Optional[int] = None) -> None:
         self.num_workers = num_workers or 1
@@ -117,6 +131,9 @@ class SimulatedClusterExecutor(Executor):
     def job_boundary(self) -> None:
         # think-time between two actions is not shuffle-exchange time
         self._last_return = None
+
+    def reduce_partitions(self, default_parallelism: int) -> int:
+        return default_parallelism
 
     def run_partition_tasks(
         self, fn: PartitionFunc, partitions: List[Partition]

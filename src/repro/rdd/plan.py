@@ -14,10 +14,13 @@ cheap and embarrassingly parallel, combinations pay for the shuffle.
 Adaptive execution: materialization happens bottom-up, so by the time
 a shuffle or join node is computed its inputs already exist driver-side
 as lists, and their exact row counts are free to read. The scheduler
-uses them (see :mod:`repro.rdd.stats`) to (1) pick broadcast-hash vs
-shuffle for :class:`~repro.rdd.rdd.AdaptiveJoinRDD` nodes and (2) size
-the reduce partition count of auto shuffles. Every choice is recorded
-in the context's :class:`~repro.rdd.stats.ExecutionReport`.
+uses them (see :mod:`repro.rdd.stats`) to pick broadcast-hash vs
+shuffle for :class:`~repro.rdd.rdd.AdaptiveJoinRDD` nodes. A shuffle's
+reduce partition count is the executor's
+(:meth:`~repro.rdd.executors.Executor.reduce_partitions`): one bucket
+in the driver, ``default_parallelism`` on the simulated cluster. Every
+choice is recorded in the context's
+:class:`~repro.rdd.stats.ExecutionReport`.
 
 Failure semantics: a task runs once, in the driver, on the calling
 thread. There is no worker that could die, so nothing is retried or
@@ -78,8 +81,9 @@ class Scheduler:
     """Materializes RDDs by executing their lineage on an executor.
 
     ``planner`` (an :class:`~repro.rdd.stats.AdaptivePlanner`) drives
-    the row-count-based choices; without one the scheduler falls back
-    to fixed partition counts and shuffle joins, recording nothing.
+    the row-count-based join choices and holds the report decisions
+    land on; without one, joins are decided on the default config and
+    shuffles record nothing.
 
     ``tracer``/``metrics`` instrument stage submissions: every stage
     run while the tracer is enabled produces a ``stage`` span holding
@@ -277,30 +281,12 @@ class Scheduler:
                 parts.append(Partition(len(parts), list(p.data)))
         return parts
 
-    def _choose_shuffle_partitions(
-        self, rdd: ShuffledRDD, input_rows: int
-    ) -> tuple:
-        """Pick the reduce partition count: (count, how it was chosen —
-        ``explicit``, ``stats`` or ``default-parallelism`` —, reason)."""
-        if rdd._n is not None:
-            return rdd._n, "explicit", "explicit"
-        planner = self.planner
-        if planner is not None and planner.config.enabled:
-            n = planner.choose_reduce_partitions(input_rows)
-            return n, "stats", (
-                f"stats: {input_rows} rows,"
-                f" target {planner.config.target_partition_rows} rows/part"
-            )
-        default = "default-parallelism"
-        return rdd.ctx.default_parallelism, default, default
-
     def _compute_shuffle(self, rdd: ShuffledRDD) -> List[Partition]:
         parent_parts = self.materialize(rdd.parent)
         shuffle_t0 = time.perf_counter()
         input_rows = sum(len(p.data) for p in parent_parts)
-        n, n_choice, n_reason = self._choose_shuffle_partitions(
-            rdd, input_rows
-        )
+        executor = self.executor
+        n = executor.reduce_partitions(rdd.ctx.default_parallelism)
         create = rdd.create
         merge_value = rdd.merge_value
         merge_combiners = rdd.merge_combiners
@@ -308,10 +294,17 @@ class Scheduler:
         def map_task(_index: int, items: List[Any]) -> List[Any]:
             # One dict of partial combiners per output bucket: the
             # map-side combine that keeps shuffle volume proportional
-            # to distinct keys rather than records. Bucket indices are
-            # memoized per key: composite keys (tuples of strings,
-            # dataclasses) pay a recursive portable_hash once per
-            # distinct key per task, not once per record.
+            # to distinct keys rather than records. One bucket is a
+            # plain group-by that hashes nothing.
+            if n == 1:
+                d: dict = {}
+                for k, v in items:
+                    d[k] = merge_value(d[k], v) if k in d else create(v)
+                return [list(d.items())]
+            # Bucket indices are memoized per key: composite keys
+            # (tuples of strings, dataclasses) pay a recursive
+            # portable_hash once per distinct key per task, not once
+            # per record.
             buckets: List[dict] = [dict() for _ in range(n)]
             bucket_of: dict = {}
             for k, v in items:
@@ -338,7 +331,8 @@ class Scheduler:
         planner = self.planner
         if planner is not None:
             decision = planner.report.add(Decision(
-                "shuffle", "shuffle", n_choice, n_reason, {
+                "shuffle", "shuffle", executor.reduce_rule,
+                f"reduce partitions of {type(executor).__name__}: {n}", {
                     "chosen_partitions": n,
                     "input_rows": input_rows,
                     "shuffled_pairs": total_pairs,
@@ -420,7 +414,7 @@ class Scheduler:
             lsrc = SourceRDD(rdd.ctx, left_parts).keyBy(rdd.lkey)
             rsrc = SourceRDD(rdd.ctx, right_parts).keyBy(rdd.rkey)
             out = self.materialize(
-                lsrc.join(rsrc, rdd._n).map(lambda kv: combine(*kv[1]))
+                lsrc.join(rsrc).map(lambda kv: combine(*kv[1]))
             )
         # the measured strategy cost lands on the decision
         planner.report.measured(decision, time.perf_counter() - join_t0)

@@ -103,7 +103,6 @@ class RDD:
         create: Callable[[Any], Any],
         merge_value: Callable[[Any, Any], Any],
         merge_combiners: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
     ) -> "RDD":
         """The single shuffle primitive all key-based ops build on.
 
@@ -112,21 +111,14 @@ class RDD:
         merges them on the reduce side, yielding ``(key, combiner)``
         pairs.
 
-        With ``num_partitions=None`` the reduce partition count is
-        chosen at run time from the exact input rows (rows per
-        partition target) when the context has adaptive execution
-        enabled; otherwise it falls back to
-        ``ctx.default_parallelism``.
+        The reduce partition count is the executor's
+        (:meth:`~repro.rdd.executors.Executor.reduce_partitions`): one
+        bucket on the serial executor, ``ctx.default_parallelism`` on
+        the simulated cluster.
         """
-        return ShuffledRDD(
-            self,
-            num_partitions,
-            create,
-            merge_value,
-            merge_combiners,
-        )
+        return ShuffledRDD(self, create, merge_value, merge_combiners)
 
-    def groupByKey(self, num_partitions: Optional[int] = None) -> "RDD":
+    def groupByKey(self) -> "RDD":
         def _extend(acc: List[Any], acc2: List[Any]) -> List[Any]:
             acc.extend(acc2)
             return acc
@@ -135,16 +127,13 @@ class RDD:
             acc.append(v)
             return acc
 
-        return self.combineByKey(
-            lambda v: [v], _append, _extend, num_partitions
-        )
+        return self.combineByKey(lambda v: [v], _append, _extend)
 
     def aggregateByKey(
         self,
         zero: Any,
         seq_fn: Callable[[Any, Any], Any],
         comb_fn: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
     ) -> "RDD":
         """Fold each key's values into ``zero`` with ``seq_fn``, then
         merge per-partition results with ``comb_fn``. Every key starts
@@ -155,9 +144,9 @@ class RDD:
             create = lambda v: seq_fn(zero, v)
         except TypeError:
             create = lambda v: seq_fn(copy.deepcopy(zero), v)
-        return self.combineByKey(create, seq_fn, comb_fn, num_partitions)
+        return self.combineByKey(create, seq_fn, comb_fn)
 
-    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
+    def join(self, other: "RDD") -> "RDD":
         """Inner equi-join of keyed RDDs: ``(k, (v_self, v_other))``.
 
         Always the shuffle plan: both sides' values are tagged with
@@ -185,7 +174,7 @@ class RDD:
             return pa
 
         return tagged.combineByKey(
-            _create, _merge_value, _merge_combiners, num_partitions
+            _create, _merge_value, _merge_combiners
         ).flatMap(
             lambda kv: [
                 (kv[0], (a, b)) for a in kv[1][0] for b in kv[1][1]
@@ -195,7 +184,6 @@ class RDD:
     def adaptiveJoin(
         self,
         other: "RDD",
-        num_partitions: Optional[int] = None,
         lkey: Callable[[Any], Any] = itemgetter(0),
         rkey: Callable[[Any], Any] = itemgetter(0),
         combine: Callable[[Any, Any], Any] = _pair,
@@ -212,7 +200,7 @@ class RDD:
         :class:`~repro.rdd.stats.ExecutionReport`. Both plans emit the
         same multiset.
         """
-        return AdaptiveJoinRDD(self, other, num_partitions, lkey, rkey, combine)
+        return AdaptiveJoinRDD(self, other, lkey, rkey, combine)
 
     # ------------------------------------------------------------------
     # actions
@@ -324,25 +312,18 @@ class UnionRDD(RDD):
 
 
 class ShuffledRDD(RDD):
-    """Key-based shuffle with map-side combine (``combineByKey``).
-
-    ``num_partitions=None`` defers the reduce partition count to the
-    scheduler, which sizes it from the exact input rows at run time.
-    """
+    """Key-based shuffle with map-side combine (``combineByKey``); the
+    executor decides its reduce partition count."""
 
     def __init__(
         self,
         parent: RDD,
-        num_partitions: Optional[int],
         create: Callable[[Any], Any],
         merge_value: Callable[[Any, Any], Any],
         merge_combiners: Callable[[Any, Any], Any],
     ) -> None:
         super().__init__(parent.ctx)
-        if num_partitions is not None and num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
         self.parent = parent
-        self._n = num_partitions
         self.create = create
         self.merge_value = merge_value
         self.merge_combiners = merge_combiners
@@ -360,10 +341,10 @@ class AdaptiveJoinRDD(RDD):
     """
 
     def __init__(
-        self, left: RDD, right: RDD, num_partitions: Optional[int],
+        self, left: RDD, right: RDD,
         lkey: Callable[[Any], Any], rkey: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any],
     ) -> None:
         super().__init__(left.ctx)
-        self.left, self.right, self._n = left, right, num_partitions
+        self.left, self.right = left, right
         self.lkey, self.rkey, self.combine = lkey, rkey, combine

@@ -2,13 +2,13 @@
 
 The paper's Figure 3 shows ScrubJay's combinations are shuffle-bound:
 joins pay for the exchange, not the map work. This module provides the
-pieces that let the scheduler avoid or tune those exchanges at run
-time, the way Spark's adaptive query execution does:
+pieces that let the scheduler avoid those exchanges at run time, the
+way Spark's adaptive query execution does:
 
-- :class:`AdaptiveConfig` — the adaptive knobs (broadcast threshold in
-  rows, target rows per reduce partition and its bounds);
-- :class:`AdaptivePlanner` — the decision procedures: broadcast-hash
-  vs shuffle join selection and reduce-partition-count selection;
+- :class:`AdaptiveConfig` — the adaptive knob, the broadcast threshold
+  in rows;
+- :class:`AdaptivePlanner` — the decision procedure: broadcast-hash vs
+  shuffle join selection;
 - :class:`Decision` and :class:`ExecutionReport` — the audit trail.
   Every physical choice made while answering a query (join strategy,
   shuffle partitioning, delta refresh, rollup route) is
@@ -16,6 +16,10 @@ time, the way Spark's adaptive query execution does:
   the metrics registry, so tests, benchmarks and EXPLAIN ANALYZE can
   assert the optimizer actually fired (and why), rather than trusting
   it.
+
+A shuffle's reduce partition count is no decision of the planner's:
+it belongs to the executor (see
+:meth:`~repro.rdd.executors.Executor.reduce_partitions`).
 
 Every decision is taken on exact row counts: partitions are lists held
 in the driver, so a side's rows are the sum of their lengths and cost
@@ -52,20 +56,12 @@ class AdaptiveConfig:
 
     The join side with fewer rows is broadcast when it has at most
     ``broadcast_threshold_rows`` rows (16 384: 8 MiB at ~512 B per
-    row); reduce partitions are sized for thousands of rows each. Set
-    ``enabled=False`` to force the classic always-shuffle plans
-    (decisions are still recorded, marked ``adaptive-disabled``).
+    row). ``broadcast_threshold_rows=0`` forces the shuffle plan for
+    non-empty sides.
     """
 
-    #: master switch: False forces shuffle plans and fixed partitioning
-    enabled: bool = True
     #: broadcast the join side with fewer rows when it has at most this
     broadcast_threshold_rows: int = 16_384
-    #: auto-chosen reduce partitions aim for this many rows each
-    target_partition_rows: int = 8192
-    #: bounds for the auto-chosen reduce partition count
-    min_reduce_partitions: int = 1
-    max_reduce_partitions: int = 256
 
 
 DEFAULT_ADAPTIVE_CONFIG = AdaptiveConfig()
@@ -103,8 +99,8 @@ class Decision:
     ``kind`` names the decision procedure, ``choice`` what it picked:
 
     - ``join`` (adaptive planner): ``broadcast`` | ``shuffle``;
-    - ``shuffle`` (scheduler), how the partition count was chosen:
-      ``explicit`` | ``stats`` | ``default-parallelism``;
+    - ``shuffle`` (scheduler), the executor's reduce-partition rule:
+      ``one-bucket`` | ``cluster-parallelism``;
     - ``delta`` (standing-query refresh): ``delta`` | ``replay``;
     - ``rollup`` (metric routing): ``rollup`` | ``raw``;
     - ``plan`` (derivation engine, when estimated rows decided between
@@ -112,7 +108,7 @@ class Decision:
 
     ``op`` is the operator it was taken for and ``reason`` says why.
     ``evidence`` holds only the numbers the choice was made on (empty
-    when nothing was weighed, e.g. adaptive execution disabled);
+    when nothing was weighed);
     ``measured_s`` is the wall-clock the chosen strategy then took,
     when the scheduler timed it.
     """
@@ -256,8 +252,6 @@ class AdaptivePlanner:
         # `is not None`, not truthiness: an empty report is falsy
         self.report = report if report is not None else ExecutionReport()
 
-    # -- joins ---------------------------------------------------------
-
     def decide_join(
         self,
         op: str,
@@ -273,10 +267,6 @@ class AdaptivePlanner:
         ``name`` labels the side in the reason (default: the side).
         """
         cfg = self.config
-        if not cfg.enabled:
-            return self.report.add(
-                Decision("join", op, "shuffle", "adaptive-disabled")
-            )
         evidence: Dict[str, Any] = {
             f"{side}_rows": rows for side, rows in sides
         }
@@ -294,15 +284,3 @@ class AdaptivePlanner:
                 f" {threshold} rows"
             )
         return self.report.add(Decision("join", op, choice, reason, evidence))
-
-    # -- shuffles ------------------------------------------------------
-
-    def choose_reduce_partitions(self, input_rows: int) -> int:
-        """Reduce-partition count sized from the exact input rows:
-        ``target_partition_rows`` rows per reduce partition, clamped to
-        the configured bounds."""
-        cfg = self.config
-        n = -(-max(0, input_rows) // cfg.target_partition_rows) or 1
-        return max(
-            cfg.min_reduce_partitions, min(cfg.max_reduce_partitions, n)
-        )

@@ -223,15 +223,3 @@ def test_dataset_exposes_its_report(ctx, dictionary):
     lds = ScrubJayDataset.from_rows(ctx, left, LEFT, "l", 5)
     assert lds.rdd.count() == 200
     assert lds.execution_report is ctx.report
-
-
-def test_natural_join_report_disabled_cleanly(dictionary):
-    left, right = _natural_rows()
-    with SJContext(executor="serial", default_parallelism=4,
-                   adaptive=AdaptiveConfig(enabled=False)) as ctx:
-        rows = _run_natural(ctx, dictionary, left, right)
-        d = ctx.report.of("join")[-1]
-    assert d.choice == "shuffle"
-    assert d.reason == "adaptive-disabled"
-    assert d.evidence == {}  # nothing was weighed
-    assert len(rows) == 200

@@ -50,11 +50,11 @@ def test_join_and_shuffle_series():
     # spread over the others: a hot bucket is one more bucket
     hot = [(4 * i, i) for i in range(300)] + \
         [(4 * i + r, i) for r in (1, 2, 3) for i in range(30)]
-    with SJContext(executor="serial", default_parallelism=4) as ctx:
+    with SJContext(executor="simulated", default_parallelism=4) as ctx:
         big = ctx.parallelize([(i % 8, i) for i in range(64)], 2)
         small = ctx.parallelize([(k, -k) for k in range(8)], 1)
         big.adaptiveJoin(small).collect()
-        ctx.parallelize(hot, 4).groupByKey(4).collect()
+        ctx.parallelize(hot, 4).groupByKey().collect()
         assert _series(ctx.metrics) == (
             {
                 "rdd.join.decisions{strategy=broadcast}": 1,
@@ -67,10 +67,11 @@ def test_join_and_shuffle_series():
 
 def test_shuffle_join_series():
     with SJContext(executor="serial", default_parallelism=2,
-                   adaptive=AdaptiveConfig(enabled=False)) as ctx:
+                   adaptive=AdaptiveConfig(broadcast_threshold_rows=0)
+                   ) as ctx:
         left = ctx.parallelize([(i % 4, i) for i in range(8)], 2)
         right = ctx.parallelize([(k, -k) for k in range(4)], 1)
-        left.adaptiveJoin(right, 2).collect()
+        left.adaptiveJoin(right).collect()
         counters, timings = _series(ctx.metrics)
     assert counters == {
         "rdd.join.decisions{strategy=shuffle}": 1,

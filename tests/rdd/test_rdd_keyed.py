@@ -114,11 +114,15 @@ def test_shuffle_with_tuple_keys(ctx):
     assert got == {(1, "a"): 3, (2, "b"): 3}
 
 
-def test_shuffle_num_partitions_respected(ctx):
-    r = _kv(ctx).aggregateByKey(
-        0, operator.add, operator.add, num_partitions=3
-    )
-    assert len(r._materialize()) == 3
+def test_shuffle_num_partitions_respected():
+    # the simulated cluster reduces in default_parallelism partitions
+    with SJContext(executor="simulated", num_workers=2,
+                   default_parallelism=3) as cx:
+        r = _kv(cx).aggregateByKey(0, operator.add, operator.add)
+        assert len(r._materialize()) == 3
+        d = cx.report.of("shuffle")[-1]
+    assert d.choice == "cluster-parallelism"
+    assert d.evidence["chosen_partitions"] == 3
 
 
 @pytest.mark.parametrize("kind", ["serial", "simulated"])

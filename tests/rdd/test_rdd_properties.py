@@ -43,13 +43,15 @@ def test_count_and_sum(data, n):
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(-50, 50)),
                 max_size=150), parts, parts)
 def test_aggregateByKey_matches_oracle(pairs, n, out_n):
-    r = _CTX.parallelize(pairs, n).aggregateByKey(
-        0, operator.add, operator.add, out_n
-    )
+    # the simulated cluster reduces in default_parallelism buckets
+    with SJContext(executor="simulated", default_parallelism=out_n) as cx:
+        got = dict(cx.parallelize(pairs, n).aggregateByKey(
+            0, operator.add, operator.add
+        ).collect())
     want = defaultdict(int)
     for k, v in pairs:
         want[k] += v
-    assert dict(r.collect()) == dict(want)
+    assert got == dict(want)
 
 
 @given(st.lists(st.tuples(st.integers(0, 10), st.text(max_size=4)),

@@ -47,10 +47,10 @@ def test_bool_int_consistency(b):
 def test_bool_and_int_keys_group_together_at_any_partition_count(n):
     # the groups must not depend on how the input was partitioned
     pairs = [(True, "a"), (1, "b"), (0, "c"), (False, "d")]
-    with SJContext(executor="serial") as ctx:
+    with SJContext(executor="simulated", default_parallelism=4) as ctx:
         got = {
             k: sorted(v)
-            for k, v in ctx.parallelize(pairs, n).groupByKey(4).collect()
+            for k, v in ctx.parallelize(pairs, n).groupByKey().collect()
         }
     assert got == {1: ["a", "b"], 0: ["c", "d"]}
 

@@ -1,12 +1,15 @@
-"""Shuffle tuning: auto partition counts, hot keys, hash memoization,
-and the union defensive copy."""
+"""Shuffle tuning: the executor's reduce partition count, hot keys,
+hash memoization, and the union defensive copy."""
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 
 import pytest
 
+import repro.rdd.plan
+import repro.rdd.shuffle
 from repro.rdd import AdaptiveConfig, SJContext
 from repro.rdd.shuffle import portable_hash
 
@@ -17,44 +20,48 @@ def ctx():
         yield c
 
 
+@pytest.fixture()
+def sim():
+    # the simulated cluster reduces in default_parallelism buckets
+    with SJContext(executor="simulated", default_parallelism=4) as c:
+        yield c
+
+
 # ----------------------------------------------------------------------
-# auto-selected reduce partition counts
+# the executor's reduce partition count
 # ----------------------------------------------------------------------
 
-def test_explicit_partition_count_is_respected(ctx):
-    pairs = [(i % 10, 1) for i in range(200)]
-    r = ctx.parallelize(pairs, 4).aggregateByKey(
-        0, operator.add, operator.add, 7
-    )
-    assert len(r._materialize()) == 7
-    d = ctx.report.of("shuffle")[-1]
-    assert d.choice == d.reason == "explicit"
-    assert d.evidence["chosen_partitions"] == 7
+def test_serial_shuffle_is_one_bucket_and_hashes_nothing(monkeypatch):
+    def no_hash(*_args, **_kw):
+        raise AssertionError("a serial shuffle must not hash its keys")
 
-
-def test_auto_partition_count_from_stats():
-    cfg = AdaptiveConfig(target_partition_rows=50)
+    monkeypatch.setattr(repro.rdd.plan, "hash_bucket", no_hash)
+    monkeypatch.setattr(repro.rdd.shuffle, "portable_hash", no_hash)
+    pairs = [((f"n{i % 7}", i % 3), i) for i in range(600)]
+    want: dict = {}
+    for k, v in pairs:
+        want[k] = want.get(k, 0) + v
+    with SJContext(executor="serial", default_parallelism=4) as cx:
+        parts = cx.parallelize(pairs, 4) \
+            .aggregateByKey(0, operator.add, operator.add)._materialize()
+        assert len(parts) == 1
+        assert dict(parts[0].data) == want
+        d = cx.report.of("shuffle")[-1]
+        assert d.choice == "one-bucket"
+        assert d.evidence["chosen_partitions"] == 1
+    left = [(i % 5, i) for i in range(40)]
+    right = [(k, -k) for k in range(3)]
+    oracle = Counter((k, (v, w)) for k, v in left for k2, w in right
+                     if k == k2)
     with SJContext(executor="serial", default_parallelism=4,
-                   adaptive=cfg) as ctx:
-        pairs = [(i, 1) for i in range(400)]  # 400 distinct keys
-        got = dict(ctx.parallelize(pairs, 4)
-                   .aggregateByKey(0, operator.add, operator.add)
-                   .collect())
-        d = ctx.report.of("shuffle")[-1]
-    assert got == {i: 1 for i in range(400)}
-    assert d.choice == "stats"
-    assert d.evidence["chosen_partitions"] == 8  # 400 rows / 50 per part
-    assert "stats" in d.reason
-
-
-def test_disabled_adaptive_uses_default_parallelism():
-    with SJContext(executor="serial", default_parallelism=6,
-                   adaptive=AdaptiveConfig(enabled=False)) as ctx:
-        ctx.parallelize([(i, 1) for i in range(50)], 4) \
-            .aggregateByKey(0, operator.add, operator.add).collect()
-        d = ctx.report.of("shuffle")[-1]
-    assert d.evidence["chosen_partitions"] == 6
-    assert d.choice == d.reason == "default-parallelism"
+                   adaptive=AdaptiveConfig(broadcast_threshold_rows=0)
+                   ) as cx:
+        got = Counter(cx.parallelize(left, 3)
+                      .adaptiveJoin(cx.parallelize(right, 2)).collect())
+        assert cx.report.of("join")[-1].choice == "shuffle"
+        (d,) = cx.report.of("shuffle")
+    assert got == oracle
+    assert d.evidence["chosen_partitions"] == 1
 
 
 def test_shuffle_volume_reflects_map_side_combine(ctx):
@@ -75,25 +82,25 @@ def test_shuffle_volume_reflects_map_side_combine(ctx):
 # hot keys
 # ----------------------------------------------------------------------
 
-def test_single_hot_key_is_not_split(ctx):
+def test_single_hot_key_is_not_split(sim):
     # one key = one combiner per map task; every one lands in the
     # key's bucket, so the reduce merges the whole key at once
     pairs = [("only", i) for i in range(500)]
-    parts = ctx.parallelize(pairs, 4).groupByKey(3)._materialize()
-    d = ctx.report.of("shuffle")[-1].evidence
+    parts = sim.parallelize(pairs, 4).groupByKey()._materialize()
+    d = sim.report.of("shuffle")[-1].evidence
     got = [kv for p in parts for kv in p.data]
     assert len(got) == 1
     assert sorted(got[0][1]) == list(range(500))
-    assert len(parts) == d["chosen_partitions"] == 3
+    assert len(parts) == d["chosen_partitions"] == 4
 
 
-def test_hot_bucket_keeps_every_key_whole(ctx):
+def test_hot_bucket_keeps_every_key_whole(sim):
     # 16 hot keys that all hash to bucket 0 of a 4-way shuffle, each
     # repeated 125 times: each key's sum is complete and every key
     # lives in exactly one reduce partition
     pairs = [(4 * (i % 16), 1) for i in range(2000)]
-    parts = ctx.parallelize(pairs, 5) \
-        .aggregateByKey(0, operator.add, operator.add, 4)._materialize()
+    parts = sim.parallelize(pairs, 5) \
+        .aggregateByKey(0, operator.add, operator.add)._materialize()
     got = [kv for p in parts for kv in p.data]
     assert dict(got) == {4 * k: 125 for k in range(16)}
     assert len(got) == 16
@@ -118,12 +125,12 @@ def test_composite_key_shuffle_matches_driver_oracle(ctx):
     assert got == want
 
 
-def test_memoized_bucketing_matches_portable_hash(ctx):
+def test_memoized_bucketing_matches_portable_hash(sim):
     # every key in one output partition must hash to that bucket —
     # memoization may only cache, never change, the routing
     pairs = [((i % 11, "x"), i) for i in range(300)]
-    parts = ctx.parallelize(pairs, 4) \
-        .aggregateByKey(0, operator.add, operator.add, 4)._materialize()
+    parts = sim.parallelize(pairs, 4) \
+        .aggregateByKey(0, operator.add, operator.add)._materialize()
     for p in parts:
         for k, _v in p.data:
             assert portable_hash(k) % 4 == p.index

@@ -69,26 +69,6 @@ def test_threshold_zero_forces_shuffle():
     assert d.reason == "right side 10 rows exceeds threshold 0 rows"
 
 
-def test_disabled_config_records_non_adaptive_decision():
-    planner = AdaptivePlanner(
-        AdaptiveConfig(enabled=False), ExecutionReport()
-    )
-    d = planner.decide_join("join", (("left", 1), ("right", 1)))
-    assert d.choice == "shuffle"
-    assert d.evidence == {}
-    assert d.reason == "adaptive-disabled"
-
-
-def test_choose_reduce_partitions_targets_rows():
-    planner = AdaptivePlanner(AdaptiveConfig(target_partition_rows=100))
-    assert planner.choose_reduce_partitions(0) == 1
-    assert planner.choose_reduce_partitions(100) == 1
-    assert planner.choose_reduce_partitions(1000) == 10
-    # clamped to the configured maximum
-    assert planner.choose_reduce_partitions(10**9) == \
-        AdaptiveConfig().max_reduce_partitions
-
-
 def test_report_summary_and_dict():
     report = ExecutionReport()
     planner = AdaptivePlanner(AdaptiveConfig(), report)

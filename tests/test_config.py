@@ -100,7 +100,6 @@ GONE_DISK_CACHE_KNOBS = [
 def test_disk_cache_knobs_are_gone():
     # results live in memory only: there is no directory to name, no
     # disk tier to size and no write-through to switch off
-    assert len(KNOBS) == 22
     for name in GONE_DISK_CACHE_KNOBS:
         leaf = name.split(".")[-1]
         for spelling in (name, leaf):
@@ -120,6 +119,33 @@ def test_disk_cache_knobs_are_gone():
         sj.close()
     with pytest.raises(TypeError, match="backing"):
         ResultCache(backing=None)
+
+
+GONE_PARTITION_KNOBS = [
+    "adaptive.enabled", "adaptive.target_partition_rows",
+    "adaptive.min_reduce_partitions", "adaptive.max_reduce_partitions",
+]
+
+
+def test_reduce_partition_knobs_are_gone():
+    # the executor owns the reduce partition count: no row target, no
+    # bounds, no per-call count, and no switch that only forced shuffle
+    # joins (broadcast_threshold_rows=0 does that)
+    assert len(KNOBS) == 18
+    for name in GONE_PARTITION_KNOBS:
+        with pytest.raises(ConfigError) as ei:
+            TuningProfile().set(name, 1)
+        assert ei.value.knob == name
+    for field in ("enabled", "target_partition_rows",
+                  "min_reduce_partitions", "max_reduce_partitions"):
+        with pytest.raises(TypeError):
+            AdaptiveConfig(**{field: 1})
+    with SJContext() as ctx:
+        r = ctx.parallelize([(1, 1)])
+        for op in ("groupByKey", "aggregateByKey", "combineByKey", "join",
+                   "adaptiveJoin"):
+            with pytest.raises(TypeError, match="num_partitions"):
+                getattr(r, op)(num_partitions=2)
 
 
 def test_unknown_knob_raises_typed_error_with_suggestion():

@@ -31,16 +31,22 @@ FAST_EXAMPLES = [
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    # a fresh, empty TMPDIR: whatever the example puts there it must
+    # also remove
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     path = os.path.join(EXAMPLES_DIR, script)
     proc = subprocess.run(
         [sys.executable, path],
         capture_output=True, text=True, timeout=300,
+        env={**os.environ, "TMPDIR": str(tmpdir)},
     )
     assert proc.returncode == 0, (
         f"{script} failed:\n{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
     )
     assert proc.stdout.strip(), f"{script} printed nothing"
+    assert os.listdir(tmpdir) == [], f"{script} left files in TMPDIR"
 
 
 def test_every_example_has_a_docstring_and_main():

@@ -114,11 +114,8 @@ def test_session_forwards_adaptive_knobs():
     profile = TuningProfile(broadcast_threshold_rows=0)
     with ScrubJaySession(profile).ctx as ctx:
         assert ctx.adaptive.broadcast_threshold_rows == 0
-    profile = TuningProfile(
-        target_partition_rows=99, broadcast_threshold_rows=123
-    )
+    profile = TuningProfile(broadcast_threshold_rows=123)
     sj = ScrubJaySession(profile)
-    assert sj.ctx.adaptive.target_partition_rows == 99
     assert sj.ctx.adaptive.broadcast_threshold_rows == 123
     sj.ctx.stop()
 

@@ -16,6 +16,7 @@ subscriptions, rollups); finalize happens exactly once, driver-side.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -132,11 +133,14 @@ def _windowed(
     out: Dict[Tuple, Any] = {}
     for g, series in by_group.items():
         series.sort(key=lambda p: p[0])
-        for i, (t, _) in enumerate(series):
+        times = [t for t, _ in series]
+        for i, t in enumerate(times):
             acc = None
-            for u, val in series:
-                if t - measure.window < u <= t:
-                    acc = val if acc is None else merge(acc, val)
+            # bucket times are unique per group: (t - window, t] is
+            # the run from the first time past t - window up to i
+            for _, val in series[bisect_right(times, t - measure.window):
+                                 i + 1]:
+                acc = val if acc is None else merge(acc, val)
             out[g + (Timestamp(t),)] = acc
     return finalize_group_partials(out, measure.how)
 

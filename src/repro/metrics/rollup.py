@@ -1,22 +1,29 @@
-"""Materialized rollup tables: pre-aggregated measure sets at a grain.
+"""Materialized rollups: pre-aggregated measure sets at a grain.
 
 ``session.rollup(name, query)`` takes a metric query and materializes
-its answer — one wide row per (per-dims, time bucket) group — into the
-wide-column store, registering the result in the session catalog so
-the engine's schema search sees it like any other dataset. The base
+its answer — one wide row per (per-dims, time bucket) group — as an
+in-memory table, registering it in the session catalog so the
+engine's schema search sees it like any other dataset. The base
 relation is an ordinary derivation plan; the measures are computed
 over its result by :func:`~repro.metrics.compute.metric_partials`,
 keyed at the rollup's grain.
 
 Two states are kept per rollup:
 
-- the **table**: finalized values, scanned by whoever queries the
-  rollup dataset directly;
+- the **table**: finalized rows ``{group: row}``, published to whoever
+  queries the rollup dataset directly;
 - the **partial state**: unfinalized mergeable aggregation states per
   group (``mean`` → ``(sum, count)``), which is what lets the router
   re-aggregate a rollup to any coarser grain or per-dim subset
   *exactly* for decomposable measures, and what lets a feed delta fold
-  in at O(delta) via the PR-8 incremental-refresh path.
+  in at O(delta) through :class:`~repro.stream.DeltaPlan`.
+
+A delta refresh merges the delta's partials into the state, finalizes
+only the groups they touched (a windowed measure's whole per-dims
+series, since its trailing window reaches forward in time), replaces
+those rows in the table and swaps the table into the catalog as one
+change. A row dict is never mutated once published, so a dataset
+captured before a refresh keeps its rows.
 
 Routing (:meth:`Rollup.can_answer`): decomposable aggregates
 (sum/count/min/max/mean) accept any query whose grain the rollup's
@@ -30,7 +37,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import QueryError, ScrubJayError
+from repro.errors import QueryError
 from repro.analysis.aggregate import (
     DECOMPOSABLE_AGGS,
     _merge_for,
@@ -46,37 +53,9 @@ from repro.metrics.compute import (
     resolve_value_field,
     sorted_keys,
 )
-from repro.rdd.rdd import ScanRDD
 from repro.rdd.stats import Decision
 from repro.stream import DeltaPlan
 from repro.units.temporal import Timestamp
-
-_STORE_KEYSPACE = "rollups"
-
-
-def pinned_catalog(session, watermarks: Dict[str, int]
-                   ) -> Dict[str, ScrubJayDataset]:
-    """The session catalog with each feed dataset in ``watermarks``
-    swapped for a frozen snapshot bounded at its watermark (the
-    serve layer's no-mixed-watermark rule, session-side)."""
-    catalog = session.snapshot()
-    for name, mark in watermarks.items():
-        feed = session.feeds.get(name)
-        if feed is None:
-            continue
-        src = feed.source.bounded(mark)
-        src.name = name
-        ds = ScrubJayDataset(
-            ScanRDD(session.ctx, src),
-            src.schema(),
-            name,
-            provenance={"op": "scan",
-                        "source": type(src).__name__,
-                        "name": name, "bounded_at": mark},
-        )
-        ds.source = src
-        catalog[name] = ds
-    return catalog
 
 
 def rows_from_state(
@@ -98,7 +77,7 @@ def rows_from_state(
 
 class Rollup:
     """One materialized rollup: its defining metric query, base plan,
-    partial state, table, and feed watermarks."""
+    partial state, finalized table, and feed watermarks."""
 
     def __init__(self, session, name: str, query: Query) -> None:
         if not query.is_metric:
@@ -115,19 +94,35 @@ class Rollup:
         self.query = query
         #: per-measure partial state {measure_key: {group: partial}}
         self.state: Dict[str, Dict[Tuple, Any]] = {}
+        #: the finalized table {group: row}; a row is replaced, never
+        #: mutated, so a published dataset keeps the rows it was given
+        self.table: Dict[Tuple, Dict[str, Any]] = {}
         self.watermarks: Dict[str, int] = {}
         self.refreshes = 0
         self.delta_refreshes = 0
-        self._version = 0
         self._lock = threading.RLock()
         # Solve the base relation once.
         self.base_plan = session.engine.solve(
             session.schemas(), query.base()
         )
-        schema = self.base_plan.derive_schema(
+        base = self.base_plan.derive_schema(
             session.schemas(), session.dictionary
         )
-        self.group_fields, _ = metric_group_fields(schema, query)
+        self.group_fields, _ = metric_group_fields(base, query)
+        # the table's schema: the group fields as the base relation
+        # types them, then one value column per measure in its value
+        # field's units (``count`` is in counts)
+        fields = {f: base[f] for f in self.group_fields}
+        for m in query.measures:
+            src = base[resolve_value_field(base, m.dimension)]
+            units = src.units
+            if m.how == "count" and session.dictionary.has_unit("count"):
+                units = "count"
+            fields[m.key()] = SemanticType(VALUE, src.dimension, units)
+        self.schema = Schema(fields)
+        self._windowed = [
+            m.key() for m in query.measures if m.window is not None
+        ]
         self.delta_plan = DeltaPlan(self.base_plan)
         self.feed_names = tuple(
             n for n in self.base_plan.dataset_names()
@@ -137,68 +132,59 @@ class Rollup:
     # -- materialization ----------------------------------------------
 
     def materialize(self) -> "Rollup":
-        """Compute the rollup at the current feed watermarks, write
-        its table, and register it in the catalog."""
+        """Compute the rollup at the current feed watermarks, finalize
+        every group, and register the table in the catalog."""
         session = self.session
         with self._lock:
             marks = {
                 n: session.feeds[n].watermark for n in self.feed_names
             }
-            base = self.delta_plan.execute_full(
-                pinned_catalog(session, marks), session.dictionary
-            )
+            base = self.delta_plan.replay_at(session, marks)
             self.state = metric_partials(base, self.query)
             self.watermarks = marks
+            self.table = self._finalize(self.state)
             self._publish()
         return self
 
-    def _publish(self) -> None:
-        """Rebuild the finalized table from the partial state as
-        ``<name>_vN``, swap it into the store + catalog, and drop
-        ``<name>_v(N-2)`` (caller holds the lock)."""
-        session = self.session
-        rows = rows_from_state(self.state, self.group_fields, self.query)
-        store = session._rollup_store()
-        self._version += 1
-        table = f"{self.name}_v{self._version}"
-        partition_key = self.group_fields[:-1] or [self.group_fields[-1]]
-        store.create_table(
-            _STORE_KEYSPACE, table, partition_key,
-            clustering=(self.group_fields[-1],)
-            if len(self.group_fields) > 1 else (),
-        )
-        store.append_rows(_STORE_KEYSPACE, table, rows)
-        schema = self._table_schema()
-        try:
-            session.drop(self.name)
-        except ScrubJayError:
-            pass
-        session.ingest().table(
-            store, _STORE_KEYSPACE, table, schema
-        ).register(self.name)
-        # v(N-1) stays: a query that resolved the catalog just before
-        # the swap may still be scanning it
-        if self._version > 2:
-            store.drop_table(
-                _STORE_KEYSPACE, f"{self.name}_v{self._version - 2}"
-            )
+    def _finalize(
+        self, state: Dict[str, Dict[Tuple, Any]]
+    ) -> Dict[Tuple, Dict[str, Any]]:
+        """Fresh finalized rows for every group in ``state``."""
+        gf = self.group_fields
+        return {
+            tuple(row[f] for f in gf): row
+            for row in rows_from_state(state, gf, self.query)
+        }
 
-    def _table_schema(self) -> Schema:
-        """The group fields as the base relation types them, then one
-        value column per measure, in its value field's units (``count``
-        is in counts)."""
-        dictionary = self.session.dictionary
-        base = self.base_plan.derive_schema(
-            self.session.schemas(), dictionary
-        )
-        fields = {f: base[f] for f in self.group_fields}
-        for m in self.query.measures:
-            src = base[resolve_value_field(base, m.dimension)]
-            units = src.units
-            if m.how == "count" and dictionary.has_unit("count"):
-                units = "count"
-            fields[m.key()] = SemanticType(VALUE, src.dimension, units)
-        return Schema(fields)
+    def _touched(
+        self, part: Dict[str, Dict[Tuple, Any]]
+    ) -> Dict[str, Dict[Tuple, Any]]:
+        """The standing state of just the groups a delta's partials
+        ``part`` touched. A windowed measure's value at a bucket reads
+        the buckets before it, so a touched per-dims series is taken
+        whole."""
+        keys = set()
+        for groups in part.values():
+            keys.update(groups)
+        if self._windowed:
+            series = {g[:-1] for g in keys}
+            for mkey in self._windowed:
+                keys.update(
+                    g for g in self.state.get(mkey, ())
+                    if g[:-1] in series
+                )
+        return {
+            mkey: {g: groups[g] for g in keys if g in groups}
+            for mkey, groups in self.state.items()
+        }
+
+    def _publish(self) -> None:
+        """Swap the table into the catalog as one in-memory dataset
+        (caller holds the lock)."""
+        session = self.session
+        session._replace(ScrubJayDataset.from_rows(
+            session.ctx, self.table.values(), self.schema, self.name
+        ))
 
     @property
     def dataset(self) -> ScrubJayDataset:
@@ -288,7 +274,8 @@ class Rollup:
         """Bring the rollup to its feeds' current watermarks —
         incrementally (delta partials merged into the standing state)
         when the base plan is delta-safe, by scoped replay otherwise —
-        then republish the table."""
+        then republish the table. A delta refresh finalizes only the
+        groups the delta touched; a replay finalizes every group."""
         session = self.session
         with self._lock:
             base = dict(self.watermarks)
@@ -307,32 +294,17 @@ class Rollup:
                 changed, getattr(session.ctx, "report", None)
             )
             if mode == "delta":
-                deltas: Dict[str, ScrubJayDataset] = {}
-                for n in sorted(changed):
-                    feed = session.feeds[n]
-                    rows, _ = feed.source.append_scan(
-                        base.get(n, 0), targets[n]
-                    )
-                    deltas[n] = ScrubJayDataset.from_rows(
-                        session.ctx, rows,
-                        session.dataset(n).schema, n,
-                    )
-                pinned = {
-                    n: base[n] for n in self.feed_names
-                    if n not in changed and n in base
-                }
-                result = self.delta_plan.execute_delta(
-                    pinned_catalog(session, pinned), deltas,
-                    session.dictionary,
+                result, _ = self.delta_plan.delta_between(
+                    session, base, targets, changed
                 )
                 part = metric_partials(result, self.query)
                 merge_metric_partials(self.state, part, self.query)
+                self.table.update(self._finalize(self._touched(part)))
                 self.delta_refreshes += 1
             else:
-                result = self.delta_plan.execute_full(
-                    pinned_catalog(session, targets), session.dictionary
-                )
+                result = self.delta_plan.replay_at(session, targets)
                 self.state = metric_partials(result, self.query)
+                self.table = self._finalize(self.state)
             self.watermarks = targets
             self.refreshes += 1
             self._publish()

@@ -63,7 +63,6 @@ from repro.errors import (
     StaleRefreshError,
     SubscriptionError,
 )
-from repro.rdd.rdd import ScanRDD
 from repro.serve.keys import normalize_query, plan_key, result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
 from repro.serve.plan_cache import PlanCache
@@ -524,34 +523,6 @@ class QueryService:
     # standing subscriptions (the streaming serve tier)
     # ------------------------------------------------------------------
 
-    def _pinned_catalog(
-        self, watermarks: Dict[str, int]
-    ) -> Dict[str, ScrubJayDataset]:
-        """The session catalog with each feed dataset in
-        ``watermarks`` swapped for a frozen snapshot bounded at its
-        watermark — execution against it can never observe rows a
-        concurrent writer appends mid-flight (the no-mixed-watermark
-        rule)."""
-        session = self.session
-        catalog = session.snapshot()
-        for name, mark in watermarks.items():
-            feed = session.feeds.get(name)
-            if feed is None:
-                continue
-            src = feed.source.bounded(mark)
-            src.name = name
-            ds = ScrubJayDataset(
-                ScanRDD(session.ctx, src),
-                src.schema(),
-                name,
-                provenance={"op": "scan",
-                            "source": type(src).__name__,
-                            "name": name, "bounded_at": mark},
-            )
-            ds.source = src
-            catalog[name] = ds
-        return catalog
-
     def _solve_serve_plan(self, nq: Query):
         """Solve a normalized query for the serve tier: the engine
         answers the base relation; a metric query's grain rides along
@@ -634,7 +605,7 @@ class QueryService:
         marks = {
             n: session.feeds[n].watermark for n in feed_names
         }
-        dataset = self._replay(dplan, marks)
+        dataset = dplan.replay_at(session, marks)
         rows, partials = self._rows_or_partials(dataset, aggregate)
         with self._subs_lock:
             self._sub_counter += 1
@@ -762,14 +733,6 @@ class QueryService:
                 "feeds kept advancing across 16 refresh rounds"
             )
 
-    def _replay(
-        self, dplan: DeltaPlan, marks: Dict[str, int]
-    ) -> ScrubJayDataset:
-        """Full execution with every feed input bounded at ``marks``."""
-        return dplan.execute_full(
-            self._pinned_catalog(marks), self.session.dictionary
-        )
-
     @staticmethod
     def _rows_or_partials(
         dataset: ScrubJayDataset, spec: Optional[AggregateSpec]
@@ -801,23 +764,8 @@ class QueryService:
         unchanged feed pinned at its old watermark, then union/merge
         into the standing answer."""
         session = self.session
-        deltas: Dict[str, ScrubJayDataset] = {}
-        delta_rows = 0
-        for n in sorted(changed):
-            feed = session.feeds[n]
-            rows, _ = feed.source.append_scan(
-                base.get(n, 0), targets[n]
-            )
-            delta_rows += len(rows)
-            deltas[n] = ScrubJayDataset.from_rows(
-                session.ctx, rows, session.dataset(n).schema, n
-            )
-        pinned = {
-            n: base[n] for n in sub.feed_names
-            if n not in changed and n in base
-        }
-        result = sub.delta_plan.execute_delta(
-            self._pinned_catalog(pinned), deltas, session.dictionary
+        result, delta_rows = sub.delta_plan.delta_between(
+            session, base, targets, changed
         )
         if delta_rows:
             with self._subs_lock:
@@ -833,7 +781,7 @@ class QueryService:
     ) -> None:
         """Scoped replay: full recompute with every feed input
         bounded at its target watermark, replacing the answer."""
-        result = self._replay(sub.delta_plan, {
+        result = sub.delta_plan.replay_at(self.session, {
             n: targets[n] for n in sub.feed_names if n in targets
         })
         rows, partials = self._rows_or_partials(result, sub.aggregate)

@@ -139,11 +139,9 @@ class ScrubJaySession:
         self.feeds: Dict[str, Any] = {}
         self._data_versions: Dict[str, int] = {}
         # Materialized rollups (repro.metrics): name -> Rollup handle.
-        # The backing wide-column store is created lazily on first
-        # session.rollup(), in a temp dir this session owns and
-        # removes on close().
+        # Each keeps its finalized table in memory and republishes it
+        # with _replace on every refresh.
         self.rollups: Dict[str, Any] = {}
-        self._rollup_store_obj = None
         # Knob writes to a live session take effect: the frozen
         # EngineConfig/AdaptiveConfig objects the hot paths
         # read are swapped wholesale on every knob change.
@@ -227,6 +225,15 @@ class ScrubJaySession:
             self.feeds.pop(name, None)
             self._data_versions.pop(name, None)
             return ds
+
+    def _replace(self, dataset: ScrubJayDataset) -> None:
+        """Put ``dataset`` in the catalog under its name, replacing any
+        dataset of that name, as one catalog change: no reader ever
+        finds the name missing (a rollup republishing its table)."""
+        dataset.validate(self.dictionary)
+        with self._catalog_lock:
+            self.catalog[dataset.name] = dataset
+            self._catalog_version += 1
 
     def dataset(self, name: str) -> ScrubJayDataset:
         with self._catalog_lock:
@@ -568,8 +575,8 @@ class ScrubJaySession:
 
         With a metric ``query`` (a built :class:`Query` or an unbuilt
         :class:`QueryBuilder`): pre-aggregate its measure set at its
-        grain into the wide-column store, register the finalized table
-        in the catalog, and route future metric queries through it::
+        grain, register the finalized table in the catalog as an
+        in-memory dataset, and route future metric queries through it::
 
             sj.rollup("rack_heat_hourly",
                       sj.query().measure("power", "mean")
@@ -589,8 +596,8 @@ class ScrubJaySession:
                 ) from None
         if isinstance(query, QueryBuilder):
             query = query.build()
-        if name in self.rollups:
-            raise ScrubJayError(f"rollup {name!r} already registered")
+        if name in self.rollups or name in self.catalog:
+            raise ScrubJayError(f"dataset {name!r} already registered")
         handle = Rollup(self, name, query).materialize()
         self.rollups[name] = handle
         return handle
@@ -605,19 +612,6 @@ class ScrubJaySession:
         except ScrubJayError:
             pass
         return handle
-
-    def _rollup_store(self):
-        """The lazily created wide-column store backing materialized
-        rollup tables, in a temp dir only this session reads."""
-        if self._rollup_store_obj is None:
-            import tempfile
-
-            from repro.store import WideColumnStore
-
-            self._rollup_store_obj = WideColumnStore(
-                tempfile.mkdtemp(prefix="scrubjay-rollups-")
-            )
-        return self._rollup_store_obj
 
     def _refresh_rollups(self, name: str) -> None:
         """Feed-advance hook: incrementally refresh every rollup whose
@@ -720,11 +714,6 @@ class ScrubJaySession:
     def close(self) -> None:
         self.profile.remove_listener(self._profile_listener)
         self.ctx.stop()
-        if self._rollup_store_obj is not None:
-            import shutil
-
-            shutil.rmtree(self._rollup_store_obj.root, ignore_errors=True)
-            self._rollup_store_obj = None
 
     def __enter__(self) -> "ScrubJaySession":
         return self

@@ -42,6 +42,7 @@ from repro.core.pipeline import (
     TransformNode,
 )
 from repro.errors import PipelineError
+from repro.rdd.rdd import ScanRDD
 from repro.rdd.stats import Decision
 
 #: transformations that are row-local — applying them to a union of
@@ -62,6 +63,32 @@ DELTA_SAFE_TRANSFORMS = frozenset({
 #: combinations linear in each argument separately (delta-safe when
 #: exactly one side's inputs changed)
 DELTA_SAFE_COMBINES = frozenset({"natural_join"})
+
+
+def pinned_catalog(session, watermarks: Dict[str, int]
+                   ) -> Dict[str, ScrubJayDataset]:
+    """The session catalog with each feed dataset in ``watermarks``
+    swapped for a frozen snapshot bounded at its watermark: execution
+    against it can never observe rows a concurrent writer appends
+    mid-flight (the no-mixed-watermark rule)."""
+    catalog = session.snapshot()
+    for name, mark in watermarks.items():
+        feed = session.feeds.get(name)
+        if feed is None:
+            continue
+        src = feed.source.bounded(mark)
+        src.name = name
+        ds = ScrubJayDataset(
+            ScanRDD(session.ctx, src),
+            src.schema(),
+            name,
+            provenance={"op": "scan",
+                        "source": type(src).__name__,
+                        "name": name, "bounded_at": mark},
+        )
+        ds.source = src
+        catalog[name] = ds
+    return catalog
 
 
 class DeltaPlan:
@@ -185,6 +212,41 @@ class DeltaPlan:
         inputs the caller has pinned (bounded) at the target
         watermarks — never against live, still-growing sources."""
         return self.plan.execute(catalog, dictionary)
+
+    def replay_at(self, session, marks: Dict[str, int]) -> ScrubJayDataset:
+        """Scoped replay over ``session`` with every feed input bounded
+        at its watermark in ``marks``."""
+        return self.execute_full(
+            pinned_catalog(session, marks), session.dictionary
+        )
+
+    def delta_between(
+        self,
+        session,
+        base: Dict[str, int],
+        targets: Dict[str, int],
+        changed,
+    ) -> Tuple[ScrubJayDataset, int]:
+        """Delta execution over ``session``: each changed feed bound to
+        the rows it committed in ``[base, target)`` (the rows its last
+        advance decoded, see :meth:`~repro.stream.Feed.rows_between`),
+        every other feed in ``base`` pinned at its old watermark.
+        Returns the output and the number of delta rows read."""
+        deltas: Dict[str, ScrubJayDataset] = {}
+        delta_rows = 0
+        for n in sorted(changed):
+            rows = session.feeds[n].rows_between(
+                base.get(n, 0), targets[n]
+            )
+            delta_rows += len(rows)
+            deltas[n] = ScrubJayDataset.from_rows(
+                session.ctx, rows, session.dataset(n).schema, n
+            )
+        pinned = {n: m for n, m in base.items() if n not in changed}
+        result = self.execute_delta(
+            pinned_catalog(session, pinned), deltas, session.dictionary
+        )
+        return result, delta_rows
 
     def __repr__(self) -> str:
         return f"DeltaPlan({self.plan!r})"

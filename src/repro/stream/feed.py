@@ -66,6 +66,9 @@ class Feed:
         # it is already visible to plain scans of the dataset
         self.watermark: int = source.current_offset()
         self.rows_ingested = 0
+        # (since, watermark, rows) of the last advance that moved: what
+        # rows_between hands every refresh of that same interval
+        self._last = (self.watermark, self.watermark, [])
         self._gauge(self.watermark, 0)
 
     # -- metrics -------------------------------------------------------
@@ -134,6 +137,7 @@ class Feed:
                 self.source.refresh()
                 self.watermark = new
                 self.rows_ingested += len(rows)
+                self._last = (since, new, rows)
                 # after refresh(): a digest read at the new version
                 # already sees the new rows
                 self.dataset._data_version = \
@@ -148,6 +152,17 @@ class Feed:
                     refresh(self.name)
             self._gauge(self.watermark, 0)
             return FeedAdvance(self.name, since, new, rows)
+
+    def rows_between(self, lo: int, hi: int) -> List[Dict[str, Any]]:
+        """The rows committed in ``[lo, hi)``: the rows the last advance
+        already decoded when it covered exactly that interval, else a
+        fresh ``append_scan`` (a refresher that lags a few advances).
+        The rows are shared with every other caller: read them, never
+        mutate them."""
+        since, until, rows = self._last
+        if (lo, hi) == (since, until):
+            return rows
+        return self.source.append_scan(lo, hi)[0]
 
     def bounded_source(self, offset: Optional[int] = None):
         """A frozen snapshot source at ``offset`` (default: the

@@ -19,8 +19,9 @@ from repro import (
 )
 
 
-#: ``--hypothesis-profile=ci``: the join property tests of
-#: tests/core/test_combinations_properties.py read their budget from it
+#: ``--hypothesis-profile=ci``: the join and rollup property tests
+#: (tests/core/test_combinations_properties.py,
+#: tests/metrics/test_rollup_properties.py) read their budget from it
 settings.register_profile("ci", max_examples=400)
 
 

@@ -62,6 +62,10 @@ def test_rollup_registers_a_catalog_dataset(power_session):
     assert power_session.rollup("power_1h").name == "power_1h"
     with pytest.raises(ScrubJayError, match="already registered"):
         power_session.rollup("power_1h", metric_q(power_session))
+    # nor may a rollup take the name of a dataset it would replace
+    with pytest.raises(ScrubJayError, match="already registered"):
+        power_session.rollup("rack_power", metric_q(power_session))
+    assert "power" in power_session.dataset("rack_power").schema.fields()
 
 
 def test_drop_rollup_unregisters(power_session):
@@ -286,10 +290,9 @@ def test_stale_rollup_would_differ_fresh_one_does_not():
         sj.close()
 
 
-def test_refresh_drops_superseded_rollup_tables():
-    # every refresh publishes <name>_vN; only N and N-1 (which a query
-    # that resolved the catalog before the swap may still be scanning)
-    # stay on disk, and the published dataset is right each time
+def test_each_refresh_publishes_the_current_groups():
+    # every refresh swaps in a dataset holding every group at the new
+    # watermark, and the published dataset is right each time
     rows = sorted(power_rows(), key=lambda r: r["time"].epoch)
     step = len(rows) // 11
     sj = ScrubJaySession()
@@ -298,14 +301,10 @@ def test_refresh_drops_superseded_rollup_tables():
                 .feed(RACK_POWER_SCHEMA, rows=rows[:step])
                 .tail("rack_power"))
         handle = sj.rollup("power_1h", metric_q(sj))
-        store = sj._rollup_store()
         for i in range(1, 11):
             hi = len(rows) if i == 10 else (i + 1) * step
             feed.push(rows[i * step:hi])
             assert handle.refreshes == i
-            assert store.tables("rollups") == sorted(
-                [f"power_1h_v{i}", f"power_1h_v{i + 1}"]
-            )
             got = {
                 (r["rack"], r["time"]): r["power_mean"]
                 for r in sj.dataset("power_1h").collect()
@@ -317,28 +316,178 @@ def test_refresh_drops_superseded_rollup_tables():
         sj.close()
 
 
-def test_sessions_keep_their_rollup_stores_apart():
+def test_sessions_keep_their_rollups_apart(tmp_path, monkeypatch):
     # two sessions over different data each materialize a rollup of
-    # the same name: each table holds only its own groups, in a store
-    # directory of its own that close() removes
+    # the same name: each holds only its own groups, in memory, so not
+    # one directory is made in the temp dir
     import os
+    import tempfile
 
+    empty = tmp_path / "tmp"
+    empty.mkdir()
+    monkeypatch.setenv("TMPDIR", str(empty))
+    monkeypatch.setattr(tempfile, "tempdir", None)
     everything = power_rows()
     subsets = [everything, [r for r in everything if r["rack"] == 0]]
-    sessions, roots = [], []
+    sessions = []
     try:
         for rows in subsets:
             sj = ScrubJaySession()
             sessions.append(sj)
             sj.register_rows(rows, RACK_POWER_SCHEMA, "rack_power")
             sj.rollup("power_1h", metric_q(sj))
-            roots.append(sj._rollup_store().root)
         for sj, rows in zip(sessions, subsets):
             want = manual_groups(rows, 3600.0, "mean")
-            assert sj.dataset("power_1h").count() == len(want)
-        assert roots[0] != roots[1]
-        assert all(os.path.isdir(root) for root in roots)
+            got = {
+                (r["rack"], r["time"]): r["power_mean"]
+                for r in sj.dataset("power_1h").collect()
+            }
+            assert_groups_equal(got, want)
+            assert set(sj.rollup("power_1h").table) == set(want)
+        assert os.listdir(empty) == []
     finally:
         for sj in sessions:
             sj.close()
-    assert not any(os.path.exists(root) for root in roots)
+
+
+# ----------------------------------------------------------------------
+# a refresh does its delta's work once
+# ----------------------------------------------------------------------
+
+def test_refresh_swaps_the_rollup_in_one_catalog_change():
+    # the rollup is in every catalog state a reader can see around a
+    # refresh, and one push moves the catalog version once
+    rows = power_rows()
+    sj = ScrubJaySession()
+    try:
+        feed = (sj.ingest()
+                .feed(RACK_POWER_SCHEMA, rows=rows[:40])
+                .tail("rack_power"))
+        sj.rollup("power_1h", metric_q(sj))
+        snapshots = [sj.snapshot()]
+
+        class Watched:
+            """The catalog lock, taking a snapshot on each release."""
+
+            def __init__(self, lock):
+                self.lock, self.busy = lock, False
+
+            def __enter__(self):
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                self.lock.__exit__(*exc)
+                if not self.busy:
+                    self.busy = True
+                    try:
+                        snapshots.append(sj.snapshot())
+                    finally:
+                        self.busy = False
+
+        sj._catalog_lock = Watched(sj._catalog_lock)
+        version = sj.catalog_version
+        feed.push(rows[40:])
+        snapshots.append(sj.snapshot())
+        assert len(snapshots) > 2
+        assert all("power_1h" in snap for snap in snapshots)
+        assert sj.catalog_version == version + 1
+    finally:
+        sj.close()
+
+
+def test_delta_refresh_finalizes_only_the_touched_groups(monkeypatch):
+    import repro.metrics.rollup as rollup_mod
+
+    rows = power_rows()  # 3 racks, 2 hours
+    sj = ScrubJaySession()
+    try:
+        feed = (sj.ingest()
+                .feed(RACK_POWER_SCHEMA, rows=rows)
+                .tail("rack_power"))
+        handle = sj.rollup("power_1h", metric_q(sj))
+        before = sj.dataset("power_1h")
+        old_rows = before.collect()
+        finalized = []
+        real = rollup_mod.finalize_metric
+
+        def spy(state, query):
+            out = real(state, query)
+            finalized.extend(out)
+            return out
+
+        monkeypatch.setattr(rollup_mod, "finalize_metric", spy)
+        # one new sample per rack, in the hour after the base
+        feed.push([
+            {"rack": r, "time": Timestamp(7200.0 + 60.0 * r),
+             "power": 50.0}
+            for r in range(3)
+        ])
+        assert handle.delta_refreshes == 1
+        assert sorted(finalized) == [
+            (r, Timestamp(7200.0)) for r in range(3)
+        ]
+        assert len(sj.dataset("power_1h").collect()) == len(old_rows) + 3
+        # the dataset captured before the refresh keeps its rows
+        assert before.collect() == old_rows
+    finally:
+        sj.close()
+
+
+def test_advance_writes_no_store_table_and_decodes_once(
+    tmp_path, monkeypatch,
+):
+    # a store-backed feed with a rollup and two subscriptions: the
+    # advance decodes its new segment once, and the rollup refresh
+    # writes nothing to a store
+    from repro.sources.table_source import TableSource
+    from repro.store import WideColumnStore
+
+    rows = sorted(power_rows(), key=lambda r: r["time"].epoch)
+    store = WideColumnStore(str(tmp_path / "store"))
+    table = store.create_table("facility", "rack_power", ["rack"], ["time"])
+    table.insert_many(rows[:36])
+    table.flush()
+    sj = ScrubJaySession()
+    svc = None
+    try:
+        sj.ingest().table(
+            store, "facility", "rack_power", RACK_POWER_SCHEMA
+        ).tail("rack_power")
+        handle = sj.rollup("power_15m", metric_q(sj, grain="15m"))
+        svc = sj.serve()
+        metric_sub = svc.subscribe(metric_q(sj))
+        row_sub = svc.subscribe(["racks", "time"], ["power"])
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a refresh wrote a store table")
+
+        monkeypatch.setattr(WideColumnStore, "create_table", refuse)
+        monkeypatch.setattr(WideColumnStore, "append_rows", refuse)
+        scans = []
+        real = TableSource.append_scan
+
+        def counted(self, *args, **kwargs):
+            scans.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableSource, "append_scan", counted)
+        table.append_rows(rows[36:])
+        out = svc.advance("rack_power")
+        assert out["rows_added"] == len(rows) - 36
+        assert out["subscriptions_refreshed"] == 2
+        assert len(scans) == 1
+        assert handle.delta_refreshes == 1
+        assert len(row_sub.current().rows) == len(rows)
+        assert_groups_equal(
+            metric_sub.current().groups,
+            manual_groups(rows, 3600.0, "mean"),
+        )
+        assert_groups_equal(
+            {(r["rack"], r["time"]): r["power_mean"]
+             for r in sj.dataset("power_15m").collect()},
+            manual_groups(rows, 900.0, "mean"),
+        )
+    finally:
+        if svc is not None:
+            svc.close()
+        sj.close()

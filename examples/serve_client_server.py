@@ -5,7 +5,7 @@ Spins up the whole repro.serve stack in one process:
 
 1. build a session with two registered monitoring tables;
 2. wrap it in a :class:`~repro.serve.QueryService` (worker pool,
-   plan cache, result cache, admission control);
+   the session's plan memo, result cache, admission control);
 3. expose the service over the line-delimited-JSON TCP protocol with
    :class:`~repro.serve.QueryServer`;
 4. hammer it from several socket clients in parallel, then read the
@@ -74,8 +74,10 @@ def main() -> None:
             t.join()
         wall = time.perf_counter() - t0
 
-        # one plan search and one execution per distinct query — the
-        # other 58 requests were answered from the caches
+        # one plan search per distinct query (the session's plan memo,
+        # reported as plan_cache) and one execution per distinct
+        # query — the other 58 requests were answered from the memo
+        # and the result cache
         with QueryClient(host, port) as c:
             m = c.metrics()
         print(
@@ -83,7 +85,7 @@ def main() -> None:
             f"({m['completed'] / wall:.0f} qps)"
         )
         print(
-            "plan cache: "
+            "plan memo: "
             f"{m['plan_cache']['hits']} hits / "
             f"{m['plan_cache']['misses']} misses; "
             "result cache: "

@@ -148,9 +148,6 @@ def _build_knobs() -> Dict[str, Knob]:
              "Per-query deadline in seconds (queue wait + execution); "
              "None = no deadline.", low=1e-3, high=86_400,
              nullable=True),
-        Knob("serve.plan_cache_entries", "int", 256,
-             "Plan-cache capacity (solved plans).", low=1,
-             high=100_000),
         Knob("serve.result_cache_entries", "int", 128,
              "Result-cache capacity (materialized answers).",
              low=1, high=100_000),
@@ -290,7 +287,6 @@ class ServeConfig:
     num_workers: int = 4
     max_queue: int = 64
     default_timeout: Optional[float] = None
-    plan_cache_entries: int = 256
     result_cache_entries: int = 128
     result_ttl: Optional[float] = None
     metrics_window_s: float = 30.0

@@ -251,7 +251,7 @@ class DerivationRegistry:
 
     def op_names(self) -> List[str]:
         """Sorted registered operation names — part of the semantic
-        fingerprint the serve-layer plan cache keys on (an expert
+        fingerprint the session's plan memo keys on (an expert
         registration can change what plans are reachable)."""
         with self._lock:
             return sorted(self._classes)

@@ -277,13 +277,14 @@ class DerivationEngine:
         self.config = config or EngineConfig()
         # Cross-query memoization (paper: cache CombinePair/CombineSet
         # results at runtime). Keyed by schema fingerprints, so results
-        # persist across queries over the same catalog.
+        # persist across queries over the same catalog; configure()
+        # clears it.
         self._pair_memo: Dict[Tuple[str, str], List[Tuple]] = {}
         # One search at a time per engine: the schema-only search is
         # pure-Python CPU work (the GIL serializes it anyway) and the
         # memo tables are not safe to grow from two threads at once.
-        # Concurrent callers — the serve-layer QueryService — queue
-        # here only on plan-cache misses.
+        # Concurrent callers queue here only on misses of the
+        # session's plan memo.
         self._solve_lock = threading.RLock()
         # Observability: the session wires the context's shared tracer
         # and registry in; per-solve search counters always accumulate
@@ -308,6 +309,14 @@ class DerivationEngine:
         # interpolation join), and the leaf facts asked for so far
         self._fixed: FrozenSet[str] = frozenset()
         self._facts: Dict[str, Optional[Estimate]] = {}
+
+    def configure(self, config: EngineConfig) -> None:
+        """Swap in new settings. The pair memo's recipes carry the old
+        interpolation window, so they go with the old settings; the
+        solve lock keeps an in-flight search from mixing the two."""
+        with self._solve_lock:
+            self.config = config
+            self._pair_memo.clear()
 
     def _bump(self, key: str, n: int = 1) -> None:
         self._stats[key] += n

@@ -567,3 +567,32 @@ class QueryBuilder:
             f"QueryBuilder(across: {', '.join(self._domains) or '-'}; "
             f"values: {vals or '-'})"
         )
+
+
+def as_query(
+    query: Union[Query, QueryBuilder, Sequence[str], None] = None,
+    values: Optional[Sequence[ValueSpec]] = (),
+    filters: Sequence[FilterTerm] = (),
+    *,
+    domains: Optional[Sequence[str]] = None,
+) -> Query:
+    """Coerce every accepted query spelling into a :class:`Query`.
+
+    Accepts a built :class:`Query`, an unbuilt :class:`QueryBuilder`
+    (built here, so its typed validation errors surface at the call
+    site), or the legacy ``(domains, values)`` pair, positional or as
+    ``domains=``/``values=`` keywords. Terms passed beside a query or
+    builder raise :class:`~repro.errors.QueryValidationError` instead
+    of being dropped: the query already carries its own.
+    """
+    if isinstance(query, (Query, QueryBuilder)):
+        if values or filters or domains:
+            raise QueryValidationError(
+                "a query or builder carries its own domains, values "
+                "and filters; add them on it, not beside it",
+                clause="values",
+            )
+        return query.build() if isinstance(query, QueryBuilder) else query
+    return Query.of(
+        domains if query is None else query, values or (), filters
+    )

@@ -101,10 +101,7 @@ class Rollup:
         self.refreshes = 0
         self.delta_refreshes = 0
         self._lock = threading.RLock()
-        # Solve the base relation once.
-        self.base_plan = session.engine.solve(
-            session.schemas(), query.base()
-        )
+        self.base_plan = session.plan(query)
         base = self.base_plan.derive_schema(
             session.schemas(), session.dictionary
         )

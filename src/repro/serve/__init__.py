@@ -2,13 +2,13 @@
 
 Turns a single-caller :class:`~repro.session.ScrubJaySession` into a
 server: many clients multiplex over one shared catalog, dictionary,
-engine, and executor, with repeated logical queries answered from
-semantic plan/result caches instead of re-running the §5.2 search and
-the data-parallel execution.
+engine, and executor, with repeated logical queries answered from the
+session's plan memo and a semantic result cache instead of re-running
+the §5.2 search and the data-parallel execution.
 
 Layers (see DESIGN.md "The serve subsystem")::
 
-    admission → per-tenant FIFO → plan cache → engine
+    admission → per-tenant FIFO → plan memo → engine
                                 → result cache → executor
 
 Quick start::
@@ -52,9 +52,9 @@ from repro.errors import (
     SubscriptionError,
     UnsupportedOpError,
 )
-from repro.serve.keys import normalize_query, plan_key, result_key
+from repro.core.plan_memo import normalize_query, plan_key
+from repro.serve.keys import result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
-from repro.serve.plan_cache import PlanCache
 from repro.serve.result_cache import ResultCache, ResultEntry
 from repro.serve.service import AggregateSpec, QueryService, QueryTicket
 from repro.serve.subscribe import Subscription, SubscriptionUpdate
@@ -80,7 +80,6 @@ __all__ = [
     "normalize_query",
     "plan_key",
     "result_key",
-    "PlanCache",
     "ResultCache",
     "ResultEntry",
     "ServiceMetrics",

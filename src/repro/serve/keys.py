@@ -1,68 +1,16 @@
-"""Semantic cache keys for the serve layer.
+"""The serve layer's result-cache key.
 
-Both serve-layer caches key on *meaning*, not on request text: two
-clients asking for the same dimensions in a different order, or the
-same query issued before and after an unrelated log line, must hit the
-same entry. The key of a planning problem is the content fingerprint
-of
-
-- the session ``state_fingerprint()`` — catalog schemas, dictionary
-  version, registered derivation ops (everything Algorithm 1's
-  schema-only search reads), and
-- the *normalized* query — domains and value terms sorted, so
-  permuted but logically identical queries collapse.
-
-Result keys additionally fold in the catalog data version: a plan
-stays valid when a dataset is dropped and re-registered with the same
-schema but different rows — its cached *result* does not.
+Plans come from the session's memo (keyed by
+:func:`repro.core.plan_memo.plan_key`), so equal questions share a plan
+fingerprint; the result key adds the state fingerprint and the catalog
+data version: a plan stays valid when a dataset is dropped and
+re-registered with the same schema but different rows — its cached
+*result* does not.
 """
 
 from __future__ import annotations
 
-from repro.core.query import Query
 from repro.util.hashing import content_hash
-
-
-def normalize_query(query: Query) -> Query:
-    """Canonical field order: a query is a *set* of dimensions (paper
-    §5.1), so domain/value order must not affect cache identity.
-    Filters are a conjunction, so their order is canonicalized too;
-    an empty filter tuple serializes to the pre-filter JSON form,
-    keeping historical keys stable."""
-    return Query(
-        tuple(sorted(query.domains)),
-        tuple(
-            sorted(
-                query.values,
-                key=lambda t: (t.dimension, t.units or ""),
-            )
-        ),
-        tuple(
-            sorted(
-                query.filters,
-                key=lambda f: repr(f.to_json_dict()),
-            )
-        ),
-        # metric terms: a measure set and per-dims are sets too; the
-        # grain is already canonical (seconds). Plain queries carry
-        # empty tuples and keep their historical keys.
-        tuple(
-            sorted(
-                query.measures,
-                key=lambda m: (m.dimension, m.how, m.window or 0.0),
-            )
-        ),
-        tuple(sorted(query.per)),
-        query.grain,
-    )
-
-
-def plan_key(state_fingerprint: str, query: Query) -> str:
-    """Cache key for the derivation-engine search itself."""
-    return content_hash({
-        "state": state_fingerprint,
-        "query": normalize_query(query).to_json_dict(),
-    })
 
 
 def result_key(

@@ -4,7 +4,7 @@ The pipeline each admitted query walks::
 
     admission (bounded, load-shedding)
         → per-tenant FIFO queues (round-robin fairness)
-            → plan cache (memoized §5.2 search, single-flight)
+            → the session's plan memo (memoized §5.2 search)
                 → derivation engine (cold search only)
             → result cache (semantic key + TTL/LRU)
                 → shared SJContext executor (cold results only)
@@ -31,9 +31,9 @@ Design decisions, in the order they bite under load:
   query raises is its answer: tasks run once, in the driver, and have
   no worker to lose.
 - **One engine, many clients.** The schema-level search is serialized
-  by the engine's own lock and de-duplicated by the plan cache's
-  single-flight, so a thundering herd on a cold key pays exactly one
-  search.
+  by the engine's own lock and de-duplicated by the single-flight of
+  the session's plan memo, so a thundering herd on a cold key pays
+  exactly one search.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.analysis.aggregate import (
 )
 from repro.config import ServeConfig
 from repro.core.dataset import ScrubJayDataset
-from repro.core.query import Query, QueryBuilder, ValueSpec
+from repro.core.query import Query, ValueSpec, as_query
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
@@ -63,9 +63,9 @@ from repro.errors import (
     StaleRefreshError,
     SubscriptionError,
 )
-from repro.serve.keys import normalize_query, plan_key, result_key
+from repro.core.plan_memo import normalize_query, plan_key
+from repro.serve.keys import result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
-from repro.serve.plan_cache import PlanCache
 from repro.serve.result_cache import ResultCache, ResultEntry
 from repro.serve.subscribe import Subscription
 from repro.stream import DeltaPlan
@@ -164,35 +164,6 @@ class AggregateSpec:
             m.how,
             partial,
         )
-
-
-def as_query(
-    query,
-    values: Sequence[ValueSpec] = (),
-    filters: Sequence = (),
-) -> Query:
-    """Coerce the serve API's first argument into a :class:`Query`.
-
-    Accepts a built :class:`Query`, an unbuilt
-    :class:`~repro.core.query.QueryBuilder` (built here, so its typed
-    validation errors surface at the call site), or the legacy
-    ``(domains, values)`` positional pair.
-    """
-    if isinstance(query, QueryBuilder):
-        if values or filters:
-            raise ServiceError(
-                "pass measures/values/filters on the builder itself, "
-                "not alongside it"
-            )
-        return query.build()
-    if isinstance(query, Query):
-        if values or filters:
-            raise ServiceError(
-                "a Query already carries its values and filters; do "
-                "not pass them separately"
-            )
-        return query
-    return Query.of(query, values, filters)
 
 
 class QueryTicket:
@@ -313,8 +284,8 @@ class QueryService:
     default_timeout:
         Per-query deadline (seconds, queue wait + execution) applied
         when ``submit`` gets none. ``None`` = no deadline.
-    plan_cache_entries / result_cache_entries / result_ttl:
-        Cache bounds; see :class:`PlanCache` / :class:`ResultCache`.
+    result_cache_entries / result_ttl:
+        Result-cache bounds; see :class:`ResultCache`.
     """
 
     def __init__(
@@ -324,7 +295,6 @@ class QueryService:
         num_workers: Optional[int] = None,
         max_queue: Optional[int] = None,
         default_timeout: Optional[float] = _UNSET,
-        plan_cache_entries: Optional[int] = None,
         result_cache_entries: Optional[int] = None,
         result_ttl: Optional[float] = _UNSET,
         metrics_window_s: Optional[float] = None,
@@ -347,7 +317,6 @@ class QueryService:
             for k, v in {
                 "num_workers": num_workers,
                 "max_queue": max_queue,
-                "plan_cache_entries": plan_cache_entries,
                 "result_cache_entries": result_cache_entries,
                 "metrics_window_s": metrics_window_s,
             }.items()
@@ -367,7 +336,6 @@ class QueryService:
         self.default_timeout = cfg.default_timeout
         self.max_queue = cfg.max_queue
         self._clock = clock
-        self.plan_cache = PlanCache(cfg.plan_cache_entries)
         self.result_cache = ResultCache(
             cfg.result_cache_entries, cfg.result_ttl, clock=clock
         )
@@ -523,15 +491,16 @@ class QueryService:
     # standing subscriptions (the streaming serve tier)
     # ------------------------------------------------------------------
 
-    def _solve_serve_plan(self, nq: Query):
-        """Solve a normalized query for the serve tier: the engine
-        answers the base relation; a metric query's grain rides along
-        as a ``bucket_time`` transform on top (row-local, so delta
-        refreshes stay incremental and group keys land pre-bucketed).
-        """
+    def _serve_plan(self, nq: Query, state: str):
+        """The session's plan of a normalized query's base relation;
+        a metric query's grain rides on top as a ``bucket_time``
+        transform (row-local, so delta refreshes stay incremental and
+        group keys land pre-bucketed), memoized under its own key."""
         session = self.session
-        plan = session.engine.solve(session.schemas(), nq.base())
-        if nq.is_metric and nq.grain is not None:
+        if not nq.is_metric or nq.grain is None:
+            return session.plan(nq, state)
+
+        def bucketed():
             from repro.core.pipeline import (
                 DerivationPlan,
                 TransformNode,
@@ -539,14 +508,18 @@ class QueryService:
             from repro.metrics.compute import metric_group_fields
             from repro.metrics.derive import BucketTime
 
+            plan = session.plan(nq, state)
             schema = plan.derive_schema(
                 session.schemas(), session.dictionary
             )
             _, tfield = metric_group_fields(schema, nq)
-            plan = DerivationPlan(TransformNode(
+            return DerivationPlan(TransformNode(
                 BucketTime(tfield, nq.grain.seconds), plan.root
             ))
-        return plan
+
+        return session.plan_memo.get_or_solve(
+            plan_key(state, nq), bucketed
+        )
 
     def subscribe(
         self,
@@ -585,10 +558,8 @@ class QueryService:
                 "a metric subscription derives its aggregate from "
                 "the measures; drop the AggregateSpec"
             )
-        nq = normalize_query(query)
-        plan = self.plan_cache.get_or_solve(
-            plan_key(session.state_fingerprint(), nq),
-            lambda: self._solve_serve_plan(nq),
+        plan = self._serve_plan(
+            normalize_query(query), session.state_fingerprint()
         )
         dplan = DeltaPlan(plan)
         feed_names = tuple(
@@ -861,9 +832,10 @@ class QueryService:
         )
 
     def invalidate(self) -> None:
-        """Explicitly flush both caches (keying already isolates stale
-        entries after catalog/dictionary changes; this reclaims them)."""
-        self.plan_cache.clear()
+        """Explicitly flush the session's plan memo and the result
+        cache (keying already isolates stale entries; this reclaims
+        them)."""
+        self.session.plan_memo.clear()
         self.result_cache.clear()
 
     def snapshot(self) -> ServiceSnapshot:
@@ -877,7 +849,7 @@ class QueryService:
             in_flight=in_flight,
             queue_depth=queued,
             tenants=tenants,
-            plan_cache=self.plan_cache.stats(),
+            plan_cache=self.session.plan_memo.stats(),
             result_cache=self.result_cache.stats(),
             streams=self._streams_snapshot(),
             profile=(
@@ -1042,7 +1014,7 @@ class QueryService:
         ticket._deliver(result, error, finished)
 
     # ------------------------------------------------------------------
-    # the actual pipeline: plan cache → engine → result cache → executor
+    # the actual pipeline: plan memo → engine → result cache → executor
     # ------------------------------------------------------------------
 
     def _answer(self, ticket: QueryTicket) -> Any:
@@ -1069,21 +1041,13 @@ class QueryService:
         state = session.state_fingerprint()
         version = session.catalog_version
         nq = normalize_query(ticket.query)
-        pkey = plan_key(state, nq)
-        # the single-flight cache gives no hit/miss return channel;
-        # whether *our* solver closure ran is exactly a cold miss
-        solver_ran: List[bool] = []
-
-        def solver():
-            solver_ran.append(True)
-            return self._solve_serve_plan(nq)
-
         if traced:
             with tracer.span("plan-cache", kind="cache") as ps:
-                plan = self.plan_cache.get_or_solve(pkey, solver)
-                ps.set("outcome", "miss" if solver_ran else "hit")
+                plan = self._serve_plan(nq, state)
+                # a miss is exactly a search run under this span
+                ps.set("outcome", "miss" if ps.find("solve") else "hit")
         else:
-            plan = self.plan_cache.get_or_solve(pkey, solver)
+            plan = self._serve_plan(nq, state)
         if ticket.query.is_metric:
             return self._metric_plan(plan, ticket, state, version)
         if ticket.aggregate is not None:

@@ -9,7 +9,7 @@ own full session + :class:`QueryService` + NDJSON
 :class:`~repro.serve.wire.QueryServer`, and fronts them with a
 :class:`ShardRouter` — a :class:`QueryService` subclass that keeps the
 *stateless-per-row* layers (admission control, per-tenant fairness,
-plan cache, result cache) and replaces only the execution hooks with
+the session's plan memo, result cache) and replaces only the execution hooks with
 prune-aware scatter-gather over the fleet.
 
 Placement and routing

@@ -45,7 +45,8 @@ from repro.core.derivation import (
 from repro.core.dictionary import SemanticDictionary, default_dictionary
 from repro.core.engine import DerivationEngine, Estimate, leaf_facts
 from repro.core.pipeline import DerivationPlan
-from repro.core.query import Query, QueryBuilder, ValueSpec
+from repro.core.plan_memo import PlanMemo, plan_key
+from repro.core.query import Query, QueryBuilder, ValueSpec, as_query
 from repro.core.semantics import Schema
 from repro.obs.export import render_analyze
 from repro.obs.trace import Tracer
@@ -122,6 +123,8 @@ class ScrubJaySession:
         # of in-memory catalog datasets, and land on the report
         self.engine.leaf_facts = self._leaf_facts
         self.engine.report = self.ctx.report
+        #: the one plan memo, see :meth:`plan`
+        self.plan_memo = PlanMemo()
         self.catalog: Dict[str, ScrubJayDataset] = {}
         # Catalog mutation (register/drop) may race with in-flight
         # queries when the session backs a QueryService: the lock makes
@@ -152,14 +155,16 @@ class ScrubJaySession:
     def _on_profile_change(self, name: str, old: Any, new: Any) -> None:
         """Profile listener: re-derive the frozen config objects the
         engine and context read, so knob writes take effect
-        on the next query. ``executor.*`` knobs are read once, when
+        on the next query (an ``engine.*`` write also clears the plan
+        memo). ``executor.*`` knobs are read once, when
         the session is built."""
         if name.startswith("adaptive."):
             cfg = self.profile.adaptive_config()
             self.ctx.adaptive = cfg
             self.ctx.planner.config = cfg
         elif name.startswith("engine."):
-            self.engine.config = self.profile.engine_config()
+            self.engine.configure(self.profile.engine_config())
+            self.plan_memo.clear()
 
     # ------------------------------------------------------------------
     # catalog management
@@ -312,8 +317,10 @@ class ScrubJaySession:
         """Content hash of everything a *plan* depends on: the catalog
         schemas, the dictionary version, and the registered derivation
         ops. Two sessions (or the same session at two instants) with
-        equal fingerprints produce plans with the same answer for
-        identical queries — the serve-layer PlanCache keys on this.
+        equal fingerprints and engine settings produce plans with the
+        same answer for identical queries — the plan memo keys on this.
+        The ``engine.*`` knobs stay out (a write clears the memo): a
+        ShardRouter checks this against shards that never see one.
 
         Note this deliberately excludes row contents: plans are
         schema-level. Rows only cost ties between same-schema
@@ -378,28 +385,18 @@ class ScrubJaySession:
         """
         return QueryBuilder(self)
 
-    def plan(self, query: Query) -> DerivationPlan:
+    def plan(
+        self, query: Query, state: Optional[str] = None
+    ) -> DerivationPlan:
         """Plan — but do not execute — a derivation sequence for a
-        built :class:`Query`."""
-        return self.engine.solve(self.schemas(), query)
-
-    def _as_query(
-        self,
-        query: Union[Query, Sequence[str], None],
-        values: Optional[Sequence[ValueSpec]],
-        domains: Optional[Sequence[str]] = None,
-    ) -> Query:
-        """Normalize the accepted query spellings: a built ``Query``,
-        an unbuilt :class:`QueryBuilder`, legacy positional
-        ``(domains, values)``, or legacy ``domains=``/``values=``
-        keywords."""
-        if isinstance(query, QueryBuilder):
-            return query.build()
-        if isinstance(query, Query):
-            return query
-        if query is not None:
-            return Query.of(query, values or ())
-        return Query.of(domains or (), values or ())
+        built :class:`Query` (a metric query's base relation), solved
+        once per :meth:`state_fingerprint` (``state``, if the caller
+        took it) and normalized query in :attr:`plan_memo`."""
+        q = query.base()
+        return self.plan_memo.get_or_solve(
+            plan_key(state or self.state_fingerprint(), q),
+            lambda: self.engine.solve(self.schemas(), q),
+        )
 
     def explain(
         self,
@@ -422,8 +419,9 @@ class ScrubJaySession:
         summary of the engine's search. The
         resulting trace tree is also retained on ``ctx.tracer`` —
         ``ctx.tracer.last_root()`` returns it for programmatic use.
+        Both forms solve cold, past the plan memo.
         """
-        q = self._as_query(query, values, domains)
+        q = as_query(query, values, domains=domains)
         if analyze:
             return self._explain_analyze(q)
         report = self.ctx.report
@@ -434,8 +432,7 @@ class ScrubJaySession:
 
             _, decision = choose_rollup(self.rollups, q)
             tail.append(str(decision))
-            q = q.base()
-        plan = self.plan(q)
+        plan = self.engine.solve(self.schemas(), q.base())
         costed = [str(d) for d in report.since(mark) if d.kind == "plan"]
         return "\n".join([plan.describe(), *costed, *tail])
 
@@ -445,15 +442,20 @@ class ScrubJaySession:
         tracer.enabled = True
         report = self.ctx.report
         mark = report.recorded
+
+        def cold(query: Query) -> DerivationPlan:
+            return self.engine.solve(self.schemas(), query.base())
+
         try:
             with tracer.span(
                 "explain-analyze", kind="query", query=str(q)
             ) as root:
                 if q.is_metric:
-                    self._ask_metric(q, tracer=tracer, measure=True)
+                    self._ask_metric(
+                        q, tracer=tracer, measure=True, plan_of=cold
+                    )
                 else:
-                    plan = self.engine.solve(self.schemas(), q)
-                    plan.execute(
+                    cold(q).execute(
                         self.snapshot(),
                         self.dictionary,
                         tracer=tracer,
@@ -507,12 +509,14 @@ class ScrubJaySession:
         *,
         domains: Optional[Sequence[str]] = None,
     ) -> Answer:
-        """Plan and execute in one call; accepts a built
-        :class:`Query` or the legacy ``(domains, values)`` spelling.
+        """Plan (through the memo, see :meth:`plan`) and execute in
+        one call; accepts a built :class:`Query`, a
+        :class:`QueryBuilder` or the legacy ``(domains, values)``
+        spelling.
         Returns an :class:`Answer` whose ``trace`` spans the solve and
         the execution when the session's tracer is enabled.
         """
-        q = self._as_query(query, values, domains)
+        q = as_query(query, values, domains=domains)
         tracer = self.ctx.tracer
         if q.is_metric:
             if tracer.enabled:
@@ -523,10 +527,10 @@ class ScrubJaySession:
             return self._ask_metric(q)
         if tracer.enabled:
             with tracer.span("query", kind="query", query=str(q)) as root:
-                plan = self.engine.solve(self.schemas(), q)
+                plan = self.plan(q)
                 dataset = self._run_plan(plan, tracer)
             return Answer(dataset, plan, root)
-        plan = self.engine.solve(self.schemas(), q)
+        plan = self.plan(q)
         return Answer(self._run_plan(plan, None), plan, None)
 
     # ------------------------------------------------------------------
@@ -534,13 +538,14 @@ class ScrubJaySession:
     # ------------------------------------------------------------------
 
     def _ask_metric(
-        self, q: Query, tracer=None, measure: bool = False
+        self, q: Query, tracer=None, measure: bool = False,
+        plan_of=None,
     ) -> "MetricAnswer":  # noqa: F821
         """Answer a metric query: route to the coarsest registered
-        rollup that can answer it, else solve + execute the base
-        relation and aggregate raw. The route lands on the
-        ExecutionReport as a ``rollup``
-        :class:`~repro.rdd.stats.Decision` either way."""
+        rollup that can answer it, else plan (``plan_of``, by default
+        the memoized :meth:`plan`) + execute the base relation and
+        aggregate raw. The route lands on the ExecutionReport as a
+        ``rollup`` :class:`~repro.rdd.stats.Decision` either way."""
         from repro.metrics.compute import (
             MetricAnswer,
             finalize_metric,
@@ -560,7 +565,7 @@ class ScrubJaySession:
             else:
                 groups = rollup.answer(q)
             return MetricAnswer(q, groups, decision=decision)
-        plan = self.engine.solve(self.schemas(), q.base())
+        plan = (plan_of or self.plan)(q)
         dataset = plan.execute(
             self.snapshot(), self.dictionary,
             tracer=tracer, measure=measure,
@@ -651,7 +656,7 @@ class ScrubJaySession:
         **knobs: Any,
     ) -> "QueryService":  # noqa: F821
         """Wrap this session in a concurrent multi-tenant
-        :class:`~repro.serve.QueryService` (plan cache → engine →
+        :class:`~repro.serve.QueryService` (plan memo → engine →
         result cache → shared executor).
 
         Service settings come from ``config`` (a typed

@@ -19,9 +19,10 @@ from repro import (
 )
 
 
-#: ``--hypothesis-profile=ci``: the join and rollup property tests
-#: (tests/core/test_combinations_properties.py,
-#: tests/metrics/test_rollup_properties.py) read their budget from it
+#: ``--hypothesis-profile=ci``: the join, rollup and plan-memo property
+#: tests (tests/core/test_combinations_properties.py,
+#: tests/metrics/test_rollup_properties.py,
+#: tests/test_plan_memo_properties.py) read their budget from it
 settings.register_profile("ci", max_examples=400)
 
 

@@ -198,6 +198,36 @@ def test_pair_memoization_reused_across_queries(engine):
     assert len(engine._pair_memo) >= memo_size
 
 
+def test_live_window_write_reaches_the_pair_memo():
+    # the pair memo's recipes carry the interpolation window, so a live
+    # engine.interpolation_window write must re-derive them
+    from repro import ScrubJaySession, TuningProfile
+    from repro.datagen.synthetic import (
+        TIMED_LEFT_SCHEMA,
+        TIMED_RIGHT_SCHEMA,
+        timed_tables,
+    )
+
+    left, right = timed_tables(2000, num_keys=8)
+
+    def session(profile=None):
+        sj = ScrubJaySession(profile)
+        sj.register_rows(left, TIMED_LEFT_SCHEMA, "left")
+        sj.register_rows(right, TIMED_RIGHT_SCHEMA, "right")
+        return sj
+
+    def answer(sj):
+        rows = sj.query().across("compute nodes", "time") \
+            .value("power").value("temperature").ask().to_rows()
+        return sorted(repr(sorted(r.items())) for r in rows)
+
+    with session() as live, \
+            session(TuningProfile(interpolation_window=0.5)) as fresh:
+        before = answer(live)
+        live.profile.set("engine.interpolation_window", 0.5)
+        assert answer(live) == answer(fresh) != before
+
+
 def test_max_datasets_bound_respected(d):
     engine = DerivationEngine(d, config=EngineConfig(max_datasets=2))
     with pytest.raises(NoSolutionError):

@@ -100,9 +100,10 @@ def test_heat_joins_the_layout_to_job_nodes(dat1):
         assert "plan[solve] -> fewest-rows" in sj.explain(q, analyze=True)
 
         rows = sj.execute(plan).collect()
-        # the first-seen plan (no leaf facts) answers with the same rows
+        # the first-seen plan (no leaf facts, solved past the session's
+        # plan memo) answers with the same rows
         sj.engine.leaf_facts = None
-        first_seen = sj.plan(q)
+        first_seen = sj.engine.solve(sj.schemas(), q)
         assert first_seen.describe() == FIRST_SEEN_HEAT_PLAN
         assert multiset(sj.execute(first_seen).collect()) == multiset(rows)
 
@@ -125,7 +126,7 @@ def costed_and_first_seen(datasets, define=None):
         costed = sj.plan(q)
         got = multiset(sj.execute(costed).collect())
         sj.engine.leaf_facts = None
-        first_seen = sj.plan(q)
+        first_seen = sj.engine.solve(sj.schemas(), q)
         want = multiset(sj.execute(first_seen).collect())
     return costed, got, first_seen, want
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.query import FilterTerm, Query
 from repro.serve import InProcessClient, QueryClient, QueryServer, QueryService
-from repro.serve.keys import normalize_query, plan_key
+from repro.core.plan_memo import normalize_query, plan_key
 
 from tests.serve.conftest import (
     HOT_DOMAINS,

@@ -1,4 +1,4 @@
-"""PlanCache: memoized search, single-flight, negative caching, LRU."""
+"""PlanMemo: memoized search, single-flight, negative caching, LRU."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.errors import NoSolutionError
-from repro.serve import PlanCache, plan_key
+from repro.core.plan_memo import PlanMemo, plan_key
 
 from tests.serve.conftest import JOIN_DOMAINS, JOIN_VALUES
 
@@ -24,7 +24,7 @@ def _solver_counter(session, query):
 
 
 def test_hit_skips_search_and_counts(serve_session):
-    cache = PlanCache()
+    cache = PlanMemo()
     q = Query.of(JOIN_DOMAINS, JOIN_VALUES)
     key = plan_key(serve_session.state_fingerprint(), q)
     solve, calls = _solver_counter(serve_session, q)
@@ -38,7 +38,7 @@ def test_hit_skips_search_and_counts(serve_session):
 
 
 def test_single_flight_under_concurrency(serve_session):
-    cache = PlanCache()
+    cache = PlanMemo()
     q = Query.of(JOIN_DOMAINS, JOIN_VALUES)
     key = plan_key(serve_session.state_fingerprint(), q)
 
@@ -71,7 +71,7 @@ def test_single_flight_under_concurrency(serve_session):
 
 
 def test_negative_caching(serve_session):
-    cache = PlanCache()
+    cache = PlanMemo()
     # power exists, but 'racks' appears in no registered dataset
     q = Query.of(["racks"], ["power"])
     key = plan_key(serve_session.state_fingerprint(), q)
@@ -89,7 +89,7 @@ def test_negative_hits_raise_detached_copies(serve_session):
     """Regression: negative hits used to re-raise the one cached
     exception instance, so concurrent raisers raced on its shared
     __traceback__ and chained each other's frames."""
-    cache = PlanCache()
+    cache = PlanMemo()
     q = Query.of(["racks"], ["power"])
     key = plan_key(serve_session.state_fingerprint(), q)
     solve, _ = _solver_counter(serve_session, q)
@@ -113,7 +113,7 @@ def test_negative_hits_raise_detached_copies(serve_session):
 
 
 def test_unexpected_solver_error_not_cached(serve_session):
-    cache = PlanCache()
+    cache = PlanMemo()
     boom = {"n": 0}
 
     def bad_solver():
@@ -128,15 +128,25 @@ def test_unexpected_solver_error_not_cached(serve_session):
 
 
 def test_lru_eviction():
-    cache = PlanCache(max_entries=2)
+    cache = PlanMemo(max_entries=2)
     mk = lambda i: (lambda: i)  # noqa: E731 - plans can be any object here
     cache.get_or_solve("a", mk(1))
     cache.get_or_solve("b", mk(2))
     cache.get_or_solve("a", mk(99))  # refresh a
     cache.get_or_solve("c", mk(3))  # evicts b, not a
-    assert cache.peek("a") == 1
-    assert cache.peek("b") is None
+    assert list(cache._entries) == ["a", "c"]
     assert cache.stats()["evictions"] == 1
+
+
+def test_a_solve_in_flight_across_clear_is_not_stored():
+    cache = PlanMemo()
+
+    def solver():
+        cache.clear()  # an engine knob write lands mid-search
+        return "old"
+
+    assert cache.get_or_solve("k", solver) == "old"
+    assert cache.get_or_solve("k", lambda: "new") == "new"
 
 
 def test_state_change_means_new_key(serve_session):

@@ -131,7 +131,6 @@ def test_reduce_partition_knobs_are_gone():
     # the executor owns the reduce partition count: no row target, no
     # bounds, no per-call count, and no switch that only forced shuffle
     # joins (broadcast_threshold_rows=0 does that)
-    assert len(KNOBS) == 18
     for name in GONE_PARTITION_KNOBS:
         with pytest.raises(ConfigError) as ei:
             TuningProfile().set(name, 1)
@@ -146,6 +145,29 @@ def test_reduce_partition_knobs_are_gone():
                    "adaptiveJoin"):
             with pytest.raises(TypeError, match="num_partitions"):
                 getattr(r, op)(num_partitions=2)
+
+
+def test_plan_cache_knob_is_gone():
+    # plans are memoized once, by the session, at a fixed bound: the
+    # serve tier has no plan cache of its own to size
+    assert len(KNOBS) == 17
+    for spelling in ("serve.plan_cache_entries", "plan_cache_entries"):
+        with pytest.raises(ConfigError) as ei:
+            TuningProfile(**{spelling: 8})
+        assert ei.value.knob == spelling
+    with pytest.raises(ConfigError) as ei:
+        ServeConfig().with_overrides(plan_cache_entries=8)
+    assert ei.value.knob == "plan_cache_entries"
+    from repro.serve import QueryService
+
+    sj = ScrubJaySession()
+    try:
+        with pytest.raises(TypeError, match="plan_cache_entries"):
+            QueryService(sj, plan_cache_entries=8)
+        with pytest.raises(ConfigError, match="plan_cache_entries"):
+            sj.serve(plan_cache_entries=8)
+    finally:
+        sj.close()
 
 
 def test_unknown_knob_raises_typed_error_with_suggestion():
